@@ -5,6 +5,14 @@ hub-annotated arcs through explicit balance assets; the LP is then generated
 uniformly from whichever graph results.  The four approaches differ only in
 how node links are represented: four positive flows through a transport
 asset, two opposing positive flows, or one free two-sided flow.
+
+Generation reads the graph once.  :meth:`EnergySystem.adjacency` gives each
+asset its sorted in-arc and out-arc keys, and every row that sums an asset's
+flows (balance, capacity, charging, unit commitment) takes them from there.
+Columns come in blocks of T timesteps per ``(role, key)``, so a term is built
+once for t=1 and shifted to each later timestep by arithmetic.  Balance rows
+of every asset kind come from one table, ``_BALANCE``, that gives the row
+family, the row-name prefix and the inflow and outflow coefficients.
 """
 
 from __future__ import annotations
@@ -259,25 +267,44 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
 # ---------------------------------------------------------------------------
 
 
+# Balance rows, emitted family by family in this order and timestep-major
+# within a family: row family, row-name prefix, and the coefficients of an
+# asset's inflows and outflows.
+_BALANCE = {
+    AssetKind.CONSUMER: (RowFamily.CONSUMER_BALANCE, "bal", lambda a: (1.0, -1.0)),
+    AssetKind.STORAGE: (RowFamily.STORAGE_BALANCE, "sto", lambda a: (-a.eta_in, 1.0 / a.eta_out)),
+    AssetKind.CONVERSION: (RowFamily.CONVERSION_BALANCE, "cnv", lambda a: (a.eta_in, -1.0)),
+    AssetKind.HUB: (RowFamily.NODE_BALANCE, "node", lambda a: (1.0, -1.0)),
+    AssetKind.TRANSPORT: (RowFamily.TRANSPORT_BALANCE, "trn", lambda a: (1.0, -1.0)),
+}
+
+
+def _at(terms: list[tuple[int, float]], t: int) -> list[tuple[int, float]]:
+    """Timestep-1 terms of one T-column block each, moved to timestep ``t``."""
+    return [(j + t - 1, coef) for j, coef in terms]
+
+
 class _Builder:
+    """Columns are sorted by ``(role, key, t)``, so each ``(role, key)`` owns a
+    contiguous block of T columns (one for INVEST): column ``first + t - 1``.
+    """
+
     def __init__(self, system: EnergySystem, dc_opf: bool, unit_commitment: bool):
         self.system = system
         self.dc_opf = dc_opf
         self.uc = unit_commitment
         self.lp = LpInstance(name=system.name)
-        self.index: dict[tuple, int] = {}
+        self.first: dict[tuple[VarRole, tuple[str, ...]], int] = {}
+        self.arc_keys = sorted(system.arcs)
+        self.assets = [system.assets[a] for a in sorted(system.assets)]
+        self.adj = system.adjacency()
 
-    def add_var(self, ref: VariableRef) -> int:
-        j = len(self.lp.variables)
-        self.lp.variables.append(ref)
-        self.index[(ref.role, ref.key, ref.timestep)] = j
-        return j
+    def var(self, role: VarRole, key: tuple[str, ...], t: int = 1) -> int:
+        return self.first[(role, key)] + t - 1
 
-    def var(self, role: VarRole, key: tuple[str, ...], t: Optional[int]) -> int:
-        return self.index[(role, key, t)]
-
-    def flow(self, u: str, v: str, t: int) -> int:
-        return self.var(VarRole.FLOW, (u, v), t)
+    def flows(self, keys: list[tuple[str, str]], coef: float) -> list[tuple[int, float]]:
+        """Terms at t=1 for the flows on ``keys``; ``_at`` moves them to t."""
+        return [(self.first[(VarRole.FLOW, key)], coef) for key in keys]
 
     def row(self, family, sense, rhs, terms, name, rhs_low=None) -> None:
         self.lp.rows.append(
@@ -287,170 +314,125 @@ class _Builder:
     # -- variables -------------------------------------------------------
 
     def create_variables(self) -> None:
-        sy = self.system
-        T = sy.horizon_t
-        refs: list[VariableRef] = []
-        for key in sorted(sy.arcs):
-            arc = sy.arcs[key]
+        T = self.system.horizon_t
+        blocks: dict[tuple[VarRole, tuple[str, ...]], list[VariableRef]] = {}
+
+        def series(role: VarRole, key: tuple[str, ...], **bounds) -> None:
+            blocks[(role, key)] = [VariableRef(role, key, t, **bounds) for t in range(1, T + 1)]
+
+        for key in self.arc_keys:
+            arc = self.system.arcs[key]
             free = arc.two_sided or (self.dc_opf and arc.dc_params is not None)
-            lower = -INF if free else 0.0
-            for t in range(1, T + 1):
-                refs.append(VariableRef(VarRole.FLOW, key, t, lower=lower))
-        for asset in sorted(sy.assets):
-            a = sy.assets[asset]
+            series(VarRole.FLOW, key, lower=-INF if free else 0.0)
+        for a in self.assets:
             if a.kind is AssetKind.STORAGE:
-                for t in range(1, T + 1):
-                    refs.append(
-                        VariableRef(VarRole.STORAGE_LEVEL, (asset,), t, upper=a.storage_capacity_mwh)
-                    )
+                series(VarRole.STORAGE_LEVEL, (a.id,), upper=a.storage_capacity_mwh)
             if a.investable:
                 upper = INF if a.invest_limit is None else float(a.invest_limit)
-                refs.append(VariableRef(VarRole.INVEST, (asset,), None, upper=upper))
+                blocks[(VarRole.INVEST, (a.id,))] = [
+                    VariableRef(VarRole.INVEST, (a.id,), None, upper=upper)
+                ]
             if self.uc and a.uc_enabled:
-                for t in range(1, T + 1):
-                    refs.append(VariableRef(VarRole.UNITS_ON, (asset,), t, integrality=True))
-                    refs.append(VariableRef(VarRole.FLOW_ABOVE_MIN, (asset,), t))
+                series(VarRole.UNITS_ON, (a.id,), integrality=True)
+                series(VarRole.FLOW_ABOVE_MIN, (a.id,))
         if self.dc_opf:
-            angle_assets = sorted(a for a, ref in sy.assets.items() if ref.voltage_angle_enabled)
+            angle_assets = [a.id for a in self.assets if a.voltage_angle_enabled]
             for rank, asset in enumerate(angle_assets):
-                for t in range(1, T + 1):
-                    # first angle-enabled asset is the reference bus
-                    lo, up = (0.0, 0.0) if rank == 0 else (-INF, INF)
-                    refs.append(VariableRef(VarRole.VOLTAGE_ANGLE, (asset,), t, lower=lo, upper=up))
-        refs.sort(key=VariableRef.sort_key)
-        for ref in refs:
-            self.add_var(ref)
+                # first angle-enabled asset is the reference bus
+                lo, up = (0.0, 0.0) if rank == 0 else (-INF, INF)
+                series(VarRole.VOLTAGE_ANGLE, (asset,), lower=lo, upper=up)
+        for role, key in sorted(blocks, key=lambda rk: (rk[0].value, rk[1])):
+            self.first[(role, key)] = len(self.lp.variables)
+            self.lp.variables.extend(blocks[(role, key)])
 
     # -- objective -------------------------------------------------------
 
     def emit_objective(self) -> None:
         terms: dict[int, float] = {}
-        for asset in sorted(self.system.assets):
-            a = self.system.assets[asset]
+        for a in self.assets:
             if a.investable and a.invest_cost:
-                terms[self.var(VarRole.INVEST, (asset,), None)] = a.invest_cost
-        for key in sorted(self.system.arcs):
-            arc = self.system.arcs[key]
-            if arc.op_cost:
+                terms[self.var(VarRole.INVEST, (a.id,))] = a.invest_cost
+        for key in self.arc_keys:
+            cost = self.system.arcs[key].op_cost
+            if cost:
                 for t in range(1, self.system.horizon_t + 1):
-                    terms[self.flow(*key, t)] = arc.op_cost
+                    terms[self.var(VarRole.FLOW, key, t)] = cost
         self.lp.objective = sorted(terms.items())
 
     # -- balance rows ----------------------------------------------------
 
-    def _balance_terms(self, asset_id: str, t: int, w_in: float, w_out: float):
-        terms = []
-        for arc in sorted(self.system.inflows(asset_id), key=lambda a: a.key):
-            terms.append((self.flow(*arc.key, t), w_in))
-        for arc in sorted(self.system.outflows(asset_id), key=lambda a: a.key):
-            terms.append((self.flow(*arc.key, t), w_out))
-        return terms
-
-    def emit_consumer_balance(self, t: int) -> None:
-        for asset in sorted(self.system.assets):
-            a = self.system.assets[asset]
-            if a.kind is not AssetKind.CONSUMER:
-                continue
-            terms = self._balance_terms(asset, t, 1.0, -1.0)
-            self.row(RowFamily.CONSUMER_BALANCE, "=", a.demand(t), terms, f"bal_{asset}_t{t}")
-
-    def emit_node_balance(self, t: int) -> None:
-        for asset in sorted(self.system.assets):
-            if self.system.assets[asset].kind is not AssetKind.HUB:
-                continue
-            terms = self._balance_terms(asset, t, 1.0, -1.0)
-            if terms:
-                self.row(RowFamily.NODE_BALANCE, "=", 0.0, terms, f"node_{asset}_t{t}")
-
-    def emit_storage_balance(self, t: int) -> None:
-        for asset in sorted(self.system.assets):
-            a = self.system.assets[asset]
-            if a.kind is not AssetKind.STORAGE:
-                continue
-            terms = [(self.var(VarRole.STORAGE_LEVEL, (asset,), t), 1.0)]
-            if t > 1:
-                terms.append((self.var(VarRole.STORAGE_LEVEL, (asset,), t - 1), -1.0))
-            terms += self._balance_terms(asset, t, -a.eta_in, 1.0 / a.eta_out)
-            rhs = a.initial_storage_mwh if t == 1 else 0.0
-            self.row(RowFamily.STORAGE_BALANCE, "=", rhs, terms, f"sto_{asset}_t{t}")
-
-    def emit_transport_balance(self, t: int) -> None:
-        for asset in sorted(self.system.assets):
-            if self.system.assets[asset].kind is not AssetKind.TRANSPORT:
-                continue
-            terms = self._balance_terms(asset, t, 1.0, -1.0)
-            self.row(RowFamily.TRANSPORT_BALANCE, "=", 0.0, terms, f"trn_{asset}_t{t}")
-
-    def emit_conversion_balance(self, t: int) -> None:
-        for asset in sorted(self.system.assets):
-            a = self.system.assets[asset]
-            if a.kind is not AssetKind.CONVERSION:
-                continue
-            terms = self._balance_terms(asset, t, a.eta_in, -1.0)
-            self.row(RowFamily.CONVERSION_BALANCE, "=", 0.0, terms, f"cnv_{asset}_t{t}")
+    def emit_balances(self) -> None:
+        T = self.system.horizon_t
+        for kind, (family, prefix, weights) in _BALANCE.items():
+            members = []
+            for a in self.assets:
+                ins, outs = self.adj[a.id]
+                # a hub no arc touches has nothing to balance
+                if a.kind is kind and (ins or outs or kind is not AssetKind.HUB):
+                    w_in, w_out = weights(a)
+                    members.append((a, self.flows(ins, w_in) + self.flows(outs, w_out)))
+            for t in range(1, T + 1):
+                for a, base in members:
+                    terms = _at(base, t)
+                    rhs = a.demand(t) if kind is AssetKind.CONSUMER else 0.0
+                    if kind is AssetKind.STORAGE:
+                        level = self.var(VarRole.STORAGE_LEVEL, (a.id,), t)
+                        prev = [(level - 1, -1.0)] if t > 1 else []
+                        terms = [(level, 1.0), *prev, *terms]
+                        rhs = a.initial_storage_mwh if t == 1 else 0.0
+                    self.row(family, "=", rhs, terms, f"{prefix}_{a.id}_t{t}")
 
     # -- limit rows ------------------------------------------------------
 
     def _capacity_row(self, asset: Asset, t: int, direction: str, family, name: str) -> None:
-        arcs = (
-            self.system.outflows(asset.id) if direction == "out" else self.system.inflows(asset.id)
-        )
-        if not arcs or asset.capacity_mw is None:
+        ins, outs = self.adj[asset.id]
+        keys = outs if direction == "out" else ins
+        if not keys or asset.capacity_mw is None:
             return
         avail = asset.availability(t) if direction == "out" else 1.0
-        terms = [(self.flow(*arc.key, t), 1.0) for arc in sorted(arcs, key=lambda a: a.key)]
+        terms = _at(self.flows(keys, 1.0), t)
         if asset.investable:
-            terms.append(
-                (self.var(VarRole.INVEST, (asset.id,), None), -asset.capacity_mw * avail)
-            )
+            terms.append((self.var(VarRole.INVEST, (asset.id,)), -asset.capacity_mw * avail))
         rhs = asset.capacity_mw * avail * asset.initial_units
         self.row(family, "<=", rhs, terms, name)
 
     def emit_capacity_rows(self, t: int) -> None:
-        for asset_id in sorted(self.system.assets):
-            a = self.system.assets[asset_id]
+        for a in self.assets:
             if a.kind in (AssetKind.HUB, AssetKind.TRANSPORT, AssetKind.CONSUMER):
                 continue
-            self._capacity_row(a, t, "out", RowFamily.CAPACITY_LIMIT, f"cap_{asset_id}_t{t}")
+            self._capacity_row(a, t, "out", RowFamily.CAPACITY_LIMIT, f"cap_{a.id}_t{t}")
 
     def emit_charging_rows(self, t: int) -> None:
-        for asset_id in sorted(self.system.assets):
-            a = self.system.assets[asset_id]
+        for a in self.assets:
             if a.kind is AssetKind.STORAGE:
-                self._capacity_row(a, t, "in", RowFamily.CHARGING_LIMIT, f"chg_{asset_id}_t{t}")
+                self._capacity_row(a, t, "in", RowFamily.CHARGING_LIMIT, f"chg_{a.id}_t{t}")
 
     def emit_storage_capacity(self, t: int) -> None:
-        for asset_id in sorted(self.system.assets):
-            a = self.system.assets[asset_id]
+        for a in self.assets:
             if a.kind is not AssetKind.STORAGE:
                 continue
-            terms = [(self.var(VarRole.STORAGE_LEVEL, (asset_id,), t), 1.0)]
-            self.row(RowFamily.STORAGE_CAPACITY, "<=", a.storage_capacity_mwh, terms, f"scap_{asset_id}_t{t}")
+            terms = [(self.var(VarRole.STORAGE_LEVEL, (a.id,), t), 1.0)]
+            self.row(RowFamily.STORAGE_CAPACITY, "<=", a.storage_capacity_mwh, terms, f"scap_{a.id}_t{t}")
 
     def emit_flow_bounds(self, t: int) -> None:
-        for key in sorted(self.system.arcs):
+        for key in self.arc_keys:
             arc = self.system.arcs[key]
-            j = self.flow(*key, t)
+            terms = [(self.var(VarRole.FLOW, key, t), 1.0)]
             name = f"fb_{key[0]}_{key[1]}_t{t}"
             if arc.two_sided:
+                low = None if arc.max_bwd_mw == INF else -arc.max_bwd_mw
                 if arc.max_fwd_mw is not None:
-                    low = None if arc.max_bwd_mw == INF else -arc.max_bwd_mw
-                    self.row(
-                        RowFamily.FLOW_BOUND,
-                        "<=",
-                        arc.max_fwd_mw,
-                        [(j, 1.0)],
-                        name,
-                        rhs_low=low,
-                    )
+                    self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, terms, name, rhs_low=low)
+                elif low is not None:
+                    self.row(RowFamily.FLOW_BOUND, ">=", low, terms, name)
                 # an unbounded two-sided flow needs no row at all
             elif arc.max_fwd_mw is not None:
-                self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, [(j, 1.0)], name)
+                self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, terms, name)
 
     # -- extensions ------------------------------------------------------
 
     def emit_dc_opf(self, t: int) -> None:
-        for key in sorted(self.system.arcs):
+        for key in self.arc_keys:
             arc = self.system.arcs[key]
             if arc.dc_params is None:
                 continue
@@ -462,49 +444,38 @@ class _Builder:
                     )
             b = arc.dc_params.susceptance
             terms = [
-                (self.flow(u, v, t), 1.0),
+                (self.var(VarRole.FLOW, key, t), 1.0),
                 (self.var(VarRole.VOLTAGE_ANGLE, (u,), t), -b),
                 (self.var(VarRole.VOLTAGE_ANGLE, (v,), t), b),
             ]
             self.row(RowFamily.DC_ANGLE, "=", 0.0, terms, f"dc_{u}_{v}_t{t}")
 
     def emit_unit_commitment(self, t: int) -> None:
-        for asset_id in sorted(self.system.assets):
-            a = self.system.assets[asset_id]
+        for a in self.assets:
             if not a.uc_enabled:
                 continue
-            u_j = self.var(VarRole.UNITS_ON, (asset_id,), t)
-            fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (asset_id,), t)
-            out = sorted(self.system.outflows(asset_id), key=lambda arc: arc.key)
-            terms = [(fa_j, 1.0)] + [(self.flow(*arc.key, t), -1.0) for arc in out]
+            u_j = self.var(VarRole.UNITS_ON, (a.id,), t)
+            fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (a.id,), t)
+            terms = [(fa_j, 1.0)] + _at(self.flows(self.adj[a.id][1], -1.0), t)
             terms.append((u_j, a.min_capacity_mw))
-            self.row(RowFamily.UC_MIN_OPER, "=", 0.0, terms, f"ucm_{asset_id}_t{t}")
+            self.row(RowFamily.UC_MIN_OPER, "=", 0.0, terms, f"ucm_{a.id}_t{t}")
             lim_terms = [(u_j, 1.0)]
             if a.investable:
-                lim_terms.append((self.var(VarRole.INVEST, (asset_id,), None), -1.0))
-            self.row(RowFamily.UC_LIMIT, "<=", float(a.initial_units), lim_terms, f"ucl_{asset_id}_t{t}")
+                lim_terms.append((self.var(VarRole.INVEST, (a.id,)), -1.0))
+            self.row(RowFamily.UC_LIMIT, "<=", float(a.initial_units), lim_terms, f"ucl_{a.id}_t{t}")
             cap = (a.capacity_mw or 0.0) - a.min_capacity_mw
             self.row(
                 RowFamily.UC_MAX_ABOVE,
                 "<=",
                 0.0,
                 [(fa_j, 1.0), (u_j, -cap)],
-                f"uca_{asset_id}_t{t}",
+                f"uca_{a.id}_t{t}",
             )
 
     def build(self) -> LpInstance:
         self.create_variables()
         self.emit_objective()
-        for t in range(1, self.system.horizon_t + 1):
-            self.emit_consumer_balance(t)
-        for t in range(1, self.system.horizon_t + 1):
-            self.emit_storage_balance(t)
-        for t in range(1, self.system.horizon_t + 1):
-            self.emit_conversion_balance(t)
-        for t in range(1, self.system.horizon_t + 1):
-            self.emit_node_balance(t)
-        for t in range(1, self.system.horizon_t + 1):
-            self.emit_transport_balance(t)
+        self.emit_balances()
         for t in range(1, self.system.horizon_t + 1):
             self.emit_capacity_rows(t)
             self.emit_charging_rows(t)
@@ -536,5 +507,4 @@ def build_model(
             raise UnsupportedCombination(
                 "DC power flow is not defined on four-flow connections"
             )
-    lowered = lower_to_node_form(system, approach) if approach is not Approach.ONE_BB_1F else system
-    return _Builder(lowered, dc_opf, unit_commitment).build()
+    return _Builder(lower_to_node_form(system, approach), dc_opf, unit_commitment).build()

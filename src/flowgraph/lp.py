@@ -69,7 +69,6 @@ class RowFamily(enum.Enum):
     CHARGING_LIMIT = "charging_limit"
     STORAGE_CAPACITY = "storage_capacity"
     FLOW_BOUND = "flow_bound"
-    INVEST_LIMIT = "invest_limit"
     DC_ANGLE = "dc_angle"
     UC_MIN_OPER = "uc_min_oper"
     UC_LIMIT = "uc_limit"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import DuplicateArc, DuplicateId, InvariantViolation, SelfLoop, UnknownAsset
 
@@ -266,14 +266,17 @@ class EnergySystem:
 
     # -- queries ---------------------------------------------------------
 
-    def inflows(self, asset_id: str) -> list[FlowArc]:
-        return [a for a in self.arcs.values() if a.to_asset == asset_id]
+    def adjacency(self) -> dict[str, tuple[list[tuple[str, str]], list[tuple[str, str]]]]:
+        """Per asset id, its ``(in-arc keys, out-arc keys)``, each sorted.
 
-    def outflows(self, asset_id: str) -> list[FlowArc]:
-        return [a for a in self.arcs.values() if a.from_asset == asset_id]
-
-    def of_kind(self, kind: AssetKind) -> list[Asset]:
-        return [a for a in self.assets.values() if a.kind is kind]
+        Every asset has an entry; an arc endpoint that is not an asset gets
+        one too, so a caller can still report it.
+        """
+        adj: dict[str, tuple[list, list]] = {a: ([], []) for a in self.assets}
+        for key in sorted(self.arcs):
+            adj.setdefault(key[0], ([], []))[1].append(key)
+            adj.setdefault(key[1], ([], []))[0].append(key)
+        return adj
 
     # -- validation ------------------------------------------------------
 
@@ -284,14 +287,16 @@ class EnergySystem:
         def err(entity: str, message: str) -> None:
             out.append(Diagnostic("error", entity, message))
 
+        adj = self.adjacency()
         for asset in self.assets.values():
+            ins, outs = adj[asset.id]
             try:
                 asset.check()
             except InvariantViolation as exc:
                 err(asset.id, str(exc))
-            if asset.kind is AssetKind.CONSUMER and not self.inflows(asset.id):
+            if asset.kind is AssetKind.CONSUMER and not ins:
                 err(asset.id, "consumer has no incoming arc")
-            if asset.kind is AssetKind.PRODUCER and not self.outflows(asset.id):
+            if asset.kind is AssetKind.PRODUCER and not outs:
                 err(asset.id, "producer has no outgoing arc")
         for arc in self.arcs.values():
             for endpoint in arc.key:

@@ -30,6 +30,7 @@ from .errors import (
     IterationLimit,
     NonzeroExit,
     SolverLaunchFailure,
+    UnknownVariableName,
 )
 from .lp import INF, LpInstance, SolveResult, read_solution, write_mps
 
@@ -342,6 +343,8 @@ def check_primal(
     values = np.zeros(len(instance.variables))
     index = instance.var_index()
     for name, val in primal.items():
+        if name not in index:
+            raise UnknownVariableName(f"primal value for unknown variable {name!r}")
         values[index[name]] = val
     violated = []
     for j, ref in enumerate(instance.variables):

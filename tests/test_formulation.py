@@ -18,6 +18,7 @@ from flowgraph import (
     lower_to_node_form,
     scale_horizon,
     size_report,
+    solve_reference,
     tri_area_case,
 )
 from flowgraph.errors import MissingAngleAsset, UnsupportedCombination
@@ -106,6 +107,41 @@ class TestDeterminism:
         assert [v.name for v in a.variables] == [v.name for v in b.variables]
         assert [(r.name, r.terms, r.rhs) for r in a.rows] == \
                [(r.name, r.terms, r.rhs) for r in b.rows]
+
+
+class TestBackwardCap:
+    """A two-sided arc with no forward cap still honours its backward cap.
+
+    c1 needs 10 MW: from q at 10 per MW, or from the cheap p through c2 and
+    back over c1 -> c2, which carries at most ``max_bwd_mw`` backwards.
+    """
+
+    def _system(self, **arc_kw):
+        sy = EnergySystem(horizon_t=1)
+        sy.add_asset(Asset(id="p", kind=AssetKind.PRODUCER, capacity_mw=100.0))
+        sy.add_asset(Asset(id="q", kind=AssetKind.PRODUCER, capacity_mw=100.0))
+        sy.add_asset(Asset(id="c1", kind=AssetKind.CONSUMER, demand_profile=(10.0,)))
+        sy.add_asset(Asset(id="c2", kind=AssetKind.CONSUMER, demand_profile=(0.0,)))
+        sy.add_flow(FlowArc("p", "c2", op_cost=1.0))
+        sy.add_flow(FlowArc("q", "c1", op_cost=10.0))
+        sy.add_flow(FlowArc("c1", "c2", **arc_kw))
+        return sy
+
+    def test_backward_row_emitted(self):
+        instance = build_model(self._system(max_bwd_mw=2.0), Approach.ONE_BB_1F)
+        (row,) = [r for r in instance.rows if r.family is RowFamily.FLOW_BOUND]
+        assert (row.name, row.sense, row.rhs) == ("fb_c1_c2_t1", ">=", -2.0)
+
+    @pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.value)
+    def test_all_approaches_agree(self, approach):
+        sy = self._system(max_bwd_mw=2.0)
+        sy.add_hub(HubAnnotation(id="h1", member_ports=(("q", "in"), ("c1", "out"))))
+        sy.add_hub(HubAnnotation(id="h2", member_ports=(("p", "in"), ("c2", "out"))))
+        assert solve_reference(build_model(sy, approach)).objective == pytest.approx(82.0)
+
+    def test_zero_backward_range_without_forward_cap(self):
+        sy = self._system(two_sided=True)
+        assert solve_reference(build_model(sy, Approach.ONE_BB_1F)).objective == pytest.approx(100.0)
 
 
 class TestScaling:

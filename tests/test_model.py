@@ -140,6 +140,31 @@ class TestEnergySystem:
         sy.arcs[("a", "b")] = FlowArc("a", "b", max_bwd_mw=1.0)
         assert any("backward" in d.message for d in sy.validate())
 
+    @given(
+        n_assets=st.integers(min_value=2, max_value=6),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] != p[1]),
+            max_size=20,
+            unique=True,
+        ),
+    )
+    def test_adjacency_matches_brute_force(self, n_assets, pairs):
+        # ids 0..n_assets-1 are assets; higher ids are dangling endpoints
+        sy = EnergySystem(horizon_t=1)
+        for i in range(n_assets):
+            sy.add_asset(Asset(id=f"a{i}", kind=AssetKind.CONVERSION))
+        for u, v in pairs:
+            sy.arcs[(f"a{u}", f"a{v}")] = FlowArc(f"a{u}", f"a{v}")
+        ids = set(sy.assets) | {e for key in sy.arcs for e in key}
+        brute = {
+            i: (sorted(k for k in sy.arcs if k[1] == i), sorted(k for k in sy.arcs if k[0] == i))
+            for i in ids
+        }
+        assert sy.adjacency() == brute
+        dangling = {k for k in sy.arcs if not set(k) <= set(sy.assets)}
+        reported = {d.entity for d in sy.validate() if "unknown asset" in d.message}
+        assert reported == {f"{k}" for k in dangling}
+
     def test_replace_asset(self):
         sy = small_system()
         replace_asset(sy, "gen", capacity_mw=99.0)

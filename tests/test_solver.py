@@ -18,7 +18,7 @@ from flowgraph import (
     hybrid_fixture,
     solve_reference,
 )
-from flowgraph.errors import InvariantViolation
+from flowgraph.errors import InvariantViolation, UnknownVariableName
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int) -> LpInstance:
@@ -146,6 +146,12 @@ class TestCheckPrimal:
                                  rhs_low=-1.0)]
         assert check_primal(lp, {"f_a_b_t1": -2.0}) == ["rng"]
         assert check_primal(lp, {"f_a_b_t1": 0.0}) == []
+
+    def test_unknown_name_is_typed_error(self):
+        lp = LpInstance()
+        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1)]
+        with pytest.raises(UnknownVariableName):
+            check_primal(lp, {"f_a_c_t1": 1.0})
 
     def test_bland_pricing_agrees_with_dantzig(self):
         lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
