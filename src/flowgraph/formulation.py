@@ -348,16 +348,17 @@ class _Builder:
     # -- objective -------------------------------------------------------
 
     def emit_objective(self) -> None:
-        terms: dict[int, float] = {}
-        for a in self.assets:
-            if a.investable and a.invest_cost:
-                terms[self.var(VarRole.INVEST, (a.id,))] = a.invest_cost
+        terms = [
+            (self.var(VarRole.INVEST, (a.id,)), a.invest_cost)
+            for a in self.assets
+            if a.investable and a.invest_cost
+        ]
         for key in self.arc_keys:
             cost = self.system.arcs[key].op_cost
             if cost:
-                for t in range(1, self.system.horizon_t + 1):
-                    terms[self.var(VarRole.FLOW, key, t)] = cost
-        self.lp.objective = sorted(terms.items())
+                first = self.var(VarRole.FLOW, key)
+                terms += [(first + t, cost) for t in range(self.system.horizon_t)]
+        self.lp.objective = sorted(terms)
 
     # -- balance rows ----------------------------------------------------
 
