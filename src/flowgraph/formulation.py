@@ -9,17 +9,18 @@ asset, two opposing positive flows, or one free two-sided flow.
 Generation reads the graph once.  :meth:`EnergySystem.adjacency` gives each
 asset its sorted in-arc and out-arc keys, and every row that sums an asset's
 flows (balance, capacity, charging, unit commitment) takes them from there.
-Columns come in blocks of T timesteps per ``(role, key)``, so a term is built
-once for t=1 and shifted to each later timestep by arithmetic.  Balance rows
-of every asset kind come from one table, ``_BALANCE``, that gives the row
-family, the row-name prefix and the inflow and outflow coefficients.
+Columns come in blocks of T timesteps per ``(role, key)``, so a column index
+is arithmetic, ``first + t - 1``; balance rows build their flow terms once at
+t=1 and shift them to each later timestep.  Balance rows of every asset kind
+come from one table, ``_BALANCE``, that gives the row family, the row-name
+prefix, the inflow and outflow coefficients and the right-hand side.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     InvariantViolation,
@@ -267,21 +268,32 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
 # ---------------------------------------------------------------------------
 
 
-# Balance rows, emitted family by family in this order and timestep-major
-# within a family: row family, row-name prefix, and the coefficients of an
-# asset's inflows and outflows.
+class _Balance(NamedTuple):
+    """How one asset kind balances: row family, row-name prefix, coefficients
+    of an asset's inflows and outflows, right-hand side at timestep t, and
+    whether an asset no arc touches is left without a row."""
+
+    family: RowFamily
+    prefix: str
+    weights: Callable[[Asset], tuple[float, float]]
+    rhs: Callable[[Asset, int], float] = lambda a, t: 0.0
+    skip_unconnected: bool = False
+
+
+# Balance rows are emitted family by family in this order, timestep-major
+# within a family.  Storage rows also carry the level terms.
 _BALANCE = {
-    AssetKind.CONSUMER: (RowFamily.CONSUMER_BALANCE, "bal", lambda a: (1.0, -1.0)),
-    AssetKind.STORAGE: (RowFamily.STORAGE_BALANCE, "sto", lambda a: (-a.eta_in, 1.0 / a.eta_out)),
-    AssetKind.CONVERSION: (RowFamily.CONVERSION_BALANCE, "cnv", lambda a: (a.eta_in, -1.0)),
-    AssetKind.HUB: (RowFamily.NODE_BALANCE, "node", lambda a: (1.0, -1.0)),
-    AssetKind.TRANSPORT: (RowFamily.TRANSPORT_BALANCE, "trn", lambda a: (1.0, -1.0)),
+    AssetKind.CONSUMER: _Balance(
+        RowFamily.CONSUMER_BALANCE, "bal", lambda a: (1.0, -1.0), lambda a, t: a.demand(t)
+    ),
+    AssetKind.STORAGE: _Balance(
+        RowFamily.STORAGE_BALANCE, "sto", lambda a: (-a.eta_in, 1.0 / a.eta_out),
+        lambda a, t: a.initial_storage_mwh if t == 1 else 0.0,
+    ),
+    AssetKind.CONVERSION: _Balance(RowFamily.CONVERSION_BALANCE, "cnv", lambda a: (a.eta_in, -1.0)),
+    AssetKind.HUB: _Balance(RowFamily.NODE_BALANCE, "node", lambda a: (1.0, -1.0), skip_unconnected=True),
+    AssetKind.TRANSPORT: _Balance(RowFamily.TRANSPORT_BALANCE, "trn", lambda a: (1.0, -1.0)),
 }
-
-
-def _at(terms: list[tuple[int, float]], t: int) -> list[tuple[int, float]]:
-    """Timestep-1 terms of one T-column block each, moved to timestep ``t``."""
-    return [(j + t - 1, coef) for j, coef in terms]
 
 
 class _Builder:
@@ -302,9 +314,8 @@ class _Builder:
     def var(self, role: VarRole, key: tuple[str, ...], t: int = 1) -> int:
         return self.first[(role, key)] + t - 1
 
-    def flows(self, keys: list[tuple[str, str]], coef: float) -> list[tuple[int, float]]:
-        """Terms at t=1 for the flows on ``keys``; ``_at`` moves them to t."""
-        return [(self.first[(VarRole.FLOW, key)], coef) for key in keys]
+    def flows(self, keys: list[tuple[str, str]], coef: float, t: int = 1) -> list[tuple[int, float]]:
+        return [(self.first[(VarRole.FLOW, key)] + t - 1, coef) for key in keys]
 
     def row(self, family, sense, rhs, terms, name, rhs_low=None) -> None:
         self.lp.rows.append(
@@ -363,25 +374,22 @@ class _Builder:
     # -- balance rows ----------------------------------------------------
 
     def emit_balances(self) -> None:
-        T = self.system.horizon_t
-        for kind, (family, prefix, weights) in _BALANCE.items():
+        for kind, bal in _BALANCE.items():
             members = []
             for a in self.assets:
                 ins, outs = self.adj[a.id]
-                # a hub no arc touches has nothing to balance
-                if a.kind is kind and (ins or outs or kind is not AssetKind.HUB):
-                    w_in, w_out = weights(a)
+                if a.kind is kind and not (bal.skip_unconnected and not ins and not outs):
+                    w_in, w_out = bal.weights(a)
                     members.append((a, self.flows(ins, w_in) + self.flows(outs, w_out)))
-            for t in range(1, T + 1):
+            for t in range(1, self.system.horizon_t + 1):
                 for a, base in members:
-                    terms = _at(base, t)
-                    rhs = a.demand(t) if kind is AssetKind.CONSUMER else 0.0
+                    # flow terms are built once at t=1 and shifted to t
+                    terms = [(j + t - 1, coef) for j, coef in base]
                     if kind is AssetKind.STORAGE:
                         level = self.var(VarRole.STORAGE_LEVEL, (a.id,), t)
                         prev = [(level - 1, -1.0)] if t > 1 else []
                         terms = [(level, 1.0), *prev, *terms]
-                        rhs = a.initial_storage_mwh if t == 1 else 0.0
-                    self.row(family, "=", rhs, terms, f"{prefix}_{a.id}_t{t}")
+                    self.row(bal.family, "=", bal.rhs(a, t), terms, f"{bal.prefix}_{a.id}_t{t}")
 
     # -- limit rows ------------------------------------------------------
 
@@ -391,7 +399,7 @@ class _Builder:
         if not keys or asset.capacity_mw is None:
             return
         avail = asset.availability(t) if direction == "out" else 1.0
-        terms = _at(self.flows(keys, 1.0), t)
+        terms = self.flows(keys, 1.0, t)
         if asset.investable:
             terms.append((self.var(VarRole.INVEST, (asset.id,)), -asset.capacity_mw * avail))
         rhs = asset.capacity_mw * avail * asset.initial_units
@@ -424,9 +432,10 @@ class _Builder:
                 low = None if arc.max_bwd_mw == INF else -arc.max_bwd_mw
                 if arc.max_fwd_mw is not None:
                     self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, terms, name, rhs_low=low)
-                elif low is not None:
+                elif low is not None and not (arc.dc_params is not None and arc.max_bwd_mw == 0):
                     self.row(RowFamily.FLOW_BOUND, ">=", low, terms, name)
-                # an unbounded two-sided flow needs no row at all
+                # an unbounded two-sided flow needs no row at all, and a DC
+                # line with no cap given runs either way, as its angles set
             elif arc.max_fwd_mw is not None:
                 self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, terms, name)
 
@@ -457,7 +466,7 @@ class _Builder:
                 continue
             u_j = self.var(VarRole.UNITS_ON, (a.id,), t)
             fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (a.id,), t)
-            terms = [(fa_j, 1.0)] + _at(self.flows(self.adj[a.id][1], -1.0), t)
+            terms = [(fa_j, 1.0)] + self.flows(self.adj[a.id][1], -1.0, t)
             terms.append((u_j, a.min_capacity_mw))
             self.row(RowFamily.UC_MIN_OPER, "=", 0.0, terms, f"ucm_{a.id}_t{t}")
             lim_terms = [(u_j, 1.0)]

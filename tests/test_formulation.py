@@ -194,6 +194,30 @@ class TestExtensions:
         reference = [v for v in angles if v.lower == v.upper == 0.0]
         assert len(reference) == 1  # exactly one reference bus
 
+    @staticmethod
+    def _dc_ring(b_to_c: bool):
+        sy = EnergySystem(horizon_t=1)
+        sy.add_asset(Asset(id="a", kind=AssetKind.PRODUCER, capacity_mw=10.0,
+                           voltage_angle_enabled=True))
+        for c, demand in (("b", 3.0), ("c", 2.0)):
+            sy.add_asset(Asset(id=c, kind=AssetKind.CONSUMER, demand_profile=(demand,),
+                               voltage_angle_enabled=True))
+        sy.add_flow(FlowArc("a", "b", dc_params=DcFlowParams(0.2), op_cost=1.0))
+        # the physical flow runs b -> c; the reversed arc carries it backwards
+        u, v = ("b", "c") if b_to_c else ("c", "b")
+        sy.add_flow(FlowArc(u, v, dc_params=DcFlowParams(0.25)))
+        sy.add_flow(FlowArc("a", "c", dc_params=DcFlowParams(0.4), op_cost=1.0))
+        return sy
+
+    def test_uncapped_dc_line_is_free_both_ways(self):
+        reversed_ring = build_model(self._dc_ring(b_to_c=False), Approach.ONE_BB_1F, dc_opf=True)
+        assert not [r for r in reversed_ring.rows if r.family is RowFamily.FLOW_BOUND]
+        result = solve_reference(reversed_ring)
+        assert result.is_optimal
+        assert result.primal["f_c_b_t1"] < 0.0
+        along = solve_reference(build_model(self._dc_ring(b_to_c=True), Approach.ONE_BB_1F, dc_opf=True))
+        assert result.objective == pytest.approx(along.objective)
+
     def test_unit_commitment_rows(self):
         sy = EnergySystem(horizon_t=2)
         sy.add_asset(Asset(id="g", kind=AssetKind.PRODUCER, capacity_mw=10.0,
