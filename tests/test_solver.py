@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from flowgraph import (
     Approach,
+    CaseSpec,
     ConstraintRow,
     LpInstance,
     RowFamily,
@@ -16,7 +17,9 @@ from flowgraph import (
     build_model,
     check_primal,
     hybrid_fixture,
+    scale_horizon,
     solve_reference,
+    tri_area_case,
 )
 from flowgraph.errors import InvariantViolation, UnknownVariableName
 
@@ -158,3 +161,24 @@ class TestCheckPrimal:
         a = solve_reference(lp, SimplexOptions(pricing="dantzig"))
         b = solve_reference(lp, SimplexOptions(pricing="bland"))
         assert abs(a.objective - b.objective) < 1e-9
+
+
+# Simplex iterations per approach, measured before the simplex took its
+# matrix from ``LpInstance.arrays()``.  Equal matrices and bounds give equal
+# pivots, so a change to how the solver reads the LP must leave these alone.
+PIVOTS = {
+    "hybrid": (hybrid_fixture, {"3BB-4F": 125, "2BB-2F": 101, "2BB-1F": 101, "1BB-1F": 77}),
+    "tri-area-t24": (
+        lambda: scale_horizon(tri_area_case(CaseSpec()), 24),
+        {"3BB-4F": 1208, "2BB-2F": 961, "2BB-1F": 870, "1BB-1F": 736},
+    ),
+}
+
+
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+@pytest.mark.parametrize("case", sorted(PIVOTS))
+def test_pivot_path_pinned(case, approach):
+    make, pins = PIVOTS[case]
+    result = solve_reference(build_model(make(), approach))
+    assert result.is_optimal
+    assert result.iterations == pins[approach.value]
