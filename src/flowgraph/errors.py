@@ -37,10 +37,6 @@ class MissingAngleAsset(FlowgraphError):
     pass
 
 
-class IterationLimit(FlowgraphError):
-    pass
-
-
 class ParseError(FlowgraphError):
     pass
 

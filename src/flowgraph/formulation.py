@@ -270,18 +270,17 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
 
 class _Balance(NamedTuple):
     """How one asset kind balances: row family, row-name prefix, coefficients
-    of an asset's inflows and outflows, right-hand side at timestep t, and
-    whether an asset no arc touches is left without a row."""
+    of an asset's inflows and outflows, and right-hand side at timestep t."""
 
     family: RowFamily
     prefix: str
     weights: Callable[[Asset], tuple[float, float]]
     rhs: Callable[[Asset, int], float] = lambda a, t: 0.0
-    skip_unconnected: bool = False
 
 
 # Balance rows are emitted family by family in this order, timestep-major
-# within a family.  Storage rows also carry the level terms.
+# within a family.  Storage rows also carry the level terms; every other
+# asset that no arc touches gets no row, since its row would have no terms.
 _BALANCE = {
     AssetKind.CONSUMER: _Balance(
         RowFamily.CONSUMER_BALANCE, "bal", lambda a: (1.0, -1.0), lambda a, t: a.demand(t)
@@ -291,7 +290,7 @@ _BALANCE = {
         lambda a, t: a.initial_storage_mwh if t == 1 else 0.0,
     ),
     AssetKind.CONVERSION: _Balance(RowFamily.CONVERSION_BALANCE, "cnv", lambda a: (a.eta_in, -1.0)),
-    AssetKind.HUB: _Balance(RowFamily.NODE_BALANCE, "node", lambda a: (1.0, -1.0), skip_unconnected=True),
+    AssetKind.HUB: _Balance(RowFamily.NODE_BALANCE, "node", lambda a: (1.0, -1.0)),
     AssetKind.TRANSPORT: _Balance(RowFamily.TRANSPORT_BALANCE, "trn", lambda a: (1.0, -1.0)),
 }
 
@@ -378,7 +377,7 @@ class _Builder:
             members = []
             for a in self.assets:
                 ins, outs = self.adj[a.id]
-                if a.kind is kind and not (bal.skip_unconnected and not ins and not outs):
+                if a.kind is kind and (ins or outs or kind is AssetKind.STORAGE):
                     w_in, w_out = bal.weights(a)
                     members.append((a, self.flows(ins, w_in) + self.flows(outs, w_out)))
             for t in range(1, self.system.horizon_t + 1):

@@ -4,7 +4,9 @@ Runs as a subprocess (``python -m flowgraph.highs_adapter model.mps out.sol
 [seed]``) so the reference simplex can be cross-checked against an
 unrelated engine (scipy's HiGHS).  The MPS parser here is written from the
 format description and shares no code with the writer in :mod:`.lp`, so
-the write/parse round trip exercises two genuinely different routes.
+the write/parse round trip exercises two genuinely different routes.  The
+parsed rows reach HiGHS as one sparse matrix with per-row bounds, so memory
+grows with the nonzeros, not with rows times columns.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_matrix
 
 
 @dataclass
@@ -92,52 +94,40 @@ def parse_free_mps(path: str) -> _ParsedMps:
 
 
 def solve(path: str):
+    """Parse the MPS file at ``path`` and solve it with HiGHS.
+
+    The rows go to :func:`scipy.optimize.milp` as one sparse matrix with
+    per-row bounds.  No integrality is passed, so marked integer columns are
+    relaxed.  Returns the parsed file and scipy's result.
+    """
     p = parse_free_mps(path)
-    n = len(p.col_order)
-    col_index = {c: j for j, c in enumerate(p.col_order)}
-    cost = np.zeros(n)
-    rows_ub, b_ub, rows_eq, b_eq = [], [], [], []
-
-    def row_vector(row_name, sign=1.0):
-        vec = np.zeros(n)
-        for col, coefs in p.columns.items():
-            if row_name in coefs:
-                vec[col_index[col]] = sign * coefs[row_name]
-        return vec
-
-    for col, coefs in p.columns.items():
-        if p.objective_row in coefs:
-            cost[col_index[col]] = coefs[p.objective_row]
-    for name in p.row_order:
-        sense = p.row_sense[name]
+    row_index = {r: i for i, r in enumerate(p.row_order)}
+    cost = np.zeros(len(p.col_order))
+    rows, cols, coefs = [], [], []
+    for j, entries in enumerate(p.columns.values()):  # columns are in col_order
+        for row, coef in entries.items():
+            if row == p.objective_row:
+                cost[j] = coef
+            elif row in row_index:
+                rows.append(row_index[row])
+                cols.append(j)
+                coefs.append(coef)
+    # L: rhs - |range| <= a.x <= rhs;  G: rhs <= a.x <= rhs + |range|;  E: a.x = rhs
+    lo = np.empty(len(p.row_order))
+    hi = np.empty(len(p.row_order))
+    for i, name in enumerate(p.row_order):
         rhs = p.rhs.get(name, 0.0)
-        if sense == "E":
-            rows_eq.append(row_vector(name))
-            b_eq.append(rhs)
-        elif sense == "L":
-            rows_ub.append(row_vector(name))
-            b_ub.append(rhs)
-            if name in p.ranges:  # rhs - |range| <= a.x <= rhs
-                rows_ub.append(row_vector(name, -1.0))
-                b_ub.append(-(rhs - abs(p.ranges[name])))
-        else:  # G: rhs <= a.x (<= rhs + |range|)
-            rows_ub.append(row_vector(name, -1.0))
-            b_ub.append(-rhs)
-            if name in p.ranges:
-                rows_ub.append(row_vector(name))
-                b_ub.append(rhs + abs(p.ranges[name]))
-    bounds = [
-        (p.lower.get(c, 0.0), p.upper.get(c, np.inf)) for c in p.col_order
-    ]
-    result = linprog(
-        cost,
-        A_ub=csr_matrix(np.array(rows_ub)) if rows_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=csr_matrix(np.array(rows_eq)) if rows_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
+        width = abs(p.ranges[name]) if name in p.ranges else np.inf
+        sense = p.row_sense[name]
+        lo[i] = rhs - width if sense == "L" else rhs
+        hi[i] = rhs + width if sense == "G" else rhs
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    A = coo_matrix((np.array(coefs, dtype=float), (rows, cols)), shape=(len(lo), len(cost)))
+    bounds = Bounds(
+        [p.lower.get(c, 0.0) for c in p.col_order],
+        [p.upper.get(c, np.inf) for c in p.col_order],
     )
+    result = milp(cost, constraints=LinearConstraint(A, lo, hi), bounds=bounds)
     return p, result
 
 

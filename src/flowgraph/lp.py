@@ -9,11 +9,15 @@ rows contributing their terms once.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Union
 
-from .errors import ParseError, UnknownVariableName
+import numpy as np
+import scipy.sparse as sp
+
+from .errors import InvariantViolation, ParseError, UnknownVariableName
 
 INF = math.inf
 
@@ -105,6 +109,37 @@ class ModelSize:
         return (self.n_vars, self.n_constraints, self.n_nonzeros)
 
 
+@dataclass(frozen=True)
+class LpArrays:
+    """Array view of an LP: minimize ``cost @ x`` subject to
+    ``row_lo <= A @ x <= row_hi`` and ``col_lo <= x <= col_hi``.
+
+    ``A`` is CSR, rows by columns, with each row's terms in emission order.
+    """
+
+    A: sp.csr_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+    cost: np.ndarray
+
+
+def _row_bounds(row: ConstraintRow) -> tuple[float, float]:
+    if row.sense == "=":
+        return row.rhs, row.rhs
+    if row.sense == "<=":
+        return (-INF if row.rhs_low is None else row.rhs_low), row.rhs
+    if row.sense == ">=":
+        return row.rhs, INF
+    raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
+
+
+def _pairs(items: Iterable[tuple[float, float]]) -> np.ndarray:
+    """``items`` as a (2, n) float array whose two rows are contiguous."""
+    return np.fromiter(itertools.chain.from_iterable(items), float).reshape(-1, 2).T.copy()
+
+
 @dataclass
 class SolveResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
@@ -129,6 +164,23 @@ class LpInstance:
 
     def var_index(self) -> dict[str, int]:
         return {v.name: j for j, v in enumerate(self.variables)}
+
+    def arrays(self) -> LpArrays:
+        """The instance as one sparse matrix with row and column bounds.
+
+        ``=`` rows get ``[rhs, rhs]``, ``<=`` rows ``[rhs_low or -inf, rhs]``
+        and ``>=`` rows ``[rhs, inf]``.
+        """
+        n = len(self.variables)
+        cols, coefs = _pairs(itertools.chain.from_iterable(row.terms for row in self.rows))
+        indptr = np.cumsum([0] + [len(row.terms) for row in self.rows])
+        A = sp.csr_matrix((coefs, cols.astype(np.int64), indptr), shape=(len(self.rows), n))
+        row_lo, row_hi = _pairs(map(_row_bounds, self.rows))
+        col_lo, col_hi = _pairs((v.lower, v.upper) for v in self.variables)
+        cost = np.zeros(n)
+        for j, coef in self.objective:
+            cost[j] = coef
+        return LpArrays(A, row_lo, row_hi, col_lo, col_hi, cost)
 
     def check(self) -> None:
         n = len(self.variables)

@@ -2,12 +2,13 @@
 
 The reference solver exists so cross-approach objective equality can be
 verified without any third-party LP dependency.  It is a two-phase simplex
-over variables with general bounds: rows become equalities through slack
-variables, infeasible starts get per-row artificials, and the basis is
-held as a sparse LU factorization with product-form eta updates between
-periodic refactorizations.  Dantzig pricing falls back to Bland's rule
-after a stall window, which guarantees termination on the highly
-degenerate storage chains these models produce.
+over variables with general bounds.  It reads the LP as one sparse matrix
+from :meth:`LpInstance.arrays`, as :func:`check_primal` does: rows become
+equalities through slack variables, infeasible starts get per-row
+artificials, and the basis is held as a sparse LU factorization with
+product-form eta updates between periodic refactorizations.  Dantzig
+pricing falls back to Bland's rule after a stall window, which guarantees
+termination on the highly degenerate storage chains these models produce.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import subprocess
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import (
     InvariantViolation,
-    IterationLimit,
     NonzeroExit,
     SolverLaunchFailure,
     UnknownVariableName,
@@ -93,55 +93,15 @@ class _Basis:
 class _Simplex:
     def __init__(self, instance: LpInstance, opts: SimplexOptions):
         self.opts = opts
-        n = len(instance.variables)
-        m = len(instance.rows)
-        self.n_structural = n
-        self.m = m
-        lower = np.array([v.lower for v in instance.variables], dtype=float)
-        upper = np.array([v.upper for v in instance.variables], dtype=float)
-
-        data, indices, indptr = [], [], [0]
-        slack_lower, slack_upper = [], []
-        rhs = np.zeros(m)
-        for i, row in enumerate(instance.rows):
-            rhs[i] = row.rhs
-            if row.sense == "=":
-                slack_lower.append(0.0)
-                slack_upper.append(0.0)
-            elif row.sense == "<=":
-                slack_lower.append(0.0)
-                slack_upper.append(
-                    INF if row.rhs_low is None else row.rhs - row.rhs_low
-                )
-            elif row.sense == ">=":
-                slack_lower.append(-INF)
-                slack_upper.append(0.0)
-            else:  # pragma: no cover - senses validated upstream
-                raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
-        # columns: structural variables then one slack per row
-        cols: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for i, row in enumerate(instance.rows):
-            for j, coef in row.terms:
-                cols[j].append((i, coef))
-        for j in range(n):
-            for i, coef in cols[j]:
-                indices.append(i)
-                data.append(coef)
-            indptr.append(len(data))
-        for i in range(m):
-            indices.append(i)
-            data.append(1.0)
-            indptr.append(len(data))
-        total = n + m
-        self.A = sp.csc_matrix(
-            (np.array(data), np.array(indices), np.array(indptr)), shape=(m, total)
-        )
-        self.lower = np.concatenate([lower, np.array(slack_lower)])
-        self.upper = np.concatenate([upper, np.array(slack_upper)])
-        self.rhs = rhs
-        self.cost = np.zeros(total)
-        for j, coef in instance.objective:
-            self.cost[j] = coef
+        lp = instance.arrays()
+        self.m, self.n_structural = lp.A.shape
+        # rows become A x + s = rhs with one slack per row, bounded so that
+        # A x stays within [row_lo, row_hi]
+        self.rhs = np.where(np.isfinite(lp.row_hi), lp.row_hi, lp.row_lo)
+        self.A = sp.hstack([lp.A.tocsc(), sp.identity(self.m, format="csc")], format="csc")
+        self.lower = np.concatenate([lp.col_lo, self.rhs - lp.row_hi])
+        self.upper = np.concatenate([lp.col_hi, self.rhs - lp.row_lo])
+        self.cost = np.concatenate([lp.cost, np.zeros(self.m)])
 
     # -- state helpers ---------------------------------------------------
 
@@ -223,9 +183,7 @@ class _Simplex:
         stall = 0
         while True:
             if self.iterations >= max_iter:
-                raise IterationLimit(
-                    f"simplex exceeded {max_iter} iterations in phase {phase}"
-                )
+                return "iteration_limit"
             self.iterations += 1
             y = self.basis.btran(cost[self.basic])
             d = cost - self.A.T @ y
@@ -310,7 +268,8 @@ def solve_reference(
     """Solve ``instance`` with the bundled deterministic simplex.
 
     Integrality marks are relaxed with a warning; the result is the LP
-    relaxation in that case.
+    relaxation in that case.  Running out of ``opts.max_iterations`` gives
+    status ``"iteration_limit"`` and no primal.
     """
     if any(v.integrality for v in instance.variables):
         warnings.warn(
@@ -339,29 +298,25 @@ def solve_reference(
 def check_primal(
     instance: LpInstance, primal: dict[str, float], tol: float = 1e-7
 ) -> list[str]:
-    """Names of rows or variable bounds violated by ``primal`` beyond ``tol``."""
-    values = np.zeros(len(instance.variables))
+    """Names of variable bounds (as ``bound:<name>``), then rows, violated by
+    ``primal`` beyond ``tol``, each in index order.
+
+    Variables missing from ``primal`` count as zero.  Rows are evaluated as
+    ``A @ x`` against the bounds of :meth:`LpInstance.arrays`.
+    """
     index = instance.var_index()
+    x = np.zeros(len(instance.variables))
     for name, val in primal.items():
         if name not in index:
             raise UnknownVariableName(f"primal value for unknown variable {name!r}")
-        values[index[name]] = val
-    violated = []
-    for j, ref in enumerate(instance.variables):
-        if values[j] < ref.lower - tol or values[j] > ref.upper + tol:
-            violated.append(f"bound:{ref.name}")
-    for row in instance.rows:
-        lhs = sum(coef * values[j] for j, coef in row.terms)
-        if row.sense == "=":
-            bad = abs(lhs - row.rhs) > tol
-        elif row.sense == "<=":
-            low = row.rhs_low if row.rhs_low is not None else -INF
-            bad = lhs > row.rhs + tol or lhs < low - tol
-        else:
-            bad = lhs < row.rhs - tol
-        if bad:
-            violated.append(row.name)
-    return violated
+        x[index[name]] = val
+    lp = instance.arrays()
+    lhs = lp.A @ x
+    bad_cols = np.flatnonzero((x < lp.col_lo - tol) | (x > lp.col_hi + tol))
+    bad_rows = np.flatnonzero((lhs < lp.row_lo - tol) | (lhs > lp.row_hi + tol))
+    return [f"bound:{instance.variables[j].name}" for j in bad_cols] + [
+        instance.rows[i].name for i in bad_rows
+    ]
 
 
 # ---------------------------------------------------------------------------

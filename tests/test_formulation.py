@@ -52,6 +52,16 @@ class TestPublishedCounts:
         for approach in ALL_APPROACHES:
             assert size_report(build_model(sy, approach)).as_tuple() == (0, 0, 0)
 
+    def test_unconnected_asset_gets_no_balance_row(self):
+        sy = EnergySystem(horizon_t=2)
+        sy.add_asset(Asset(id="p", kind=AssetKind.PRODUCER, capacity_mw=10.0))
+        sy.add_asset(Asset(id="c", kind=AssetKind.CONSUMER, demand_profile=(1.0, 2.0)))
+        sy.add_asset(Asset(id="x", kind=AssetKind.CONVERSION))
+        sy.add_flow(FlowArc("p", "c", op_cost=1.0))
+        instance = build_model(sy, Approach.ONE_BB_1F)
+        assert size_report(instance).n_constraints == 4
+        assert all(row.terms for row in instance.rows)
+
 
 class TestLowering:
     def test_two_bb_2f_hybrid_arcs(self):

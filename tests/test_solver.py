@@ -126,6 +126,12 @@ class TestStatuses:
             result = solve_reference(lp)
         assert result.is_optimal
 
+    def test_iteration_limit_is_a_status(self):
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        result = solve_reference(lp, SimplexOptions(max_iterations=5))
+        assert result.status == "iteration_limit"
+        assert result.primal is None and result.iterations == 5
+
     def test_bad_options_rejected(self):
         with pytest.raises(InvariantViolation):
             SimplexOptions(feas_tol=0.0)
@@ -133,7 +139,48 @@ class TestStatuses:
             SimplexOptions(pricing="steepest")
 
 
+def check_primal_by_rows(instance: LpInstance, primal: dict[str, float], tol: float = 1e-7):
+    """Reference: the per-row loop ``check_primal`` was before it read
+    ``LpInstance.arrays()``."""
+    values = np.zeros(len(instance.variables))
+    index = instance.var_index()
+    for name, val in primal.items():
+        values[index[name]] = val
+    violated = []
+    for j, ref in enumerate(instance.variables):
+        if values[j] < ref.lower - tol or values[j] > ref.upper + tol:
+            violated.append(f"bound:{ref.name}")
+    for row in instance.rows:
+        lhs = sum(coef * values[j] for j, coef in row.terms)
+        if row.sense == "=":
+            bad = abs(lhs - row.rhs) > tol
+        elif row.sense == "<=":
+            low = row.rhs_low if row.rhs_low is not None else -np.inf
+            bad = lhs > row.rhs + tol or lhs < low - tol
+        else:
+            bad = lhs < row.rhs - tol
+        if bad:
+            violated.append(row.name)
+    return violated
+
+
 class TestCheckPrimal:
+    @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+    def test_matches_per_row_reference(self, approach):
+        lp = build_model(hybrid_fixture(), approach)
+        optimum = solve_reference(lp).primal
+        rng = np.random.default_rng(7)
+        seen = []
+        for _ in range(5):
+            # move about a third of the values; some leave their bounds
+            primal = {name: value + (rng.normal(0.0, 5.0) if rng.random() < 0.3 else 0.0)
+                      for name, value in optimum.items()}
+            expected = check_primal_by_rows(lp, primal)
+            assert check_primal(lp, primal) == expected
+            seen += expected
+        assert any(v.startswith("bound:") for v in seen)
+        assert any(not v.startswith("bound:") for v in seen)
+
     def test_flags_violated_bound_and_row(self):
         lp = LpInstance()
         lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)]
