@@ -24,11 +24,19 @@ from flowgraph import (
 from flowgraph.errors import InvariantViolation, UnknownVariableName
 
 
-def random_lp(rng: np.random.Generator, n: int, m: int) -> LpInstance:
-    """A bounded-feasible random LP: x0 feasible by construction, box bounds."""
+def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0) -> LpInstance:
+    """A bounded-feasible random LP: x0 feasible by construction, box bounds.
+
+    ``narrow`` columns get bounds near 2000 that are only 1e-3..1e-2 wide,
+    narrower than a relative 1e-5 of their magnitude.
+    """
     lp = LpInstance(name="rand")
     lower = rng.uniform(-5.0, 0.0, n)
     upper = lower + rng.uniform(0.5, 6.0, n)
+    if narrow:
+        cols = rng.choice(n, size=min(narrow, n), replace=False)
+        lower[cols] = rng.uniform(1990.0, 2000.0, len(cols))
+        upper[cols] = lower[cols] + rng.uniform(1e-3, 1e-2, len(cols))
     for j in range(n):
         lp.variables.append(
             VariableRef(VarRole.FLOW, (f"x{j}", "y"), 1, lower=lower[j], upper=upper[j])
@@ -81,10 +89,14 @@ def scipy_solve(lp: LpInstance):
 
 
 class TestAgainstScipy:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_lps_match_highs(self, seed):
+    @pytest.mark.parametrize(
+        "seed, narrow",
+        [pytest.param(s, 0, id=str(s)) for s in range(30)]
+        + [pytest.param(s, 3, id=f"narrow-{s}") for s in range(30)],
+    )
+    def test_random_lps_match_highs(self, seed, narrow):
         rng = np.random.default_rng(seed)
-        lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)))
+        lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)), narrow=narrow)
         ours = solve_reference(lp)
         theirs = scipy_solve(lp)
         assert theirs.status == 0, "generator must produce feasible LPs"
@@ -112,6 +124,14 @@ class TestStatuses:
         lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1)]
         lp.objective = [(0, -1.0)]
         assert solve_reference(lp).status == "unbounded"
+
+    def test_narrow_bounds_are_not_fixed(self):
+        # 0.01 wide at 2000: within a relative 1e-5 of both bounds at once
+        lp = LpInstance()
+        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=1999.99, upper=2000.0)]
+        lp.objective = [(0, -1.0)]
+        result = solve_reference(lp)
+        assert result.is_optimal and result.objective == -2000.0
 
     def test_empty_instance_is_trivially_optimal(self):
         result = solve_reference(LpInstance())
