@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 from scipy.sparse import coo_matrix
 
 
@@ -98,7 +98,9 @@ def solve(path: str):
 
     The rows go to :func:`scipy.optimize.milp` as one sparse matrix with
     per-row bounds.  No integrality is passed, so marked integer columns are
-    relaxed.  Returns the parsed file and scipy's result.
+    relaxed.  A file with no columns is not passed to HiGHS: it is optimal
+    with objective 0 when every row admits 0, else infeasible.  Returns the
+    parsed file and scipy's result.
     """
     p = parse_free_mps(path)
     row_index = {r: i for i, r in enumerate(p.row_order)}
@@ -121,6 +123,10 @@ def solve(path: str):
         sense = p.row_sense[name]
         lo[i] = rhs - width if sense == "L" else rhs
         hi[i] = rhs + width if sense == "G" else rhs
+    if not p.col_order:
+        # milp rejects an empty cost vector; with no columns every row reads 0
+        feasible = bool(np.all((lo <= 0.0) & (hi >= 0.0)))
+        return p, OptimizeResult(status=0 if feasible else 2, fun=0.0, x=cost)
     rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     A = coo_matrix((np.array(coefs, dtype=float), (rows, cols)), shape=(len(lo), len(cost)))
     bounds = Bounds(

@@ -83,8 +83,9 @@ class RowFamily(enum.Enum):
 class ConstraintRow:
     """One LP row in coordinate form.
 
-    ``rhs_low`` set makes this a range row ``rhs_low <= terms <= rhs``; range
-    rows count as two constraints in the size report.
+    ``rhs_low`` set makes this a range row ``rhs_low <= terms <= rhs``; only a
+    ``<=`` row may have one.  Range rows count as two constraints in the size
+    report.
     """
 
     family: RowFamily
@@ -126,10 +127,12 @@ class LpArrays:
 
 
 def _row_bounds(row: ConstraintRow) -> tuple[float, float]:
-    if row.sense == "=":
-        return row.rhs, row.rhs
     if row.sense == "<=":
         return (-INF if row.rhs_low is None else row.rhs_low), row.rhs
+    if row.rhs_low is not None:
+        raise InvariantViolation(f"row {row.name}: rhs_low on a {row.sense} row; ranges are <= rows")
+    if row.sense == "=":
+        return row.rhs, row.rhs
     if row.sense == ">=":
         return row.rhs, INF
     raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
@@ -185,6 +188,7 @@ class LpInstance:
     def check(self) -> None:
         n = len(self.variables)
         for row in self.rows:
+            _row_bounds(row)
             seen = set()
             for j, coef in row.terms:
                 if not (0 <= j < n):

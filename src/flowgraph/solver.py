@@ -6,9 +6,13 @@ over variables with general bounds.  It reads the LP as one sparse matrix
 from :meth:`LpInstance.arrays`, as :func:`check_primal` does: rows become
 equalities through slack variables, infeasible starts get per-row
 artificials, and the basis is held as a sparse LU factorization with
-product-form eta updates between periodic refactorizations.  Dantzig
-pricing falls back to Bland's rule after a stall window, which guarantees
-termination on the highly degenerate storage chains these models produce.
+product-form eta updates between periodic refactorizations.  Every
+nonbasic value is set exactly to one of its bounds, or to 0 for a free
+column, so a column's bound status is read from its value with exact
+comparisons, however narrow its bounds.  There is one pricing rule:
+Dantzig pricing, which falls back to Bland's rule after a stall window;
+that guarantees termination on the highly degenerate storage chains these
+models produce.
 """
 
 from __future__ import annotations
@@ -40,18 +44,15 @@ _STALL_WINDOW = 1000
 
 @dataclass(frozen=True)
 class SimplexOptions:
-    """Tolerances and pricing policy for the reference simplex."""
+    """Tolerances and iteration limit for the reference simplex."""
 
     feas_tol: float = 1e-7
     pivot_tol: float = 1e-9
-    max_iterations: Optional[int] = None  # default: 50 * (rows + cols)
-    pricing: str = "dantzig"  # "dantzig" (with Bland fallback) or "bland"
+    max_iterations: Optional[int] = None  # default: 50 * (2 * rows + cols) + 50
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.pivot_tol <= 0:
             raise InvariantViolation("tolerances must be positive")
-        if self.pricing not in ("dantzig", "bland"):
-            raise InvariantViolation(f"unknown pricing rule {self.pricing!r}")
 
 
 class _Basis:
@@ -65,8 +66,7 @@ class _Basis:
 
     def refactor(self) -> None:
         self.etas = []
-        basis = self.matrix[:, self.basic].tocsc()
-        self.lu = splu(basis.tocsc(), permc_spec="COLAMD")
+        self.lu = splu(self.matrix[:, self.basic].tocsc(), permc_spec="COLAMD")
 
     def push_eta(self, row: int, column: np.ndarray) -> None:
         self.etas.append((row, column))
@@ -103,82 +103,51 @@ class _Simplex:
         self.upper = np.concatenate([lp.col_hi, self.rhs - lp.row_lo])
         self.cost = np.concatenate([lp.cost, np.zeros(self.m)])
 
-    # -- state helpers ---------------------------------------------------
-
-    def _nonbasic_start(self, j: int) -> float:
-        if self.lower[j] > -INF:
-            return self.lower[j]
-        if self.upper[j] < INF:
-            return self.upper[j]
-        return 0.0
-
     def solve(self) -> tuple[str, np.ndarray, int]:
-        m = self.m
-        total = self.A.shape[1]
-        max_iter = self.opts.max_iterations or 50 * (m + total) + 50
+        m, n = self.m, self.n_structural
+        max_iter = self.opts.max_iterations or 50 * (m + self.A.shape[1]) + 50
 
-        value = np.array([self._nonbasic_start(j) for j in range(total)])
+        # nonbasic columns start exactly at a finite bound, free ones at 0
+        value = np.where(self.lower > -INF, self.lower, np.where(self.upper < INF, self.upper, 0.0))
         # start from the slack basis; rows whose slack value violates its
         # bounds get an artificial column instead
-        structural_rhs = self.rhs - self.A[:, : self.n_structural] @ value[: self.n_structural]
-        basic = np.arange(self.n_structural, self.n_structural + m)
-        art_cols, art_rows, art_vals = [], [], []
-        for i in range(m):
-            j = self.n_structural + i
-            s = structural_rhs[i]
-            if self.lower[j] - 1e-12 <= s <= self.upper[j] + 1e-12:
-                value[j] = s
-            else:
-                clamped = min(max(s, self.lower[j]), self.upper[j])
-                value[j] = clamped
-                residual = s - clamped
-                art_rows.append(i)
-                art_cols.append(len(art_cols))
-                art_vals.append(1.0 if residual > 0 else -1.0)
-        n_art = len(art_cols)
-        if n_art:
-            art = sp.csc_matrix(
-                (np.array(art_vals), (np.array(art_rows), np.array(art_cols))),
-                shape=(m, n_art),
-            )
-            self.A = sp.hstack([self.A, art], format="csc")
-            self.lower = np.concatenate([self.lower, np.zeros(n_art)])
-            self.upper = np.concatenate([self.upper, np.full(n_art, INF)])
-            self.cost = np.concatenate([self.cost, np.zeros(n_art)])
-            value = np.concatenate([value, np.zeros(n_art)])
-            for k, i in enumerate(art_rows):
-                j_art = total + k
-                value[j_art] = abs(
-                    structural_rhs[i] - value[self.n_structural + i]
-                )
-                basic[i] = j_art
-        total = self.A.shape[1]
-        self.value = value
-        self.basic = basic
-        self.is_basic = np.zeros(total, dtype=bool)
-        self.is_basic[basic] = True
-        self.basis = _Basis(self.A, basic)
+        s = self.rhs - self.A[:, :n] @ value[:n]
+        lo, up = self.lower[n:], self.upper[n:]
+        art_rows = np.flatnonzero((s < lo - 1e-12) | (s > up + 1e-12))
+        n_art = len(art_rows)
+        value[n:] = s
+        value[n + art_rows] = np.clip(s[art_rows], lo[art_rows], up[art_rows])
+        residual = s[art_rows] - value[n + art_rows]
+        art = sp.csc_matrix(
+            (np.where(residual > 0, 1.0, -1.0), (art_rows, np.arange(n_art))), shape=(m, n_art)
+        )
+        self.A = sp.hstack([self.A, art], format="csc")
+        self.lower = np.concatenate([self.lower, np.zeros(n_art)])
+        self.upper = np.concatenate([self.upper, np.full(n_art, INF)])
+        self.cost = np.concatenate([self.cost, np.zeros(n_art)])
+        self.value = np.concatenate([value, np.abs(residual)])
+        self.basic = np.arange(n, n + m)
+        self.basic[art_rows] = n + m + np.arange(n_art)
+        self.basis = _Basis(self.A, self.basic)
         self.iterations = 0
 
         if n_art:
-            phase1 = np.zeros(total)
-            phase1[self.A.shape[1] - n_art:] = 1.0
+            phase1 = np.zeros(n + m + n_art)
+            phase1[-n_art:] = 1.0
             status = self._iterate(phase1, max_iter, phase=1)
             if status != "optimal":
                 return status, self.value, self.iterations
             if phase1 @ self.value > self.opts.feas_tol:
                 return "infeasible", self.value, self.iterations
             # forbid artificials from re-entering
-            self.upper[self.A.shape[1] - n_art:] = 0.0
-        cost = np.zeros(total)
-        cost[: len(self.cost)] = self.cost
-        status = self._iterate(cost, max_iter, phase=2)
+            self.upper[-n_art:] = 0.0
+        status = self._iterate(self.cost, max_iter, phase=2)
         return status, self.value, self.iterations
 
     def _iterate(self, cost: np.ndarray, max_iter: int, phase: int) -> str:
         tol = self.opts.feas_tol
         ptol = self.opts.pivot_tol
-        bland = self.opts.pricing == "bland"
+        bland = False
         best_obj = cost @ self.value
         stall = 0
         while True:
@@ -189,12 +158,10 @@ class _Simplex:
             d = cost - self.A.T @ y
             d[self.basic] = 0.0
 
-            at_lower = np.isclose(self.value, self.lower, atol=1e-9) & ~self.is_basic
-            at_upper = np.isclose(self.value, self.upper, atol=1e-9) & ~self.is_basic
-            free = ~self.is_basic & ~at_lower & ~at_upper
-            fixed = at_lower & at_upper  # zero-width bounds never move
-            can_up = (at_lower | free) & ~fixed & (d < -tol)
-            can_down = (at_upper | free) & ~fixed & (d > tol)
+            # nonbasic values sit exactly on a bound (or at 0 if free), so
+            # exact comparisons give the status; basics have d == 0
+            can_up = (self.value < self.upper) & (d < -tol)
+            can_down = (self.value > self.lower) & (d > tol)
             eligible = can_up | can_down
             if not eligible.any():
                 return "optimal"
@@ -212,20 +179,16 @@ class _Simplex:
             jb = self.basic
             vb = self.value[jb]
             limits = np.full(self.m, INF)
-            hit_bound = np.zeros(self.m)
             going_up = (step > ptol) & (self.upper[jb] < INF)
             going_dn = (step < -ptol) & (self.lower[jb] > -INF)
             limits[going_up] = (self.upper[jb][going_up] - vb[going_up]) / step[going_up]
             limits[going_dn] = (self.lower[jb][going_dn] - vb[going_dn]) / step[going_dn]
-            hit_bound[going_up] = self.upper[jb][going_up]
-            hit_bound[going_dn] = self.lower[jb][going_dn]
             np.maximum(limits, 0.0, out=limits)
             theta_flip = self.upper[q] - self.lower[q]
             lmin = limits.min() if self.m else INF
             if min(lmin, theta_flip) >= INF:
                 return "unbounded" if phase == 2 else "infeasible"
             leaving = -1
-            leave_to = 0.0
             if lmin <= theta_flip:  # a basic variable blocks first
                 ties = np.flatnonzero(limits <= lmin + 1e-12)
                 if bland:
@@ -233,7 +196,6 @@ class _Simplex:
                 else:
                     leaving = ties[np.argmax(np.abs(w[ties]))]
                 theta = limits[leaving]
-                leave_to = hit_bound[leaving]
             else:
                 theta = theta_flip
 
@@ -245,11 +207,8 @@ class _Simplex:
                 self.value[q] = self.upper[q] if direction > 0 else self.lower[q]
             else:
                 jb = self.basic[leaving]
-                self.value[jb] = leave_to
+                self.value[jb] = self.upper[jb] if step[leaving] > 0 else self.lower[jb]
                 self.basic[leaving] = q
-                self.is_basic[jb] = False
-                self.is_basic[q] = True
-                self.basis.basic = self.basic
                 self.basis.push_eta(leaving, w)
 
             obj = cost @ self.value

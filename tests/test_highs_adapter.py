@@ -1,5 +1,6 @@
-"""HiGHS adapter tests: row senses reach HiGHS with the right bounds, and the
-adapter's memory grows with the nonzeros, not with rows times columns."""
+"""HiGHS adapter tests: row senses reach HiGHS with the right bounds, an LP
+without columns is answered without HiGHS, and the adapter's memory grows
+with the nonzeros, not with rows times columns."""
 
 import sys
 import tracemalloc
@@ -52,6 +53,17 @@ def test_row_senses_agree_with_reference_simplex():
     assert ours.is_optimal and theirs.is_optimal
     assert ours.objective == pytest.approx(2.0)
     assert theirs.objective == pytest.approx(ours.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("rhs, status", [(None, "optimal"), (0.0, "optimal"), (1.0, "infeasible")])
+def test_no_columns(rhs, status):
+    lp = LpInstance()
+    if rhs is not None:  # a row without terms: 0 >= rhs
+        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, ">=", rhs, [], "r0")]
+    theirs = solve_external(lp, HIGHS)
+    assert theirs.status == solve_reference(lp).status == status
+    if status == "optimal":
+        assert theirs.objective == 0.0
 
 
 def test_solve_memory_stays_sparse(tmp_path):

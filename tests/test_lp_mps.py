@@ -23,11 +23,12 @@ from flowgraph import (
     read_solution,
     scale_horizon,
     size_report,
+    solve_reference,
     tri_area_case,
     write_mps,
     write_solution,
 )
-from flowgraph.errors import ParseError, UnknownVariableName
+from flowgraph.errors import InvariantViolation, ParseError, UnknownVariableName
 from flowgraph.highs_adapter import parse_free_mps
 
 
@@ -71,6 +72,20 @@ class TestSizeReport:
         lp.rows[1].terms = [(0, 0.0)]
         with pytest.raises(ParseError):
             lp.check()
+
+    @pytest.mark.parametrize("sense", [">=", "="])
+    def test_range_only_on_le_rows(self, sense):
+        # x <= 10, minimize -x; as a >= row, MPS RANGES would read [1, 2]
+        # while the arrays read [1, inf]
+        lp = LpInstance()
+        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)]
+        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, sense, 1.0, [(0, 1.0)], "r0",
+                                 rhs_low=0.0)]
+        lp.objective = [(0, -1.0)]
+        with pytest.raises(InvariantViolation):
+            lp.check()
+        with pytest.raises(InvariantViolation):
+            solve_reference(lp)
 
 
 class TestMpsRoundTrip:

@@ -21,6 +21,7 @@ from flowgraph import (
     solve_reference,
     tri_area_case,
 )
+from flowgraph import solver
 from flowgraph.errors import InvariantViolation, UnknownVariableName
 
 
@@ -155,8 +156,6 @@ class TestStatuses:
     def test_bad_options_rejected(self):
         with pytest.raises(InvariantViolation):
             SimplexOptions(feas_tol=0.0)
-        with pytest.raises(InvariantViolation):
-            SimplexOptions(pricing="steepest")
 
 
 def check_primal_by_rows(instance: LpInstance, primal: dict[str, float], tol: float = 1e-7):
@@ -223,11 +222,18 @@ class TestCheckPrimal:
         with pytest.raises(UnknownVariableName):
             check_primal(lp, {"f_a_c_t1": 1.0})
 
-    def test_bland_pricing_agrees_with_dantzig(self):
-        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
-        a = solve_reference(lp, SimplexOptions(pricing="dantzig"))
-        b = solve_reference(lp, SimplexOptions(pricing="bland"))
-        assert abs(a.objective - b.objective) < 1e-9
+
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+def test_bland_fallback_agrees_with_dantzig(approach, monkeypatch):
+    lp = build_model(hybrid_fixture(), approach)
+    dantzig = solve_reference(lp)
+    # a window of one hands pricing to Bland's rule at the first
+    # non-improving pivot
+    monkeypatch.setattr(solver, "_STALL_WINDOW", 1)
+    bland = solve_reference(lp)
+    assert bland.iterations != dantzig.iterations
+    assert abs(bland.objective - dantzig.objective) < 1e-9
+    assert check_primal(lp, bland.primal) == []
 
 
 # Simplex iterations per approach, measured before the simplex took its
