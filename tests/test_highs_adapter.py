@@ -1,6 +1,7 @@
 """HiGHS adapter tests: row senses reach HiGHS with the right bounds, an LP
-without columns is answered without HiGHS, and the adapter's memory grows
-with the nonzeros, not with rows times columns."""
+without columns is answered without HiGHS, single-term rows that cross are
+infeasible for both solvers, and the adapter's memory grows with the
+nonzeros, not with rows times columns."""
 
 import sys
 import tracemalloc
@@ -64,6 +65,19 @@ def test_no_columns(rhs, status):
     assert theirs.status == solve_reference(lp).status == status
     if status == "optimal":
         assert theirs.objective == 0.0
+
+
+def test_crossing_singleton_rows_are_infeasible():
+    # 2x >= 6 and -x >= -2 ask for x >= 3 and x <= 2
+    lp = LpInstance(name="crossing")
+    lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)]
+    lp.rows = [
+        ConstraintRow(RowFamily.FLOW_BOUND, ">=", 6.0, [(0, 2.0)], "lo"),
+        ConstraintRow(RowFamily.FLOW_BOUND, ">=", -2.0, [(0, -1.0)], "hi"),
+    ]
+    lp.objective = [(0, 1.0)]
+    assert solve_reference(lp).status == "infeasible"
+    assert solve_external(lp, HIGHS).status == "infeasible"
 
 
 def test_solve_memory_stays_sparse(tmp_path):

@@ -25,11 +25,16 @@ from flowgraph import solver
 from flowgraph.errors import InvariantViolation, UnknownVariableName
 
 
-def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0) -> LpInstance:
+def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
+              singletons: int = 0) -> LpInstance:
     """A bounded-feasible random LP: x0 feasible by construction, box bounds.
 
     ``narrow`` columns get bounds near 2000 that are only 1e-3..1e-2 wide,
-    narrower than a relative 1e-5 of their magnitude.
+    narrower than a relative 1e-5 of their magnitude.  ``singletons`` adds
+    that many single-term rows after the others, with coefficients of either
+    sign and every sense (``<=`` with and without a low side, ``>=``, ``=``);
+    the first two share a column, and column 0 loses its bounds so that one
+    such range row alone bounds it.
     """
     lp = LpInstance(name="rand")
     lower = rng.uniform(-5.0, 0.0, n)
@@ -38,10 +43,6 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0) -> LpIn
         cols = rng.choice(n, size=min(narrow, n), replace=False)
         lower[cols] = rng.uniform(1990.0, 2000.0, len(cols))
         upper[cols] = lower[cols] + rng.uniform(1e-3, 1e-2, len(cols))
-    for j in range(n):
-        lp.variables.append(
-            VariableRef(VarRole.FLOW, (f"x{j}", "y"), 1, lower=lower[j], upper=upper[j])
-        )
     x0 = rng.uniform(lower, upper)
     cost = rng.uniform(-2.0, 2.0, n)
     lp.objective = [(j, float(c)) for j, c in enumerate(cost) if c != 0.0]
@@ -55,6 +56,31 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0) -> LpIn
         sense = ["<=", ">=", "="][int(rng.integers(3))]
         rhs = lhs0 + (0.5 if sense == "<=" else -0.5 if sense == ">=" else 0.0)
         lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, terms, f"r{i}"))
+    if singletons:
+        lower[0], upper[0] = -np.inf, np.inf
+        # a range row on the free column, then one row of each kind
+        kinds = ["range", "range", "<=", ">=", "="]
+        for k in range(singletons):
+            j = 0 if k < 2 else int(rng.integers(n))
+            a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            kind = kinds[k] if k < len(kinds) else kinds[int(rng.integers(len(kinds)))]
+            lhs0 = a * x0[j]
+            slack_lo, slack_hi = rng.uniform(0.0, 1.0, 2)
+            name = f"s{k}"
+            if kind == "range":
+                row = ConstraintRow(RowFamily.FLOW_BOUND, "<=", lhs0 + slack_hi, [(j, a)], name,
+                                    rhs_low=lhs0 - slack_lo)
+            elif kind == "<=":
+                row = ConstraintRow(RowFamily.FLOW_BOUND, "<=", lhs0 + slack_hi, [(j, a)], name)
+            elif kind == ">=":
+                row = ConstraintRow(RowFamily.FLOW_BOUND, ">=", lhs0 - slack_lo, [(j, a)], name)
+            else:
+                row = ConstraintRow(RowFamily.FLOW_BOUND, "=", lhs0, [(j, a)], name)
+            lp.rows.append(row)
+    lp.variables = [
+        VariableRef(VarRole.FLOW, (f"x{j}", "y"), 1, lower=lower[j], upper=upper[j])
+        for j in range(n)
+    ]
     return lp
 
 
@@ -91,13 +117,15 @@ def scipy_solve(lp: LpInstance):
 
 class TestAgainstScipy:
     @pytest.mark.parametrize(
-        "seed, narrow",
-        [pytest.param(s, 0, id=str(s)) for s in range(30)]
-        + [pytest.param(s, 3, id=f"narrow-{s}") for s in range(30)],
+        "seed, narrow, singletons",
+        [pytest.param(s, 0, 0, id=str(s)) for s in range(30)]
+        + [pytest.param(s, 3, 0, id=f"narrow-{s}") for s in range(30)]
+        + [pytest.param(s, 0, 8, id=f"singletons-{s}") for s in range(30)],
     )
-    def test_random_lps_match_highs(self, seed, narrow):
+    def test_random_lps_match_highs(self, seed, narrow, singletons):
         rng = np.random.default_rng(seed)
-        lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)), narrow=narrow)
+        lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)), narrow=narrow,
+                       singletons=singletons)
         ours = solve_reference(lp)
         theirs = scipy_solve(lp)
         assert theirs.status == 0, "generator must produce feasible LPs"
@@ -133,6 +161,21 @@ class TestStatuses:
         lp.objective = [(0, -1.0)]
         result = solve_reference(lp)
         assert result.is_optimal and result.objective == -2000.0
+
+    def test_singleton_rows_crossing_within_tolerance(self):
+        # x >= 1 and x <= 1 - 5e-8 cross by less than the 1e-7 feasibility
+        # tolerance, so x is pinned near 1 rather than declared infeasible
+        lp = LpInstance()
+        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)]
+        lp.rows = [
+            ConstraintRow(RowFamily.FLOW_BOUND, ">=", 1.0, [(0, 1.0)], "lo"),
+            ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0 - 5e-8, [(0, 1.0)], "hi"),
+        ]
+        lp.objective = [(0, -1.0)]
+        result = solve_reference(lp)
+        assert result.is_optimal
+        assert result.objective == pytest.approx(-1.0, abs=1e-7)
+        assert check_primal(lp, result.primal) == []
 
     def test_empty_instance_is_trivially_optimal(self):
         result = solve_reference(LpInstance())
