@@ -6,7 +6,10 @@ over variables with general bounds.  It reads the LP as one sparse matrix
 from :meth:`LpInstance.arrays`, as :func:`check_primal` does: rows become
 equalities through slack variables, infeasible starts get per-row
 artificials, and the basis is held as a sparse LU factorization with
-product-form eta updates between periodic refactorizations.  Every
+product-form eta updates between periodic refactorizations.  Each eta
+keeps the positions and values of its column's nonzeros, so a forward
+solve updates only those entries; the backward solve takes the dense dot
+product, whose summation order fixes the pivot path.  Every
 nonbasic value is set exactly to one of its bounds, or to 0 for a free
 column, so a column's bound status is read from its value with exact
 comparisons, however narrow its bounds.  There is one pricing rule:
@@ -61,7 +64,7 @@ class _Basis:
     def __init__(self, matrix: sp.csc_matrix, basic: np.ndarray):
         self.matrix = matrix
         self.basic = basic
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.etas: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]] = []
         self.refactor()
 
     def refactor(self) -> None:
@@ -69,24 +72,28 @@ class _Basis:
         self.lu = splu(self.matrix[:, self.basic].tocsc(), permc_spec="COLAMD")
 
     def push_eta(self, row: int, column: np.ndarray) -> None:
-        self.etas.append((row, column))
+        # ftran touches only the nonzeros of the eta column; btran needs
+        # the dense column for its dot product
+        nonzero = np.flatnonzero(column)
+        self.etas.append((row, float(column[row]), column, nonzero, column[nonzero]))
         if len(self.etas) >= _REFACTOR_EVERY:
             self.refactor()
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         x = self.lu.solve(rhs)
-        for r, w in self.etas:
-            xr = x[r] / w[r]
-            x -= w * xr
+        for r, wr, _, nonzero, values in self.etas:
+            xr = x[r] / wr
+            # a zero entry would subtract 0 * xr, which leaves x as it is
+            x[nonzero] -= values * xr
             x[r] = xr
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        y = rhs.astype(float).copy()
-        for r, w in reversed(self.etas):
-            yr = y[r] / w[r]
+        y = rhs.astype(float)
+        for r, wr, w, _, _ in reversed(self.etas):
+            yr = y[r] / wr
             y[r] = 0.0
-            y[r] = yr - (w @ y) / w[r]
+            y[r] = yr - (w @ y) / wr
         return self.lu.solve(y, trans="T")
 
 
@@ -129,6 +136,7 @@ class _Simplex:
         self.basic = np.arange(n, n + m)
         self.basic[art_rows] = n + m + np.arange(n_art)
         self.basis = _Basis(self.A, self.basic)
+        self.AT = self.A.T  # CSR: pricing reads A row-wise once per pivot
         self.iterations = 0
 
         if n_art:
@@ -155,7 +163,7 @@ class _Simplex:
                 return "iteration_limit"
             self.iterations += 1
             y = self.basis.btran(cost[self.basic])
-            d = cost - self.A.T @ y
+            d = cost - self.AT @ y
             d[self.basic] = 0.0
 
             # nonbasic values sit exactly on a bound (or at 0 if free), so
@@ -172,7 +180,10 @@ class _Simplex:
                 q = idx[np.argmax(np.abs(d[idx]))]
             direction = 1.0 if can_up[q] else -1.0
 
-            w = self.basis.ftran(np.asarray(self.A[:, q].todense()).ravel())
+            column = np.zeros(self.m)
+            span = slice(self.A.indptr[q], self.A.indptr[q + 1])
+            column[self.A.indices[span]] = self.A.data[span]
+            w = self.basis.ftran(column)
             # ratio test: entering variable moves by theta*direction, basics
             # move by -direction*w; the tightest bound wins
             step = -direction * w
