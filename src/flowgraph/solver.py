@@ -3,19 +3,23 @@
 The reference solver exists so cross-approach objective equality can be
 verified without any third-party LP dependency.  It is a two-phase simplex
 over variables with general bounds.  It reads the LP as one sparse matrix
-from :meth:`LpInstance.arrays`, as :func:`check_primal` does: rows become
-equalities through slack variables, infeasible starts get per-row
-artificials, and the basis is held as a sparse LU factorization with
-product-form eta updates between periodic refactorizations.  Each eta
-keeps the positions and values of its column's nonzeros, so a forward
-solve updates only those entries; the backward solve takes the dense dot
-product, whose summation order fixes the pivot path.  Every
-nonbasic value is set exactly to one of its bounds, or to 0 for a free
-column, so a column's bound status is read from its value with exact
-comparisons, however narrow its bounds.  There is one pricing rule:
-Dantzig pricing, which falls back to Bland's rule after a stall window;
-that guarantees termination on the highly degenerate storage chains these
-models produce.
+from :meth:`LpInstance.arrays`, as :func:`check_primal` does.  A presolve
+turns every single-term row into a bound on its column, intersects the
+bounds several such rows put on one column, and drops those rows; bounds
+that cross by more than the feasibility tolerance make the LP infeasible
+before any pivot.  The columns stay those of the LP, so the primal needs
+no mapping back.  The remaining rows become equalities through slack
+variables, infeasible starts get per-row artificials, and the basis is
+held as a sparse LU factorization with product-form eta updates between
+periodic refactorizations.  Each eta keeps the positions and values of
+its column's nonzeros, so a forward solve updates only those entries; the
+backward solve takes the dense dot product, whose summation order fixes
+the pivot path.  Every nonbasic value is set exactly to one of its
+bounds, or to 0 for a free column, so a column's bound status is read
+from its value with exact comparisons, however narrow its bounds.  There
+is one pricing rule: Dantzig pricing, which falls back to Bland's rule
+after a stall window; that guarantees termination on the highly
+degenerate storage chains these models produce.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class SimplexOptions:
 
     feas_tol: float = 1e-7
     pivot_tol: float = 1e-9
-    max_iterations: Optional[int] = None  # default: 50 * (2 * rows + cols) + 50
+    # default: 50 * (2 * rows + cols) + 50, counting the rows the presolve drops
+    max_iterations: Optional[int] = None
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.pivot_tol <= 0:
@@ -101,18 +106,36 @@ class _Simplex:
     def __init__(self, instance: LpInstance, opts: SimplexOptions):
         self.opts = opts
         lp = instance.arrays()
-        self.m, self.n_structural = lp.A.shape
+        rows, self.n_structural = lp.A.shape
+        self.max_iter = opts.max_iterations or 50 * (2 * rows + self.n_structural) + 50
+        # presolve: a single-term row lo <= a x_j <= hi is the bound
+        # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix
+        single = np.diff(lp.A.indptr) == 1
+        first = lp.A.indptr[:-1][single]
+        j, a = lp.A.indices[first], lp.A.data[first]
+        lo, hi = lp.row_lo[single] / a, lp.row_hi[single] / a
+        col_lo, col_hi = lp.col_lo, lp.col_hi
+        np.maximum.at(col_lo, j, np.where(a > 0, lo, hi))
+        np.minimum.at(col_hi, j, np.where(a > 0, hi, lo))
+        # bounds that cross by no more than the tolerance fix the column;
+        # a wider crossing is left for solve() to report as infeasible
+        close = (col_lo > col_hi) & (col_lo <= col_hi + opts.feas_tol)
+        col_hi[close] = col_lo[close]
+        A, row_lo, row_hi = lp.A[~single], lp.row_lo[~single], lp.row_hi[~single]
+        self.m = A.shape[0]
         # rows become A x + s = rhs with one slack per row, bounded so that
         # A x stays within [row_lo, row_hi]
-        self.rhs = np.where(np.isfinite(lp.row_hi), lp.row_hi, lp.row_lo)
-        self.A = sp.hstack([lp.A.tocsc(), sp.identity(self.m, format="csc")], format="csc")
-        self.lower = np.concatenate([lp.col_lo, self.rhs - lp.row_hi])
-        self.upper = np.concatenate([lp.col_hi, self.rhs - lp.row_lo])
+        self.rhs = np.where(np.isfinite(row_hi), row_hi, row_lo)
+        self.A = sp.hstack([A.tocsc(), sp.identity(self.m, format="csc")], format="csc")
+        self.lower = np.concatenate([col_lo, self.rhs - row_hi])
+        self.upper = np.concatenate([col_hi, self.rhs - row_lo])
         self.cost = np.concatenate([lp.cost, np.zeros(self.m)])
 
     def solve(self) -> tuple[str, np.ndarray, int]:
         m, n = self.m, self.n_structural
-        max_iter = self.opts.max_iterations or 50 * (m + self.A.shape[1]) + 50
+        max_iter = self.max_iter
+        if (self.lower > self.upper).any():
+            return "infeasible", self.lower, 0
 
         # nonbasic columns start exactly at a finite bound, free ones at 0
         value = np.where(self.lower > -INF, self.lower, np.where(self.upper < INF, self.upper, 0.0))
