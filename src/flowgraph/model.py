@@ -307,6 +307,14 @@ class EnergySystem:
                 hubbish = (AssetKind.HUB, AssetKind.TRANSPORT, AssetKind.CONSUMER)
                 if not any(a is not None and a.kind in hubbish for a in ends):
                     err(f"{arc.key}", "backward capacity on a non-transport arc")
+            if arc.dc_params is not None and arc.max_fwd_mw is not None and arc.max_bwd_mw == 0:
+                # the flow bound row is then [-0, max_fwd_mw]: the line runs
+                # one way only, while an uncapped DC line runs both ways
+                out.append(Diagnostic(
+                    "warning", f"{arc.key}",
+                    f"DC line capped at {arc.max_fwd_mw} MW forward and 0 MW backward "
+                    "carries flow in one direction only; set max_bwd_mw for a two-way cap",
+                ))
         for hub in self.hubs.values():
             members = set(hub.members)
             for asset_id, _ in hub.member_ports:

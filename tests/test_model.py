@@ -140,6 +140,16 @@ class TestEnergySystem:
         sy.arcs[("a", "b")] = FlowArc("a", "b", max_bwd_mw=1.0)
         assert any("backward" in d.message for d in sy.validate())
 
+    def test_forward_capped_dc_line_warned(self):
+        sy = EnergySystem(horizon_t=1)
+        for bus in ("a", "b", "c"):
+            sy.add_asset(Asset(id=bus, kind=AssetKind.HUB, voltage_angle_enabled=True))
+        sy.add_flow(FlowArc("a", "b", max_fwd_mw=50.0, dc_params=DcFlowParams(0.2)))
+        sy.add_flow(FlowArc("b", "c", max_fwd_mw=50.0, max_bwd_mw=50.0,
+                            dc_params=DcFlowParams(0.2)))
+        sy.add_flow(FlowArc("a", "c", dc_params=DcFlowParams(0.2)))
+        assert [(d.severity, d.entity) for d in sy.validate()] == [("warning", "('a', 'b')")]
+
     @given(
         n_assets=st.integers(min_value=2, max_value=6),
         pairs=st.lists(
