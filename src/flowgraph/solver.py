@@ -109,7 +109,9 @@ class _Simplex:
         rows, self.n_structural = lp.A.shape
         self.max_iter = opts.max_iterations or 50 * (2 * rows + self.n_structural) + 50
         # presolve: a single-term row lo <= a x_j <= hi is the bound
-        # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix
+        # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix;
+        # a zero coefficient is no term, so it cannot become a bound
+        lp.A.eliminate_zeros()
         single = np.diff(lp.A.indptr) == 1
         first = lp.A.indptr[:-1][single]
         j, a = lp.A.indices[first], lp.A.data[first]
@@ -133,7 +135,6 @@ class _Simplex:
 
     def solve(self) -> tuple[str, np.ndarray, int]:
         m, n = self.m, self.n_structural
-        max_iter = self.max_iter
         if (self.lower > self.upper).any():
             return "infeasible", self.lower, 0
 
@@ -165,24 +166,24 @@ class _Simplex:
         if n_art:
             phase1 = np.zeros(n + m + n_art)
             phase1[-n_art:] = 1.0
-            status = self._iterate(phase1, max_iter, phase=1)
+            status = self._iterate(phase1, phase=1)
             if status != "optimal":
                 return status, self.value, self.iterations
             if phase1 @ self.value > self.opts.feas_tol:
                 return "infeasible", self.value, self.iterations
             # forbid artificials from re-entering
             self.upper[-n_art:] = 0.0
-        status = self._iterate(self.cost, max_iter, phase=2)
+        status = self._iterate(self.cost, phase=2)
         return status, self.value, self.iterations
 
-    def _iterate(self, cost: np.ndarray, max_iter: int, phase: int) -> str:
+    def _iterate(self, cost: np.ndarray, phase: int) -> str:
         tol = self.opts.feas_tol
         ptol = self.opts.pivot_tol
         bland = False
         best_obj = cost @ self.value
         stall = 0
         while True:
-            if self.iterations >= max_iter:
+            if self.iterations >= self.max_iter:
                 return "iteration_limit"
             self.iterations += 1
             y = self.basis.btran(cost[self.basic])

@@ -177,6 +177,15 @@ class TestStatuses:
         assert result.objective == pytest.approx(-1.0, abs=1e-7)
         assert check_primal(lp, result.primal) == []
 
+    def test_zero_coefficient_is_no_bound(self):
+        # 0 * x = 0 holds for every x, so it must not pin x to a bound
+        lp = LpInstance()
+        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0)]
+        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, "=", 0.0, [(0, 0.0)], "z")]
+        lp.objective = [(0, -1.0)]
+        result = solve_reference(lp)
+        assert result.is_optimal and result.objective == -3.0
+
     def test_empty_instance_is_trivially_optimal(self):
         result = solve_reference(LpInstance())
         assert result.is_optimal and result.objective == 0.0
