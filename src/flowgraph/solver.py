@@ -160,7 +160,7 @@ class _Simplex:
         self.basic = np.arange(n, n + m)
         self.basic[art_rows] = n + m + np.arange(n_art)
         self.basis = _Basis(self.A, self.basic)
-        self.AT = self.A.T  # CSR: pricing reads A row-wise once per pivot
+        self.AT = self.A.T  # built once: pricing multiplies by it every pivot
         self.iterations = 0
 
         if n_art:

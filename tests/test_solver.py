@@ -66,17 +66,15 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
             kind = kinds[k] if k < len(kinds) else kinds[int(rng.integers(len(kinds)))]
             lhs0 = a * x0[j]
             slack_lo, slack_hi = rng.uniform(0.0, 1.0, 2)
-            name = f"s{k}"
-            if kind == "range":
-                row = ConstraintRow(RowFamily.FLOW_BOUND, "<=", lhs0 + slack_hi, [(j, a)], name,
-                                    rhs_low=lhs0 - slack_lo)
-            elif kind == "<=":
-                row = ConstraintRow(RowFamily.FLOW_BOUND, "<=", lhs0 + slack_hi, [(j, a)], name)
-            elif kind == ">=":
-                row = ConstraintRow(RowFamily.FLOW_BOUND, ">=", lhs0 - slack_lo, [(j, a)], name)
-            else:
-                row = ConstraintRow(RowFamily.FLOW_BOUND, "=", lhs0, [(j, a)], name)
-            lp.rows.append(row)
+            below, above = lhs0 - slack_lo, lhs0 + slack_hi
+            sense, rhs, low = {
+                "range": ("<=", above, below),
+                "<=": ("<=", above, None),
+                ">=": (">=", below, None),
+                "=": ("=", lhs0, None),
+            }[kind]
+            lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, [(j, a)], f"s{k}",
+                                         rhs_low=low))
     lp.variables = [
         VariableRef(VarRole.FLOW, (f"x{j}", "y"), 1, lower=lower[j], upper=upper[j])
         for j in range(n)
