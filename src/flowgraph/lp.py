@@ -150,6 +150,8 @@ class SolveResult:
     primal: Optional[dict[str, float]] = None
     iterations: int = 0
     wall_time_s: float = 0.0
+    # LU factorizations of the basis, the first one included (reference simplex)
+    refactorizations: int = 0
 
     @property
     def is_optimal(self) -> bool:

@@ -3,6 +3,7 @@ status detection, and primal feasibility checking."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from flowgraph import (
@@ -203,9 +204,43 @@ class TestStatuses:
         assert result.status == "iteration_limit"
         assert result.primal is None and result.iterations == 5
 
-    def test_bad_options_rejected(self):
+    @pytest.mark.parametrize("options", [{"feas_tol": 0.0}, {"max_iterations": 0},
+                                         {"max_iterations": -3}], ids=str)
+    def test_bad_options_rejected(self, options):
         with pytest.raises(InvariantViolation):
-            SimplexOptions(feas_tol=0.0)
+            SimplexOptions(**options)
+
+    def test_refactorizations_counted(self):
+        result = solve_reference(build_model(hybrid_fixture(), Approach.TWO_BB_2F))
+        assert result.is_optimal
+        # one factorization at the start, then one per full eta file; a
+        # bound flip pushes no eta
+        assert 1 <= result.refactorizations <= 1 + result.iterations // solver._REFACTOR_EVERY
+
+
+def test_basis_solves_track_replaced_columns():
+    # drive the eta file directly through more than two refactorizations,
+    # checking both solves against the dense basis after every update
+    rng = np.random.default_rng(3)
+    m, extra = 12, 40
+    B0 = sp.random(m, m, density=0.3, random_state=rng) + 4.0 * sp.identity(m)
+    A = sp.hstack([B0, sp.random(m, extra, density=0.4, random_state=rng)], format="csc")
+    basic = np.arange(m)
+    basis = solver._Basis(A, basic)
+    pushes = 2 * solver._REFACTOR_EVERY + 5
+    for _ in range(pushes):
+        q = int(rng.choice(np.setdiff1d(np.arange(m + extra), basic)))
+        w = basis.ftran(A[:, [q]].toarray().ravel())
+        # the largest entry of w keeps the new basis well conditioned
+        leaving = int(np.argmax(np.abs(w)))
+        basic[leaving] = q
+        basis.push_eta(leaving, w)
+        dense = A[:, basic].toarray()
+        b, c = rng.normal(size=m), rng.normal(size=m)
+        np.testing.assert_allclose(basis.ftran(b), np.linalg.solve(dense, b), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(basis.btran(c), np.linalg.solve(dense.T, c), rtol=0,
+                                   atol=1e-9)
+    assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
 
 
 def check_primal_by_rows(instance: LpInstance, primal: dict[str, float], tol: float = 1e-7):
