@@ -324,11 +324,15 @@ def test_bland_fallback_agrees_with_dantzig(approach, monkeypatch):
 # Simplex iterations per approach, measured when the simplex began to turn
 # single-term rows into column bounds.  Equal matrices and bounds give equal
 # pivots, so a change to how the solver reads the LP must leave these alone.
+# Refactorizing every 16 eta updates instead of every 100 changed the
+# rounding of the basis solves, and so the Dantzig path, at tri-area T=24:
+# 2BB-2F 833 -> 824, 2BB-1F 824 -> 851, 1BB-1F 680 -> 685 (3BB-4F and the
+# hybrid case kept theirs).
 PIVOTS = {
     "hybrid": (hybrid_fixture, {"3BB-4F": 125, "2BB-2F": 101, "2BB-1F": 77, "1BB-1F": 77}),
     "tri-area-t24": (
         lambda: scale_horizon(tri_area_case(CaseSpec()), 24),
-        {"3BB-4F": 1040, "2BB-2F": 833, "2BB-1F": 824, "1BB-1F": 680},
+        {"3BB-4F": 1040, "2BB-2F": 824, "2BB-1F": 851, "1BB-1F": 685},
     ),
 }
 
