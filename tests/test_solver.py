@@ -204,18 +204,13 @@ class TestStatuses:
         assert result.status == "iteration_limit"
         assert result.primal is None and result.iterations == 5
 
-    @pytest.mark.parametrize("options", [{"feas_tol": 0.0}, {"max_iterations": 0},
-                                         {"max_iterations": -3}], ids=str)
-    def test_bad_options_rejected(self, options):
+    def test_bad_options_rejected(self):
         with pytest.raises(InvariantViolation):
-            SimplexOptions(**options)
-
-    def test_refactorizations_counted(self):
-        result = solve_reference(build_model(hybrid_fixture(), Approach.TWO_BB_2F))
-        assert result.is_optimal
-        # one factorization at the start, then one per full eta file; a
-        # bound flip pushes no eta
-        assert 1 <= result.refactorizations <= 1 + result.iterations // solver._REFACTOR_EVERY
+            SimplexOptions(feas_tol=0.0)
+        # a limit of 0 must not fall back to the default limit
+        for limit in (0, -3):
+            with pytest.raises(InvariantViolation):
+                SimplexOptions(max_iterations=limit)
 
 
 def test_basis_solves_track_replaced_columns():
@@ -241,6 +236,14 @@ def test_basis_solves_track_replaced_columns():
         np.testing.assert_allclose(basis.btran(c), np.linalg.solve(dense.T, c), rtol=0,
                                    atol=1e-9)
     assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
+
+
+def test_refactorizations_counted():
+    result = solve_reference(build_model(hybrid_fixture(), Approach.TWO_BB_2F))
+    assert result.is_optimal
+    # one factorization at the start, then one per full eta file; a bound
+    # flip pushes no eta
+    assert 1 <= result.refactorizations <= 1 + result.iterations // solver._REFACTOR_EVERY
 
 
 def check_primal_by_rows(instance: LpInstance, primal: dict[str, float], tol: float = 1e-7):
