@@ -20,6 +20,7 @@ from flowgraph import (
     VarRole,
     build_model,
     hybrid_fixture,
+    mps_string,
     read_solution,
     scale_horizon,
     size_report,
@@ -86,6 +87,76 @@ class TestSizeReport:
             lp.check()
         with pytest.raises(InvariantViolation):
             solve_reference(lp)
+
+
+def every_branch_instance() -> LpInstance:
+    """Reaches every branch of the MPS writer: an unnamed row, integer
+    markers mid-list and at the end, an empty column, objective entries,
+    a range row, each bound kind, an int coefficient and a column with
+    entries from three rows."""
+    lp = LpInstance(name="every-branch")
+    lp.variables = [
+        VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-math.inf),
+        VariableRef(VarRole.INVEST, ("a",), None, upper=3.0, integrality=True),
+        VariableRef(VarRole.UNITS_ON, ("a",), 1, lower=2.0, upper=2.0, integrality=True),
+        VariableRef(VarRole.STORAGE_LEVEL, ("s",), 1, lower=-math.inf, upper=5.0),
+        VariableRef(VarRole.STORAGE_LEVEL, ("s",), 2, lower=1.5),
+        VariableRef(VarRole.UNITS_ON, ("a",), 2, integrality=True),
+    ]
+    lp.rows = [
+        ConstraintRow(RowFamily.FLOW_BOUND, "<=", 4.0, [(0, 1.0), (4, 5)], "r_rng",
+                      rhs_low=-2.5),
+        ConstraintRow(RowFamily.CONSUMER_BALANCE, "=", 0.0, [(1, -0.25), (0, 2.0)], ""),
+        ConstraintRow(RowFamily.UC_LIMIT, ">=", -1.0, [(0, 0.1), (2, 1.0), (5, 3.0)],
+                      "r_ge"),
+    ]
+    lp.objective = [(0, 1.5), (2, 7.0), (5, 0.0)]
+    return lp
+
+
+EVERY_BRANCH_MPS = """\
+NAME every-branch
+ROWS
+ N OBJ
+ L r_rng
+ E R1
+ G r_ge
+COLUMNS
+    f_a_b_t1 OBJ 1.5
+    f_a_b_t1 r_rng 1.0
+    f_a_b_t1 R1 2.0
+    f_a_b_t1 r_ge 0.1
+    MARKER0 'MARKER' 'INTORG'
+    i_a R1 -0.25
+    u_a_t1 OBJ 7.0
+    u_a_t1 r_ge 1.0
+    MARKER1 'MARKER' 'INTEND'
+    s_s_t1 OBJ 0.0
+    s_s_t2 r_rng 5
+    MARKER2 'MARKER' 'INTORG'
+    u_a_t2 OBJ 0.0
+    u_a_t2 r_ge 3.0
+    MARKER3 'MARKER' 'INTEND'
+RHS
+    RHS r_rng 4.0
+    RHS r_ge -1.0
+RANGES
+    RNG r_rng 6.5
+BOUNDS
+ FR BND f_a_b_t1
+ UP BND i_a 3.0
+ FX BND u_a_t1 2.0
+ MI BND s_s_t1
+ UP BND s_s_t1 5.0
+ LO BND s_s_t2 1.5
+ENDATA
+"""
+
+
+def test_mps_text_every_branch():
+    lp = every_branch_instance()
+    lp.check()
+    assert mps_string(lp) == EVERY_BRANCH_MPS
 
 
 class TestMpsRoundTrip:

@@ -10,7 +10,12 @@ import pytest
 
 from flowgraph import (
     Approach,
+    Asset,
+    AssetKind,
     CaseSpec,
+    DcFlowParams,
+    EnergySystem,
+    FlowArc,
     build_model,
     hybrid_fixture,
     mps_string,
@@ -32,6 +37,8 @@ TRI_AREA_T24 = {
     "1BB-1F": "91a88991623bce21b40caff589d75cba50b8c9e6790aa47794260e5bd55ca6e2",
 }
 
+DC_UC_1BB_1F = "baec1ef6cbbe2bf60201b5886c9e637118f31fc62ac7669daab4fa355c09113c"
+
 CASES = {
     "hybrid": (hybrid_fixture, HYBRID),
     "tri-area-t24": (lambda: scale_horizon(tri_area_case(CaseSpec()), 24), TRI_AREA_T24),
@@ -44,3 +51,37 @@ def test_mps_digest_pinned(case, approach):
     make, pins = CASES[case]
     text = mps_string(build_model(make(), approach))
     assert hashlib.sha256(text.encode()).hexdigest() == pins[approach.value]
+
+
+def dc_uc_case() -> EnergySystem:
+    """A DC ring with angle buses, investable UC producers and an investable
+    storage at T=3, so angle rows, unit commitment rows, range rows and
+    integer columns all reach the MPS text."""
+    sy = EnergySystem(horizon_t=3, name="dc-uc")
+    sy.add_asset(Asset(id="gen", kind=AssetKind.PRODUCER, capacity_mw=40.0,
+                       min_capacity_mw=10.0, investable=True, invest_limit=2,
+                       invest_cost=500.0, availability_profile=(1.0, 0.5, 0.8),
+                       uc_enabled=True, voltage_angle_enabled=True))
+    sy.add_asset(Asset(id="peak", kind=AssetKind.PRODUCER, capacity_mw=25.0,
+                       min_capacity_mw=5.0, initial_units=2, uc_enabled=True))
+    sy.add_asset(Asset(id="load_b", kind=AssetKind.CONSUMER,
+                       demand_profile=(20.0, 30.0, 25.0), voltage_angle_enabled=True))
+    sy.add_asset(Asset(id="load_c", kind=AssetKind.CONSUMER,
+                       demand_profile=(10.0, 5.0, 15.0), voltage_angle_enabled=True))
+    sy.add_asset(Asset(id="bat", kind=AssetKind.STORAGE, capacity_mw=10.0,
+                       storage_capacity_mwh=20.0, initial_storage_mwh=5.0, eta_in=0.9,
+                       eta_out=0.95, investable=True, invest_limit=3, invest_cost=100.0))
+    sy.add_flow(FlowArc("gen", "load_b", dc_params=DcFlowParams(0.2), op_cost=1.0))
+    sy.add_flow(FlowArc("load_b", "load_c", max_fwd_mw=15.0, max_bwd_mw=12.0,
+                        dc_params=DcFlowParams(0.25)))
+    sy.add_flow(FlowArc("gen", "load_c", dc_params=DcFlowParams(0.4), op_cost=1.5))
+    sy.add_flow(FlowArc("peak", "load_b", max_bwd_mw=5.0, op_cost=8.0))
+    sy.add_flow(FlowArc("load_c", "bat", max_fwd_mw=8.0))
+    sy.add_flow(FlowArc("bat", "load_c", op_cost=0.1))
+    return sy
+
+
+def test_mps_digest_dc_uc():
+    instance = build_model(dc_uc_case(), Approach.ONE_BB_1F, dc_opf=True, unit_commitment=True)
+    text = mps_string(instance)
+    assert hashlib.sha256(text.encode()).hexdigest() == DC_UC_1BB_1F
