@@ -10,17 +10,25 @@ Generation reads the graph once.  :meth:`EnergySystem.adjacency` gives each
 asset its sorted in-arc and out-arc keys, and every row that sums an asset's
 flows (balance, capacity, charging, unit commitment) takes them from there.
 Columns come in blocks of T timesteps per ``(role, key)``, so a column index
-is arithmetic, ``first + t - 1``; balance rows build their flow terms once at
-t=1 and shift them to each later timestep.  Balance rows of every asset kind
-come from one table, ``_BALANCE``, that gives the row family, the row-name
-prefix, the inflow and outflow coefficients and the right-hand side.
+is arithmetic, ``first + t - 1``.
+
+Every row is one timestep's copy of a row template, described once at t=1:
+family, sense, name prefix, right-hand side per timestep, *shifted* terms
+(flow, storage level, units-on, flow-above-minimum and angle columns, which
+move to ``first + t - 1``) and *fixed* terms (INVEST columns, whose
+coefficient may scale with availability at t).  Balance templates come from
+one table, ``_BALANCE``, that gives the row family, the row-name prefix, the
+inflow and outflow coefficients and the right-hand side; every other
+per-timestep row comes from :meth:`_Builder.limit_templates`.  One loop,
+:meth:`_Builder.instantiate`, emits each template's row at every timestep.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from itertools import chain, repeat
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     InvariantViolation,
@@ -295,6 +303,27 @@ _BALANCE = {
 }
 
 
+class _Template(NamedTuple):
+    """One row per timestep, described once at t=1.
+
+    At timestep t the row is named ``f"{prefix}_t{t}"``, has right-hand side
+    ``rhs[t - 1]`` and reads the ``shifted`` terms with each column moved to
+    ``j + t - 1``, then the ``fixed`` terms: an INVEST column with
+    coefficient ``coefs[t - 1]``.  ``lag_at`` is the position of a shifted
+    term on timestep t-1 (a storage level's previous value), which the row
+    at t=1 leaves out.
+    """
+
+    family: RowFamily
+    sense: str
+    prefix: str
+    rhs: Sequence[float]
+    shifted: list[tuple[int, float]]
+    fixed: tuple[tuple[int, Sequence[float]], ...] = ()
+    rhs_low: Optional[float] = None
+    lag_at: Optional[int] = None
+
+
 class _Builder:
     """Columns are sorted by ``(role, key, t)``, so each ``(role, key)`` owns a
     contiguous block of T columns (one for INVEST): column ``first + t - 1``.
@@ -302,6 +331,7 @@ class _Builder:
 
     def __init__(self, system: EnergySystem, dc_opf: bool, unit_commitment: bool):
         self.system = system
+        self.T = system.horizon_t
         self.dc_opf = dc_opf
         self.uc = unit_commitment
         self.lp = LpInstance(name=system.name)
@@ -309,26 +339,29 @@ class _Builder:
         self.arc_keys = sorted(system.arcs)
         self.assets = [system.assets[a] for a in sorted(system.assets)]
         self.adj = system.adjacency()
+        self.suffixes = [f"_t{t}" for t in range(1, self.T + 1)]
 
-    def var(self, role: VarRole, key: tuple[str, ...], t: int = 1) -> int:
-        return self.first[(role, key)] + t - 1
+    def var(self, role: VarRole, key: tuple[str, ...]) -> int:
+        """The column of ``(role, key)`` at t=1."""
+        return self.first[(role, key)]
 
-    def flows(self, keys: list[tuple[str, str]], coef: float, t: int = 1) -> list[tuple[int, float]]:
-        return [(self.first[(VarRole.FLOW, key)] + t - 1, coef) for key in keys]
+    def flows(self, keys: list[tuple[str, str]], coef: float) -> list[tuple[int, float]]:
+        return [(self.first[(VarRole.FLOW, key)], coef) for key in keys]
 
-    def row(self, family, sense, rhs, terms, name, rhs_low=None) -> None:
-        self.lp.rows.append(
-            ConstraintRow(family=family, sense=sense, rhs=rhs, terms=terms, name=name, rhs_low=rhs_low)
-        )
+    def constant(self, value: float) -> list[float]:
+        return [value] * self.T
 
     # -- variables -------------------------------------------------------
 
     def create_variables(self) -> None:
-        T = self.system.horizon_t
+        T = self.T
         blocks: dict[tuple[VarRole, tuple[str, ...]], list[VariableRef]] = {}
 
-        def series(role: VarRole, key: tuple[str, ...], **bounds) -> None:
-            blocks[(role, key)] = [VariableRef(role, key, t, **bounds) for t in range(1, T + 1)]
+        def series(role: VarRole, key: tuple[str, ...], lower=0.0, upper=INF, integrality=False):
+            blocks[(role, key)] = list(map(
+                VariableRef, repeat(role), repeat(key), range(1, T + 1), repeat(lower),
+                repeat(upper), repeat(integrality),
+            ))
 
         for key in self.arc_keys:
             arc = self.system.arcs[key]
@@ -367,133 +400,151 @@ class _Builder:
             cost = self.system.arcs[key].op_cost
             if cost:
                 first = self.var(VarRole.FLOW, key)
-                terms += [(first + t, cost) for t in range(self.system.horizon_t)]
+                terms += [(first + t, cost) for t in range(self.T)]
         self.lp.objective = sorted(terms)
 
-    # -- balance rows ----------------------------------------------------
+    # -- rows ------------------------------------------------------------
+
+    def instantiate(self, templates: list[_Template]) -> None:
+        """Emit every template's row at each timestep, timestep-major."""
+        T = self.T
+        per_template = []
+        for tpl in templates:
+            coefs = [coef for _, coef in tpl.shifted]
+            shifted = zip(*[range(j, j + T) for j, _ in tpl.shifted])
+            terms = [list(zip(cols, coefs)) for cols in shifted]
+            if tpl.lag_at is not None:
+                del terms[0][tpl.lag_at]
+            for j, coefs_t in tpl.fixed:
+                for row_terms, coef in zip(terms, coefs_t):
+                    row_terms.append((j, coef))
+            names = [tpl.prefix + suffix for suffix in self.suffixes]
+            per_template.append(map(
+                ConstraintRow, repeat(tpl.family), repeat(tpl.sense), tpl.rhs, terms, names,
+                repeat(tpl.rhs_low),
+            ))
+        self.lp.rows.extend(chain.from_iterable(zip(*per_template, strict=True)))
 
     def emit_balances(self) -> None:
+        ts = range(1, self.T + 1)
         for kind, bal in _BALANCE.items():
-            members = []
+            templates = []
             for a in self.assets:
                 ins, outs = self.adj[a.id]
-                if a.kind is kind and (ins or outs or kind is AssetKind.STORAGE):
-                    w_in, w_out = bal.weights(a)
-                    members.append((a, self.flows(ins, w_in) + self.flows(outs, w_out)))
-            for t in range(1, self.system.horizon_t + 1):
-                for a, base in members:
-                    # flow terms are built once at t=1 and shifted to t
-                    terms = [(j + t - 1, coef) for j, coef in base]
-                    if kind is AssetKind.STORAGE:
-                        level = self.var(VarRole.STORAGE_LEVEL, (a.id,), t)
-                        prev = [(level - 1, -1.0)] if t > 1 else []
-                        terms = [(level, 1.0), *prev, *terms]
-                    self.row(bal.family, "=", bal.rhs(a, t), terms, f"{bal.prefix}_{a.id}_t{t}")
+                if a.kind is not kind or not (ins or outs or kind is AssetKind.STORAGE):
+                    continue
+                w_in, w_out = bal.weights(a)
+                terms = self.flows(ins, w_in) + self.flows(outs, w_out)
+                lag_at = None
+                if kind is AssetKind.STORAGE:
+                    level = self.var(VarRole.STORAGE_LEVEL, (a.id,))
+                    terms = [(level, 1.0), (level - 1, -1.0), *terms]
+                    lag_at = 1
+                rhs = [bal.rhs(a, t) for t in ts]
+                templates.append(_Template(
+                    bal.family, "=", f"{bal.prefix}_{a.id}", rhs, terms, lag_at=lag_at
+                ))
+            self.instantiate(templates)
 
-    # -- limit rows ------------------------------------------------------
-
-    def _capacity_row(self, asset: Asset, t: int, direction: str, family, name: str) -> None:
-        ins, outs = self.adj[asset.id]
-        keys = outs if direction == "out" else ins
+    def _capacity(self, asset: Asset, keys, avail: Callable[[int], float], family, prefix: str):
+        """Flows through ``keys`` within the asset's capacity, scaled by ``avail(t)``."""
         if not keys or asset.capacity_mw is None:
-            return
-        avail = asset.availability(t) if direction == "out" else 1.0
-        terms = self.flows(keys, 1.0, t)
+            return []
+        cap = asset.capacity_mw
+        avails = [avail(t) for t in range(1, self.T + 1)]
+        fixed = ()
         if asset.investable:
-            terms.append((self.var(VarRole.INVEST, (asset.id,)), -asset.capacity_mw * avail))
-        rhs = asset.capacity_mw * avail * asset.initial_units
-        self.row(family, "<=", rhs, terms, name)
+            fixed = ((self.var(VarRole.INVEST, (asset.id,)), [-cap * av for av in avails]),)
+        rhs = [cap * av * asset.initial_units for av in avails]
+        return [_Template(family, "<=", prefix, rhs, self.flows(keys, 1.0), fixed)]
 
-    def emit_capacity_rows(self, t: int) -> None:
+    def _flow_bound(self, key: tuple[str, str]) -> list[_Template]:
+        arc = self.system.arcs[key]
+        terms = [(self.var(VarRole.FLOW, key), 1.0)]
+        name = f"fb_{key[0]}_{key[1]}"
+        if arc.two_sided:
+            low = None if arc.max_bwd_mw == INF else -arc.max_bwd_mw
+            if arc.max_fwd_mw is not None:
+                rhs = self.constant(arc.max_fwd_mw)
+                return [_Template(RowFamily.FLOW_BOUND, "<=", name, rhs, terms, rhs_low=low)]
+            if low is not None and not (arc.dc_params is not None and arc.max_bwd_mw == 0):
+                return [_Template(RowFamily.FLOW_BOUND, ">=", name, self.constant(low), terms)]
+            # an unbounded two-sided flow needs no row at all, and a DC
+            # line with no cap given runs either way, as its angles set
+        elif arc.max_fwd_mw is not None:
+            rhs = self.constant(arc.max_fwd_mw)
+            return [_Template(RowFamily.FLOW_BOUND, "<=", name, rhs, terms)]
+        return []
+
+    def _dc_angle(self, key: tuple[str, str]) -> list[_Template]:
+        dc = self.system.arcs[key].dc_params
+        if dc is None:
+            return []
+        for endpoint in key:
+            if not self.system.assets[endpoint].voltage_angle_enabled:
+                raise MissingAngleAsset(f"arc {key}: endpoint {endpoint!r} has no voltage angle")
+        u, v = key
+        b = dc.susceptance
+        terms = [
+            (self.var(VarRole.FLOW, key), 1.0),
+            (self.var(VarRole.VOLTAGE_ANGLE, (u,)), -b),
+            (self.var(VarRole.VOLTAGE_ANGLE, (v,)), b),
+        ]
+        return [_Template(RowFamily.DC_ANGLE, "=", f"dc_{u}_{v}", self.constant(0.0), terms)]
+
+    def _unit_commitment(self, a: Asset) -> list[_Template]:
+        u_j = self.var(VarRole.UNITS_ON, (a.id,))
+        fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (a.id,))
+        zero = self.constant(0.0)
+        fixed = ((self.var(VarRole.INVEST, (a.id,)), self.constant(-1.0)),) if a.investable else ()
+        cap = (a.capacity_mw or 0.0) - a.min_capacity_mw
+        return [
+            _Template(
+                RowFamily.UC_MIN_OPER, "=", f"ucm_{a.id}", zero,
+                [(fa_j, 1.0), *self.flows(self.adj[a.id][1], -1.0), (u_j, a.min_capacity_mw)],
+            ),
+            _Template(
+                RowFamily.UC_LIMIT, "<=", f"ucl_{a.id}", self.constant(float(a.initial_units)),
+                [(u_j, 1.0)], fixed,
+            ),
+            _Template(
+                RowFamily.UC_MAX_ABOVE, "<=", f"uca_{a.id}", zero, [(fa_j, 1.0), (u_j, -cap)],
+            ),
+        ]
+
+    def limit_templates(self) -> list[_Template]:
+        """Every per-timestep row after the balances, in emission order."""
+        table = []
         for a in self.assets:
-            if a.kind in (AssetKind.HUB, AssetKind.TRANSPORT, AssetKind.CONSUMER):
-                continue
-            self._capacity_row(a, t, "out", RowFamily.CAPACITY_LIMIT, f"cap_{a.id}_t{t}")
-
-    def emit_charging_rows(self, t: int) -> None:
-        for a in self.assets:
-            if a.kind is AssetKind.STORAGE:
-                self._capacity_row(a, t, "in", RowFamily.CHARGING_LIMIT, f"chg_{a.id}_t{t}")
-
-    def emit_storage_capacity(self, t: int) -> None:
-        for a in self.assets:
-            if a.kind is not AssetKind.STORAGE:
-                continue
-            terms = [(self.var(VarRole.STORAGE_LEVEL, (a.id,), t), 1.0)]
-            self.row(RowFamily.STORAGE_CAPACITY, "<=", a.storage_capacity_mwh, terms, f"scap_{a.id}_t{t}")
-
-    def emit_flow_bounds(self, t: int) -> None:
-        for key in self.arc_keys:
-            arc = self.system.arcs[key]
-            terms = [(self.var(VarRole.FLOW, key, t), 1.0)]
-            name = f"fb_{key[0]}_{key[1]}_t{t}"
-            if arc.two_sided:
-                low = None if arc.max_bwd_mw == INF else -arc.max_bwd_mw
-                if arc.max_fwd_mw is not None:
-                    self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, terms, name, rhs_low=low)
-                elif low is not None and not (arc.dc_params is not None and arc.max_bwd_mw == 0):
-                    self.row(RowFamily.FLOW_BOUND, ">=", low, terms, name)
-                # an unbounded two-sided flow needs no row at all, and a DC
-                # line with no cap given runs either way, as its angles set
-            elif arc.max_fwd_mw is not None:
-                self.row(RowFamily.FLOW_BOUND, "<=", arc.max_fwd_mw, terms, name)
-
-    # -- extensions ------------------------------------------------------
-
-    def emit_dc_opf(self, t: int) -> None:
-        for key in self.arc_keys:
-            arc = self.system.arcs[key]
-            if arc.dc_params is None:
-                continue
-            u, v = key
-            for endpoint in key:
-                if not self.system.assets[endpoint].voltage_angle_enabled:
-                    raise MissingAngleAsset(
-                        f"arc {key}: endpoint {endpoint!r} has no voltage angle"
-                    )
-            b = arc.dc_params.susceptance
-            terms = [
-                (self.var(VarRole.FLOW, key, t), 1.0),
-                (self.var(VarRole.VOLTAGE_ANGLE, (u,), t), -b),
-                (self.var(VarRole.VOLTAGE_ANGLE, (v,), t), b),
-            ]
-            self.row(RowFamily.DC_ANGLE, "=", 0.0, terms, f"dc_{u}_{v}_t{t}")
-
-    def emit_unit_commitment(self, t: int) -> None:
-        for a in self.assets:
-            if not a.uc_enabled:
-                continue
-            u_j = self.var(VarRole.UNITS_ON, (a.id,), t)
-            fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (a.id,), t)
-            terms = [(fa_j, 1.0)] + self.flows(self.adj[a.id][1], -1.0, t)
-            terms.append((u_j, a.min_capacity_mw))
-            self.row(RowFamily.UC_MIN_OPER, "=", 0.0, terms, f"ucm_{a.id}_t{t}")
-            lim_terms = [(u_j, 1.0)]
-            if a.investable:
-                lim_terms.append((self.var(VarRole.INVEST, (a.id,)), -1.0))
-            self.row(RowFamily.UC_LIMIT, "<=", float(a.initial_units), lim_terms, f"ucl_{a.id}_t{t}")
-            cap = (a.capacity_mw or 0.0) - a.min_capacity_mw
-            self.row(
-                RowFamily.UC_MAX_ABOVE,
-                "<=",
-                0.0,
-                [(fa_j, 1.0), (u_j, -cap)],
-                f"uca_{a.id}_t{t}",
+            if a.kind not in (AssetKind.HUB, AssetKind.TRANSPORT, AssetKind.CONSUMER):
+                table += self._capacity(
+                    a, self.adj[a.id][1], a.availability, RowFamily.CAPACITY_LIMIT, f"cap_{a.id}"
+                )
+        storages = [a for a in self.assets if a.kind is AssetKind.STORAGE]
+        for a in storages:
+            table += self._capacity(
+                a, self.adj[a.id][0], lambda t: 1.0, RowFamily.CHARGING_LIMIT, f"chg_{a.id}"
             )
+        for a in storages:
+            level = [(self.var(VarRole.STORAGE_LEVEL, (a.id,)), 1.0)]
+            rhs = self.constant(a.storage_capacity_mwh)
+            table.append(_Template(RowFamily.STORAGE_CAPACITY, "<=", f"scap_{a.id}", rhs, level))
+        for key in self.arc_keys:
+            table += self._flow_bound(key)
+        if self.dc_opf:
+            for key in self.arc_keys:
+                table += self._dc_angle(key)
+        if self.uc:
+            for a in self.assets:
+                if a.uc_enabled:
+                    table += self._unit_commitment(a)
+        return table
 
     def build(self) -> LpInstance:
         self.create_variables()
         self.emit_objective()
         self.emit_balances()
-        for t in range(1, self.system.horizon_t + 1):
-            self.emit_capacity_rows(t)
-            self.emit_charging_rows(t)
-            self.emit_storage_capacity(t)
-            self.emit_flow_bounds(t)
-            if self.dc_opf:
-                self.emit_dc_opf(t)
-            if self.uc:
-                self.emit_unit_commitment(t)
+        self.instantiate(self.limit_templates())
         self.lp.check()
         return self.lp
 

@@ -12,6 +12,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Iterable, Optional, Union
 
 import numpy as np
@@ -54,10 +55,8 @@ class VariableRef:
 
     @property
     def name(self) -> str:
-        parts = [_ROLE_PREFIX[self.role], *self.key]
-        if self.timestep is not None:
-            parts.append(f"t{self.timestep}")
-        return "_".join(parts)
+        head = "_".join((_ROLE_PREFIX[self.role], *self.key))
+        return head if self.timestep is None else f"{head}_t{self.timestep}"
 
     def sort_key(self):
         return (self.role.value, self.key, self.timestep if self.timestep is not None else 0)
@@ -143,6 +142,20 @@ def _pairs(items: Iterable[tuple[float, float]]) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(items), float).reshape(-1, 2).T.copy()
 
 
+#: rows checked, or columns written, per step: bounds the extra memory of
+#: ``LpInstance.check`` and of ``write_mps``
+_BLOCK = 2048
+
+
+def _flat_terms(rows: list[ConstraintRow]) -> tuple[np.ndarray, np.ndarray, list]:
+    """Row index, column index and coefficient object of every term, row by row."""
+    terms = [row.terms for row in rows]
+    lengths = np.fromiter(map(len, terms), np.int64, len(terms))
+    flat = list(itertools.chain.from_iterable(terms))
+    cols = np.fromiter(map(itemgetter(0), flat), np.int64, len(flat))
+    return np.repeat(np.arange(len(rows)), lengths), cols, list(map(itemgetter(1), flat))
+
+
 @dataclass
 class SolveResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
@@ -188,18 +201,42 @@ class LpInstance:
         return LpArrays(A, row_lo, row_hi, col_lo, col_hi, cost)
 
     def check(self) -> None:
-        n = len(self.variables)
-        for row in self.rows:
-            _row_bounds(row)
-            seen = set()
-            for j, coef in row.terms:
-                if not (0 <= j < n):
+        """Reject a malformed instance, naming its first offending row.
+
+        A row needs a known sense, and ``rhs_low`` only on a ``<=`` row; each
+        term needs a column index in range, a finite non-zero coefficient
+        and a column no earlier term of its row uses.  Terms are checked as
+        arrays, ``_BLOCK`` rows at a time.
+        """
+        rows, n = self.rows, len(self.variables)
+        bad_row = next(
+            (i for i, row in enumerate(rows)
+             if row.sense != "<=" and (row.rhs_low is not None or row.sense not in _SENSE_TO_MPS)),
+            len(rows),
+        )
+        for b in range(0, bad_row, _BLOCK):
+            block = rows[b:min(b + _BLOCK, bad_row)]
+            term_row, cols, coefs = _flat_terms(block)
+            coefs = np.fromiter(coefs, float, len(coefs))
+            out_of_range = (cols < 0) | (cols >= n)
+            # a stable sort by (row, column) puts a repeated column right
+            # after its first use in the row; clipping keeps keys distinct
+            key = term_row * (n + 2) + np.clip(cols, -1, n)
+            order = np.argsort(key, kind="stable")
+            duplicate = np.zeros(len(cols), bool)
+            duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+            bad = np.flatnonzero(out_of_range | duplicate | (coefs == 0.0) | ~np.isfinite(coefs))
+            if bad.size:
+                k = bad[0]
+                row = block[term_row[k]]
+                j, coef = row.terms[k - np.searchsorted(term_row, term_row[k])]
+                if out_of_range[k]:
                     raise ParseError(f"row {row.name}: bad variable index {j}")
-                if j in seen:
+                if duplicate[k]:
                     raise ParseError(f"row {row.name}: duplicate term for column {j}")
-                if coef == 0.0 or not math.isfinite(coef):
-                    raise ParseError(f"row {row.name}: invalid coefficient {coef}")
-                seen.add(j)
+                raise ParseError(f"row {row.name}: invalid coefficient {coef}")
+        if bad_row < len(rows):
+            _row_bounds(rows[bad_row])
 
 
 def size_report(instance: LpInstance) -> ModelSize:
@@ -224,65 +261,75 @@ _SENSE_TO_MPS = {"<=": "L", ">=": "G", "=": "E"}
 def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     """Write free-format MPS with deterministic ordering.
 
-    Range rows land in the RANGES section; integrality uses INTORG/INTEND
-    markers.  The objective row is named OBJ.
+    Columns appear in variable order; a column lists its objective entry
+    first, then its row entries in row order, and a column with no entry
+    gets ``OBJ 0.0`` so that dimensions round-trip.  Range rows land in the
+    RANGES section; integrality uses INTORG/INTEND markers.  The objective
+    row is named OBJ.  Coefficients print with ``repr``.
+
+    The COLUMNS section is written in blocks of ``_BLOCK`` columns, so
+    the writer holds the text of one block at a time, never the whole file.
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
             write_mps(instance, fh)
         return
     out = destination
-    out.write(f"NAME {instance.name}\n")
-    out.write("ROWS\n")
-    out.write(" N OBJ\n")
-    row_names = []
-    for i, row in enumerate(instance.rows):
-        rname = row.name or f"R{i}"
-        row_names.append(rname)
-        out.write(f" {_SENSE_TO_MPS[row.sense]} {rname}\n")
+    rows, variables = instance.rows, instance.variables
+    out.write(f"NAME {instance.name}\nROWS\n N OBJ\n")
+    row_names = [row.name or f"R{i}" for i, row in enumerate(rows)]
+    out.writelines(f" {_SENSE_TO_MPS[row.sense]} {rname}\n" for row, rname in zip(rows, row_names))
 
-    # column-major coefficient table
-    obj = {j: c for j, c in instance.objective}
-    col_entries: list[list[tuple[str, float]]] = [[] for _ in instance.variables]
-    for rname, row in zip(row_names, instance.rows):
-        for j, coef in row.terms:
-            col_entries[j].append((rname, coef))
+    # COLUMNS is one stream of entries sorted by column: the objective entry
+    # (row -1) first, then the row entries; the sort is stable, so a
+    # column's row entries stay in row order
+    term_row, cols, coefs = _flat_terms(rows)
+    obj = dict(instance.objective)
+    listed = np.zeros(len(variables), bool)
+    listed[cols] = True
+    listed[list(obj)] = True
+    empty = np.flatnonzero(~listed)
+    coefs += [*obj.values(), *[0.0] * len(empty)]
+    cols = np.concatenate([cols, np.fromiter(obj, np.int64, len(obj)), empty])
+    term_row = np.concatenate([term_row, np.full(len(obj) + len(empty), -1)])
+    del obj, listed, empty
+    order = np.lexsort((term_row, cols))
+    cols, term_row = cols[order], term_row[order] + 1
+    entry_names = ["OBJ", *row_names]
 
+    # blocks end every _BLOCK columns and wherever integrality changes
+    integral = np.fromiter((var.integrality for var in variables), bool, len(variables))
+    flips = np.flatnonzero(integral[1:] != integral[:-1]) + 1
+    edges = np.union1d(np.arange(0, len(variables) + 1, _BLOCK), [*flips, len(variables)])
+    firsts = np.searchsorted(cols, edges).tolist()
+    edges = edges.tolist()
     out.write("COLUMNS\n")
     in_int = False
     marker = 0
-    for j, var in enumerate(instance.variables):
-        if var.integrality and not in_int:
-            out.write(f"    MARKER{marker} 'MARKER' 'INTORG'\n")
+    for b, e, lo, hi in zip(edges, edges[1:], firsts, firsts[1:]):
+        if integral[b] != in_int:
+            in_int = not in_int
+            out.write(f"    MARKER{marker} 'MARKER' '{'INTORG' if in_int else 'INTEND'}'\n")
             marker += 1
-            in_int = True
-        elif not var.integrality and in_int:
-            out.write(f"    MARKER{marker} 'MARKER' 'INTEND'\n")
-            marker += 1
-            in_int = False
-        entries = list(col_entries[j])
-        if j in obj:
-            entries.insert(0, ("OBJ", obj[j]))
-        if not entries:
-            # keep empty columns visible so dimensions round-trip
-            entries.append(("OBJ", 0.0))
-        for rname, coef in entries:
-            out.write(f"    {var.name} {rname} {coef!r}\n")
+        heads = [f"    {var.name} " for var in variables[b:e]]
+        entries = zip((cols[lo:hi] - b).tolist(), term_row[lo:hi].tolist(), order[lo:hi].tolist())
+        out.writelines([f"{heads[j]}{entry_names[i]} {coefs[k]!r}\n" for j, i, k in entries])
     if in_int:
         out.write(f"    MARKER{marker} 'MARKER' 'INTEND'\n")
 
     out.write("RHS\n")
-    for rname, row in zip(row_names, instance.rows):
-        if row.rhs != 0.0:
-            out.write(f"    RHS {rname} {row.rhs!r}\n")
-    ranges = [(rname, row) for rname, row in zip(row_names, instance.rows) if row.is_range]
-    if ranges:
+    out.writelines(
+        f"    RHS {rname} {row.rhs!r}\n" for rname, row in zip(row_names, rows) if row.rhs != 0.0
+    )
+    if any(row.is_range for row in rows):
         out.write("RANGES\n")
-        for rname, row in ranges:
-            out.write(f"    RNG {rname} {row.rhs - row.rhs_low!r}\n")
+        out.writelines(
+            f"    RNG {rname} {row.rhs - row.rhs_low!r}\n"
+            for rname, row in zip(row_names, rows) if row.is_range
+        )
 
     out.write("BOUNDS\n")
-    for var in instance.variables:
+    for var in variables:
         lo, up = var.lower, var.upper
         if lo == 0.0 and up == INF:
             continue

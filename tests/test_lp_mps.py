@@ -6,6 +6,7 @@ sides never share code.
 """
 
 import math
+import random
 
 import pytest
 
@@ -87,6 +88,90 @@ class TestSizeReport:
             lp.check()
         with pytest.raises(InvariantViolation):
             solve_reference(lp)
+
+
+def reference_check(lp: LpInstance) -> None:
+    """Row-by-row, term-by-term form of ``LpInstance.check``."""
+    n = len(lp.variables)
+    for row in lp.rows:
+        if row.sense != "<=" and row.rhs_low is not None:
+            raise InvariantViolation(
+                f"row {row.name}: rhs_low on a {row.sense} row; ranges are <= rows")
+        if row.sense not in ("<=", "=", ">="):
+            raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
+        seen = set()
+        for j, coef in row.terms:
+            if not (0 <= j < n):
+                raise ParseError(f"row {row.name}: bad variable index {j}")
+            if j in seen:
+                raise ParseError(f"row {row.name}: duplicate term for column {j}")
+            if coef == 0.0 or not math.isfinite(coef):
+                raise ParseError(f"row {row.name}: invalid coefficient {coef}")
+            seen.add(j)
+
+
+class TestCheck:
+    @pytest.mark.parametrize("terms, message", [
+        ([(1, 2.0), (-1, 1.0)], "bad variable index -1"),
+        ([(3, 1.0)], "bad variable index 3"),
+        ([(0, math.nan)], "invalid coefficient nan"),
+        ([(0, math.inf)], "invalid coefficient inf"),
+        ([(1, 2.0), (0, 0.0)], "invalid coefficient 0.0"),
+        ([(0, 1.0), (1, 2.0), (0, 0.0)], "duplicate term for column 0"),
+        ([(0, 1.0), (1, 0.0), (0, 2.0)], "invalid coefficient 0.0"),
+    ])
+    def test_first_bad_row_named(self, terms, message):
+        lp = toy_instance()
+        lp.rows[1].terms = terms
+        lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0, [(9, 0.0)], "r_later"))
+        with pytest.raises(ParseError) as err:
+            lp.check()
+        assert str(err.value) == f"row r_bal: {message}"
+
+    def test_bad_sense_before_bad_terms(self):
+        lp = toy_instance()
+        lp.rows[1].terms = [(0, 0.0)]
+        lp.rows.insert(1, ConstraintRow(RowFamily.FLOW_BOUND, "=", 1.0, [(0, 1.0)], "r_eq",
+                                        rhs_low=0.0))
+        with pytest.raises(InvariantViolation, match="r_eq"):
+            lp.check()
+        lp.rows[0].terms = [(0, 1.0), (0, 1.0)]
+        with pytest.raises(ParseError, match="r_up: duplicate"):
+            lp.check()
+
+    def test_matches_reference_on_random_defects(self):
+        # thousands of rows, so defects land in several check blocks
+        rng = random.Random(5)
+        n = 50
+        for trial in range(40):
+            lp = LpInstance()
+            lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), t) for t in range(1, n + 1)]
+            for i in range(rng.randint(1, 5000)):
+                cols = rng.sample(range(n), rng.randint(0, 4))
+                lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0,
+                                             [(j, rng.uniform(0.5, 2.0)) for j in cols], f"r{i}"))
+            for _ in range(rng.randint(0, 3)):
+                row = rng.choice(lp.rows)
+                kind = rng.randrange(6)
+                if kind == 0:
+                    row.terms.append((rng.choice([-1, n, n + 7]), 1.0))
+                elif kind == 1 and row.terms:
+                    row.terms.append((row.terms[0][0], 3.0))
+                elif kind == 2:
+                    row.terms.insert(0, (rng.randrange(n), rng.choice([0.0, math.nan, -math.inf])))
+                elif kind == 3:
+                    row.sense, row.rhs_low = rng.choice([(">=", 0.0), ("<", None), ("<", 0.0)])
+            try:
+                reference_check(lp)
+                expected = None
+            except (ParseError, InvariantViolation) as exc:
+                expected = (type(exc), str(exc))
+            try:
+                lp.check()
+                got = None
+            except (ParseError, InvariantViolation) as exc:
+                got = (type(exc), str(exc))
+            assert got == expected, trial
 
 
 def every_branch_instance() -> LpInstance:
