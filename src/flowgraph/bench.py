@@ -257,10 +257,12 @@ def _system_for(config: BenchConfig, label_value) -> object:
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Time builds and solves per (approach, instance, seed).
 
-    One warm-up build per (approach, instance) is discarded; objectives
-    across approaches must agree per (instance, seed) to 1e-6 relative or
-    the run aborts — the harness never reports a speedup for a wrong
-    answer.
+    One warm-up build per (approach, instance) is discarded.  Seeds are the
+    outer loop, and every approach is built and solved for each seed, so a
+    slow spell on a shared machine falls on all approaches alike rather than
+    on one side of a speedup.  Objectives across approaches must agree per
+    (instance, seed) to 1e-6 relative or the run aborts — the harness never
+    reports a speedup for a wrong answer.
     """
     report = BenchReport(config=config)
     objectives: dict[tuple[str, int], float] = {}
@@ -268,7 +270,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         system = _system_for(config, label_value)
         for approach in config.approaches:
             build_model(system, approach)  # warm-up, discarded
-            for seed in range(config.n_seeds):
+        for seed in range(config.n_seeds):
+            for approach in config.approaches:
                 t0 = time.perf_counter()
                 instance = build_model(system, approach)
                 build_time = time.perf_counter() - t0
