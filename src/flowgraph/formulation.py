@@ -412,13 +412,14 @@ class _Builder:
         for tpl in templates:
             coefs = [coef for _, coef in tpl.shifted]
             shifted = zip(*[range(j, j + T) for j, _ in tpl.shifted])
-            terms = [list(zip(cols, coefs)) for cols in shifted]
-            if tpl.lag_at is not None:
-                del terms[0][tpl.lag_at]
+            terms = [tuple(zip(cols, coefs)) for cols in shifted]
             for j, coefs_t in tpl.fixed:
-                for row_terms, coef in zip(terms, coefs_t):
-                    row_terms.append((j, coef))
-            names = [tpl.prefix + suffix for suffix in self.suffixes]
+                terms = [row + ((j, coef),) for row, coef in zip(terms, coefs_t)]
+            if tpl.lag_at is not None:
+                terms[0] = terms[0][:tpl.lag_at] + terms[0][tpl.lag_at + 1:]
+            # lists made from tuples are sized exactly
+            terms = list(map(list, terms))
+            names = map(tpl.prefix.__add__, self.suffixes)
             per_template.append(map(
                 ConstraintRow, repeat(tpl.family), repeat(tpl.sense), tpl.rhs, terms, names,
                 repeat(tpl.rhs_low),
