@@ -293,16 +293,15 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     cols = np.concatenate([cols, np.fromiter(obj, np.int64, len(obj)), empty])
     term_row = np.concatenate([term_row, np.full(len(obj) + len(empty), -1)])
     del obj, listed, empty
-    order = np.lexsort((term_row, cols))
+    order = np.argsort(cols * (len(rows) + 1) + term_row, kind="stable")
     cols, term_row = cols[order], term_row[order] + 1
     entry_names = ["OBJ", *row_names]
 
     # blocks end every _BLOCK columns and wherever integrality changes
     integral = np.fromiter((var.integrality for var in variables), bool, len(variables))
-    flips = np.flatnonzero(integral[1:] != integral[:-1]) + 1
-    edges = np.union1d(np.arange(0, len(variables) + 1, _BLOCK), [*flips, len(variables)])
+    flips = (np.flatnonzero(integral[1:] != integral[:-1]) + 1).tolist()
+    edges = sorted({*range(0, len(variables), _BLOCK), *flips, len(variables)})
     firsts = np.searchsorted(cols, edges).tolist()
-    edges = edges.tolist()
     out.write("COLUMNS\n")
     in_int = False
     marker = 0
