@@ -144,7 +144,7 @@ def _pairs(items: Iterable[tuple[float, float]]) -> np.ndarray:
 
 #: rows checked, or columns written, per step: bounds the extra memory of
 #: ``LpInstance.check`` and of ``write_mps``
-_BLOCK = 2048
+_BLOCK = 512
 
 
 def _flat_terms(rows: list[ConstraintRow]) -> tuple[np.ndarray, np.ndarray, list]:
