@@ -447,7 +447,10 @@ class _Builder:
                 ))
             self.instantiate(templates)
 
-    def _capacity(self, asset: Asset, keys, avail: Callable[[int], float], family, prefix: str):
+    def _capacity(
+        self, asset: Asset, keys: list[tuple[str, str]], avail: Callable[[int], float],
+        family: RowFamily, prefix: str,
+    ) -> list[_Template]:
         """Flows through ``keys`` within the asset's capacity, scaled by ``avail(t)``."""
         if not keys or asset.capacity_mw is None:
             return []
