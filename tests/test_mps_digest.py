@@ -16,6 +16,7 @@ from flowgraph import (
     DcFlowParams,
     EnergySystem,
     FlowArc,
+    HubAnnotation,
     build_model,
     hybrid_fixture,
     mps_string,
@@ -38,6 +39,11 @@ TRI_AREA_T24 = {
 }
 
 DC_UC_1BB_1F = "baec1ef6cbbe2bf60201b5886c9e637118f31fc62ac7669daab4fa355c09113c"
+
+DC_UC_HUBS = {
+    "2BB-2F": "f856e0556713a34e1c76910aa0580a6c554d94830af6509cd6eb23727e6df58f",
+    "2BB-1F": "e7854a65f3374bf4d33c626351256eb7873ece659054539f41b23c6cda2d8678",
+}
 
 CASES = {
     "hybrid": (hybrid_fixture, HYBRID),
@@ -85,3 +91,33 @@ def test_mps_digest_dc_uc():
     instance = build_model(dc_uc_case(), Approach.ONE_BB_1F, dc_opf=True, unit_commitment=True)
     text = mps_string(instance)
     assert hashlib.sha256(text.encode()).hexdigest() == DC_UC_1BB_1F
+
+
+def dc_uc_hub_case() -> EnergySystem:
+    """:func:`dc_uc_case` with three hubs and a wind producer, so the node
+    forms lower hub links with a one-sided backward cap (a ``>=`` row in
+    2BB-1F), with both caps (a range row), a port cap and a node-linked
+    consumer with a forbidden route.  The DC lines stay direct arcs: a hub
+    asset has no voltage angle."""
+    sy = dc_uc_case()
+    sy.name = "dc-uc-hubs"
+    sy.add_asset(Asset(id="wind", kind=AssetKind.PRODUCER, capacity_mw=30.0,
+                       availability_profile=(0.6, 0.9, 0.3)))
+    sy.add_asset(Asset(id="load_d", kind=AssetKind.CONSUMER, demand_profile=(6.0, 8.0, 4.0)))
+    sy.add_flow(FlowArc("wind", "load_d", max_fwd_mw=12.0, max_bwd_mw=6.0, op_cost=0.5))
+    sy.add_hub(HubAnnotation("north", member_ports=(("peak", "in"),),
+                             port_caps=(("peak", "in", 20.0),)))
+    sy.add_hub(HubAnnotation(
+        "south", member_ports=(("load_b", "out"), ("load_d", "in"), ("load_d", "out")),
+        forbidden_routes=(("load_d", "load_b"),),
+    ))
+    sy.add_hub(HubAnnotation("west", member_ports=(("wind", "in"),)))
+    return sy
+
+
+@pytest.mark.parametrize("approach", [Approach.TWO_BB_2F, Approach.TWO_BB_1F],
+                         ids=lambda a: a.value)
+def test_mps_digest_dc_uc_node_forms(approach):
+    instance = build_model(dc_uc_hub_case(), approach, dc_opf=True, unit_commitment=True)
+    text = mps_string(instance)
+    assert hashlib.sha256(text.encode()).hexdigest() == DC_UC_HUBS[approach.value]
