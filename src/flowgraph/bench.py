@@ -16,8 +16,10 @@ import os
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .cases import CaseSpec, hybrid_fixture, scale_horizon, tri_area_case
 from .errors import (
@@ -221,22 +223,29 @@ def median_speedup(
 
 
 def _shuffled(instance: LpInstance, seed: int) -> LpInstance:
-    """Copy with variables reordered by a seeded shuffle.
+    """Copy with variables reordered by a seeded shuffle, each row's terms
+    sorted by new column.
 
     Simulates per-seed solution-path variability for the deterministic
     reference solver without touching the model's meaning.
     """
-    order = list(range(len(instance.variables)))
+    store = instance.store()
+    order = list(range(len(instance.lower)))
     random.Random(seed).shuffle(order)
-    remap = {old: new for new, old in enumerate(order)}
-    out = LpInstance(name=f"{instance.name}:s{seed}")
-    out.variables = [instance.variables[j] for j in order]
-    out.objective = sorted((remap[j], c) for j, c in instance.objective)
-    for row in instance.rows:
-        out.rows.append(
-            replace(row, terms=sorted((remap[j], c) for j, c in row.terms))
-        )
-    return out
+    position = np.empty(len(order), np.int64)
+    position[order] = np.arange(len(order))
+    cols = position[instance.indices]
+    terms = np.lexsort((cols, np.repeat(np.arange(len(instance.rhs)), np.diff(instance.indptr))))
+    objective = position[instance.obj_index]
+    by_column = np.argsort(objective)
+    columns = [(role, key, (t,)) for role, key, steps in instance.col_blocks for t in steps]
+    store.update(
+        indices=cols[terms], data=instance.data[terms],
+        lower=instance.lower[order], upper=instance.upper[order],
+        integral=instance.integral[order], col_blocks=[columns[j] for j in order],
+        obj_index=objective[by_column], obj_coef=instance.obj_coef[by_column],
+    )
+    return LpInstance.from_store(f"{instance.name}:s{seed}", **store)
 
 
 def _solve(instance: LpInstance, config: BenchConfig, seed: int) -> SolveResult:

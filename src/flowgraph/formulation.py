@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     InvariantViolation,
@@ -36,7 +37,7 @@ from .errors import (
     MissingHubAnnotation,
     UnsupportedCombination,
 )
-from .lp import INF, ConstraintRow, LpInstance, RowFamily, VariableRef, VarRole
+from .lp import INF, SENSES, LpInstance, RowFamily, VarRole
 from .model import Asset, AssetKind, EnergySystem, FlowArc, HubAnnotation
 
 
@@ -276,14 +277,17 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
 # ---------------------------------------------------------------------------
 
 
+_FAMILY_CODE = {family: k for k, family in enumerate(RowFamily)}
+
+
 class _Balance(NamedTuple):
     """How one asset kind balances: row family, row-name prefix, coefficients
-    of an asset's inflows and outflows, and right-hand side at timestep t."""
+    of an asset's inflows and outflows, and right-hand side over T timesteps."""
 
     family: RowFamily
     prefix: str
     weights: Callable[[Asset], tuple[float, float]]
-    rhs: Callable[[Asset, int], float] = lambda a, t: 0.0
+    rhs: Callable[[Asset, int], np.ndarray] = lambda a, T: np.zeros(T)
 
 
 # Balance rows are emitted family by family in this order, timestep-major
@@ -291,16 +295,22 @@ class _Balance(NamedTuple):
 # asset that no arc touches gets no row, since its row would have no terms.
 _BALANCE = {
     AssetKind.CONSUMER: _Balance(
-        RowFamily.CONSUMER_BALANCE, "bal", lambda a: (1.0, -1.0), lambda a, t: a.demand(t)
+        RowFamily.CONSUMER_BALANCE, "bal", lambda a: (1.0, -1.0),
+        lambda a, T: _tiled(a.demand_profile, T),
     ),
     AssetKind.STORAGE: _Balance(
         RowFamily.STORAGE_BALANCE, "sto", lambda a: (-a.eta_in, 1.0 / a.eta_out),
-        lambda a, t: a.initial_storage_mwh if t == 1 else 0.0,
+        lambda a, T: np.concatenate([[a.initial_storage_mwh], np.zeros(T - 1)]),
     ),
     AssetKind.CONVERSION: _Balance(RowFamily.CONVERSION_BALANCE, "cnv", lambda a: (a.eta_in, -1.0)),
     AssetKind.HUB: _Balance(RowFamily.NODE_BALANCE, "node", lambda a: (1.0, -1.0)),
     AssetKind.TRANSPORT: _Balance(RowFamily.TRANSPORT_BALANCE, "trn", lambda a: (1.0, -1.0)),
 }
+
+
+def _tiled(profile: Optional[Sequence[float]], T: int) -> np.ndarray:
+    """``profile`` repeated over T timesteps (all ones for none)."""
+    return np.ones(T) if profile is None else np.resize(np.asarray(profile, float), T)
 
 
 class _Template(NamedTuple):
@@ -317,9 +327,9 @@ class _Template(NamedTuple):
     family: RowFamily
     sense: str
     prefix: str
-    rhs: Sequence[float]
+    rhs: np.ndarray
     shifted: list[tuple[int, float]]
-    fixed: tuple[tuple[int, Sequence[float]], ...] = ()
+    fixed: tuple[tuple[int, np.ndarray], ...] = ()
     rhs_low: Optional[float] = None
     lag_at: Optional[int] = None
 
@@ -327,6 +337,9 @@ class _Template(NamedTuple):
 class _Builder:
     """Columns are sorted by ``(role, key, t)``, so each ``(role, key)`` owns a
     contiguous block of T columns (one for INVEST): column ``first + t - 1``.
+
+    Rows go into ``parts``, one tuple of row arrays per instantiated group,
+    and the whole LP into one :class:`LpInstance` store at the end.
     """
 
     def __init__(self, system: EnergySystem, dc_opf: bool, unit_commitment: bool):
@@ -334,12 +347,12 @@ class _Builder:
         self.T = system.horizon_t
         self.dc_opf = dc_opf
         self.uc = unit_commitment
-        self.lp = LpInstance(name=system.name)
         self.first: dict[tuple[VarRole, tuple[str, ...]], int] = {}
         self.arc_keys = sorted(system.arcs)
         self.assets = [system.assets[a] for a in sorted(system.assets)]
         self.adj = system.adjacency()
-        self.suffixes = [f"_t{t}" for t in range(1, self.T + 1)]
+        self.store: dict = {"row_blocks": []}
+        self.parts: list[tuple[np.ndarray, ...]] = []
 
     def var(self, role: VarRole, key: tuple[str, ...]) -> int:
         """The column of ``(role, key)`` at t=1."""
@@ -348,20 +361,18 @@ class _Builder:
     def flows(self, keys: list[tuple[str, str]], coef: float) -> list[tuple[int, float]]:
         return [(self.first[(VarRole.FLOW, key)], coef) for key in keys]
 
-    def constant(self, value: float) -> list[float]:
-        return [value] * self.T
+    def constant(self, value: float) -> np.ndarray:
+        return np.full(self.T, value, float)
 
     # -- variables -------------------------------------------------------
 
     def create_variables(self) -> None:
-        T = self.T
-        blocks: dict[tuple[VarRole, tuple[str, ...]], list[VariableRef]] = {}
+        """Bounds per column and one name block per ``(role, key)``."""
+        steps = range(1, self.T + 1)
+        blocks: dict[tuple[VarRole, tuple[str, ...]], tuple] = {}
 
         def series(role: VarRole, key: tuple[str, ...], lower=0.0, upper=INF, integrality=False):
-            blocks[(role, key)] = list(map(
-                VariableRef, repeat(role), repeat(key), range(1, T + 1), repeat(lower),
-                repeat(upper), repeat(integrality),
-            ))
+            blocks[(role, key)] = (lower, upper, integrality, steps)
 
         for key in self.arc_keys:
             arc = self.system.arcs[key]
@@ -372,9 +383,7 @@ class _Builder:
                 series(VarRole.STORAGE_LEVEL, (a.id,), upper=a.storage_capacity_mwh)
             if a.investable:
                 upper = INF if a.invest_limit is None else float(a.invest_limit)
-                blocks[(VarRole.INVEST, (a.id,))] = [
-                    VariableRef(VarRole.INVEST, (a.id,), None, upper=upper)
-                ]
+                blocks[(VarRole.INVEST, (a.id,))] = (0.0, upper, False, (None,))
             if self.uc and a.uc_enabled:
                 series(VarRole.UNITS_ON, (a.id,), integrality=True)
                 series(VarRole.FLOW_ABOVE_MIN, (a.id,))
@@ -384,50 +393,71 @@ class _Builder:
                 # first angle-enabled asset is the reference bus
                 lo, up = (0.0, 0.0) if rank == 0 else (-INF, INF)
                 series(VarRole.VOLTAGE_ANGLE, (asset,), lower=lo, upper=up)
-        for role, key in sorted(blocks, key=lambda rk: (rk[0].value, rk[1])):
-            self.first[(role, key)] = len(self.lp.variables)
-            self.lp.variables.extend(blocks[(role, key)])
+        order = sorted(blocks, key=lambda rk: (rk[0].value, rk[1]))
+        counts = [len(blocks[rk][3]) for rk in order]
+        self.first = dict(zip(order, np.cumsum([0, *counts]).tolist()))
+        self.store.update(
+            lower=np.repeat(np.array([blocks[rk][0] for rk in order], float), counts),
+            upper=np.repeat(np.array([blocks[rk][1] for rk in order], float), counts),
+            integral=np.repeat(np.array([blocks[rk][2] for rk in order], bool), counts),
+            col_blocks=[(*rk, blocks[rk][3]) for rk in order],
+        )
 
     # -- objective -------------------------------------------------------
 
     def emit_objective(self) -> None:
-        terms = [
-            (self.var(VarRole.INVEST, (a.id,)), a.invest_cost)
-            for a in self.assets
-            if a.investable and a.invest_cost
-        ]
+        cost = np.zeros(len(self.store["lower"]))
+        for a in self.assets:
+            if a.investable and a.invest_cost:
+                cost[self.var(VarRole.INVEST, (a.id,))] = a.invest_cost
         for key in self.arc_keys:
-            cost = self.system.arcs[key].op_cost
-            if cost:
+            if self.system.arcs[key].op_cost:
                 first = self.var(VarRole.FLOW, key)
-                terms += [(first + t, cost) for t in range(self.T)]
-        self.lp.objective = sorted(terms)
+                cost[first:first + self.T] = self.system.arcs[key].op_cost
+        obj_index = np.flatnonzero(cost)
+        self.store.update(obj_index=obj_index, obj_coef=cost[obj_index])
 
     # -- rows ------------------------------------------------------------
 
     def instantiate(self, templates: list[_Template]) -> None:
-        """Emit every template's row at each timestep, timestep-major."""
-        T = self.T
-        per_template = []
-        for tpl in templates:
-            coefs = [coef for _, coef in tpl.shifted]
-            shifted = zip(*[range(j, j + T) for j, _ in tpl.shifted])
-            terms = [tuple(zip(cols, coefs)) for cols in shifted]
-            for j, coefs_t in tpl.fixed:
-                terms = [row + ((j, coef),) for row, coef in zip(terms, coefs_t)]
+        """Emit every template's row at each timestep, timestep-major.
+
+        The terms of the rows at timestep t are the t=1 terms of every
+        template side by side, shifted columns moved by t - 1: row-major,
+        a (T, terms) array is the CSR term order.
+        """
+        T, K = self.T, len(templates)
+        start, step, coef, fixed_at, fixed, lengths = [], [], [], [], [], []
+        lagged, lagged_rows = [], []
+        for k, tpl in enumerate(templates):
             if tpl.lag_at is not None:
-                terms[0] = terms[0][:tpl.lag_at] + terms[0][tpl.lag_at + 1:]
-            # lists made from tuples are sized exactly
-            terms = list(map(list, terms))
-            names = map(tpl.prefix.__add__, self.suffixes)
-            per_template.append(map(
-                ConstraintRow, repeat(tpl.family), repeat(tpl.sense), tpl.rhs, terms, names,
-                repeat(tpl.rhs_low),
-            ))
-        self.lp.rows.extend(chain.from_iterable(zip(*per_template, strict=True)))
+                lagged.append(len(start) + tpl.lag_at)
+                lagged_rows.append(k)
+            for j, c in tpl.shifted:
+                start.append(j), step.append(1), coef.append(c)
+            for j, coefs_t in tpl.fixed:
+                fixed_at.append(len(start)), fixed.append(coefs_t)
+                start.append(j), step.append(0), coef.append(0.0)
+            lengths.append(len(tpl.shifted) + len(tpl.fixed))
+        cols = np.array(start, np.int64) + np.array(step, np.int64) * np.arange(T)[:, None]
+        coefs = np.repeat(np.array(coef, float)[None, :], T, axis=0)
+        if fixed:
+            coefs[:, fixed_at] = np.column_stack(fixed)
+        keep = np.ones(cols.shape, bool)
+        keep[0, lagged] = False  # the row at t=1 has no previous level
+        counts = np.tile(np.array(lengths, np.int64), T)
+        counts[lagged_rows] -= 1
+        self.parts.append((
+            counts, cols[keep], coefs[keep],
+            np.tile(np.array([SENSES.index(tpl.sense) for tpl in templates], np.int8), T),
+            np.tile(np.array([_FAMILY_CODE[tpl.family] for tpl in templates], np.int8), T),
+            np.array([tpl.rhs for tpl in templates], float).reshape(K, T).T.ravel(),
+            np.tile(np.array([np.nan if tpl.rhs_low is None else tpl.rhs_low
+                              for tpl in templates], float), T),
+        ))
+        self.store["row_blocks"].append(([tpl.prefix for tpl in templates], range(1, T + 1)))
 
     def emit_balances(self) -> None:
-        ts = range(1, self.T + 1)
         for kind, bal in _BALANCE.items():
             templates = []
             for a in self.assets:
@@ -441,27 +471,24 @@ class _Builder:
                     level = self.var(VarRole.STORAGE_LEVEL, (a.id,))
                     terms = [(level, 1.0), (level - 1, -1.0), *terms]
                     lag_at = 1
-                rhs = [bal.rhs(a, t) for t in ts]
                 templates.append(_Template(
-                    bal.family, "=", f"{bal.prefix}_{a.id}", rhs, terms, lag_at=lag_at
+                    bal.family, "=", f"{bal.prefix}_{a.id}", bal.rhs(a, self.T), terms, lag_at=lag_at
                 ))
             self.instantiate(templates)
 
     def _capacity(
-        self, asset: Asset, keys: list[tuple[str, str]], avail: Callable[[int], float],
+        self, asset: Asset, keys: list[tuple[str, str]], avails: np.ndarray,
         family: RowFamily, prefix: str,
     ) -> list[_Template]:
-        """Flows through ``keys`` within the asset's capacity, scaled by ``avail(t)``."""
+        """Flows through ``keys`` within the asset's capacity, scaled by ``avails``."""
         if not keys or asset.capacity_mw is None:
             return []
         cap = asset.capacity_mw
-        avails = [avail(t) for t in range(1, self.T + 1)]
         fixed = ()
         if asset.investable:
-            fixed = ((self.var(VarRole.INVEST, (asset.id,)), [-cap * av for av in avails]),)
-        rhs = [cap * av * asset.initial_units for av in avails]
+            fixed = ((self.var(VarRole.INVEST, (asset.id,)), -cap * avails),)
+        rhs = cap * avails * asset.initial_units
         return [_Template(family, "<=", prefix, rhs, self.flows(keys, 1.0), fixed)]
-
     def _flow_bound(self, key: tuple[str, str]) -> list[_Template]:
         arc = self.system.arcs[key]
         terms = [(self.var(VarRole.FLOW, key), 1.0)]
@@ -522,12 +549,13 @@ class _Builder:
         for a in self.assets:
             if a.kind not in (AssetKind.HUB, AssetKind.TRANSPORT, AssetKind.CONSUMER):
                 table += self._capacity(
-                    a, self.adj[a.id][1], a.availability, RowFamily.CAPACITY_LIMIT, f"cap_{a.id}"
+                    a, self.adj[a.id][1], _tiled(a.availability_profile, self.T),
+                    RowFamily.CAPACITY_LIMIT, f"cap_{a.id}",
                 )
         storages = [a for a in self.assets if a.kind is AssetKind.STORAGE]
         for a in storages:
             table += self._capacity(
-                a, self.adj[a.id][0], lambda t: 1.0, RowFamily.CHARGING_LIMIT, f"chg_{a.id}"
+                a, self.adj[a.id][0], np.ones(self.T), RowFamily.CHARGING_LIMIT, f"chg_{a.id}"
             )
         for a in storages:
             level = [(self.var(VarRole.STORAGE_LEVEL, (a.id,)), 1.0)]
@@ -549,8 +577,13 @@ class _Builder:
         self.emit_objective()
         self.emit_balances()
         self.instantiate(self.limit_templates())
-        self.lp.check()
-        return self.lp
+        counts, cols, coefs, sense, family, rhs, rhs_low = map(np.concatenate, zip(*self.parts))
+        lp = LpInstance.from_store(
+            self.system.name, indptr=np.concatenate([[0], np.cumsum(counts)]), indices=cols,
+            data=coefs, sense=sense, family=family, rhs=rhs, rhs_low=rhs_low, **self.store,
+        )
+        lp.check()
+        return lp
 
 
 def build_model(

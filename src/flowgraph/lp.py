@@ -1,4 +1,23 @@
-"""Sparse LP instance container, size accounting and format writers.
+"""LP instance store, size accounting and format writers.
+
+An :class:`LpInstance` is one columnar store that every consumer reads:
+the size report, the MPS writer, the checks and both solvers.
+
+- Rows: the matrix in CSR form (``indptr``, ``indices``, ``data``), each
+  row's terms in emission order, and per row a sense code (``sense``, an
+  index into ``("<=", "=", ">=")``), ``rhs``, ``rhs_low`` (NaN for none) and
+  a :class:`RowFamily` code (``family``, an index into ``tuple(RowFamily)``).
+- Columns: ``lower``, ``upper`` and ``integral`` per column.
+- Objective: the listed columns ``obj_index`` in increasing order and their
+  coefficients ``obj_coef``; MPS gives each listed column an OBJ entry.
+- Names, made on demand from per-block prefixes: a column is
+  ``"_".join((role prefix, *key))`` plus ``_t{t}`` when it has a timestep,
+  and a row is its template's prefix plus ``_t{t}``.
+
+Every store array is read-only; a consumer that changes one works on a copy.
+``rows``, ``variables`` and ``objective`` are read-only tuples of frozen
+records, built on first read, for code that wants one record per row or
+column.
 
 Model size is reported under a fixed counting convention: every limit is a
 real row (single-variable capacity rows included), a two-sided range row
@@ -9,11 +28,11 @@ rows contributing their terms once.
 from __future__ import annotations
 
 import enum
-import itertools
+import io
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import IO, Iterable, Optional, Union
+from dataclasses import dataclass
+from itertools import chain
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +61,7 @@ _ROLE_PREFIX = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariableRef:
     """One LP column: a role, the entities it refers to, and bounds."""
 
@@ -78,9 +97,9 @@ class RowFamily(enum.Enum):
     UC_MAX_ABOVE = "uc_max_above"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintRow:
-    """One LP row in coordinate form.
+    """One LP row in coordinate form; ``terms`` is kept as a tuple.
 
     ``rhs_low`` set makes this a range row ``rhs_low <= terms <= rhs``; only a
     ``<=`` row may have one.  Range rows count as two constraints in the size
@@ -90,9 +109,12 @@ class ConstraintRow:
     family: RowFamily
     sense: str  # "<=", "=", ">="
     rhs: float
-    terms: list[tuple[int, float]]
+    terms: tuple[tuple[int, float], ...]
     name: str = ""
     rhs_low: Optional[float] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
     def is_range(self) -> bool:
@@ -115,6 +137,7 @@ class LpArrays:
     ``row_lo <= A @ x <= row_hi`` and ``col_lo <= x <= col_hi``.
 
     ``A`` is CSR, rows by columns, with each row's terms in emission order.
+    Every array is read-only.
     """
 
     A: sp.csr_matrix
@@ -125,35 +148,210 @@ class LpArrays:
     cost: np.ndarray
 
 
-def _row_bounds(row: ConstraintRow) -> tuple[float, float]:
-    if row.sense == "<=":
-        return (-INF if row.rhs_low is None else row.rhs_low), row.rhs
-    if row.rhs_low is not None:
-        raise InvariantViolation(f"row {row.name}: rhs_low on a {row.sense} row; ranges are <= rows")
-    if row.sense == "=":
-        return row.rhs, row.rhs
-    if row.sense == ">=":
-        return row.rhs, INF
-    raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
+SENSES = ("<=", "=", ">=")
+_FAMILIES = tuple(RowFamily)
 
 
-def _pairs(items: Iterable[tuple[float, float]]) -> np.ndarray:
-    """``items`` as a (2, n) float array whose two rows are contiguous."""
-    return np.fromiter(itertools.chain.from_iterable(items), float).reshape(-1, 2).T.copy()
+def _codes(values: list, table: tuple) -> tuple[np.ndarray, tuple]:
+    """Each value's index in ``table``, and ``table`` grown by the values it lacks."""
+    index = {value: k for k, value in enumerate(table)}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int8, len(values))
+    return codes, tuple(index)
 
 
-#: rows checked, or columns written, per step: bounds the extra memory of
-#: ``LpInstance.check`` and of ``write_mps``
-_BLOCK = 512
+def _names(blocks, prefix: str = "") -> list[str]:
+    """Names of ``(heads, timesteps)`` blocks, timestep-major; a ``None``
+    timestep adds no suffix."""
+    names, suffixes = [], {}
+    for heads, steps in blocks:
+        if steps not in suffixes:
+            suffixes[steps] = ["" if t is None else f"_t{t}" for t in steps]
+        names += [prefix + head + s for s in suffixes[steps] for head in heads]
+    return names
 
 
-def _flat_terms(rows: list[ConstraintRow]) -> tuple[np.ndarray, np.ndarray, list]:
-    """Row index, column index and coefficient object of every term, row by row."""
-    terms = [row.terms for row in rows]
-    lengths = np.fromiter(map(len, terms), np.int64, len(terms))
-    flat = list(itertools.chain.from_iterable(terms))
-    cols = np.fromiter(map(itemgetter(0), flat), np.int64, len(flat))
-    return np.repeat(np.arange(len(rows)), lengths), cols, list(map(itemgetter(1), flat))
+def _view(build):
+    """A read-only attribute that ``build`` computes on first read."""
+    def get(self):
+        if build.__name__ not in self._views:
+            self._views[build.__name__] = build(self)
+        return self._views[build.__name__]
+    return property(get)
+
+
+class LpInstance:
+    """Minimization LP held as one columnar store (see the module docstring).
+
+    ``LpInstance(name, variables, rows, objective)`` converts lists of
+    :class:`VariableRef`, :class:`ConstraintRow` and ``(column,
+    coefficient)`` pairs once and never raises: :meth:`check` and
+    :meth:`arrays` report a malformed row.  A row coefficient that is not a
+    float keeps its Python value, so MPS prints it as given; every other
+    number is stored as a float, and the objective keeps the last
+    coefficient given for a column.
+    """
+
+    def __init__(self, name: str = "lp", variables: Sequence[VariableRef] = (),
+                 rows: Sequence[ConstraintRow] = (), objective=()):
+        rows, objective = list(rows), dict(objective)
+        flat = list(chain.from_iterable(row.terms for row in rows))
+        coefs = [coef for _, coef in flat]
+        sense, senses = _codes([row.sense for row in rows], SENSES)
+        family, families = _codes([row.family for row in rows], _FAMILIES)
+        obj_index = sorted(objective)
+        self._fill(
+            name,
+            indptr=np.cumsum([0, *map(len, (row.terms for row in rows))]),
+            indices=np.fromiter((j for j, _ in flat), np.int64, len(flat)),
+            data=np.array(coefs, float if all(type(c) is float for c in coefs) else object),
+            sense=sense, senses=senses, family=family, families=families,
+            rhs=np.array([row.rhs for row in rows], float),
+            rhs_low=np.array([np.nan if row.rhs_low is None else row.rhs_low for row in rows], float),
+            row_blocks=[([row.name for row in rows], (None,))],
+            lower=np.array([v.lower for v in variables], float),
+            upper=np.array([v.upper for v in variables], float),
+            integral=np.array([v.integrality for v in variables], bool),
+            col_blocks=[(v.role, v.key, (v.timestep,)) for v in variables],
+            obj_index=np.array(obj_index, np.int64),
+            obj_coef=np.array([objective[j] for j in obj_index], float),
+        )
+
+    @classmethod
+    def from_store(cls, name: str, **store) -> "LpInstance":
+        """An instance over the store given as keywords: the arrays the
+        module docstring names, ``row_blocks`` as ``(row-name prefixes,
+        timesteps)`` and ``col_blocks`` as ``(role, key, timesteps)``, both in
+        order (a ``None`` timestep adds no suffix), and optionally ``senses``
+        and ``families``, the tables the codes index."""
+        instance = cls.__new__(cls)
+        instance._fill(name, **store)
+        return instance
+
+    def store(self) -> dict:
+        """The keywords :meth:`from_store` takes to rebuild this instance."""
+        return dict(self._store)
+
+    def _fill(self, name: str, senses=SENSES, families=_FAMILIES, **store):
+        self.name = name
+        self._store = dict(store, senses=senses, families=families)
+        self._arrays: Optional[LpArrays] = None
+        self._views: dict = {}
+        for value in store.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(self._store)
+
+    # -- names and record views --------------------------------------------
+
+    def row_names(self) -> list[str]:
+        return _names(self.row_blocks)
+
+    def col_names(self, prefix: str = "") -> list[str]:
+        """Column names, each after ``prefix``."""
+        return _names([(("_".join((_ROLE_PREFIX[role], *key)),), steps)
+                       for role, key, steps in self.col_blocks], prefix)
+
+    def row_name(self, i: int) -> str:
+        for heads, steps in self.row_blocks:
+            if i < len(heads) * len(steps):
+                t = steps[i // len(heads)]
+                return heads[i % len(heads)] + ("" if t is None else f"_t{t}")
+            i -= len(heads) * len(steps)
+        raise IndexError(i)
+
+    def var_index(self) -> dict[str, int]:
+        return {name: j for j, name in enumerate(self.col_names())}
+
+    @_view
+    def variables(self) -> tuple[VariableRef, ...]:
+        ids = [(role, key, t) for role, key, steps in self.col_blocks for t in steps]
+        return tuple(
+            VariableRef(*ref, lo, up, integral) for ref, lo, up, integral in zip(
+                ids, self.lower.tolist(), self.upper.tolist(), self.integral.tolist())
+        )
+
+    @_view
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        pairs = list(zip(self.indices.tolist(), self.data.tolist()))
+        ends = self.indptr.tolist()
+        return tuple(map(
+            ConstraintRow,
+            [self.families[c] for c in self.family.tolist()],
+            [self.senses[c] for c in self.sense.tolist()],
+            self.rhs.tolist(),
+            [pairs[a:b] for a, b in zip(ends, ends[1:])],
+            self.row_names(),
+            [None if math.isnan(low) else low for low in self.rhs_low.tolist()],
+        ))
+
+    @_view
+    def objective(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.obj_index.tolist(), self.obj_coef.tolist()))
+
+    # -- checks and the solver view ----------------------------------------
+
+    def _raise_bad_sense(self, before: Optional[int] = None) -> int:
+        """Raise for the first row with an unknown sense or with ``rhs_low``
+        on a row that is not ``<=``, unless it comes at or after ``before``;
+        returns that row (the row count when there is none)."""
+        bad = (self.sense != 0) & (~np.isnan(self.rhs_low) | (self.sense >= len(SENSES)))
+        i = int(bad.argmax()) if bad.any() else len(bad)
+        if i < len(bad) and (before is None or i < before):
+            sense, name = self.senses[self.sense[i]], self.row_name(i)
+            if not np.isnan(self.rhs_low[i]):
+                raise InvariantViolation(f"row {name}: rhs_low on a {sense} row; ranges are <= rows")
+            raise InvariantViolation(f"row {name}: unknown sense {sense}")
+        return i
+
+    def arrays(self) -> LpArrays:
+        """The instance as one sparse matrix with row and column bounds,
+        built once and shared: every array is read-only.
+
+        ``=`` rows get ``[rhs, rhs]``, ``<=`` rows ``[rhs_low or -inf, rhs]``
+        and ``>=`` rows ``[rhs, inf]``.
+        """
+        if self._arrays is None:
+            self._raise_bad_sense()
+            m, n = len(self.rhs), len(self.lower)
+            A = sp.csr_matrix((np.asarray(self.data, float), self.indices, self.indptr), shape=(m, n))
+            low = np.where(np.isnan(self.rhs_low), -INF, self.rhs_low)
+            row_lo = np.where(self.sense == 0, low, self.rhs)
+            row_hi = np.where(self.sense == 2, INF, self.rhs)
+            cost = np.zeros(n)
+            cost[self.obj_index] = self.obj_coef
+            for array in (A.data, A.indices, A.indptr, row_lo, row_hi, cost):
+                array.flags.writeable = False
+            self._arrays = LpArrays(A, row_lo, row_hi, self.lower, self.upper, cost)
+        return self._arrays
+
+    def check(self) -> None:
+        """Reject a malformed instance, naming its first offending row.
+
+        A row needs a known sense, and ``rhs_low`` only on a ``<=`` row; each
+        term needs a column index in range, a finite non-zero coefficient
+        and a column no earlier term of its row uses.
+        """
+        n = len(self.lower)
+        bad_row = self._raise_bad_sense(before=0)
+        cols, coefs = self.indices, np.asarray(self.data, float)
+        term_row = np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+        out_of_range = (cols < 0) | (cols >= n)
+        # a stable sort by (row, column) puts a repeated column right after
+        # its first use in the row; clipping keeps keys distinct
+        key = term_row * (n + 2) + np.clip(cols, -1, n)
+        order = np.argsort(key, kind="stable")
+        duplicate = np.zeros(len(cols), bool)
+        duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        bad = np.flatnonzero(out_of_range | duplicate | (coefs == 0.0) | ~np.isfinite(coefs))
+        if bad.size and term_row[bad[0]] < bad_row:
+            k = bad[0]
+            name, j = self.row_name(term_row[k]), cols[k]
+            if out_of_range[k]:
+                raise ParseError(f"row {name}: bad variable index {j}")
+            if duplicate[k]:
+                raise ParseError(f"row {name}: duplicate term for column {j}")
+            raise ParseError(f"row {name}: invalid coefficient {self.data[k:k + 1].tolist()[0]}")
+        self._raise_bad_sense()
 
 
 @dataclass
@@ -171,74 +369,6 @@ class SolveResult:
         return self.status == "optimal"
 
 
-@dataclass
-class LpInstance:
-    """Minimization LP with explicit rows and simple variable bounds."""
-
-    name: str = "lp"
-    variables: list[VariableRef] = field(default_factory=list)
-    rows: list[ConstraintRow] = field(default_factory=list)
-    objective: list[tuple[int, float]] = field(default_factory=list)
-
-    def var_index(self) -> dict[str, int]:
-        return {v.name: j for j, v in enumerate(self.variables)}
-
-    def arrays(self) -> LpArrays:
-        """The instance as one sparse matrix with row and column bounds.
-
-        ``=`` rows get ``[rhs, rhs]``, ``<=`` rows ``[rhs_low or -inf, rhs]``
-        and ``>=`` rows ``[rhs, inf]``.
-        """
-        n = len(self.variables)
-        cols, coefs = _pairs(itertools.chain.from_iterable(row.terms for row in self.rows))
-        indptr = np.cumsum([0] + [len(row.terms) for row in self.rows])
-        A = sp.csr_matrix((coefs, cols.astype(np.int64), indptr), shape=(len(self.rows), n))
-        row_lo, row_hi = _pairs(map(_row_bounds, self.rows))
-        col_lo, col_hi = _pairs((v.lower, v.upper) for v in self.variables)
-        cost = np.zeros(n)
-        for j, coef in self.objective:
-            cost[j] = coef
-        return LpArrays(A, row_lo, row_hi, col_lo, col_hi, cost)
-
-    def check(self) -> None:
-        """Reject a malformed instance, naming its first offending row.
-
-        A row needs a known sense, and ``rhs_low`` only on a ``<=`` row; each
-        term needs a column index in range, a finite non-zero coefficient
-        and a column no earlier term of its row uses.  Terms are checked as
-        arrays, ``_BLOCK`` rows at a time.
-        """
-        rows, n = self.rows, len(self.variables)
-        bad_row = next(
-            (i for i, row in enumerate(rows)
-             if row.sense != "<=" and (row.rhs_low is not None or row.sense not in _SENSE_TO_MPS)),
-            len(rows),
-        )
-        for b in range(0, bad_row, _BLOCK):
-            block = rows[b:min(b + _BLOCK, bad_row)]
-            term_row, cols, coefs = _flat_terms(block)
-            coefs = np.fromiter(coefs, float, len(coefs))
-            out_of_range = (cols < 0) | (cols >= n)
-            # a stable sort by (row, column) puts a repeated column right
-            # after its first use in the row; clipping keeps keys distinct
-            key = term_row * (n + 2) + np.clip(cols, -1, n)
-            order = np.argsort(key, kind="stable")
-            duplicate = np.zeros(len(cols), bool)
-            duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
-            bad = np.flatnonzero(out_of_range | duplicate | (coefs == 0.0) | ~np.isfinite(coefs))
-            if bad.size:
-                k = bad[0]
-                row = block[term_row[k]]
-                j, coef = row.terms[k - np.searchsorted(term_row, term_row[k])]
-                if out_of_range[k]:
-                    raise ParseError(f"row {row.name}: bad variable index {j}")
-                if duplicate[k]:
-                    raise ParseError(f"row {row.name}: duplicate term for column {j}")
-                raise ParseError(f"row {row.name}: invalid coefficient {coef}")
-        if bad_row < len(rows):
-            _row_bounds(rows[bad_row])
-
-
 def size_report(instance: LpInstance) -> ModelSize:
     """Variable/constraint/nonzero tallies under the published convention.
 
@@ -247,15 +377,25 @@ def size_report(instance: LpInstance) -> ModelSize:
     size table, so they are excluded from the reported counts even though
     they are present in the LP (and in MPS output).
     """
-    counted = [row for row in instance.rows if row.family is not RowFamily.TRANSPORT_BALANCE]
-    n_cons = sum(2 if row.is_range else 1 for row in counted)
-    n_nz = sum(len(row.terms) for row in counted)
-    return ModelSize(len(instance.variables), n_cons, n_nz)
+    counted = instance.family != _FAMILIES.index(RowFamily.TRANSPORT_BALANCE)
+    n_cons = np.count_nonzero(counted) + np.count_nonzero(counted & ~np.isnan(instance.rhs_low))
+    n_nz = np.diff(instance.indptr)[counted].sum()
+    return ModelSize(len(instance.lower), int(n_cons), int(n_nz))
 
 
 # -- MPS output ----------------------------------------------------------
 
-_SENSE_TO_MPS = {"<=": "L", ">=": "G", "=": "E"}
+#: columns written per step: bounds the extra memory of ``write_mps``
+_BLOCK = 512
+
+
+def _text(values: np.ndarray, end: str = "\n") -> np.ndarray:
+    """``repr(value) + end`` for each value, as an object array; a float
+    array formats each distinct bit pattern once."""
+    if values.dtype != float:
+        return np.array([f"{value!r}{end}" for value in values.tolist()], object)
+    bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+    return np.array([f"{value!r}{end}" for value in bits.view(float).tolist()], object)[inverse]
 
 
 def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
@@ -267,89 +407,93 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     RANGES section; integrality uses INTORG/INTEND markers.  The objective
     row is named OBJ.  Coefficients print with ``repr``.
 
-    The COLUMNS section is written in blocks of ``_BLOCK`` columns, so
-    the writer holds the text of one block at a time, never the whole file.
+    The COLUMNS section is written in blocks of ``_BLOCK`` columns, so the
+    writer holds the text of one block at a time, never the whole file.
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
             write_mps(instance, fh)
         return
-    out = destination
-    rows, variables = instance.rows, instance.variables
-    out.write(f"NAME {instance.name}\nROWS\n N OBJ\n")
-    row_names = [row.name or f"R{i}" for i, row in enumerate(rows)]
-    out.writelines(f" {_SENSE_TO_MPS[row.sense]} {rname}\n" for row, rname in zip(rows, row_names))
+    out, lp = destination, instance
+    lp._raise_bad_sense()
+    m, n = len(lp.rhs), len(lp.lower)
+    names = lp.row_names()
+    if "" in names:
+        names = [name or f"R{i}" for i, name in enumerate(names)]
+    names = np.array(names, object)
+    out.write(f"NAME {lp.name}\nROWS\n N OBJ\n")
+    out.write("".join((np.array([" L ", " E ", " G "], object)[lp.sense] + names + "\n").tolist()))
 
-    # COLUMNS is one stream of entries sorted by column: the objective entry
-    # (row -1) first, then the row entries; the sort is stable, so a
-    # column's row entries stay in row order
-    term_row, cols, coefs = _flat_terms(rows)
-    obj = dict(instance.objective)
-    listed = np.zeros(len(variables), bool)
-    listed[cols] = True
-    listed[list(obj)] = True
+    # COLUMNS is one stream of entries sorted by column: the objective and
+    # empty-column entries (row 0, OBJ) come first, so the stable sort puts
+    # them ahead of a column's row entries, which stay in row order
+    listed = np.zeros(n, bool)
+    listed[lp.obj_index] = True
+    listed[lp.indices] = True
     empty = np.flatnonzero(~listed)
-    coefs += [*obj.values(), *[0.0] * len(empty)]
-    cols = np.concatenate([cols, np.fromiter(obj, np.int64, len(obj)), empty])
-    term_row = np.concatenate([term_row, np.full(len(obj) + len(empty), -1)])
-    del obj, listed, empty
-    order = np.argsort(cols * (len(rows) + 1) + term_row, kind="stable")
-    cols, term_row = cols[order], term_row[order] + 1
-    entry_names = ["OBJ", *row_names]
+    cols = np.concatenate([lp.obj_index, empty, lp.indices])
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    entry_row = np.concatenate([
+        np.zeros(len(lp.obj_index) + len(empty), np.int64),
+        np.repeat(np.arange(1, m + 1), np.diff(lp.indptr)),
+    ])[order]
+    coefs = _text(np.concatenate([lp.obj_coef, np.zeros(len(empty)), lp.data])[order])
+    del listed, empty, order
+    entry_names = np.concatenate([["OBJ"], names]) + " "
+    heads = np.array(lp.col_names("    "), object) + " "
 
     # blocks end every _BLOCK columns and wherever integrality changes
-    integral = np.fromiter((var.integrality for var in variables), bool, len(variables))
+    integral = lp.integral
     flips = (np.flatnonzero(integral[1:] != integral[:-1]) + 1).tolist()
-    edges = sorted({*range(0, len(variables), _BLOCK), *flips, len(variables)})
+    edges = sorted({*range(0, n, _BLOCK), *flips, n})
     firsts = np.searchsorted(cols, edges).tolist()
     out.write("COLUMNS\n")
     in_int = False
     marker = 0
-    for b, e, lo, hi in zip(edges, edges[1:], firsts, firsts[1:]):
+    for b, lo, hi in zip(edges, firsts, firsts[1:]):
         if integral[b] != in_int:
             in_int = not in_int
             out.write(f"    MARKER{marker} 'MARKER' '{'INTORG' if in_int else 'INTEND'}'\n")
             marker += 1
-        heads = [f"    {var.name} " for var in variables[b:e]]
-        entries = zip((cols[lo:hi] - b).tolist(), term_row[lo:hi].tolist(), order[lo:hi].tolist())
-        out.writelines([f"{heads[j]}{entry_names[i]} {coefs[k]!r}\n" for j, i, k in entries])
+        lines = np.empty((hi - lo, 3), object)
+        lines[:, 0], lines[:, 1], lines[:, 2] = heads[cols[lo:hi]], entry_names[entry_row[lo:hi]], coefs[lo:hi]
+        out.write("".join(lines.ravel().tolist()))
     if in_int:
         out.write(f"    MARKER{marker} 'MARKER' 'INTEND'\n")
 
     out.write("RHS\n")
-    out.writelines(
-        f"    RHS {rname} {row.rhs!r}\n" for rname, row in zip(row_names, rows) if row.rhs != 0.0
-    )
-    if any(row.is_range for row in rows):
+    given = lp.rhs != 0.0
+    out.write("".join(("    RHS " + names[given] + " " + _text(lp.rhs[given])).tolist()))
+    ranged = ~np.isnan(lp.rhs_low)
+    if ranged.any():
         out.write("RANGES\n")
-        out.writelines(
-            f"    RNG {rname} {row.rhs - row.rhs_low!r}\n"
-            for rname, row in zip(row_names, rows) if row.is_range
-        )
+        span = lp.rhs[ranged] - lp.rhs_low[ranged]
+        out.write("".join(("    RNG " + names[ranged] + " " + _text(span)).tolist()))
 
+    # each column has up to two BOUNDS lines: FX, FR, MI or LO first, then UP
+    lower, upper = lp.lower, lp.upper
+    cname = np.array(lp.col_names(), object)
+    rest = (lower != 0.0) | (upper != INF)
+    fixed = rest & (lower == upper)
+    rest &= ~fixed
+    free = rest & (lower == -INF) & (upper == INF)
+    rest &= ~free
+    below = rest & (lower == -INF)
+    above = rest & (lower != -INF) & (lower != 0.0)
+    capped = rest & (upper != INF)
+    lines = np.full((n, 2), "", object)
+    lines[fixed, 0] = " FX BND " + cname[fixed] + " " + _text(lower[fixed])
+    lines[free, 0] = " FR BND " + cname[free] + "\n"
+    lines[below, 0] = " MI BND " + cname[below] + "\n"
+    lines[above, 0] = " LO BND " + cname[above] + " " + _text(lower[above])
+    lines[capped, 1] = " UP BND " + cname[capped] + " " + _text(upper[capped])
     out.write("BOUNDS\n")
-    for var in variables:
-        lo, up = var.lower, var.upper
-        if lo == 0.0 and up == INF:
-            continue
-        if lo == up:
-            out.write(f" FX BND {var.name} {lo!r}\n")
-            continue
-        if lo == -INF and up == INF:
-            out.write(f" FR BND {var.name}\n")
-            continue
-        if lo == -INF:
-            out.write(f" MI BND {var.name}\n")
-        elif lo != 0.0:
-            out.write(f" LO BND {var.name} {lo!r}\n")
-        if up != INF:
-            out.write(f" UP BND {var.name} {up!r}\n")
+    out.write("".join(lines.ravel().tolist()))
     out.write("ENDATA\n")
 
 
 def mps_string(instance: LpInstance) -> str:
-    import io
-
     buf = io.StringIO()
     write_mps(instance, buf)
     return buf.getvalue()

@@ -117,19 +117,21 @@ class _Simplex:
         # presolve: a single-term row lo <= a x_j <= hi is the bound
         # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix;
         # a zero coefficient is no term, so it cannot become a bound
-        lp.A.eliminate_zeros()
-        single = np.diff(lp.A.indptr) == 1
-        first = lp.A.indptr[:-1][single]
-        j, a = lp.A.indices[first], lp.A.data[first]
+        # (``lp`` is shared and read-only: what the presolve changes is copied)
+        A = lp.A.copy()
+        A.eliminate_zeros()
+        single = np.diff(A.indptr) == 1
+        first = A.indptr[:-1][single]
+        j, a = A.indices[first], A.data[first]
         lo, hi = lp.row_lo[single] / a, lp.row_hi[single] / a
-        col_lo, col_hi = lp.col_lo, lp.col_hi
+        col_lo, col_hi = lp.col_lo.copy(), lp.col_hi.copy()
         np.maximum.at(col_lo, j, np.where(a > 0, lo, hi))
         np.minimum.at(col_hi, j, np.where(a > 0, hi, lo))
         # bounds that cross by no more than the tolerance fix the column;
         # a wider crossing is left for solve() to report as infeasible
         close = (col_lo > col_hi) & (col_lo <= col_hi + opts.feas_tol)
         col_hi[close] = col_lo[close]
-        A, row_lo, row_hi = lp.A[~single], lp.row_lo[~single], lp.row_hi[~single]
+        A, row_lo, row_hi = A[~single], lp.row_lo[~single], lp.row_hi[~single]
         self.m = A.shape[0]
         # rows become A x + s = rhs with one slack per row, bounded so that
         # A x stays within [row_lo, row_hi]
@@ -270,7 +272,7 @@ def solve_reference(
     status ``"iteration_limit"`` and no primal.  ``refactorizations`` counts
     the LU factorizations of the basis, the first one included.
     """
-    if any(v.integrality for v in instance.variables):
+    if instance.integral.any():
         warnings.warn(
             f"{instance.name}: integrality marks relaxed to their LP bounds",
             stacklevel=2,
@@ -283,10 +285,9 @@ def solve_reference(
     if status != "optimal":
         return SolveResult(status=status, iterations=iterations, wall_time_s=elapsed,
                            refactorizations=refactorizations)
-    primal = {
-        ref.name: float(value[j]) for j, ref in enumerate(instance.variables)
-    }
-    objective = sum(coef * value[j] for j, coef in instance.objective)
+    primal = dict(zip(instance.col_names(), value[:worker.n_structural].tolist()))
+    # summed term by term in column order, as the objective lists them
+    objective = sum((instance.obj_coef * value[instance.obj_index]).tolist())
     return SolveResult(
         status="optimal",
         objective=float(objective),
@@ -307,7 +308,7 @@ def check_primal(
     ``A @ x`` against the bounds of :meth:`LpInstance.arrays`.
     """
     index = instance.var_index()
-    x = np.zeros(len(instance.variables))
+    x = np.zeros(len(index))
     for name, val in primal.items():
         if name not in index:
             raise UnknownVariableName(f"primal value for unknown variable {name!r}")
@@ -316,9 +317,8 @@ def check_primal(
     lhs = lp.A @ x
     bad_cols = np.flatnonzero((x < lp.col_lo - tol) | (x > lp.col_hi + tol))
     bad_rows = np.flatnonzero((lhs < lp.row_lo - tol) | (lhs > lp.row_hi + tol))
-    return [f"bound:{instance.variables[j].name}" for j in bad_cols] + [
-        instance.rows[i].name for i in bad_rows
-    ]
+    names = instance.col_names()
+    return [f"bound:{names[j]}" for j in bad_cols] + [instance.row_name(i) for i in bad_rows]
 
 
 # ---------------------------------------------------------------------------

@@ -31,20 +31,18 @@ HIGHS = ExternalSolverSpec(sys.executable, ("-m", "flowgraph.highs_adapter", "{m
 def three_sense_lp() -> LpInstance:
     """The optimum (-1, 0, 2) sits on the low side of the range row, on the
     ``>=`` row and on the ``=`` row, so each sense's bounds decide it."""
-    lp = LpInstance(name="senses")
-    lp.variables = [
+    variables = [
         VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-5.0, upper=10.0),
         VariableRef(VarRole.FLOW, ("b", "c"), 1, lower=-5.0, upper=5.0),
         VariableRef(VarRole.FLOW, ("c", "d"), 1),
     ]
-    lp.rows = [
+    rows = [
         ConstraintRow(RowFamily.FLOW_BOUND, "<=", 4.0, [(0, 1.0), (1, -1.0)], "rng",
                       rhs_low=-1.0),
         ConstraintRow(RowFamily.FLOW_BOUND, ">=", 3.0, [(0, 1.0), (2, 2.0)], "ge"),
         ConstraintRow(RowFamily.CONSUMER_BALANCE, "=", 2.0, [(1, 1.0), (2, 1.0)], "eq"),
     ]
-    lp.objective = [(0, 2.0), (1, -1.0), (2, 2.0)]
-    return lp
+    return LpInstance("senses", variables, rows, [(0, 2.0), (1, -1.0), (2, 2.0)])
 
 
 def test_row_senses_agree_with_reference_simplex():
@@ -58,9 +56,10 @@ def test_row_senses_agree_with_reference_simplex():
 
 @pytest.mark.parametrize("rhs, status", [(None, "optimal"), (0.0, "optimal"), (1.0, "infeasible")])
 def test_no_columns(rhs, status):
-    lp = LpInstance()
+    rows = []
     if rhs is not None:  # a row without terms: 0 >= rhs
-        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, ">=", rhs, [], "r0")]
+        rows = [ConstraintRow(RowFamily.FLOW_BOUND, ">=", rhs, [], "r0")]
+    lp = LpInstance(rows=rows)
     theirs = solve_external(lp, HIGHS)
     assert theirs.status == solve_reference(lp).status == status
     if status == "optimal":
@@ -69,13 +68,15 @@ def test_no_columns(rhs, status):
 
 def test_crossing_singleton_rows_are_infeasible():
     # 2x >= 6 and -x >= -2 ask for x >= 3 and x <= 2
-    lp = LpInstance(name="crossing")
-    lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)]
-    lp.rows = [
-        ConstraintRow(RowFamily.FLOW_BOUND, ">=", 6.0, [(0, 2.0)], "lo"),
-        ConstraintRow(RowFamily.FLOW_BOUND, ">=", -2.0, [(0, -1.0)], "hi"),
-    ]
-    lp.objective = [(0, 1.0)]
+    lp = LpInstance(
+        "crossing",
+        [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
+        [
+            ConstraintRow(RowFamily.FLOW_BOUND, ">=", 6.0, [(0, 2.0)], "lo"),
+            ConstraintRow(RowFamily.FLOW_BOUND, ">=", -2.0, [(0, -1.0)], "hi"),
+        ],
+        [(0, 1.0)],
+    )
     assert solve_reference(lp).status == "infeasible"
     assert solve_external(lp, HIGHS).status == "infeasible"
 

@@ -7,6 +7,8 @@ sides never share code.
 
 import math
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,21 +36,24 @@ from flowgraph.errors import InvariantViolation, ParseError, UnknownVariableName
 from flowgraph.highs_adapter import parse_free_mps
 
 
-def toy_instance() -> LpInstance:
-    lp = LpInstance(name="toy")
-    lp.variables = [
+def toy_parts() -> tuple[list, list, list]:
+    """Variables, rows and objective of the toy LP, as lists to edit."""
+    variables = [
         VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-2.0, upper=5.0),
         VariableRef(VarRole.INVEST, ("a",), None, upper=3.0),
         VariableRef(VarRole.UNITS_ON, ("a",), 1, upper=1.0, integrality=True),
     ]
-    lp.rows = [
+    rows = [
         ConstraintRow(RowFamily.FLOW_BOUND, "<=", 4.0, [(0, 1.0)], "r_up",
                       rhs_low=-2.0),
         ConstraintRow(RowFamily.CONSUMER_BALANCE, "=", 1.0,
                       [(0, 1.0), (1, 2.0)], "r_bal"),
     ]
-    lp.objective = [(0, 1.5), (1, 7.0)]
-    return lp
+    return variables, rows, [(0, 1.5), (1, 7.0)]
+
+
+def toy_instance() -> LpInstance:
+    return LpInstance("toy", *toy_parts())
 
 
 class TestSizeReport:
@@ -58,32 +63,48 @@ class TestSizeReport:
         assert size.n_nonzeros == 3  # 1 + 2
 
     def test_transport_rows_excluded(self):
-        lp = toy_instance()
-        lp.rows.append(ConstraintRow(RowFamily.TRANSPORT_BALANCE, "=", 0.0,
-                                     [(0, 1.0), (1, -1.0)], "r_tr"))
+        variables, rows, objective = toy_parts()
+        rows.append(ConstraintRow(RowFamily.TRANSPORT_BALANCE, "=", 0.0,
+                                  [(0, 1.0), (1, -1.0)], "r_tr"))
+        lp = LpInstance("toy", variables, rows, objective)
         assert size_report(lp).n_constraints == 3
 
     def test_check_rejects_duplicate_terms(self):
-        lp = toy_instance()
-        lp.rows[1].terms = [(0, 1.0), (0, 2.0)]
+        variables, rows, objective = toy_parts()
+        rows[1] = replace(rows[1], terms=[(0, 1.0), (0, 2.0)])
+        lp = LpInstance("toy", variables, rows, objective)
         with pytest.raises(ParseError):
             lp.check()
 
     def test_check_rejects_zero_coefficients(self):
-        lp = toy_instance()
-        lp.rows[1].terms = [(0, 0.0)]
+        variables, rows, objective = toy_parts()
+        rows[1] = replace(rows[1], terms=[(0, 0.0)])
+        lp = LpInstance("toy", variables, rows, objective)
         with pytest.raises(ParseError):
             lp.check()
+
+    def test_records_are_frozen(self):
+        lp = toy_instance()
+        with pytest.raises(AttributeError):
+            lp.rows[1].terms = [(0, 0.0)]
+        with pytest.raises(AttributeError):
+            lp.rows[1].terms.append((2, 1.0))
+        with pytest.raises(AttributeError):
+            lp.variables[0].upper = 1.0
+        with pytest.raises(AttributeError):
+            lp.rows = []
+        assert isinstance(lp.rows, tuple) and isinstance(lp.variables, tuple)
 
     @pytest.mark.parametrize("sense", [">=", "="])
     def test_range_only_on_le_rows(self, sense):
         # x <= 10, minimize -x; as a >= row, MPS RANGES would read [1, 2]
         # while the arrays read [1, inf]
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)]
-        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, sense, 1.0, [(0, 1.0)], "r0",
-                                 rhs_low=0.0)]
-        lp.objective = [(0, -1.0)]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, sense, 1.0, [(0, 1.0)], "r0",
+                                rhs_low=0.0)],
+            objective=[(0, -1.0)],
+        )
         with pytest.raises(InvariantViolation):
             lp.check()
         with pytest.raises(InvariantViolation):
@@ -121,37 +142,38 @@ class TestCheck:
         ([(0, 1.0), (1, 0.0), (0, 2.0)], "invalid coefficient 0.0"),
     ])
     def test_first_bad_row_named(self, terms, message):
-        lp = toy_instance()
-        lp.rows[1].terms = terms
-        lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0, [(9, 0.0)], "r_later"))
+        variables, rows, objective = toy_parts()
+        rows[1] = replace(rows[1], terms=terms)
+        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0, [(9, 0.0)], "r_later"))
+        lp = LpInstance("toy", variables, rows, objective)
         with pytest.raises(ParseError) as err:
             lp.check()
         assert str(err.value) == f"row r_bal: {message}"
 
     def test_bad_sense_before_bad_terms(self):
-        lp = toy_instance()
-        lp.rows[1].terms = [(0, 0.0)]
-        lp.rows.insert(1, ConstraintRow(RowFamily.FLOW_BOUND, "=", 1.0, [(0, 1.0)], "r_eq",
-                                        rhs_low=0.0))
+        variables, rows, objective = toy_parts()
+        rows[1] = replace(rows[1], terms=[(0, 0.0)])
+        rows.insert(1, ConstraintRow(RowFamily.FLOW_BOUND, "=", 1.0, [(0, 1.0)], "r_eq",
+                                     rhs_low=0.0))
         with pytest.raises(InvariantViolation, match="r_eq"):
-            lp.check()
-        lp.rows[0].terms = [(0, 1.0), (0, 1.0)]
+            LpInstance("toy", variables, rows, objective).check()
+        rows[0] = replace(rows[0], terms=[(0, 1.0), (0, 1.0)])
         with pytest.raises(ParseError, match="r_up: duplicate"):
-            lp.check()
+            LpInstance("toy", variables, rows, objective).check()
 
     def test_matches_reference_on_random_defects(self):
         # thousands of rows, so defects land in several check blocks
         rng = random.Random(5)
         n = 50
         for trial in range(40):
-            lp = LpInstance()
-            lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), t) for t in range(1, n + 1)]
+            variables = [VariableRef(VarRole.FLOW, ("a", "b"), t) for t in range(1, n + 1)]
+            drafts = []  # rows to edit before they are frozen
             for i in range(rng.randint(1, 5000)):
                 cols = rng.sample(range(n), rng.randint(0, 4))
-                lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0,
-                                             [(j, rng.uniform(0.5, 2.0)) for j in cols], f"r{i}"))
+                drafts.append(SimpleNamespace(sense="<=", rhs_low=None, name=f"r{i}",
+                                              terms=[(j, rng.uniform(0.5, 2.0)) for j in cols]))
             for _ in range(rng.randint(0, 3)):
-                row = rng.choice(lp.rows)
+                row = rng.choice(drafts)
                 kind = rng.randrange(6)
                 if kind == 0:
                     row.terms.append((rng.choice([-1, n, n + 7]), 1.0))
@@ -161,6 +183,10 @@ class TestCheck:
                     row.terms.insert(0, (rng.randrange(n), rng.choice([0.0, math.nan, -math.inf])))
                 elif kind == 3:
                     row.sense, row.rhs_low = rng.choice([(">=", 0.0), ("<", None), ("<", 0.0)])
+            lp = LpInstance(variables=variables, rows=[
+                ConstraintRow(RowFamily.FLOW_BOUND, r.sense, 1.0, r.terms, r.name, r.rhs_low)
+                for r in drafts
+            ])
             try:
                 reference_check(lp)
                 expected = None
@@ -179,8 +205,7 @@ def every_branch_instance() -> LpInstance:
     markers mid-list and at the end, an empty column, objective entries,
     a range row, each bound kind, an int coefficient and a column with
     entries from three rows."""
-    lp = LpInstance(name="every-branch")
-    lp.variables = [
+    variables = [
         VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-math.inf),
         VariableRef(VarRole.INVEST, ("a",), None, upper=3.0, integrality=True),
         VariableRef(VarRole.UNITS_ON, ("a",), 1, lower=2.0, upper=2.0, integrality=True),
@@ -188,15 +213,14 @@ def every_branch_instance() -> LpInstance:
         VariableRef(VarRole.STORAGE_LEVEL, ("s",), 2, lower=1.5),
         VariableRef(VarRole.UNITS_ON, ("a",), 2, integrality=True),
     ]
-    lp.rows = [
+    rows = [
         ConstraintRow(RowFamily.FLOW_BOUND, "<=", 4.0, [(0, 1.0), (4, 5)], "r_rng",
                       rhs_low=-2.5),
         ConstraintRow(RowFamily.CONSUMER_BALANCE, "=", 0.0, [(1, -0.25), (0, 2.0)], ""),
         ConstraintRow(RowFamily.UC_LIMIT, ">=", -1.0, [(0, 0.1), (2, 1.0), (5, 3.0)],
                       "r_ge"),
     ]
-    lp.objective = [(0, 1.5), (2, 7.0), (5, 0.0)]
-    return lp
+    return LpInstance("every-branch", variables, rows, [(0, 1.5), (2, 7.0), (5, 0.0)])
 
 
 EVERY_BRANCH_MPS = """\

@@ -2,14 +2,18 @@
 
 A refactor of lowering or row emission must reproduce these exactly; a
 change that is meant to alter the LP updates the pins in the same commit.
+The same cases check that an LP rebuilt from its own record views is the
+same LP.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from flowgraph import (
     Approach,
+    ConstraintRow,
     Asset,
     AssetKind,
     CaseSpec,
@@ -17,11 +21,15 @@ from flowgraph import (
     EnergySystem,
     FlowArc,
     HubAnnotation,
+    LpInstance,
+    VariableRef,
     build_model,
     hybrid_fixture,
     mps_string,
     scale_horizon,
+    size_report,
     tri_area_case,
+    write_mps,
 )
 
 HYBRID = {
@@ -121,3 +129,41 @@ def test_mps_digest_dc_uc_node_forms(approach):
     instance = build_model(dc_uc_hub_case(), approach, dc_opf=True, unit_commitment=True)
     text = mps_string(instance)
     assert hashlib.sha256(text.encode()).hexdigest() == DC_UC_HUBS[approach.value]
+
+
+def built_cases():
+    """``(id, system factory, approach, build options)`` for every pinned case."""
+    for approach in Approach:
+        yield f"hybrid-{approach.value}", hybrid_fixture, approach, {}
+        yield f"tri-area-t24-{approach.value}", CASES["tri-area-t24"][0], approach, {}
+        # DC power flow is not defined on four-flow connections
+        options = dict(dc_opf=approach is not Approach.THREE_BB_4F, unit_commitment=True)
+        yield f"dc-uc-hubs-{approach.value}", dc_uc_hub_case, approach, options
+    yield "dc-uc-1BB-1F", dc_uc_case, Approach.ONE_BB_1F, dict(dc_opf=True, unit_commitment=True)
+
+
+@pytest.mark.parametrize("make, approach, options",
+                         [case[1:] for case in built_cases()],
+                         ids=[case[0] for case in built_cases()])
+def test_rebuilt_from_views_is_the_same_lp(make, approach, options):
+    built = build_model(make(), approach, **options)
+    rebuilt = LpInstance(built.name, built.variables, built.rows, built.objective)
+    assert mps_string(rebuilt) == mps_string(built)
+    assert size_report(rebuilt) == size_report(built)
+    a, b = built.arrays(), rebuilt.arrays()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.A, name), getattr(b.A, name)), name
+    for name in ("row_lo", "row_hi", "col_lo", "col_hi", "cost"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_build_size_write_make_no_records(monkeypatch, tmp_path):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} constructed")
+
+    monkeypatch.setattr(ConstraintRow, "__init__", refuse)
+    monkeypatch.setattr(VariableRef, "__init__", refuse)
+    for make, approach, options in [case[1:] for case in built_cases()]:
+        lp = build_model(make(), approach, **options)
+        size_report(lp)
+        write_mps(lp, str(tmp_path / "model.mps"))

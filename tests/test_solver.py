@@ -18,6 +18,7 @@ from flowgraph import (
     build_model,
     check_primal,
     hybrid_fixture,
+    mps_string,
     scale_horizon,
     solve_reference,
     tri_area_case,
@@ -37,7 +38,7 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
     the first two share a column, and column 0 loses its bounds so that one
     such range row alone bounds it.
     """
-    lp = LpInstance(name="rand")
+    rows = []
     lower = rng.uniform(-5.0, 0.0, n)
     upper = lower + rng.uniform(0.5, 6.0, n)
     if narrow:
@@ -46,7 +47,7 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
         upper[cols] = lower[cols] + rng.uniform(1e-3, 1e-2, len(cols))
     x0 = rng.uniform(lower, upper)
     cost = rng.uniform(-2.0, 2.0, n)
-    lp.objective = [(j, float(c)) for j, c in enumerate(cost) if c != 0.0]
+    objective = [(j, float(c)) for j, c in enumerate(cost) if c != 0.0]
     for i in range(m):
         coefs = rng.uniform(-1.0, 1.0, n)
         coefs[rng.random(n) < 0.4] = 0.0
@@ -56,7 +57,7 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
         lhs0 = float(coefs @ x0)
         sense = ["<=", ">=", "="][int(rng.integers(3))]
         rhs = lhs0 + (0.5 if sense == "<=" else -0.5 if sense == ">=" else 0.0)
-        lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, terms, f"r{i}"))
+        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, terms, f"r{i}"))
     if singletons:
         lower[0], upper[0] = -np.inf, np.inf
         # a range row on the free column, then one row of each kind
@@ -74,13 +75,13 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
                 ">=": (">=", below, None),
                 "=": ("=", lhs0, None),
             }[kind]
-            lp.rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, [(j, a)], f"s{k}",
-                                         rhs_low=low))
-    lp.variables = [
+            rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, [(j, a)], f"s{k}",
+                                      rhs_low=low))
+    variables = [
         VariableRef(VarRole.FLOW, (f"x{j}", "y"), 1, lower=lower[j], upper=upper[j])
         for j in range(n)
     ]
-    return lp
+    return LpInstance("rand", variables, rows, objective)
 
 
 def scipy_solve(lp: LpInstance):
@@ -142,35 +143,37 @@ class TestAgainstScipy:
 
 class TestStatuses:
     def test_infeasible(self):
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)]
-        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, ">=", 2.0, [(0, 1.0)], "r0")]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, ">=", 2.0, [(0, 1.0)], "r0")],
+        )
         assert solve_reference(lp).status == "infeasible"
 
     def test_unbounded(self):
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1)]
-        lp.objective = [(0, -1.0)]
+        lp = LpInstance(variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1)],
+                        objective=[(0, -1.0)])
         assert solve_reference(lp).status == "unbounded"
 
     def test_narrow_bounds_are_not_fixed(self):
         # 0.01 wide at 2000: within a relative 1e-5 of both bounds at once
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=1999.99, upper=2000.0)]
-        lp.objective = [(0, -1.0)]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=1999.99, upper=2000.0)],
+            objective=[(0, -1.0)],
+        )
         result = solve_reference(lp)
         assert result.is_optimal and result.objective == -2000.0
 
     def test_singleton_rows_crossing_within_tolerance(self):
         # x >= 1 and x <= 1 - 5e-8 cross by less than the 1e-7 feasibility
         # tolerance, so x is pinned near 1 rather than declared infeasible
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)]
-        lp.rows = [
-            ConstraintRow(RowFamily.FLOW_BOUND, ">=", 1.0, [(0, 1.0)], "lo"),
-            ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0 - 5e-8, [(0, 1.0)], "hi"),
-        ]
-        lp.objective = [(0, -1.0)]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
+            rows=[
+                ConstraintRow(RowFamily.FLOW_BOUND, ">=", 1.0, [(0, 1.0)], "lo"),
+                ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0 - 5e-8, [(0, 1.0)], "hi"),
+            ],
+            objective=[(0, -1.0)],
+        )
         result = solve_reference(lp)
         assert result.is_optimal
         assert result.objective == pytest.approx(-1.0, abs=1e-7)
@@ -178,10 +181,11 @@ class TestStatuses:
 
     def test_zero_coefficient_is_no_bound(self):
         # 0 * x = 0 holds for every x, so it must not pin x to a bound
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0)]
-        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, "=", 0.0, [(0, 0.0)], "z")]
-        lp.objective = [(0, -1.0)]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, "=", 0.0, [(0, 0.0)], "z")],
+            objective=[(0, -1.0)],
+        )
         result = solve_reference(lp)
         assert result.is_optimal and result.objective == -3.0
 
@@ -190,10 +194,10 @@ class TestStatuses:
         assert result.is_optimal and result.objective == 0.0
 
     def test_integrality_relaxed_with_warning(self):
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.UNITS_ON, ("a",), 1, upper=1.0,
-                                    integrality=True)]
-        lp.objective = [(0, 1.0)]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.UNITS_ON, ("a",), 1, upper=1.0, integrality=True)],
+            objective=[(0, 1.0)],
+        )
         with pytest.warns(UserWarning):
             result = solve_reference(lp)
         assert result.is_optimal
@@ -236,6 +240,24 @@ def test_basis_solves_track_replaced_columns():
         np.testing.assert_allclose(basis.btran(c), np.linalg.solve(dense.T, c), rtol=0,
                                    atol=1e-9)
     assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
+
+
+def test_solve_leaves_the_instance_alone():
+    # single-term rows become column bounds and zero terms leave the matrix
+    # inside the solver; none of it may reach the shared arrays
+    lp = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
+    text, arrays = mps_string(lp), lp.arrays()
+    before = [arrays.A.data.copy(), arrays.A.indices.copy(), arrays.A.indptr.copy(),
+              arrays.row_lo.copy(), arrays.row_hi.copy(), arrays.col_lo.copy(),
+              arrays.col_hi.copy(), arrays.cost.copy()]
+    assert solve_reference(lp).is_optimal
+    after = lp.arrays()
+    assert after is arrays
+    for old, new in zip(before, [after.A.data, after.A.indices, after.A.indptr, after.row_lo,
+                                 after.row_hi, after.col_lo, after.col_hi, after.cost]):
+        assert not new.flags.writeable
+        assert np.array_equal(old, new)
+    assert mps_string(lp) == text
 
 
 def test_refactorizations_counted():
@@ -289,24 +311,25 @@ class TestCheckPrimal:
         assert any(not v.startswith("bound:") for v in seen)
 
     def test_flags_violated_bound_and_row(self):
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)]
-        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, "<=", 0.5, [(0, 1.0)], "r0")]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, "<=", 0.5, [(0, 1.0)], "r0")],
+        )
         violated = check_primal(lp, {"f_a_b_t1": 2.0})
         assert "bound:f_a_b_t1" in violated
         assert "r0" in violated
 
     def test_range_row_low_side(self):
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-5.0)]
-        lp.rows = [ConstraintRow(RowFamily.FLOW_BOUND, "<=", 3.0, [(0, 1.0)], "rng",
-                                 rhs_low=-1.0)]
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-5.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, "<=", 3.0, [(0, 1.0)], "rng",
+                                rhs_low=-1.0)],
+        )
         assert check_primal(lp, {"f_a_b_t1": -2.0}) == ["rng"]
         assert check_primal(lp, {"f_a_b_t1": 0.0}) == []
 
     def test_unknown_name_is_typed_error(self):
-        lp = LpInstance()
-        lp.variables = [VariableRef(VarRole.FLOW, ("a", "b"), 1)]
+        lp = LpInstance(variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1)])
         with pytest.raises(UnknownVariableName):
             check_primal(lp, {"f_a_c_t1": 1.0})
 
