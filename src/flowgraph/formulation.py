@@ -6,21 +6,14 @@ uniformly from whichever graph results.  The four approaches differ only in
 how node links are represented: four positive flows through a transport
 asset, two opposing positive flows, or one free two-sided flow.
 
-Generation reads the graph once.  :meth:`EnergySystem.adjacency` gives each
-asset its sorted in-arc and out-arc keys, and every row that sums an asset's
-flows (balance, capacity, charging, unit commitment) takes them from there.
-Columns come in blocks of T timesteps per ``(role, key)``, so a column index
-is arithmetic, ``first + t - 1``.
-
-Every row is one timestep's copy of a row template, described once at t=1:
-family, sense, name prefix, right-hand side per timestep, *shifted* terms
-(flow, storage level, units-on, flow-above-minimum and angle columns, which
-move to ``first + t - 1``) and *fixed* terms (INVEST columns, whose
-coefficient may scale with availability at t).  Balance templates come from
-one table, ``_BALANCE``, that gives the row family, the row-name prefix, the
-inflow and outflow coefficients and the right-hand side; every other
-per-timestep row comes from :meth:`_Builder.limit_templates`.  One loop,
-:meth:`_Builder.instantiate`, emits each template's row at every timestep.
+Generation reads the graph once (:meth:`EnergySystem.adjacency`) and writes
+straight into the arrays of one :class:`LpInstance` store.  Columns come in
+blocks of T timesteps per ``(role, key)``, so a column index is
+``first + t - 1``.  Every row is one timestep's copy of a :class:`_Template`
+described once at t=1: balance templates come from the ``_BALANCE`` table,
+every other one from :meth:`_Builder.limit_templates`, and
+:meth:`_Builder.instantiate` expands each group over T with numpy.  No name
+is built here: the store keeps each block's name prefix.
 """
 
 from __future__ import annotations
@@ -316,10 +309,11 @@ def _tiled(profile: Optional[Sequence[float]], T: int) -> np.ndarray:
 class _Template(NamedTuple):
     """One row per timestep, described once at t=1.
 
-    At timestep t the row is named ``f"{prefix}_t{t}"``, has right-hand side
-    ``rhs[t - 1]`` and reads the ``shifted`` terms with each column moved to
-    ``j + t - 1``, then the ``fixed`` terms: an INVEST column with
-    coefficient ``coefs[t - 1]``.  ``lag_at`` is the position of a shifted
+    At timestep t the row is named ``f"{prefix}_t{t}"`` and has right-hand
+    side ``rhs[t - 1]``.  A term ``(j, coef)`` with one coefficient moves
+    with the row to column ``j + t - 1``; a term with a coefficient per
+    timestep (an INVEST column, scaled by availability) stays on column
+    ``j`` with coefficient ``coef[t - 1]``.  ``lag_at`` is the position of a
     term on timestep t-1 (a storage level's previous value), which the row
     at t=1 leaves out.
     """
@@ -328,8 +322,7 @@ class _Template(NamedTuple):
     sense: str
     prefix: str
     rhs: np.ndarray
-    shifted: list[tuple[int, float]]
-    fixed: tuple[tuple[int, np.ndarray], ...] = ()
+    terms: list[tuple[int, object]]
     rhs_low: Optional[float] = None
     lag_at: Optional[int] = None
 
@@ -367,23 +360,24 @@ class _Builder:
     # -- variables -------------------------------------------------------
 
     def create_variables(self) -> None:
-        """Bounds per column and one name block per ``(role, key)``."""
+        """Bounds and objective cost per column, and one name block per
+        ``(role, key)``."""
         steps = range(1, self.T + 1)
         blocks: dict[tuple[VarRole, tuple[str, ...]], tuple] = {}
 
-        def series(role: VarRole, key: tuple[str, ...], lower=0.0, upper=INF, integrality=False):
-            blocks[(role, key)] = (lower, upper, integrality, steps)
+        def series(role, key, lower=0.0, upper=INF, integrality=False, cost=0.0, times=steps):
+            blocks[(role, key)] = (lower, upper, integrality, cost, times)
 
         for key in self.arc_keys:
             arc = self.system.arcs[key]
             free = arc.two_sided or (self.dc_opf and arc.dc_params is not None)
-            series(VarRole.FLOW, key, lower=-INF if free else 0.0)
+            series(VarRole.FLOW, key, lower=-INF if free else 0.0, cost=arc.op_cost)
         for a in self.assets:
             if a.kind is AssetKind.STORAGE:
                 series(VarRole.STORAGE_LEVEL, (a.id,), upper=a.storage_capacity_mwh)
             if a.investable:
                 upper = INF if a.invest_limit is None else float(a.invest_limit)
-                blocks[(VarRole.INVEST, (a.id,))] = (0.0, upper, False, (None,))
+                series(VarRole.INVEST, (a.id,), upper=upper, cost=a.invest_cost, times=(None,))
             if self.uc and a.uc_enabled:
                 series(VarRole.UNITS_ON, (a.id,), integrality=True)
                 series(VarRole.FLOW_ABOVE_MIN, (a.id,))
@@ -394,64 +388,43 @@ class _Builder:
                 lo, up = (0.0, 0.0) if rank == 0 else (-INF, INF)
                 series(VarRole.VOLTAGE_ANGLE, (asset,), lower=lo, upper=up)
         order = sorted(blocks, key=lambda rk: (rk[0].value, rk[1]))
-        counts = [len(blocks[rk][3]) for rk in order]
+        lower, upper, integral, cost, times = zip(*map(blocks.get, order)) if order else [()] * 5
+        counts = [len(ts) for ts in times]
         self.first = dict(zip(order, np.cumsum([0, *counts]).tolist()))
+        cost = np.repeat(np.array(cost, float), counts)
         self.store.update(
-            lower=np.repeat(np.array([blocks[rk][0] for rk in order], float), counts),
-            upper=np.repeat(np.array([blocks[rk][1] for rk in order], float), counts),
-            integral=np.repeat(np.array([blocks[rk][2] for rk in order], bool), counts),
-            col_blocks=[(*rk, blocks[rk][3]) for rk in order],
+            lower=np.repeat(np.array(lower, float), counts),
+            upper=np.repeat(np.array(upper, float), counts),
+            integral=np.repeat(np.array(integral, bool), counts),
+            col_blocks=[(*rk, ts) for rk, ts in zip(order, times)],
+            obj_index=np.flatnonzero(cost), obj_coef=cost[cost != 0],
         )
-
-    # -- objective -------------------------------------------------------
-
-    def emit_objective(self) -> None:
-        cost = np.zeros(len(self.store["lower"]))
-        for a in self.assets:
-            if a.investable and a.invest_cost:
-                cost[self.var(VarRole.INVEST, (a.id,))] = a.invest_cost
-        for key in self.arc_keys:
-            if self.system.arcs[key].op_cost:
-                first = self.var(VarRole.FLOW, key)
-                cost[first:first + self.T] = self.system.arcs[key].op_cost
-        obj_index = np.flatnonzero(cost)
-        self.store.update(obj_index=obj_index, obj_coef=cost[obj_index])
 
     # -- rows ------------------------------------------------------------
 
     def instantiate(self, templates: list[_Template]) -> None:
         """Emit every template's row at each timestep, timestep-major.
 
-        The terms of the rows at timestep t are the t=1 terms of every
-        template side by side, shifted columns moved by t - 1: row-major,
-        a (T, terms) array is the CSR term order.
+        Row-major, a (T, terms) array of all templates' terms side by side
+        holds the CSR terms of the rows at t = 1..T in emission order.
         """
-        T, K = self.T, len(templates)
-        start, step, coef, fixed_at, fixed, lengths = [], [], [], [], [], []
-        lagged, lagged_rows = [], []
-        for k, tpl in enumerate(templates):
-            if tpl.lag_at is not None:
-                lagged.append(len(start) + tpl.lag_at)
-                lagged_rows.append(k)
-            for j, c in tpl.shifted:
-                start.append(j), step.append(1), coef.append(c)
-            for j, coefs_t in tpl.fixed:
-                fixed_at.append(len(start)), fixed.append(coefs_t)
-                start.append(j), step.append(0), coef.append(0.0)
-            lengths.append(len(tpl.shifted) + len(tpl.fixed))
-        cols = np.array(start, np.int64) + np.array(step, np.int64) * np.arange(T)[:, None]
-        coefs = np.repeat(np.array(coef, float)[None, :], T, axis=0)
-        if fixed:
-            coefs[:, fixed_at] = np.column_stack(fixed)
-        keep = np.ones(cols.shape, bool)
-        keep[0, lagged] = False  # the row at t=1 has no previous level
-        counts = np.tile(np.array(lengths, np.int64), T)
-        counts[lagged_rows] -= 1
+        T = self.T
+        terms = [term for tpl in templates for term in tpl.terms]
+        moves = np.array([np.ndim(coef) == 0 for _, coef in terms], np.int64)
+        cols = np.array([j for j, _ in terms], np.int64) + moves * np.arange(T)[:, None]
+        coefs = np.array([np.broadcast_to(coef, T) for _, coef in terms], float).reshape(-1, T).T
+        lengths = np.array([len(tpl.terms) for tpl in templates], np.int64)
+        lagged = [k for k, tpl in enumerate(templates) if tpl.lag_at is not None]
+        starts = np.cumsum(lengths) - lengths
+        keep = np.ones(cols.shape, bool)  # the row at t=1 has no previous level
+        keep[0, [starts[k] + templates[k].lag_at for k in lagged]] = False
+        counts = np.tile(lengths, T)
+        counts[lagged] -= 1
         self.parts.append((
             counts, cols[keep], coefs[keep],
             np.tile(np.array([SENSES.index(tpl.sense) for tpl in templates], np.int8), T),
             np.tile(np.array([_FAMILY_CODE[tpl.family] for tpl in templates], np.int8), T),
-            np.array([tpl.rhs for tpl in templates], float).reshape(K, T).T.ravel(),
+            np.array([tpl.rhs for tpl in templates], float).reshape(-1, T).T.ravel(),
             np.tile(np.array([np.nan if tpl.rhs_low is None else tpl.rhs_low
                               for tpl in templates], float), T),
         ))
@@ -484,11 +457,11 @@ class _Builder:
         if not keys or asset.capacity_mw is None:
             return []
         cap = asset.capacity_mw
-        fixed = ()
+        terms = self.flows(keys, 1.0)
         if asset.investable:
-            fixed = ((self.var(VarRole.INVEST, (asset.id,)), -cap * avails),)
-        rhs = cap * avails * asset.initial_units
-        return [_Template(family, "<=", prefix, rhs, self.flows(keys, 1.0), fixed)]
+            terms.append((self.var(VarRole.INVEST, (asset.id,)), -cap * avails))
+        return [_Template(family, "<=", prefix, cap * avails * asset.initial_units, terms)]
+
     def _flow_bound(self, key: tuple[str, str]) -> list[_Template]:
         arc = self.system.arcs[key]
         terms = [(self.var(VarRole.FLOW, key), 1.0)]
@@ -527,7 +500,9 @@ class _Builder:
         u_j = self.var(VarRole.UNITS_ON, (a.id,))
         fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (a.id,))
         zero = self.constant(0.0)
-        fixed = ((self.var(VarRole.INVEST, (a.id,)), self.constant(-1.0)),) if a.investable else ()
+        units = [(u_j, 1.0)]
+        if a.investable:
+            units.append((self.var(VarRole.INVEST, (a.id,)), self.constant(-1.0)))
         cap = (a.capacity_mw or 0.0) - a.min_capacity_mw
         return [
             _Template(
@@ -536,7 +511,7 @@ class _Builder:
             ),
             _Template(
                 RowFamily.UC_LIMIT, "<=", f"ucl_{a.id}", self.constant(float(a.initial_units)),
-                [(u_j, 1.0)], fixed,
+                units,
             ),
             _Template(
                 RowFamily.UC_MAX_ABOVE, "<=", f"uca_{a.id}", zero, [(fa_j, 1.0), (u_j, -cap)],
@@ -574,7 +549,6 @@ class _Builder:
 
     def build(self) -> LpInstance:
         self.create_variables()
-        self.emit_objective()
         self.emit_balances()
         self.instantiate(self.limit_templates())
         counts, cols, coefs, sense, family, rhs, rhs_low = map(np.concatenate, zip(*self.parts))

@@ -1,23 +1,19 @@
 """LP instance store, size accounting and format writers.
 
-An :class:`LpInstance` is one columnar store that every consumer reads:
-the size report, the MPS writer, the checks and both solvers.
+An :class:`LpInstance` is one columnar store that every consumer reads (size
+report, MPS writer, checks, both solvers):
 
-- Rows: the matrix in CSR form (``indptr``, ``indices``, ``data``), each
-  row's terms in emission order, and per row a sense code (``sense``, an
-  index into ``("<=", "=", ">=")``), ``rhs``, ``rhs_low`` (NaN for none) and
-  a :class:`RowFamily` code (``family``, an index into ``tuple(RowFamily)``).
-- Columns: ``lower``, ``upper`` and ``integral`` per column.
-- Objective: the listed columns ``obj_index`` in increasing order and their
-  coefficients ``obj_coef``; MPS gives each listed column an OBJ entry.
-- Names, made on demand from per-block prefixes: a column is
-  ``"_".join((role prefix, *key))`` plus ``_t{t}`` when it has a timestep,
-  and a row is its template's prefix plus ``_t{t}``.
+- rows: CSR ``indptr``/``indices``/``data`` in emission order, and per row a
+  ``sense`` code (into :data:`SENSES`), ``rhs``, ``rhs_low`` (NaN for none)
+  and a ``family`` code (into ``tuple(RowFamily)``);
+- columns: ``lower``, ``upper`` and ``integral``;
+- objective: the listed columns ``obj_index``, increasing, and ``obj_coef``;
+- names, made on demand from per-block prefixes: ``"_".join((role prefix,
+  *key))`` plus ``_t{t}`` for a column, a template prefix plus ``_t{t}``
+  for a row.
 
-Every store array is read-only; a consumer that changes one works on a copy.
-``rows``, ``variables`` and ``objective`` are read-only tuples of frozen
-records, built on first read, for code that wants one record per row or
-column.
+Store arrays are read-only, and so are ``rows``, ``variables`` and
+``objective``: tuples of frozen records, built on first read.
 
 Model size is reported under a fixed counting convention: every limit is a
 real row (single-variable capacity rows included), a two-sided range row
@@ -31,7 +27,6 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
@@ -116,10 +111,6 @@ class ConstraintRow:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    @property
-    def is_range(self) -> bool:
-        return self.rhs_low is not None
-
 
 @dataclass(frozen=True)
 class ModelSize:
@@ -159,14 +150,14 @@ def _codes(values: list, table: tuple) -> tuple[np.ndarray, tuple]:
     return codes, tuple(index)
 
 
-def _names(blocks, prefix: str = "") -> list[str]:
+def _names(blocks) -> list[str]:
     """Names of ``(heads, timesteps)`` blocks, timestep-major; a ``None``
     timestep adds no suffix."""
     names, suffixes = [], {}
     for heads, steps in blocks:
         if steps not in suffixes:
             suffixes[steps] = ["" if t is None else f"_t{t}" for t in steps]
-        names += [prefix + head + s for s in suffixes[steps] for head in heads]
+        names += [head + s for s in suffixes[steps] for head in heads]
     return names
 
 
@@ -186,25 +177,22 @@ class LpInstance:
     :class:`VariableRef`, :class:`ConstraintRow` and ``(column,
     coefficient)`` pairs once and never raises: :meth:`check` and
     :meth:`arrays` report a malformed row.  A row coefficient that is not a
-    float keeps its Python value, so MPS prints it as given; every other
-    number is stored as a float, and the objective keeps the last
-    coefficient given for a column.
+    float keeps its Python value, so MPS prints it as given; the objective
+    keeps the last coefficient given for a column.
     """
 
     def __init__(self, name: str = "lp", variables: Sequence[VariableRef] = (),
                  rows: Sequence[ConstraintRow] = (), objective=()):
-        rows, objective = list(rows), dict(objective)
-        flat = list(chain.from_iterable(row.terms for row in rows))
-        coefs = [coef for _, coef in flat]
+        variables, rows, objective = list(variables), list(rows), dict(objective)
+        coefs = [coef for row in rows for _, coef in row.terms]
         sense, senses = _codes([row.sense for row in rows], SENSES)
         family, families = _codes([row.family for row in rows], _FAMILIES)
         obj_index = sorted(objective)
         self._fill(
-            name,
-            indptr=np.cumsum([0, *map(len, (row.terms for row in rows))]),
-            indices=np.fromiter((j for j, _ in flat), np.int64, len(flat)),
+            name, sense=sense, senses=senses, family=family, families=families,
+            indptr=np.cumsum([0, *(len(row.terms) for row in rows)]),
+            indices=np.array([j for row in rows for j, _ in row.terms], np.int64),
             data=np.array(coefs, float if all(type(c) is float for c in coefs) else object),
-            sense=sense, senses=senses, family=family, families=families,
             rhs=np.array([row.rhs for row in rows], float),
             rhs_low=np.array([np.nan if row.rhs_low is None else row.rhs_low for row in rows], float),
             row_blocks=[([row.name for row in rows], (None,))],
@@ -218,11 +206,11 @@ class LpInstance:
 
     @classmethod
     def from_store(cls, name: str, **store) -> "LpInstance":
-        """An instance over the store given as keywords: the arrays the
-        module docstring names, ``row_blocks`` as ``(row-name prefixes,
-        timesteps)`` and ``col_blocks`` as ``(role, key, timesteps)``, both in
-        order (a ``None`` timestep adds no suffix), and optionally ``senses``
-        and ``families``, the tables the codes index."""
+        """An instance over a store given as keywords: the arrays the module
+        docstring names, ``row_blocks`` as ``(name prefixes, timesteps)`` and
+        ``col_blocks`` as ``(role, key, timesteps)``, in order (a ``None``
+        timestep adds no suffix), and optionally ``senses`` and ``families``,
+        the tables the codes index."""
         instance = cls.__new__(cls)
         instance._fill(name, **store)
         return instance
@@ -231,33 +219,21 @@ class LpInstance:
         """The keywords :meth:`from_store` takes to rebuild this instance."""
         return dict(self._store)
 
-    def _fill(self, name: str, senses=SENSES, families=_FAMILIES, **store):
-        self.name = name
-        self._store = dict(store, senses=senses, families=families)
-        self._arrays: Optional[LpArrays] = None
-        self._views: dict = {}
+    def _fill(self, name: str, senses=SENSES, families=_FAMILIES, **store) -> None:
         for value in store.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self.__dict__.update(self._store)
+        self._store = dict(store, senses=senses, families=families)
+        self.__dict__.update(self._store, name=name, _arrays=None, _views={})
 
     # -- names and record views --------------------------------------------
 
     def row_names(self) -> list[str]:
         return _names(self.row_blocks)
 
-    def col_names(self, prefix: str = "") -> list[str]:
-        """Column names, each after ``prefix``."""
+    def col_names(self) -> list[str]:
         return _names([(("_".join((_ROLE_PREFIX[role], *key)),), steps)
-                       for role, key, steps in self.col_blocks], prefix)
-
-    def row_name(self, i: int) -> str:
-        for heads, steps in self.row_blocks:
-            if i < len(heads) * len(steps):
-                t = steps[i // len(heads)]
-                return heads[i % len(heads)] + ("" if t is None else f"_t{t}")
-            i -= len(heads) * len(steps)
-        raise IndexError(i)
+                       for role, key, steps in self.col_blocks])
 
     def var_index(self) -> dict[str, int]:
         return {name: j for j, name in enumerate(self.col_names())}
@@ -265,22 +241,16 @@ class LpInstance:
     @_view
     def variables(self) -> tuple[VariableRef, ...]:
         ids = [(role, key, t) for role, key, steps in self.col_blocks for t in steps]
-        return tuple(
-            VariableRef(*ref, lo, up, integral) for ref, lo, up, integral in zip(
-                ids, self.lower.tolist(), self.upper.tolist(), self.integral.tolist())
-        )
+        return tuple(VariableRef(*ref, lo, up, integral) for ref, lo, up, integral in zip(
+            ids, self.lower.tolist(), self.upper.tolist(), self.integral.tolist()))
 
     @_view
     def rows(self) -> tuple[ConstraintRow, ...]:
-        pairs = list(zip(self.indices.tolist(), self.data.tolist()))
-        ends = self.indptr.tolist()
+        pairs, ends = list(zip(self.indices.tolist(), self.data.tolist())), self.indptr.tolist()
         return tuple(map(
-            ConstraintRow,
-            [self.families[c] for c in self.family.tolist()],
-            [self.senses[c] for c in self.sense.tolist()],
-            self.rhs.tolist(),
-            [pairs[a:b] for a, b in zip(ends, ends[1:])],
-            self.row_names(),
+            ConstraintRow, [self.families[c] for c in self.family.tolist()],
+            [self.senses[c] for c in self.sense.tolist()], self.rhs.tolist(),
+            [pairs[a:b] for a, b in zip(ends, ends[1:])], self.row_names(),
             [None if math.isnan(low) else low for low in self.rhs_low.tolist()],
         ))
 
@@ -297,7 +267,7 @@ class LpInstance:
         bad = (self.sense != 0) & (~np.isnan(self.rhs_low) | (self.sense >= len(SENSES)))
         i = int(bad.argmax()) if bad.any() else len(bad)
         if i < len(bad) and (before is None or i < before):
-            sense, name = self.senses[self.sense[i]], self.row_name(i)
+            sense, name = self.senses[self.sense[i]], self.row_names()[i]
             if not np.isnan(self.rhs_low[i]):
                 raise InvariantViolation(f"row {name}: rhs_low on a {sense} row; ranges are <= rows")
             raise InvariantViolation(f"row {name}: unknown sense {sense}")
@@ -305,7 +275,7 @@ class LpInstance:
 
     def arrays(self) -> LpArrays:
         """The instance as one sparse matrix with row and column bounds,
-        built once and shared: every array is read-only.
+        built on first call and shared: every array is read-only.
 
         ``=`` rows get ``[rhs, rhs]``, ``<=`` rows ``[rhs_low or -inf, rhs]``
         and ``>=`` rows ``[rhs, inf]``.
@@ -345,7 +315,7 @@ class LpInstance:
         bad = np.flatnonzero(out_of_range | duplicate | (coefs == 0.0) | ~np.isfinite(coefs))
         if bad.size and term_row[bad[0]] < bad_row:
             k = bad[0]
-            name, j = self.row_name(term_row[k]), cols[k]
+            name, j = self.row_names()[term_row[k]], cols[k]
             if out_of_range[k]:
                 raise ParseError(f"row {name}: bad variable index {j}")
             if duplicate[k]:
@@ -387,6 +357,7 @@ def size_report(instance: LpInstance) -> ModelSize:
 
 #: columns written per step: bounds the extra memory of ``write_mps``
 _BLOCK = 512
+_MPS_SENSE = np.array([" L ", " E ", " G "], object)
 
 
 def _text(values: np.ndarray, end: str = "\n") -> np.ndarray:
@@ -396,6 +367,15 @@ def _text(values: np.ndarray, end: str = "\n") -> np.ndarray:
         return np.array([f"{value!r}{end}" for value in values.tolist()], object)
     bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
     return np.array([f"{value!r}{end}" for value in bits.view(float).tolist()], object)[inverse]
+
+
+def _joined(*pieces) -> str:
+    """Lines made of ``pieces``, each an object array with one piece per
+    line or a string every line shares, as one string."""
+    lines = np.empty((max(len(p) for p in pieces if not isinstance(p, str)), len(pieces)), object)
+    for k, piece in enumerate(pieces):
+        lines[:, k] = piece
+    return "".join(lines.ravel().tolist())
 
 
 def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
@@ -416,17 +396,17 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         return
     out, lp = destination, instance
     lp._raise_bad_sense()
-    m, n = len(lp.rhs), len(lp.lower)
+    n = len(lp.lower)
     names = lp.row_names()
     if "" in names:
         names = [name or f"R{i}" for i, name in enumerate(names)]
-    names = np.array(names, object)
+    names, cname = np.array(names, object), np.array(lp.col_names(), object)
     out.write(f"NAME {lp.name}\nROWS\n N OBJ\n")
-    out.write("".join((np.array([" L ", " E ", " G "], object)[lp.sense] + names + "\n").tolist()))
+    out.write(_joined(_MPS_SENSE[lp.sense], names, "\n"))
 
     # COLUMNS is one stream of entries sorted by column: the objective and
-    # empty-column entries (row 0, OBJ) come first, so the stable sort puts
-    # them ahead of a column's row entries, which stay in row order
+    # empty-column entries (row OBJ) come first, so the stable sort puts them
+    # ahead of a column's row entries, which stay in row order
     listed = np.zeros(n, bool)
     listed[lp.obj_index] = True
     listed[lp.indices] = True
@@ -434,14 +414,11 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     cols = np.concatenate([lp.obj_index, empty, lp.indices])
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
-    entry_row = np.concatenate([
-        np.zeros(len(lp.obj_index) + len(empty), np.int64),
-        np.repeat(np.arange(1, m + 1), np.diff(lp.indptr)),
+    rows = np.concatenate([
+        np.full(len(lp.obj_index) + len(empty), "OBJ", object), np.repeat(names, np.diff(lp.indptr))
     ])[order]
     coefs = _text(np.concatenate([lp.obj_coef, np.zeros(len(empty)), lp.data])[order])
     del listed, empty, order
-    entry_names = np.concatenate([["OBJ"], names]) + " "
-    heads = np.array(lp.col_names("    "), object) + " "
 
     # blocks end every _BLOCK columns and wherever integrality changes
     integral = lp.integral
@@ -456,41 +433,31 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
             in_int = not in_int
             out.write(f"    MARKER{marker} 'MARKER' '{'INTORG' if in_int else 'INTEND'}'\n")
             marker += 1
-        lines = np.empty((hi - lo, 3), object)
-        lines[:, 0], lines[:, 1], lines[:, 2] = heads[cols[lo:hi]], entry_names[entry_row[lo:hi]], coefs[lo:hi]
-        out.write("".join(lines.ravel().tolist()))
+        out.write(_joined("    ", cname[cols[lo:hi]], " ", rows[lo:hi], " ", coefs[lo:hi]))
     if in_int:
         out.write(f"    MARKER{marker} 'MARKER' 'INTEND'\n")
 
-    out.write("RHS\n")
     given = lp.rhs != 0.0
-    out.write("".join(("    RHS " + names[given] + " " + _text(lp.rhs[given])).tolist()))
+    out.write("RHS\n" + _joined("    RHS ", names[given], " ", _text(lp.rhs[given])))
     ranged = ~np.isnan(lp.rhs_low)
     if ranged.any():
-        out.write("RANGES\n")
-        span = lp.rhs[ranged] - lp.rhs_low[ranged]
-        out.write("".join(("    RNG " + names[ranged] + " " + _text(span)).tolist()))
+        span = _text(lp.rhs[ranged] - lp.rhs_low[ranged])
+        out.write("RANGES\n" + _joined("    RNG ", names[ranged], " ", span))
 
-    # each column has up to two BOUNDS lines: FX, FR, MI or LO first, then UP
+    # each column has up to two BOUNDS lines: FX, FR, MI or LO, then UP
     lower, upper = lp.lower, lp.upper
-    cname = np.array(lp.col_names(), object)
     rest = (lower != 0.0) | (upper != INF)
     fixed = rest & (lower == upper)
-    rest &= ~fixed
-    free = rest & (lower == -INF) & (upper == INF)
-    rest &= ~free
-    below = rest & (lower == -INF)
-    above = rest & (lower != -INF) & (lower != 0.0)
-    capped = rest & (upper != INF)
+    free = rest & ~fixed & (lower == -INF) & (upper == INF)
+    rest &= ~fixed & ~free
+    below, above, capped = rest & (lower == -INF), rest & ~np.isin(lower, (-INF, 0.0)), rest & (upper != INF)
     lines = np.full((n, 2), "", object)
     lines[fixed, 0] = " FX BND " + cname[fixed] + " " + _text(lower[fixed])
     lines[free, 0] = " FR BND " + cname[free] + "\n"
     lines[below, 0] = " MI BND " + cname[below] + "\n"
     lines[above, 0] = " LO BND " + cname[above] + " " + _text(lower[above])
     lines[capped, 1] = " UP BND " + cname[capped] + " " + _text(upper[capped])
-    out.write("BOUNDS\n")
-    out.write("".join(lines.ravel().tolist()))
-    out.write("ENDATA\n")
+    out.write("BOUNDS\n" + "".join(lines.ravel().tolist()) + "ENDATA\n")
 
 
 def mps_string(instance: LpInstance) -> str:

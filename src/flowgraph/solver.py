@@ -317,8 +317,9 @@ def check_primal(
     lhs = lp.A @ x
     bad_cols = np.flatnonzero((x < lp.col_lo - tol) | (x > lp.col_hi + tol))
     bad_rows = np.flatnonzero((lhs < lp.row_lo - tol) | (lhs > lp.row_hi + tol))
-    names = instance.col_names()
-    return [f"bound:{names[j]}" for j in bad_cols] + [instance.row_name(i) for i in bad_rows]
+    cols = instance.col_names() if bad_cols.size else []
+    rows = instance.row_names() if bad_rows.size else []
+    return [f"bound:{cols[j]}" for j in bad_cols] + [rows[i] for i in bad_rows]
 
 
 # ---------------------------------------------------------------------------
