@@ -30,7 +30,7 @@ from .errors import (
     MissingHubAnnotation,
     UnsupportedCombination,
 )
-from .lp import INF, SENSES, LpInstance, RowFamily, VarRole
+from .lp import FAMILIES, INF, SENSES, LpInstance, RowFamily, VarRole
 from .model import Asset, AssetKind, EnergySystem, FlowArc, HubAnnotation
 
 
@@ -270,9 +270,6 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
 # ---------------------------------------------------------------------------
 
 
-_FAMILY_CODE = {family: k for k, family in enumerate(RowFamily)}
-
-
 class _Balance(NamedTuple):
     """How one asset kind balances: row family, row-name prefix, coefficients
     of an asset's inflows and outflows, and right-hand side over T timesteps."""
@@ -322,7 +319,7 @@ class _Template(NamedTuple):
     sense: str
     prefix: str
     rhs: np.ndarray
-    terms: list[tuple[int, object]]
+    terms: list[tuple[int, float | np.ndarray]]
     rhs_low: Optional[float] = None
     lag_at: Optional[int] = None
 
@@ -423,7 +420,7 @@ class _Builder:
         self.parts.append((
             counts, cols[keep], coefs[keep],
             np.tile(np.array([SENSES.index(tpl.sense) for tpl in templates], np.int8), T),
-            np.tile(np.array([_FAMILY_CODE[tpl.family] for tpl in templates], np.int8), T),
+            np.tile(np.array([FAMILIES.index(tpl.family) for tpl in templates], np.int8), T),
             np.array([tpl.rhs for tpl in templates], float).reshape(-1, T).T.ravel(),
             np.tile(np.array([np.nan if tpl.rhs_low is None else tpl.rhs_low
                               for tpl in templates], float), T),
@@ -445,7 +442,8 @@ class _Builder:
                     terms = [(level, 1.0), (level - 1, -1.0), *terms]
                     lag_at = 1
                 templates.append(_Template(
-                    bal.family, "=", f"{bal.prefix}_{a.id}", bal.rhs(a, self.T), terms, lag_at=lag_at
+                    bal.family, "=", f"{bal.prefix}_{a.id}", bal.rhs(a, self.T), terms,
+                    lag_at=lag_at,
                 ))
             self.instantiate(templates)
 

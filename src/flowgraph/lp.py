@@ -5,7 +5,7 @@ report, MPS writer, checks, both solvers):
 
 - rows: CSR ``indptr``/``indices``/``data`` in emission order, and per row a
   ``sense`` code (into :data:`SENSES`), ``rhs``, ``rhs_low`` (NaN for none)
-  and a ``family`` code (into ``tuple(RowFamily)``);
+  and a ``family`` code (into :data:`FAMILIES`);
 - columns: ``lower``, ``upper`` and ``integral``;
 - objective: the listed columns ``obj_index``, increasing, and ``obj_coef``;
 - names, made on demand from per-block prefixes: ``"_".join((role prefix,
@@ -139,8 +139,9 @@ class LpArrays:
     cost: np.ndarray
 
 
+#: the tables that row ``sense`` and ``family`` codes index
 SENSES = ("<=", "=", ">=")
-_FAMILIES = tuple(RowFamily)
+FAMILIES = tuple(RowFamily)
 
 
 def _codes(values: list, table: tuple) -> tuple[np.ndarray, tuple]:
@@ -186,7 +187,7 @@ class LpInstance:
         variables, rows, objective = list(variables), list(rows), dict(objective)
         coefs = [coef for row in rows for _, coef in row.terms]
         sense, senses = _codes([row.sense for row in rows], SENSES)
-        family, families = _codes([row.family for row in rows], _FAMILIES)
+        family, families = _codes([row.family for row in rows], FAMILIES)
         obj_index = sorted(objective)
         self._fill(
             name, sense=sense, senses=senses, family=family, families=families,
@@ -194,7 +195,7 @@ class LpInstance:
             indices=np.array([j for row in rows for j, _ in row.terms], np.int64),
             data=np.array(coefs, float if all(type(c) is float for c in coefs) else object),
             rhs=np.array([row.rhs for row in rows], float),
-            rhs_low=np.array([np.nan if row.rhs_low is None else row.rhs_low for row in rows], float),
+            rhs_low=np.array([np.nan if r.rhs_low is None else r.rhs_low for r in rows], float),
             row_blocks=[([row.name for row in rows], (None,))],
             lower=np.array([v.lower for v in variables], float),
             upper=np.array([v.upper for v in variables], float),
@@ -219,7 +220,7 @@ class LpInstance:
         """The keywords :meth:`from_store` takes to rebuild this instance."""
         return dict(self._store)
 
-    def _fill(self, name: str, senses=SENSES, families=_FAMILIES, **store) -> None:
+    def _fill(self, name: str, senses=SENSES, families=FAMILIES, **store) -> None:
         for value in store.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -269,7 +270,8 @@ class LpInstance:
         if i < len(bad) and (before is None or i < before):
             sense, name = self.senses[self.sense[i]], self.row_names()[i]
             if not np.isnan(self.rhs_low[i]):
-                raise InvariantViolation(f"row {name}: rhs_low on a {sense} row; ranges are <= rows")
+                raise InvariantViolation(
+                    f"row {name}: rhs_low on a {sense} row; ranges are <= rows")
             raise InvariantViolation(f"row {name}: unknown sense {sense}")
         return i
 
@@ -283,7 +285,8 @@ class LpInstance:
         if self._arrays is None:
             self._raise_bad_sense()
             m, n = len(self.rhs), len(self.lower)
-            A = sp.csr_matrix((np.asarray(self.data, float), self.indices, self.indptr), shape=(m, n))
+            data = np.asarray(self.data, float)
+            A = sp.csr_matrix((data, self.indices, self.indptr), shape=(m, n))
             low = np.where(np.isnan(self.rhs_low), -INF, self.rhs_low)
             row_lo = np.where(self.sense == 0, low, self.rhs)
             row_hi = np.where(self.sense == 2, INF, self.rhs)
@@ -347,7 +350,7 @@ def size_report(instance: LpInstance) -> ModelSize:
     size table, so they are excluded from the reported counts even though
     they are present in the LP (and in MPS output).
     """
-    counted = instance.family != _FAMILIES.index(RowFamily.TRANSPORT_BALANCE)
+    counted = instance.family != FAMILIES.index(RowFamily.TRANSPORT_BALANCE)
     n_cons = np.count_nonzero(counted) + np.count_nonzero(counted & ~np.isnan(instance.rhs_low))
     n_nz = np.diff(instance.indptr)[counted].sum()
     return ModelSize(len(instance.lower), int(n_cons), int(n_nz))
@@ -415,7 +418,8 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
     rows = np.concatenate([
-        np.full(len(lp.obj_index) + len(empty), "OBJ", object), np.repeat(names, np.diff(lp.indptr))
+        np.full(len(lp.obj_index) + len(empty), "OBJ", object),
+        np.repeat(names, np.diff(lp.indptr)),
     ])[order]
     coefs = _text(np.concatenate([lp.obj_coef, np.zeros(len(empty)), lp.data])[order])
     del listed, empty, order
@@ -450,7 +454,9 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     fixed = rest & (lower == upper)
     free = rest & ~fixed & (lower == -INF) & (upper == INF)
     rest &= ~fixed & ~free
-    below, above, capped = rest & (lower == -INF), rest & ~np.isin(lower, (-INF, 0.0)), rest & (upper != INF)
+    below = rest & (lower == -INF)
+    above = rest & (lower != -INF) & (lower != 0.0)
+    capped = rest & (upper != INF)
     lines = np.full((n, 2), "", object)
     lines[fixed, 0] = " FX BND " + cname[fixed] + " " + _text(lower[fixed])
     lines[free, 0] = " FR BND " + cname[free] + "\n"
