@@ -308,7 +308,7 @@ def check_primal(
     ``A @ x`` against the bounds of :meth:`LpInstance.arrays`.
     """
     index = instance.var_index()
-    x = np.zeros(len(index))
+    x = np.zeros(len(instance.lower))
     for name, val in primal.items():
         if name not in index:
             raise UnknownVariableName(f"primal value for unknown variable {name!r}")
