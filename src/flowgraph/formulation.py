@@ -445,7 +445,8 @@ class _Builder:
                     bal.family, "=", f"{bal.prefix}_{a.id}", bal.rhs(a, self.T), terms,
                     lag_at=lag_at,
                 ))
-            self.instantiate(templates)
+            if templates:
+                self.instantiate(templates)
 
     def _capacity(
         self, asset: Asset, keys: list[tuple[str, str]], avails: np.ndarray,
