@@ -1,10 +1,10 @@
 """Timing harness and statistics: per-seed build/solve timing, median
 speedups against a reference approach, and two-sample t-tests.
 
-The t-distribution tail probability is computed from an authored
-regularized incomplete beta function (continued fraction), so the
-statistics need no external dependency and can themselves be
-cross-checked against scipy in the tests.
+The t-distribution tail probability comes from ``scipy.special.stdtr``
+(only ``scipy.special`` is imported: ``scipy.stats`` costs ten times as
+much to import).  The tests check the whole t-test against a brute-force
+oracle that shares no code with scipy.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.special
 
 from .cases import CaseSpec, hybrid_fixture, scale_horizon, tri_area_case
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
     InvariantViolation,
     IoFailure,
     ObjectiveMismatch,
+    ParseError,
     SolverFailure,
 )
 from .formulation import Approach, build_model
@@ -60,16 +62,21 @@ class BenchConfig:
             raise InvariantViolation("need at least two seeds")
         if not 0 < self.alpha < 1:
             raise InvariantViolation("alpha must lie in (0, 1)")
+        if self.case not in ("tri-area", "hybrid"):
+            raise InvariantViolation(f"unknown case {self.case!r}; use tri-area or hybrid")
 
     @classmethod
     def from_json(cls, path: str) -> "BenchConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         solver = raw.get("solver", {"kind": "reference"})
-        if isinstance(solver, dict) and solver.get("kind") == "external":
+        kind = solver.get("kind") if isinstance(solver, dict) else None
+        if kind == "external" and "spec" in solver:
             solver = ExternalSolverSpec.from_json(solver["spec"])
-        else:
+        elif kind == "reference":
             solver = "reference"
+        else:
+            raise ParseError(f"{path}: bad solver {solver!r}; use reference, or external with spec")
         return cls(
             approaches=tuple(Approach.from_label(a) for a in raw["approaches"]),
             instances=tuple(raw.get("instances", (1,))),
@@ -122,71 +129,6 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            return h
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise InvariantViolation("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
-def _t_sf_two_sided(t: float, df: int) -> float:
-    """Two-sided tail probability of Student's t."""
-    if df <= 0:
-        raise InvariantViolation("degrees of freedom must be positive")
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
 def two_sample_t_test(
     a: Sequence[float], b: Sequence[float], alpha: float = 0.05
 ) -> TTestResult:
@@ -204,7 +146,8 @@ def two_sample_t_test(
             return TTestResult(0.0, 1.0, df, False)
         raise DegenerateVariance("zero variance with different means")
     t = (ma - mb) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    p = _t_sf_two_sided(t, df)
+    # float(): a bare numpy float64 would repr as np.float64(...) in ttests.csv
+    p = float(2.0 * scipy.special.stdtr(df, -abs(t)))
     return TTestResult(t, p, df, p < alpha)
 
 
@@ -343,40 +286,32 @@ def write_report(report: BenchReport, destination: str) -> list[str]:
     """Write samples.csv, speedups.csv and ttests.csv under ``destination``."""
     if not report.samples:
         raise EmptySample("nothing to report")
+    tables = (
+        ("samples.csv",
+         ["approach", "instance", "seed", "build_time_s", "solve_time_s", "objective"],
+         [[s.approach.value, s.instance, s.seed,
+           repr(s.build_time_s), repr(s.solve_time_s), repr(s.objective)]
+          for s in report.samples]),
+        ("speedups.csv",
+         ["approach", "instance", "median_build_speedup", "median_solve_speedup"],
+         [[approach, label, repr(build), repr(solve)]
+          for approach, label, build, solve in report.speedups]),
+        ("ttests.csv",
+         ["approach", "instance", "t", "p", "reject_null"],
+         [[approach, label, repr(tt.t_statistic), repr(tt.p_value),
+           str(tt.reject_null).lower()]
+          for approach, label, tt in report.ttests]),
+    )
+    paths = []
     try:
         os.makedirs(destination, exist_ok=True)
-        paths = []
-        path = os.path.join(destination, "samples.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["approach", "instance", "seed", "build_time_s", "solve_time_s", "objective"]
-            )
-            for s in report.samples:
-                writer.writerow(
-                    [s.approach.value, s.instance, s.seed,
-                     repr(s.build_time_s), repr(s.solve_time_s), repr(s.objective)]
-                )
-        paths.append(path)
-        path = os.path.join(destination, "speedups.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["approach", "instance", "median_build_speedup", "median_solve_speedup"]
-            )
-            for approach, label, build, solve in report.speedups:
-                writer.writerow([approach, label, repr(build), repr(solve)])
-        paths.append(path)
-        path = os.path.join(destination, "ttests.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["approach", "instance", "t", "p", "reject_null"])
-            for approach, label, tt in report.ttests:
-                writer.writerow(
-                    [approach, label, repr(tt.t_statistic), repr(tt.p_value),
-                     str(tt.reject_null).lower()]
-                )
-        paths.append(path)
+        for name, header, rows in tables:
+            path = os.path.join(destination, name)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            paths.append(path)
     except OSError as exc:
         raise IoFailure(str(exc))
     return paths

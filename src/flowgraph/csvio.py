@@ -180,6 +180,11 @@ def _int_or(cell: str, where: str, default: int) -> int:
     return default if value is None else value
 
 
+def _float_or(cell: str, where: str, default: float) -> float:
+    value = _opt_float(cell, where)
+    return default if value is None else value
+
+
 def _bool(cell: str, where: str) -> bool:
     if cell in ("", "false"):
         return False
@@ -232,15 +237,15 @@ def load_case(directory: str | Path, horizon_t: Optional[int] = None,
         system.add_asset(Asset(
             id=row["id"], kind=kind,
             capacity_mw=_opt_float(row["capacity_mw"], where),
-            min_capacity_mw=_opt_float(row["min_capacity_mw"], where) or 0.0,
+            min_capacity_mw=_float_or(row["min_capacity_mw"], where, 0.0),
             initial_units=_int_or(row["initial_units"], where, 1),
             investable=_bool(row["investable"], where),
             invest_limit=_opt_int(row["invest_limit"], where),
-            invest_cost=_opt_float(row["invest_cost"], where) or 0.0,
+            invest_cost=_float_or(row["invest_cost"], where, 0.0),
             storage_capacity_mwh=_opt_float(row["storage_capacity_mwh"], where),
-            initial_storage_mwh=_opt_float(row["initial_storage_mwh"], where) or 0.0,
-            eta_in=_opt_float(row["eta_in"], where) or 1.0,
-            eta_out=_opt_float(row["eta_out"], where) or 1.0,
+            initial_storage_mwh=_float_or(row["initial_storage_mwh"], where, 0.0),
+            eta_in=_float_or(row["eta_in"], where, 1.0),
+            eta_out=_float_or(row["eta_out"], where, 1.0),
             uc_enabled=_bool(row["uc"], where),
             voltage_angle_enabled=_bool(row["dc"], where),
             demand_profile=profile if kind is AssetKind.CONSUMER else None,
@@ -253,14 +258,12 @@ def load_case(directory: str | Path, horizon_t: Optional[int] = None,
         reactance = _opt_float(row["reactance_pu"], where)
         dc_params = None
         if reactance is not None:
-            s_base = _opt_float(row["s_base_mva"], where)
-            dc_params = DcFlowParams(reactance_pu=reactance,
-                                     **({"s_base_mva": s_base} if s_base else {}))
+            dc_params = DcFlowParams(reactance, _float_or(row["s_base_mva"], where, 100.0))
         system.add_flow(FlowArc(
             from_asset=row["from"], to_asset=row["to"],
             max_fwd_mw=_opt_float(row["max_fwd_mw"], where),
             max_bwd_mw=bwd or 0.0,
-            op_cost=_opt_float(row["op_cost"], where) or 0.0,
+            op_cost=_float_or(row["op_cost"], where, 0.0),
             dc_params=dc_params,
             two_sided=bwd is not None,  # explicit 0.0 = zero-backward range
         ))

@@ -151,7 +151,6 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
             )
         member_arcs[key] = op_cost
 
-    links_done: set[tuple[str, str]] = set()
     # capacity demand per hub-to-hub link: several lowered routes may share
     # one physical connection, so their capacities accumulate
     link_caps: dict[tuple[str, str], list] = {}
@@ -171,9 +170,6 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
         # interval marks hub-to-hub connections whose capacity limits are
         # two-sided interval rows in every node form; node links keep plain
         # one-sided rows, matching the published per-approach listings
-        if (a, b) in links_done or (b, a) in links_done:
-            return
-        links_done.add((a, b))
         two_way = interval and (bwd is None or bwd > 0)
         if approach is Approach.TWO_BB_2F:
             lowered.add_flow(FlowArc(a, b, max_fwd_mw=fwd, two_sided=two_way, dc_params=dc))

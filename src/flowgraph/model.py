@@ -82,6 +82,8 @@ class Asset:
         self.check()
 
     def check(self) -> None:
+        """Raise on a bad field; run once by ``__post_init__``, since a frozen
+        asset cannot become invalid afterwards."""
         if not self.id:
             raise InvariantViolation("asset id must be non-empty")
         if self.capacity_mw is not None and self.capacity_mw < 0:
@@ -120,17 +122,6 @@ class Asset:
                 raise InvariantViolation(f"{self.id}: availability_profile on a non-producer asset")
             if any(not (0.0 <= v <= 1.0) for v in self.availability_profile):
                 raise InvariantViolation(f"{self.id}: availability values must lie in [0, 1]")
-
-    def availability(self, t: int) -> float:
-        """Availability factor at 1-based timestep ``t`` (tiled if needed)."""
-        if self.availability_profile is None:
-            return 1.0
-        return self.availability_profile[(t - 1) % len(self.availability_profile)]
-
-    def demand(self, t: int) -> float:
-        if self.demand_profile is None:
-            return 0.0
-        return self.demand_profile[(t - 1) % len(self.demand_profile)]
 
 
 @dataclass(frozen=True)
@@ -239,7 +230,6 @@ class EnergySystem:
     def add_asset(self, asset: Asset) -> "EnergySystem":
         if asset.id in self.assets:
             raise DuplicateId(f"asset id {asset.id!r} already used")
-        asset.check()
         self.assets[asset.id] = asset
         return self
 
@@ -290,10 +280,6 @@ class EnergySystem:
         adj = self.adjacency()
         for asset in self.assets.values():
             ins, outs = adj[asset.id]
-            try:
-                asset.check()
-            except InvariantViolation as exc:
-                err(asset.id, str(exc))
             if asset.kind is AssetKind.CONSUMER and not ins:
                 err(asset.id, "consumer has no incoming arc")
             if asset.kind is AssetKind.PRODUCER and not outs:

@@ -6,6 +6,9 @@ integrates the t density numerically, sharing no code with the library.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +24,7 @@ from flowgraph import (
     two_sample_t_test,
     write_report,
 )
-from flowgraph.bench import regularized_incomplete_beta
-from flowgraph.errors import DegenerateVariance, EmptySample, InvariantViolation
+from flowgraph.errors import DegenerateVariance, EmptySample, InvariantViolation, ParseError
 
 
 def brute_force_t_test(a, b):
@@ -130,19 +132,17 @@ class TestTTestProperties:
         assert scaled.t_statistic == pytest.approx(base.t_statistic, rel=1e-9, abs=1e-9)
 
     def test_p_monotone_in_t(self):
-        from flowgraph.bench import _t_sf_two_sided
-        ps = [_t_sf_two_sided(t, 8) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        a = [1.0, 2.0, 4.0, 3.0, 5.0]
+        ps = [two_sample_t_test(a, [x + shift for x in a]).p_value
+              for shift in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert ps[0] == 1.0
         assert all(x > y for x, y in zip(ps, ps[1:]))
 
-    def test_incomplete_beta_against_scipy(self):
-        from scipy.special import betainc
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a, b = rng.uniform(0.1, 20.0, 2)
-            x = rng.uniform(0.0, 1.0)
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                betainc(a, b, x), abs=1e-12)
+    def test_scipy_stats_not_imported(self):
+        code = ("import sys, flowgraph, flowgraph.cli, flowgraph.highs_adapter; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMedianSpeedup:
@@ -166,6 +166,17 @@ class TestHarness:
             BenchConfig(approaches=(Approach.ONE_BB_1F,))  # reference missing
         with pytest.raises(InvariantViolation):
             BenchConfig(approaches=(Approach.TWO_BB_2F,), n_seeds=1)
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(InvariantViolation, match="unknown case"):
+            BenchConfig(approaches=(Approach.TWO_BB_2F,), case="hybridd")
+
+    @pytest.mark.parametrize("solver", ['{"kind": "highs"}', '{"kind": "external"}'])
+    def test_unknown_solver_kind_rejected(self, tmp_path, solver):
+        path = tmp_path / "bench.json"
+        path.write_text('{"approaches": ["2BB-2F"], "solver": %s}' % solver)
+        with pytest.raises(ParseError, match="bad solver"):
+            BenchConfig.from_json(str(path))
 
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "bench.json"

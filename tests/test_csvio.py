@@ -1,5 +1,6 @@
 """CSV bundle round trips, encoding conventions, and the frozen fixture."""
 
+import csv
 import filecmp
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from flowgraph import (
     size_report,
     tri_area_case,
 )
-from flowgraph.errors import IoFailure, ParseError
+from flowgraph.cli import main
+from flowgraph.errors import InvariantViolation, IoFailure, ParseError
 
 FIXTURE = Path(__file__).resolve().parent.parent / "src" / "flowgraph" / \
     "fixtures" / "tri_area_t24"
@@ -141,6 +143,50 @@ class TestParseErrors:
         (path / "assets.csv").write_text(text)
         with pytest.raises(ParseError, match="not a number"):
             load_case(path)
+
+
+def _dc_line_system():
+    sy = EnergySystem(horizon_t=2)
+    sy.add_asset(Asset(id="g", kind=AssetKind.PRODUCER, capacity_mw=5.0))
+    sy.add_asset(Asset(id="d", kind=AssetKind.CONSUMER, demand_profile=(1.0, 2.0)))
+    sy.add_flow(FlowArc("g", "d", dc_params=DcFlowParams(0.25)))
+    return sy
+
+
+ZERO_CELLS = pytest.mark.parametrize("system,file,key,column", [
+    (hybrid_fixture, "assets.csv", "bt", "eta_in"),
+    (hybrid_fixture, "assets.csv", "bt", "eta_out"),
+    (_dc_line_system, "flows.csv", "g", "s_base_mva"),
+], ids=["eta_in", "eta_out", "s_base_mva"])
+
+
+class TestZeroIsNotADefault:
+    """An explicit 0 in a cell with a default is read as 0, not as the
+    default, so an invalid zero is reported instead of silently replaced."""
+
+    @staticmethod
+    def _zeroed(path, system, file, key, column) -> Path:
+        export_case(system(), path)
+        with open(path / file, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index(column)
+        for row in rows[1:]:
+            if row[0] == key:
+                row[col] = "0"
+        with open(path / file, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    @ZERO_CELLS
+    def test_zero_raises_on_load(self, tmp_path, system, file, key, column):
+        path = self._zeroed(tmp_path, system, file, key, column)
+        with pytest.raises(InvariantViolation):
+            load_case(path)
+
+    @ZERO_CELLS
+    def test_zero_fails_validate(self, tmp_path, system, file, key, column, capsys):
+        path = self._zeroed(tmp_path, system, file, key, column)
+        assert main(["validate", "--case", f"csv:{path}"]) == 1
 
 
 class TestFrozenFixture:

@@ -3,7 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from flowgraph import Asset, AssetKind, DcFlowParams, EnergySystem, FlowArc, HubAnnotation
+from flowgraph import (
+    Approach,
+    Asset,
+    AssetKind,
+    DcFlowParams,
+    EnergySystem,
+    FlowArc,
+    HubAnnotation,
+    RowFamily,
+    build_model,
+)
 from flowgraph.errors import (
     DuplicateArc,
     DuplicateId,
@@ -55,10 +65,14 @@ class TestAssetInvariants:
         assert asset.eta_in == eta
 
     def test_availability_tiles_beyond_profile_length(self):
-        asset = Asset(id="g", kind=AssetKind.PRODUCER, availability_profile=(0.25, 0.75))
-        assert asset.availability(1) == 0.25
-        assert asset.availability(3) == 0.25
-        assert asset.availability(4) == 0.75
+        sy = EnergySystem(horizon_t=4)
+        sy.add_asset(Asset(id="g", kind=AssetKind.PRODUCER, capacity_mw=10.0,
+                           availability_profile=(0.25, 0.75)))
+        sy.add_asset(Asset(id="d", kind=AssetKind.CONSUMER, demand_profile=(1.0,)))
+        sy.add_flow(FlowArc("g", "d"))
+        lp = build_model(sy, Approach.ONE_BB_1F)
+        caps = [r.rhs for r in lp.rows if r.family is RowFamily.CAPACITY_LIMIT]
+        assert caps == [2.5, 7.5, 2.5, 7.5]
 
 
 class TestFlowArc:
