@@ -3,7 +3,8 @@
 A refactor of lowering or row emission must reproduce these exactly; a
 change that is meant to alter the LP updates the pins in the same commit.
 The same cases check that an LP rebuilt from its own record views is the
-same LP.
+same LP.  The solution files the reference simplex gives for the same
+cases are pinned the same way.
 """
 
 import hashlib
@@ -28,8 +29,10 @@ from flowgraph import (
     mps_string,
     scale_horizon,
     size_report,
+    solve_reference,
     tri_area_case,
     write_mps,
+    write_solution,
 )
 
 HYBRID = {
@@ -44,6 +47,17 @@ TRI_AREA_T24 = {
     "2BB-2F": "58f91ad46ef823cb218a0f49def8317d652662367579730625d4cea4542d57f3",
     "2BB-1F": "c2f4019f092d590218dc104e56172e6c0bbe951472c37ba995645e3aa3ce92a7",
     "1BB-1F": "91a88991623bce21b40caff589d75cba50b8c9e6790aa47794260e5bd55ca6e2",
+}
+
+SOLUTION_FILES = {
+    ("hybrid", "3BB-4F"): "83d6efe877ad584c6b724ad03639ebe06e6942b6b8e2ede4b39df5b348cbe734",
+    ("hybrid", "2BB-2F"): "a4b035de63735f18283768ce46a075bb27c582e082fe937b8b4c9afca85b9c4c",
+    ("hybrid", "2BB-1F"): "585aaa57645e49bfb0778b51c78dd05dc39152eb2766a8d6db6bf041bf708bfa",
+    ("hybrid", "1BB-1F"): "8f47bb17c8fe99d1a9e835780d8e963b1ca79a4aaffa032218ba9983817325a8",
+    ("tri-area-t24", "3BB-4F"): "be372c4d694e968bb731064c573b595ca61b155f32ff499feada581c771819f0",
+    ("tri-area-t24", "2BB-2F"): "82447d17a127d86dee26e4899302d2160d923e7b538313207a1986f7ce48620b",
+    ("tri-area-t24", "2BB-1F"): "114267d6e769283c36084ac704a67cd3d8021d7d3f99666e6d278bd7f493f651",
+    ("tri-area-t24", "1BB-1F"): "bf6f0406ae59356cb163683814c7f1cef141763bf16518a0e941443fe3dcf6f2",
 }
 
 DC_UC_1BB_1F = "baec1ef6cbbe2bf60201b5886c9e637118f31fc62ac7669daab4fa355c09113c"
@@ -65,6 +79,17 @@ def test_mps_digest_pinned(case, approach):
     make, pins = CASES[case]
     text = mps_string(build_model(make(), approach))
     assert hashlib.sha256(text.encode()).hexdigest() == pins[approach.value]
+
+
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solution_file_digest_pinned(case, approach, tmp_path):
+    make, _ = CASES[case]
+    result = solve_reference(build_model(make(), approach))
+    path = tmp_path / "model.sol"
+    write_solution(result, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SOLUTION_FILES[case, approach.value]
 
 
 def dc_uc_case() -> EnergySystem:
