@@ -33,9 +33,10 @@ ring.add_flow(FlowArc("gen", "city", dc_params=DcFlowParams(0.2), op_cost=1.0))
 ring.add_flow(FlowArc("city", "town", dc_params=DcFlowParams(0.25), op_cost=1.0))
 ring.add_flow(FlowArc("gen", "town", dc_params=DcFlowParams(0.4), op_cost=1.0))
 
-result = solve_reference(build_model(ring, Approach.ONE_BB_1F, dc_opf=True))
+lp = build_model(ring, Approach.ONE_BB_1F, dc_opf=True)
+result = solve_reference(lp)
 print("DC ring flows (MW), determined by angles:")
-for name, value in sorted(result.primal.items()):
+for name, value in sorted(zip(lp.col_names(), result.primal.tolist())):
     if name.startswith("f_"):
         print(f"  {name:<22}{value:9.4f}")
 
@@ -50,10 +51,11 @@ uc.add_flow(FlowArc("peaker", "load", op_cost=10.0))
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # the bundled simplex relaxes integrality
-    result = solve_reference(build_model(uc, Approach.ONE_BB_1F,
-                                         unit_commitment=True))
+    lp = build_model(uc, Approach.ONE_BB_1F, unit_commitment=True)
+    result = solve_reference(lp)
+values = dict(zip(lp.col_names(), result.primal.tolist()))
 print("\nunit commitment (LP relaxation): min 4 MW when on, 10 MW max")
 for t in (1, 2, 3):
-    flow = result.primal.get(f"f_coal_load_t{t}", 0.0)
-    on = result.primal.get(f"u_coal_t{t}", 0.0)
+    flow = values[f"f_coal_load_t{t}"]
+    on = values[f"u_coal_t{t}"]
     print(f"  t={t}: coal output {flow:5.2f} MW, on-fraction {on:.2f}")

@@ -42,6 +42,19 @@ from .solver import (
 )
 
 
+#: each field of a BenchConfig JSON file: its type and, for a list, its items' type
+_JSON_FIELDS = {
+    "approaches": (list, str), "instances": (list, int), "horizons": (list, int),
+    "n_seeds": (int, None), "alpha": ((int, float), None), "reference": (str, None),
+    "case": (str, None),
+}
+
+
+def _is(value, kind) -> bool:
+    # JSON true and false are no numbers
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """What to time: approaches x instances (or horizons) x seeds."""
@@ -69,6 +82,13 @@ class BenchConfig:
     def from_json(cls, path: str) -> "BenchConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict) or "approaches" not in raw:
+            raise ParseError(f"{path}: expected an object with an 'approaches' field")
+        for key, (kind, item) in _JSON_FIELDS.items():
+            value = raw.get(key)
+            if key in raw and not (
+                    _is(value, kind) and (item is None or all(_is(v, item) for v in value))):
+                raise ParseError(f"{path}: bad {key} {value!r}")
         solver = raw.get("solver", {"kind": "reference"})
         kind = solver.get("kind") if isinstance(solver, dict) else None
         if kind == "external" and "spec" in solver:

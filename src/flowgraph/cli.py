@@ -59,8 +59,10 @@ def _resolve_case(args: argparse.Namespace) -> EnergySystem:
     return system
 
 
-def _resolve_solver(label: str | None):
-    """Return a callable LpInstance -> SolveResult."""
+def _resolve_solver(args: argparse.Namespace):
+    """Return a callable LpInstance -> SolveResult; an external solver gets
+    ``args.seed``."""
+    label = args.solver
     if label is None:
         default_spec = os.environ.get("FLOWGRAPH_SOLVER")
         label = f"external:{default_spec}" if default_spec else "reference"
@@ -68,7 +70,7 @@ def _resolve_solver(label: str | None):
         return solve_reference
     if label.startswith("external:"):
         spec = ExternalSolverSpec.from_json(label[len("external:"):])
-        return lambda instance, seed=0: solve_external(instance, spec, seed=seed)
+        return lambda instance: solve_external(instance, spec, seed=args.seed)
     raise FlowgraphError(f"unknown solver {label!r}; use reference or external:<spec.json>")
 
 
@@ -108,9 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     approach = Approach.from_label(args.approach)
     instance = build_model(system, approach, dc_opf=args.dc_opf,
                            unit_commitment=args.uc)
-    solve = _resolve_solver(args.solver)
-    result = solve(instance) if solve is solve_reference \
-        else solve(instance, seed=args.seed)
+    result = _resolve_solver(args)(instance)
     if not result.is_optimal:
         print(f"solve failed: {result.status}", file=sys.stderr)
         return 1
@@ -120,7 +120,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"{system.name} [{approach.value}] objective {result.objective!r} ({verdict})")
     if args.out:
         path = _out_dir(args) / f"{system.name}-{approach.value}.sol"
-        write_solution(result, str(path))
+        write_solution(result, str(path), instance)
         print(f"wrote {path}")
     return 0 if not violated else 1
 
@@ -149,12 +149,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f"{size.n_nonzeros:>10}   {note}")
     if not args.solve:
         return 0
-    solve = _resolve_solver(args.solver)
+    solve = _resolve_solver(args)
     objectives = {}
     for approach in approaches:
-        instance = sizes[approach][0]
-        result = solve(instance) if solve is solve_reference \
-            else solve(instance, seed=args.seed)
+        result = solve(sizes[approach][0])
         if not result.is_optimal:
             print(f"{approach.value}: solve failed ({result.status})", file=sys.stderr)
             return 1

@@ -329,9 +329,13 @@ class LpInstance:
 
 @dataclass
 class SolveResult:
+    """A solver's verdict on an :class:`LpInstance`.  ``primal``, ``None``
+    unless the status is ``"optimal"``, is a read-only array of one value per
+    column in column order; the instance's ``col_names()`` names them."""
+
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
     objective: Optional[float] = None
-    primal: Optional[dict[str, float]] = None
+    primal: Optional[np.ndarray] = None
     iterations: int = 0
     wall_time_s: float = 0.0
     # LU factorizations of the basis, the first one included (reference simplex)
@@ -475,8 +479,10 @@ def mps_string(instance: LpInstance) -> str:
 # -- solution files ------------------------------------------------------
 
 
-def read_solution(path: str, instance: Optional[LpInstance] = None) -> SolveResult:
-    """Parse the plain-text solution format (status / obj / name-value lines)."""
+def read_solution(path: str, instance: LpInstance) -> SolveResult:
+    """Parse the plain-text solution format (status / obj / name-value lines)
+    of a solve of ``instance`` into a column-ordered ``primal``: a column the
+    file does not list is 0, a name no column has raises UnknownVariableName."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -496,25 +502,27 @@ def read_solution(path: str, instance: Optional[LpInstance] = None) -> SolveResu
         result.objective = float(parts[1])
         rest = rest[1:]
     if status == "optimal":
-        known = instance.var_index() if instance is not None else None
-        primal: dict[str, float] = {}
+        index = instance.var_index()
+        primal = np.zeros(len(instance.lower))
         for ln in rest:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"{path}: malformed value line {ln!r}")
             name, value = parts[0], float(parts[1])
-            if known is not None and name not in known:
+            if name not in index:
                 raise UnknownVariableName(f"{path}: unknown variable {name!r}")
-            primal[name] = value
+            primal[index[name]] = value
+        primal.flags.writeable = False
         result.primal = primal
     return result
 
 
-def write_solution(result: SolveResult, path: str) -> None:
+def write_solution(result: SolveResult, path: str, instance: LpInstance) -> None:
+    """Write ``result``, a solve of ``instance``, as :func:`read_solution` reads it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"status {result.status}\n")
         if result.objective is not None:
             fh.write(f"obj {result.objective!r}\n")
-        if result.primal:
-            for name, value in result.primal.items():
+        if result.primal is not None:
+            for name, value in zip(instance.col_names(), result.primal.tolist(), strict=True):
                 fh.write(f"{name} {value!r}\n")

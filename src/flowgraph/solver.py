@@ -39,12 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import (
-    InvariantViolation,
-    NonzeroExit,
-    SolverLaunchFailure,
-    UnknownVariableName,
-)
+from .errors import InvariantViolation, NonzeroExit, SolverLaunchFailure
 from .lp import INF, LpInstance, SolveResult, read_solution, write_mps
 
 _REFACTOR_EVERY = 16
@@ -282,41 +277,34 @@ def solve_reference(
     status, value, iterations = worker.solve()
     elapsed = time.perf_counter() - start
     refactorizations = worker.basis.factorizations if worker.basis is not None else 0
-    if status != "optimal":
-        return SolveResult(status=status, iterations=iterations, wall_time_s=elapsed,
-                           refactorizations=refactorizations)
-    primal = dict(zip(instance.col_names(), value[:worker.n_structural].tolist()))
-    # summed term by term in column order, as the objective lists them
-    objective = sum((instance.obj_coef * value[instance.obj_index]).tolist())
-    return SolveResult(
-        status="optimal",
-        objective=float(objective),
-        primal=primal,
-        iterations=iterations,
-        wall_time_s=elapsed,
-        refactorizations=refactorizations,
-    )
+    result = SolveResult(status=status, iterations=iterations, wall_time_s=elapsed,
+                         refactorizations=refactorizations)
+    if status == "optimal":
+        result.primal = value[:worker.n_structural]
+        result.primal.flags.writeable = False
+        # summed term by term in column order, as the objective lists them
+        result.objective = float(sum((instance.obj_coef * value[instance.obj_index]).tolist()))
+    return result
 
 
-def check_primal(
-    instance: LpInstance, primal: dict[str, float], tol: float = 1e-7
-) -> list[str]:
+def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) -> list[str]:
     """Names of variable bounds (as ``bound:<name>``), then rows, violated by
     ``primal`` beyond ``tol``, each in index order.
 
-    Variables missing from ``primal`` count as zero.  Rows are evaluated as
-    ``A @ x`` against the bounds of :meth:`LpInstance.arrays`.
+    ``primal`` holds one value per column, in column order, as
+    :attr:`SolveResult.primal` does.  Rows are evaluated as ``A @ x`` against
+    the bounds of :meth:`LpInstance.arrays`; a value or an ``A @ x`` that is
+    not finite is violated.  Names are made only for what is violated.
     """
-    index = instance.var_index()
-    x = np.zeros(len(instance.lower))
-    for name, val in primal.items():
-        if name not in index:
-            raise UnknownVariableName(f"primal value for unknown variable {name!r}")
-        x[index[name]] = val
+    x = np.asarray(primal, float)
+    if x.shape != (len(instance.lower),):
+        raise InvariantViolation(
+            f"primal of shape {x.shape} for an LP of {len(instance.lower)} columns")
     lp = instance.arrays()
     lhs = lp.A @ x
-    bad_cols = np.flatnonzero((x < lp.col_lo - tol) | (x > lp.col_hi + tol))
-    bad_rows = np.flatnonzero((lhs < lp.row_lo - tol) | (lhs > lp.row_hi + tol))
+    bad_cols = np.flatnonzero(~np.isfinite(x) | (x < lp.col_lo - tol) | (x > lp.col_hi + tol))
+    bad_rows = np.flatnonzero(
+        ~np.isfinite(lhs) | (lhs < lp.row_lo - tol) | (lhs > lp.row_hi + tol))
     cols = instance.col_names() if bad_cols.size else []
     rows = instance.row_names() if bad_rows.size else []
     return [f"bound:{cols[j]}" for j in bad_cols] + [rows[i] for i in bad_rows]

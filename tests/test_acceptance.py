@@ -256,7 +256,8 @@ def test_criterion_8_annex_coverage():
         "f_b_load_c_load_t1": b_bc * (th_b - th_c),
         "f_a_gen_c_load_t1": b_ac * (0.0 - th_c),
     }
-    dc_gap = max(abs(result.primal.get(k, 0.0) - v) for k, v in oracle.items())
+    index = instance.var_index()
+    dc_gap = max(abs(result.primal[index[k]] - v) for k, v in oracle.items())
 
     # -- UC relaxation properties ----------------------------------------
     def uc_system(initial_units):
@@ -273,17 +274,19 @@ def test_criterion_8_annex_coverage():
 
     uc_ok = True
     with pytest.warns(UserWarning):  # integrality relaxed
-        relaxed = solve_reference(build_model(uc_system(1), Approach.ONE_BB_1F,
-                                              unit_commitment=True))
+        uc_lp = build_model(uc_system(1), Approach.ONE_BB_1F, unit_commitment=True)
+        relaxed = solve_reference(uc_lp)
+    index = uc_lp.var_index()
     for t in (1, 2, 3):
-        flow = relaxed.primal.get(f"f_g_d_t{t}", 0.0)
-        u = relaxed.primal.get(f"u_g_t{t}", 0.0)
+        flow = relaxed.primal[index[f"f_g_d_t{t}"]]
+        u = relaxed.primal[index[f"u_g_t{t}"]]
         uc_ok &= -1e-9 <= flow <= 10.0 * u + 1e-9
 
     with pytest.warns(UserWarning):
-        off = solve_reference(build_model(uc_system(0), Approach.ONE_BB_1F,
-                                          unit_commitment=True))
-    forced_off = all(abs(off.primal.get(f"f_g_d_t{t}", 0.0)) <= 1e-9
+        off_lp = build_model(uc_system(0), Approach.ONE_BB_1F, unit_commitment=True)
+        off = solve_reference(off_lp)
+    index = off_lp.var_index()
+    forced_off = all(abs(off.primal[index[f"f_g_d_t{t}"]]) <= 1e-9
                      for t in (1, 2, 3))
 
     ok = dc_gap <= 1e-9 and relaxed.is_optimal and uc_ok and off.is_optimal \

@@ -178,6 +178,25 @@ class TestHarness:
         with pytest.raises(ParseError, match="bad solver"):
             BenchConfig.from_json(str(path))
 
+    def test_missing_approaches_rejected(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text('{"instances": [1]}')
+        with pytest.raises(ParseError, match="approaches"):
+            BenchConfig.from_json(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("approaches", '"2BB-2F"'), ("approaches", '[2]'), ("instances", '1'),
+        ("instances", '[1.5]'), ("horizons", '["24"]'), ("n_seeds", '"3"'),
+        ("n_seeds", 'true'), ("alpha", '"0.05"'), ("reference", '["2BB-2F"]'),
+        ("case", 'null'),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "bench.json"
+        fields = {"approaches": '["2BB-2F"]', field: value}
+        path.write_text("{%s}" % ", ".join(f'"{k}": {v}' for k, v in fields.items()))
+        with pytest.raises(ParseError, match=field):
+            BenchConfig.from_json(str(path))
+
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text('{"approaches": ["1BB-1F", "2BB-2F"], "instances": [1],'

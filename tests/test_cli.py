@@ -120,3 +120,11 @@ class TestBench:
         for name in ("samples.csv", "speedups.csv", "ttests.csv"):
             assert (tmp_path / name).exists()
         assert "1BB-1F vs 2BB-2F" in out
+
+    @pytest.mark.parametrize("config", ['{"n_seeds": 3}',
+                                        '{"approaches": ["2BB-2F"], "n_seeds": "3"}'])
+    def test_bad_config_is_an_error_line(self, capsys, tmp_path, config):
+        path = tmp_path / "bench.json"
+        path.write_text(config)
+        code, _, err = run(capsys, "bench", "--config", str(path), "--out", str(tmp_path))
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err

@@ -224,7 +224,7 @@ class TestExtensions:
         assert not [r for r in reversed_ring.rows if r.family is RowFamily.FLOW_BOUND]
         result = solve_reference(reversed_ring)
         assert result.is_optimal
-        assert result.primal["f_c_b_t1"] < 0.0
+        assert result.primal[reversed_ring.var_index()["f_c_b_t1"]] < 0.0
         along = solve_reference(build_model(self._dc_ring(b_to_c=True), Approach.ONE_BB_1F, dc_opf=True))
         assert result.objective == pytest.approx(along.objective)
 

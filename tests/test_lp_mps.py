@@ -10,6 +10,7 @@ import random
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from flowgraph import (
@@ -318,31 +319,45 @@ class TestSolutionFiles:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "out.sol")
         result = SolveResult(status="optimal", objective=42.5,
-                             primal={"f_a_b_t1": 1.25, "i_a": 0.0})
-        write_solution(result, path)
-        back = read_solution(path)
+                             primal=np.array([1.25, 0.0, 0.5]))
+        write_solution(result, path, toy_instance())
+        back = read_solution(path, toy_instance())
         assert back.status == "optimal"
         assert back.objective == 42.5
-        assert back.primal == result.primal
+        assert np.array_equal(back.primal, result.primal)
 
     def test_unknown_variable_rejected_with_instance(self, tmp_path):
-        path = str(tmp_path / "out.sol")
-        write_solution(SolveResult(status="optimal", objective=0.0,
-                                   primal={"ghost": 1.0}), path)
+        path = tmp_path / "out.sol"
+        path.write_text("status optimal\nobj 0.0\nghost 1.0\n")
         with pytest.raises(UnknownVariableName):
-            read_solution(path, toy_instance())
+            read_solution(str(path), toy_instance())
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.sol"
         path.write_text("objective 3\n")
         with pytest.raises(ParseError):
-            read_solution(str(path))
+            read_solution(str(path), toy_instance())
 
     def test_infeasible_status_carries_no_primal(self, tmp_path):
         path = str(tmp_path / "inf.sol")
-        write_solution(SolveResult(status="infeasible"), path)
-        back = read_solution(path)
+        write_solution(SolveResult(status="infeasible"), path, toy_instance())
+        back = read_solution(path, toy_instance())
         assert back.status == "infeasible" and back.primal is None
+
+    def test_solved_primal_round_trips(self, tmp_path):
+        instance = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        result = solve_reference(instance)
+        path = str(tmp_path / "out.sol")
+        write_solution(result, path, instance)
+        back = read_solution(path, instance)
+        assert back.objective == result.objective
+        assert np.array_equal(back.primal, result.primal)
+        assert not back.primal.flags.writeable and not result.primal.flags.writeable
+
+    def test_unlisted_column_reads_as_zero(self, tmp_path):
+        path = tmp_path / "short.sol"
+        path.write_text("status optimal\nobj 1.5\ni_a 2.0\n")
+        assert read_solution(str(path), toy_instance()).primal.tolist() == [0.0, 2.0, 0.0]
 
 
 def test_variable_names_are_unique():

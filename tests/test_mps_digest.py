@@ -85,9 +85,10 @@ def test_mps_digest_pinned(case, approach):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solution_file_digest_pinned(case, approach, tmp_path):
     make, _ = CASES[case]
-    result = solve_reference(build_model(make(), approach))
+    instance = build_model(make(), approach)
+    result = solve_reference(instance)
     path = tmp_path / "model.sol"
-    write_solution(result, str(path))
+    write_solution(result, str(path), instance)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == SOLUTION_FILES[case, approach.value]
 

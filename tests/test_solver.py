@@ -24,7 +24,7 @@ from flowgraph import (
     tri_area_case,
 )
 from flowgraph import solver
-from flowgraph.errors import InvariantViolation, UnknownVariableName
+from flowgraph.errors import InvariantViolation
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
@@ -268,19 +268,15 @@ def test_refactorizations_counted():
     assert 1 <= result.refactorizations <= 1 + result.iterations // solver._REFACTOR_EVERY
 
 
-def check_primal_by_rows(instance: LpInstance, primal: dict[str, float], tol: float = 1e-7):
+def check_primal_by_rows(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7):
     """Reference: the per-row loop ``check_primal`` was before it read
     ``LpInstance.arrays()``."""
-    values = np.zeros(len(instance.variables))
-    index = instance.var_index()
-    for name, val in primal.items():
-        values[index[name]] = val
     violated = []
     for j, ref in enumerate(instance.variables):
-        if values[j] < ref.lower - tol or values[j] > ref.upper + tol:
+        if primal[j] < ref.lower - tol or primal[j] > ref.upper + tol:
             violated.append(f"bound:{ref.name}")
     for row in instance.rows:
-        lhs = sum(coef * values[j] for j, coef in row.terms)
+        lhs = sum(coef * primal[j] for j, coef in row.terms)
         if row.sense == "=":
             bad = abs(lhs - row.rhs) > tol
         elif row.sense == "<=":
@@ -302,8 +298,8 @@ class TestCheckPrimal:
         seen = []
         for _ in range(5):
             # move about a third of the values; some leave their bounds
-            primal = {name: value + (rng.normal(0.0, 5.0) if rng.random() < 0.3 else 0.0)
-                      for name, value in optimum.items()}
+            primal = np.array([value + (rng.normal(0.0, 5.0) if rng.random() < 0.3 else 0.0)
+                               for value in optimum.tolist()])
             expected = check_primal_by_rows(lp, primal)
             assert check_primal(lp, primal) == expected
             seen += expected
@@ -315,7 +311,7 @@ class TestCheckPrimal:
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)],
             rows=[ConstraintRow(RowFamily.FLOW_BOUND, "<=", 0.5, [(0, 1.0)], "r0")],
         )
-        violated = check_primal(lp, {"f_a_b_t1": 2.0})
+        violated = check_primal(lp, np.array([2.0]))
         assert "bound:f_a_b_t1" in violated
         assert "r0" in violated
 
@@ -325,13 +321,36 @@ class TestCheckPrimal:
             rows=[ConstraintRow(RowFamily.FLOW_BOUND, "<=", 3.0, [(0, 1.0)], "rng",
                                 rhs_low=-1.0)],
         )
-        assert check_primal(lp, {"f_a_b_t1": -2.0}) == ["rng"]
-        assert check_primal(lp, {"f_a_b_t1": 0.0}) == []
+        assert check_primal(lp, np.array([-2.0])) == ["rng"]
+        assert check_primal(lp, np.array([0.0])) == []
 
-    def test_unknown_name_is_typed_error(self):
-        lp = LpInstance(variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1)])
-        with pytest.raises(UnknownVariableName):
-            check_primal(lp, {"f_a_c_t1": 1.0})
+    def test_wrong_length_is_rejected(self):
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        n = len(lp.col_names())
+        for primal in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+            with pytest.raises(InvariantViolation):
+                check_primal(lp, primal)
+
+    def test_non_finite_values_are_violations(self):
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        names = lp.col_names()
+        violated = check_primal(lp, np.full(len(names), np.nan))
+        assert violated[:len(names)] == [f"bound:{name}" for name in names]
+        has_terms = np.diff(lp.indptr) > 0
+        assert violated[len(names):] == [r for r, t in zip(lp.row_names(), has_terms) if t]
+        # an infinite value within infinite bounds is no solution either
+        optimum = solve_reference(lp).primal.copy()
+        free = int(np.flatnonzero(lp.upper == np.inf)[0])
+        optimum[free] = np.inf
+        assert f"bound:{names[free]}" in check_primal(lp, optimum)
+
+    def test_overflowing_row_is_a_violation(self):
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, ">=", 0.0, [(0, 10.0)], "r0")],
+        )
+        # 1e308 is within the column's bounds, but 10 * 1e308 overflows
+        assert check_primal(lp, np.array([1e308])) == ["r0"]
 
 
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
