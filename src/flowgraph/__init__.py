@@ -29,10 +29,10 @@ from .cases import CaseSpec, INSTANCE_HOURS, hybrid_fixture, scale_horizon, tri_
 from .csvio import export_case, load_case
 from .solver import (
     ExternalSolverSpec,
-    SimplexOptions,
     check_primal,
     solve_external,
     solve_reference,
+    solver_for,
 )
 from .bench import (
     BenchConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "BenchReport",
     "CaseSpec",
     "ExternalSolverSpec",
-    "SimplexOptions",
     "TTestResult",
     "TimingSample",
     "check_primal",
@@ -66,6 +65,7 @@ __all__ = [
     "run_benchmark",
     "solve_external",
     "solve_reference",
+    "solver_for",
     "two_sample_t_test",
     "write_report",
     "ConstraintRow",

@@ -17,7 +17,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.special
@@ -33,20 +33,15 @@ from .errors import (
     SolverFailure,
 )
 from .formulation import Approach, build_model
-from .lp import LpInstance, SolveResult
-from .solver import (
-    ExternalSolverSpec,
-    SimplexOptions,
-    solve_external,
-    solve_reference,
-)
+from .lp import LpInstance
+from .solver import solver_for
 
 
 #: each field of a BenchConfig JSON file: its type and, for a list, its items' type
 _JSON_FIELDS = {
     "approaches": (list, str), "instances": (list, int), "horizons": (list, int),
     "n_seeds": (int, None), "alpha": ((int, float), None), "reference": (str, None),
-    "case": (str, None),
+    "case": (str, None), "solver": (str, None),
 }
 
 
@@ -64,7 +59,7 @@ class BenchConfig:
     horizons: Optional[tuple[int, ...]] = None  # overrides instances at desk scale
     n_seeds: int = 30
     reference: Approach = Approach.TWO_BB_2F
-    solver: Union[str, ExternalSolverSpec] = "reference"
+    solver: str = "reference"  # a label, as solver_for takes it
     alpha: float = 0.05
     case: str = "tri-area"
 
@@ -77,6 +72,7 @@ class BenchConfig:
             raise InvariantViolation("alpha must lie in (0, 1)")
         if self.case not in ("tri-area", "hybrid"):
             raise InvariantViolation(f"unknown case {self.case!r}; use tri-area or hybrid")
+        solver_for(self.solver)  # a bad label or spec fails here, not mid-run
 
     @classmethod
     def from_json(cls, path: str) -> "BenchConfig":
@@ -89,21 +85,13 @@ class BenchConfig:
             if key in raw and not (
                     _is(value, kind) and (item is None or all(_is(v, item) for v in value))):
                 raise ParseError(f"{path}: bad {key} {value!r}")
-        solver = raw.get("solver", {"kind": "reference"})
-        kind = solver.get("kind") if isinstance(solver, dict) else None
-        if kind == "external" and "spec" in solver:
-            solver = ExternalSolverSpec.from_json(solver["spec"])
-        elif kind == "reference":
-            solver = "reference"
-        else:
-            raise ParseError(f"{path}: bad solver {solver!r}; use reference, or external with spec")
         return cls(
             approaches=tuple(Approach.from_label(a) for a in raw["approaches"]),
             instances=tuple(raw.get("instances", (1,))),
             horizons=tuple(raw["horizons"]) if "horizons" in raw else None,
             n_seeds=raw.get("n_seeds", 30),
             reference=Approach.from_label(raw.get("reference", "2BB-2F")),
-            solver=solver,
+            solver=raw.get("solver", "reference"),
             alpha=raw.get("alpha", 0.05),
             case=raw.get("case", "tri-area"),
         )
@@ -211,12 +199,6 @@ def _shuffled(instance: LpInstance, seed: int) -> LpInstance:
     return LpInstance.from_store(f"{instance.name}:s{seed}", **store)
 
 
-def _solve(instance: LpInstance, config: BenchConfig, seed: int) -> SolveResult:
-    if isinstance(config.solver, ExternalSolverSpec):
-        return solve_external(instance, config.solver, seed=seed)
-    return solve_reference(_shuffled(instance, seed), SimplexOptions())
-
-
 def _system_for(config: BenchConfig, label_value) -> object:
     if config.case == "hybrid":
         base = hybrid_fixture()
@@ -237,6 +219,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     reports a speedup for a wrong answer.
     """
     report = BenchReport(config=config)
+    solve = solver_for(config.solver)
+    shuffle = config.solver == "reference"
     objectives: dict[tuple[str, int], float] = {}
     for label, label_value in config.labels():
         system = _system_for(config, label_value)
@@ -248,7 +232,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 instance = build_model(system, approach)
                 build_time = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                result = _solve(instance, config, seed)
+                # the shuffled copy is a temporary: kept alive through the next
+                # build, it doubled that build's time at hybrid T=1000
+                result = solve(_shuffled(instance, seed) if shuffle else instance, seed)
                 solve_time = time.perf_counter() - t0
                 if not result.is_optimal:
                     raise SolverFailure(

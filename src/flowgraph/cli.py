@@ -5,10 +5,11 @@ mismatch, invalid bundle), 2 on a usage error.  Human-readable tables go to
 standard output; machine outputs (MPS, solution files, CSV reports) go to
 files under ``--out``.
 
-The default solver is the bundled reference simplex; ``--solver
-external:<spec.json>`` delegates to a subprocess described by a JSON spec,
-and the ``FLOWGRAPH_SOLVER`` environment variable names a default spec
-path used when ``--solver`` is omitted.
+``--solver`` takes a solver label as :func:`flowgraph.solver.solver_for`
+does: ``reference`` (the bundled simplex, the default) or
+``external:<spec.json>`` (a subprocess described by a JSON spec).  When
+``--solver`` is omitted, a spec path in the ``FLOWGRAPH_SOLVER``
+environment variable stands for ``external:<that path>``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import FlowgraphError
 from .formulation import ALL_APPROACHES, Approach, build_model
 from .lp import size_report, write_mps, write_solution
 from .model import EnergySystem
-from .solver import ExternalSolverSpec, check_primal, solve_external, solve_reference
+from .solver import SOLVER_LABELS, check_primal, solver_for
 
 
 def _case_flags(parser: argparse.ArgumentParser) -> None:
@@ -39,9 +40,10 @@ def _case_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--solver", default=None,
-                        help="reference | external:<spec.json> "
-                             "(default: $FLOWGRAPH_SOLVER if set, else reference)")
+    spec = os.environ.get("FLOWGRAPH_SOLVER")
+    parser.add_argument("--solver", default=f"external:{spec}" if spec else "reference",
+                        help=f"{' | '.join(SOLVER_LABELS)} "
+                             "(default: external:$FLOWGRAPH_SOLVER if set, else reference)")
 
 
 def _resolve_case(args: argparse.Namespace) -> EnergySystem:
@@ -57,21 +59,6 @@ def _resolve_case(args: argparse.Namespace) -> EnergySystem:
     if args.T is not None:
         system = scale_horizon(system, args.T)
     return system
-
-
-def _resolve_solver(args: argparse.Namespace):
-    """Return a callable LpInstance -> SolveResult; an external solver gets
-    ``args.seed``."""
-    label = args.solver
-    if label is None:
-        default_spec = os.environ.get("FLOWGRAPH_SOLVER")
-        label = f"external:{default_spec}" if default_spec else "reference"
-    if label == "reference":
-        return solve_reference
-    if label.startswith("external:"):
-        spec = ExternalSolverSpec.from_json(label[len("external:"):])
-        return lambda instance: solve_external(instance, spec, seed=args.seed)
-    raise FlowgraphError(f"unknown solver {label!r}; use reference or external:<spec.json>")
 
 
 def _parse_approaches(raw: str) -> tuple[Approach, ...]:
@@ -110,7 +97,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     approach = Approach.from_label(args.approach)
     instance = build_model(system, approach, dc_opf=args.dc_opf,
                            unit_commitment=args.uc)
-    result = _resolve_solver(args)(instance)
+    result = solver_for(args.solver)(instance, args.seed)
     if not result.is_optimal:
         print(f"solve failed: {result.status}", file=sys.stderr)
         return 1
@@ -149,10 +136,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f"{size.n_nonzeros:>10}   {note}")
     if not args.solve:
         return 0
-    solve = _resolve_solver(args)
+    solve = solver_for(args.solver)
     objectives = {}
     for approach in approaches:
-        result = solve(sizes[approach][0])
+        result = solve(sizes[approach][0], args.seed)
         if not result.is_optimal:
             print(f"{approach.value}: solve failed ({result.status})", file=sys.stderr)
             return 1

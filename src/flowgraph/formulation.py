@@ -137,8 +137,6 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
     lowered = EnergySystem(horizon_t=system.horizon_t, name=f"{system.name}:{approach.value}")
     for asset in system.assets.values():
         lowered.add_asset(asset)
-    for hub_id in sorted(system.hubs):
-        lowered.add_asset(Asset(id=hub_id, kind=AssetKind.HUB))
 
     member_arcs: dict[tuple[str, str], float] = {}  # (from, to) -> op_cost
 
@@ -227,6 +225,13 @@ def lower_to_node_form(system: EnergySystem, approach: Approach) -> EnergySystem
             note_member_arc(u, hu, arc.op_cost)
         if v not in ports.node_hub:
             note_member_arc(hv, v)
+
+    # a hub at either end of a DC link carries a voltage angle, as the
+    # members at either end of the original DC arc do
+    angled = {hub for link, (_, _, dc) in link_caps.items() if dc is not None for hub in link}
+    for hub_id in sorted(system.hubs):
+        lowered.add_asset(
+            Asset(id=hub_id, kind=AssetKind.HUB, voltage_angle_enabled=hub_id in angled))
 
     for a, b in sorted(link_caps):
         fwd, bwd, dc = link_caps[(a, b)]
@@ -363,8 +368,7 @@ class _Builder:
 
         for key in self.arc_keys:
             arc = self.system.arcs[key]
-            free = arc.two_sided or (self.dc_opf and arc.dc_params is not None)
-            series(VarRole.FLOW, key, lower=-INF if free else 0.0, cost=arc.op_cost)
+            series(VarRole.FLOW, key, lower=-INF if arc.two_sided else 0.0, cost=arc.op_cost)
         for a in self.assets:
             if a.kind is AssetKind.STORAGE:
                 series(VarRole.STORAGE_LEVEL, (a.id,), upper=a.storage_capacity_mwh)

@@ -479,15 +479,22 @@ def mps_string(instance: LpInstance) -> str:
 # -- solution files ------------------------------------------------------
 
 
+def _number(path: str, line: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{path}:{line}: malformed number {text!r}") from None
+
+
 def read_solution(path: str, instance: LpInstance) -> SolveResult:
     """Parse the plain-text solution format (status / obj / name-value lines)
     of a solve of ``instance`` into a column-ordered ``primal``: a column the
     file does not list is 0, a name no column has raises UnknownVariableName."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty solution file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 2 or head[0] != "status":
         raise ParseError(f"{path}: expected 'status <value>' on line 1")
     status = head[1].lower()
@@ -495,22 +502,22 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
         raise ParseError(f"{path}: unknown status {status!r}")
     result = SolveResult(status=status)
     rest = lines[1:]
-    if rest and rest[0].startswith("obj"):
-        parts = rest[0].split()
+    if rest and rest[0][1].startswith("obj"):
+        n, parts = rest[0][0], rest[0][1].split()
         if len(parts) != 2:
-            raise ParseError(f"{path}: malformed objective line")
-        result.objective = float(parts[1])
+            raise ParseError(f"{path}:{n}: malformed objective line")
+        result.objective = _number(path, n, parts[1])
         rest = rest[1:]
     if status == "optimal":
         index = instance.var_index()
         primal = np.zeros(len(instance.lower))
-        for ln in rest:
+        for n, ln in rest:
             parts = ln.split()
             if len(parts) != 2:
-                raise ParseError(f"{path}: malformed value line {ln!r}")
-            name, value = parts[0], float(parts[1])
+                raise ParseError(f"{path}:{n}: malformed value line {ln!r}")
+            name, value = parts[0], _number(path, n, parts[1])
             if name not in index:
-                raise UnknownVariableName(f"{path}: unknown variable {name!r}")
+                raise UnknownVariableName(f"{path}:{n}: unknown variable {name!r}")
             primal[index[name]] = value
         primal.flags.writeable = False
         result.primal = primal

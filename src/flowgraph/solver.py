@@ -22,10 +22,15 @@ a column's bound status is read from its value with exact comparisons,
 however narrow its bounds.  There is one pricing rule: Dantzig pricing,
 which falls back to Bland's rule after a stall window; that guarantees
 termination on the highly degenerate storage chains these models produce.
+
+The command line and the bench harness name a solver by a label,
+``reference`` or ``external:<spec.json>``, and :func:`solver_for` is the
+one place that turns a label into a solve.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shlex
 import subprocess
@@ -33,33 +38,25 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import InvariantViolation, NonzeroExit, SolverLaunchFailure
+from .errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure, SolverLaunchFailure
 from .lp import INF, LpInstance, SolveResult, read_solution, write_mps
 
+#: the labels :func:`solver_for` takes
+SOLVER_LABELS = ("reference", "external:<spec.json>")
+
+_FEAS_TOL = 1e-7
+_PIVOT_TOL = 1e-9
+# the iteration limit is 50 * (2 * rows + cols + 1), counting the rows the
+# presolve drops
+_PIVOTS_PER_SIZE = 50
 _REFACTOR_EVERY = 16
 _STALL_WINDOW = 1000
-
-
-@dataclass(frozen=True)
-class SimplexOptions:
-    """Tolerances and iteration limit for the reference simplex."""
-
-    feas_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    # default: 50 * (2 * rows + cols) + 50, counting the rows the presolve drops
-    max_iterations: Optional[int] = None
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.pivot_tol <= 0:
-            raise InvariantViolation("tolerances must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise InvariantViolation("max_iterations must be at least 1")
 
 
 class _Basis:
@@ -102,13 +99,11 @@ class _Basis:
 
 
 class _Simplex:
-    def __init__(self, instance: LpInstance, opts: SimplexOptions):
-        self.opts = opts
+    def __init__(self, instance: LpInstance):
         lp = instance.arrays()
-        rows, self.n_structural = lp.A.shape
-        self.max_iter = opts.max_iterations
-        if self.max_iter is None:
-            self.max_iter = 50 * (2 * rows + self.n_structural) + 50
+        rows, n = lp.A.shape
+        self.n_structural = n
+        self.max_iter = _PIVOTS_PER_SIZE * (2 * rows + n + 1)
         # presolve: a single-term row lo <= a x_j <= hi is the bound
         # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix;
         # a zero coefficient is no term, so it cannot become a bound
@@ -124,65 +119,61 @@ class _Simplex:
         np.minimum.at(col_hi, j, np.where(a > 0, hi, lo))
         # bounds that cross by no more than the tolerance fix the column;
         # a wider crossing is left for solve() to report as infeasible
-        close = (col_lo > col_hi) & (col_lo <= col_hi + opts.feas_tol)
+        close = (col_lo > col_hi) & (col_lo <= col_hi + _FEAS_TOL)
         col_hi[close] = col_lo[close]
-        A, row_lo, row_hi = A[~single], lp.row_lo[~single], lp.row_hi[~single]
-        self.m = A.shape[0]
+        A, row_lo, row_hi = A[~single].tocsc(), lp.row_lo[~single], lp.row_hi[~single]
+        self.m = m = A.shape[0]
         # rows become A x + s = rhs with one slack per row, bounded so that
         # A x stays within [row_lo, row_hi]
-        self.rhs = np.where(np.isfinite(row_hi), row_hi, row_lo)
-        self.A = sp.hstack([A.tocsc(), sp.identity(self.m, format="csc")], format="csc")
-        self.lower = np.concatenate([col_lo, self.rhs - row_hi])
-        self.upper = np.concatenate([col_hi, self.rhs - row_lo])
-        self.cost = np.concatenate([lp.cost, np.zeros(self.m)])
-        self.basis: Optional[_Basis] = None
-
-    def solve(self) -> tuple[str, np.ndarray, int]:
-        m, n = self.m, self.n_structural
-        if (self.lower > self.upper).any():
-            return "infeasible", self.lower, 0
+        rhs = np.where(np.isfinite(row_hi), row_hi, row_lo)
+        lower = np.concatenate([col_lo, rhs - row_hi])
+        upper = np.concatenate([col_hi, rhs - row_lo])
 
         # nonbasic columns start exactly at a finite bound, free ones at 0
-        value = np.where(self.lower > -INF, self.lower, np.where(self.upper < INF, self.upper, 0.0))
+        value = np.where(lower > -INF, lower, np.where(upper < INF, upper, 0.0))
         # start from the slack basis; rows whose slack value violates its
         # bounds get an artificial column instead
-        s = self.rhs - self.A[:, :n] @ value[:n]
-        lo, up = self.lower[n:], self.upper[n:]
+        s = rhs - A @ value[:n]
+        lo, up = lower[n:], upper[n:]
         art_rows = np.flatnonzero((s < lo - 1e-12) | (s > up + 1e-12))
-        n_art = len(art_rows)
+        self.n_art = n_art = len(art_rows)
         value[n:] = s
         value[n + art_rows] = np.clip(s[art_rows], lo[art_rows], up[art_rows])
         residual = s[art_rows] - value[n + art_rows]
         art = sp.csc_matrix(
             (np.where(residual > 0, 1.0, -1.0), (art_rows, np.arange(n_art))), shape=(m, n_art)
         )
-        self.A = sp.hstack([self.A, art], format="csc")
-        self.lower = np.concatenate([self.lower, np.zeros(n_art)])
-        self.upper = np.concatenate([self.upper, np.full(n_art, INF)])
-        self.cost = np.concatenate([self.cost, np.zeros(n_art)])
+        self.A = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
+        self.AT = self.A.T  # built once: pricing multiplies by it every pivot
+        self.lower = np.concatenate([lower, np.zeros(n_art)])
+        self.upper = np.concatenate([upper, np.full(n_art, INF)])
+        self.cost = np.concatenate([lp.cost, np.zeros(m + n_art)])
         self.value = np.concatenate([value, np.abs(residual)])
         self.basic = np.arange(n, n + m)
         self.basic[art_rows] = n + m + np.arange(n_art)
-        self.basis = _Basis(self.A, self.basic)
-        self.AT = self.A.T  # built once: pricing multiplies by it every pivot
+        self.basis: Optional[_Basis] = None
         self.iterations = 0
 
-        if n_art:
-            phase1 = np.zeros(n + m + n_art)
-            phase1[-n_art:] = 1.0
+    def solve(self) -> tuple[str, np.ndarray, int]:
+        # artificials are bounded by [0, inf), so only the LP's own bounds can cross
+        if (self.lower > self.upper).any():
+            return "infeasible", self.lower, 0
+        self.basis = _Basis(self.A, self.basic)
+        if self.n_art:
+            phase1 = np.zeros(len(self.cost))
+            phase1[-self.n_art:] = 1.0
             status = self._iterate(phase1, phase=1)
             if status != "optimal":
                 return status, self.value, self.iterations
-            if phase1 @ self.value > self.opts.feas_tol:
+            if phase1 @ self.value > _FEAS_TOL:
                 return "infeasible", self.value, self.iterations
             # forbid artificials from re-entering
-            self.upper[-n_art:] = 0.0
+            self.upper[-self.n_art:] = 0.0
         status = self._iterate(self.cost, phase=2)
         return status, self.value, self.iterations
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
-        tol = self.opts.feas_tol
-        ptol = self.opts.pivot_tol
+        tol = _FEAS_TOL
         bland = False
         best_obj = cost @ self.value
         stall = 0
@@ -218,8 +209,8 @@ class _Simplex:
             jb = self.basic
             vb, ub, lb = self.value[jb], self.upper[jb], self.lower[jb]
             limits = np.full(self.m, INF)
-            np.divide(ub - vb, step, out=limits, where=(step > ptol) & (ub < INF))
-            np.divide(lb - vb, step, out=limits, where=(step < -ptol) & (lb > -INF))
+            np.divide(ub - vb, step, out=limits, where=(step > _PIVOT_TOL) & (ub < INF))
+            np.divide(lb - vb, step, out=limits, where=(step < -_PIVOT_TOL) & (lb > -INF))
             np.maximum(limits, 0.0, out=limits)
             theta_flip = self.upper[q] - self.lower[q]
             lmin = limits.min() if self.m else INF
@@ -257,14 +248,13 @@ class _Simplex:
                     bland = True  # Bland's rule guarantees termination
 
 
-def solve_reference(
-    instance: LpInstance, opts: SimplexOptions = SimplexOptions()
-) -> SolveResult:
+def solve_reference(instance: LpInstance) -> SolveResult:
     """Solve ``instance`` with the bundled deterministic simplex.
 
     Integrality marks are relaxed with a warning; the result is the LP
-    relaxation in that case.  Running out of ``opts.max_iterations`` gives
-    status ``"iteration_limit"`` and no primal.  ``refactorizations`` counts
+    relaxation in that case.  Running out of iterations, after
+    ``50 * (2 * rows + cols + 1)`` pivots, gives status ``"iteration_limit"``
+    and no primal.  ``refactorizations`` counts
     the LU factorizations of the basis, the first one included.
     """
     if instance.integral.any():
@@ -273,7 +263,7 @@ def solve_reference(
             stacklevel=2,
         )
     start = time.perf_counter()
-    worker = _Simplex(instance, opts)
+    worker = _Simplex(instance)
     status, value, iterations = worker.solve()
     elapsed = time.perf_counter() - start
     refactorizations = worker.basis.factorizations if worker.basis is not None else 0
@@ -320,36 +310,36 @@ class ExternalSolverSpec:
     """Subprocess contract: MPS in, normalized solution file out.
 
     ``args`` may contain the placeholders ``{mps}``, ``{out}`` and
-    ``{seed}``; ``solution_path`` may contain ``{out}``.
+    ``{seed}``; the solver writes its solution file to ``{out}``.
     """
 
     executable: str
     args: tuple[str, ...] = ("{mps}", "{out}", "{seed}")
-    solution_path: str = "{out}"
 
     def __post_init__(self):
-        joined = " ".join(self.args) + " " + self.solution_path
+        joined = " ".join(self.args)
         if "{mps}" not in joined or "{out}" not in joined:
-            raise InvariantViolation(
-                "argument template must reference {mps} and {out}"
-            )
+            raise InvariantViolation("argument template must reference {mps} and {out}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExternalSolverSpec":
-        import json
+        """Read ``{"executable": ..., "args": [...]}``; ``args`` is optional."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ParseError(f"{path}: cannot read solver spec ({exc.strerror})") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: solver spec is not JSON ({exc})") from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("executable"), str):
+            raise ParseError(f"{path}: solver spec needs an 'executable' string")
+        args = raw.get("args", list(cls.args))
+        if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+            raise ParseError(f"{path}: solver spec 'args' must be a list of strings")
+        return cls(executable=raw["executable"], args=tuple(args))
 
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(
-            executable=raw["executable"],
-            args=tuple(raw.get("args", ("{mps}", "{out}", "{seed}"))),
-            solution_path=raw.get("solution_path", "{out}"),
-        )
 
-
-def solve_external(
-    instance: LpInstance, spec: ExternalSolverSpec, seed: int = 0
-) -> SolveResult:
+def solve_external(instance: LpInstance, spec: ExternalSolverSpec, seed: int = 0) -> SolveResult:
     """Write MPS, run the external solver, parse its solution file."""
     with tempfile.TemporaryDirectory(prefix="flowgraph-") as workdir:
         mps_path = os.path.join(workdir, "model.mps")
@@ -368,6 +358,23 @@ def solve_external(
                 f"{spec.executable} exited with {proc.returncode}: "
                 f"{proc.stderr.strip()[:500]}"
             )
-        result = read_solution(spec.solution_path.format(**subst), instance)
+        if not os.path.exists(out_path):
+            raise SolverFailure(f"{spec.executable} exited with 0 but wrote no {out_path}")
+        result = read_solution(out_path, instance)
         result.wall_time_s = elapsed
         return result
+
+
+def solver_for(label: str) -> Callable[[LpInstance, int], SolveResult]:
+    """The solve a solver label names, called with an LP and a seed.
+
+    ``reference`` is :func:`solve_reference`, which needs no seed;
+    ``external:<spec.json>`` is :func:`solve_external` with the spec that
+    file holds, read once, here.  Any other label raises ParseError.
+    """
+    if label == "reference":
+        return lambda instance, seed: solve_reference(instance)
+    if label.startswith("external:"):
+        spec = ExternalSolverSpec.from_json(label[len("external:"):])
+        return lambda instance, seed: solve_external(instance, spec, seed)
+    raise ParseError(f"bad solver {label!r}; use {' or '.join(SOLVER_LABELS)}")

@@ -5,6 +5,7 @@ brute-force oracle that recomputes the pooled formula from raw sums and
 integrates the t density numerically, sharing no code with the library.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -19,8 +20,12 @@ from flowgraph import (
     Approach,
     BenchConfig,
     TTestResult,
+    build_model,
+    hybrid_fixture,
     median_speedup,
     run_benchmark,
+    scale_horizon,
+    solve_reference,
     two_sample_t_test,
     write_report,
 )
@@ -171,7 +176,7 @@ class TestHarness:
         with pytest.raises(InvariantViolation, match="unknown case"):
             BenchConfig(approaches=(Approach.TWO_BB_2F,), case="hybridd")
 
-    @pytest.mark.parametrize("solver", ['{"kind": "highs"}', '{"kind": "external"}'])
+    @pytest.mark.parametrize("solver", ['"highs"', '"external"'])
     def test_unknown_solver_kind_rejected(self, tmp_path, solver):
         path = tmp_path / "bench.json"
         path.write_text('{"approaches": ["2BB-2F"], "solver": %s}' % solver)
@@ -188,7 +193,7 @@ class TestHarness:
         ("approaches", '"2BB-2F"'), ("approaches", '[2]'), ("instances", '1'),
         ("instances", '[1.5]'), ("horizons", '["24"]'), ("n_seeds", '"3"'),
         ("n_seeds", 'true'), ("alpha", '"0.05"'), ("reference", '["2BB-2F"]'),
-        ("case", 'null'),
+        ("case", 'null'), ("solver", '{"kind": "reference"}'),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "bench.json"
@@ -201,7 +206,7 @@ class TestHarness:
         path = tmp_path / "bench.json"
         path.write_text('{"approaches": ["1BB-1F", "2BB-2F"], "instances": [1],'
                         ' "n_seeds": 30, "reference": "2BB-2F",'
-                        ' "solver": {"kind": "reference"}, "alpha": 0.05}')
+                        ' "solver": "reference", "alpha": 0.05}')
         config = BenchConfig.from_json(str(path))
         assert config.reference is Approach.TWO_BB_2F
         assert config.n_seeds == 30 and config.solver == "reference"
@@ -212,6 +217,24 @@ class TestHarness:
             horizons=(12,), n_seeds=3, case="hybrid",
         )
         return run_benchmark(config)
+
+    def test_external_solver_label(self, tmp_path):
+        spec = tmp_path / "highs.json"
+        spec.write_text(json.dumps({
+            "executable": sys.executable,
+            "args": ["-m", "flowgraph.highs_adapter", "{mps}", "{out}", "{seed}"],
+        }))
+        # T=12: up to T=6 the hybrid optimum is 0.0, which any solver reporting 0 meets
+        config = BenchConfig(approaches=(Approach.TWO_BB_2F, Approach.ONE_BB_1F),
+                             horizons=(12,), n_seeds=2, case="hybrid",
+                             solver=f"external:{spec}")
+        report = run_benchmark(config)
+        assert len(report.samples) == 4
+        expected = solve_reference(
+            build_model(scale_horizon(hybrid_fixture(), 12), Approach.TWO_BB_2F)).objective
+        assert expected == pytest.approx(48.5)
+        for s in report.samples:
+            assert s.objective == pytest.approx(expected, rel=1e-6)
 
     def test_sample_bookkeeping(self):
         report = self._small_report()

@@ -83,6 +83,20 @@ class TestBuildSolve:
                            "--approach", "2BB-1F", "--solver", f"external:{spec}")
         assert code == 0 and "primal feasible" in out
 
+    @pytest.mark.parametrize("spec", [
+        None, "{not json", '{"args": ["{mps}", "{out}"]}', '{"executable": 3}',
+        '{"executable": "python3", "args": "{mps} {out}"}',
+        '{"executable": "python3", "args": ["{mps}", "{out}", 7]}',
+    ], ids=["missing", "not-json", "no-executable", "executable-not-string",
+            "args-not-list", "args-not-strings"])
+    def test_bad_solver_spec_is_an_error_line(self, capsys, tmp_path, spec):
+        path = tmp_path / "ext.json"
+        if spec is not None:
+            path.write_text(spec)
+        code, _, err = run(capsys, "solve", "--case", "hybrid", "--T", "1",
+                           "--solver", f"external:{path}")
+        assert code == 1 and err.startswith(f"error: {path}:") and "Traceback" not in err
+
     def test_env_var_selects_default_solver(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "ext.json"
         spec.write_text(json.dumps({

@@ -228,6 +228,30 @@ class TestExtensions:
         along = solve_reference(build_model(self._dc_ring(b_to_c=True), Approach.ONE_BB_1F, dc_opf=True))
         assert result.objective == pytest.approx(along.objective)
 
+    @staticmethod
+    def _dc_across_hubs():
+        sy = EnergySystem(horizon_t=3)
+        sy.add_asset(Asset(id="g", kind=AssetKind.PRODUCER, capacity_mw=5.0,
+                           voltage_angle_enabled=True))
+        sy.add_asset(Asset(id="d", kind=AssetKind.CONSUMER, demand_profile=(1.0, 2.0, 3.0),
+                           voltage_angle_enabled=True))
+        sy.add_hub(HubAnnotation("A", (("g", "in"),)))
+        sy.add_hub(HubAnnotation("B", (("d", "out"),)))
+        sy.add_flow(FlowArc("g", "d", dc_params=DcFlowParams(0.2), op_cost=1.0))
+        return sy
+
+    @pytest.mark.parametrize("approach", [Approach.TWO_BB_2F, Approach.TWO_BB_1F],
+                             ids=lambda a: a.value)
+    def test_dc_line_between_hubs_agrees_with_direct_form(self, approach):
+        # the lowered hubs at either end of the DC link get voltage angles
+        sy = self._dc_across_hubs()
+        direct = solve_reference(build_model(sy, Approach.ONE_BB_1F, dc_opf=True))
+        lowered = solve_reference(build_model(sy, approach, dc_opf=True))
+        assert direct.objective == pytest.approx(6.0)
+        assert lowered.objective == pytest.approx(direct.objective, abs=1e-9)
+        with pytest.raises(UnsupportedCombination):
+            build_model(sy, Approach.THREE_BB_4F, dc_opf=True)
+
     def test_unit_commitment_rows(self):
         sy = EnergySystem(horizon_t=2)
         sy.add_asset(Asset(id="g", kind=AssetKind.PRODUCER, capacity_mw=10.0,

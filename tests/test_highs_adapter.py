@@ -1,7 +1,8 @@
 """HiGHS adapter tests: row senses reach HiGHS with the right bounds, an LP
 without columns is answered without HiGHS, single-term rows that cross are
-infeasible for both solvers, and the adapter's memory grows with the
-nonzeros, not with rows times columns."""
+infeasible for both solvers, the adapter's memory grows with the
+nonzeros, not with rows times columns, and a solver that writes no
+solution file is a typed failure."""
 
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from flowgraph import (
     tri_area_case,
     write_mps,
 )
+from flowgraph.errors import SolverFailure
 from flowgraph.highs_adapter import solve as highs_solve
 from flowgraph.solver import ExternalSolverSpec, solve_external
 
@@ -52,6 +54,12 @@ def test_row_senses_agree_with_reference_simplex():
     assert ours.is_optimal and theirs.is_optimal
     assert ours.objective == pytest.approx(2.0)
     assert theirs.objective == pytest.approx(ours.objective, abs=1e-9)
+
+
+def test_missing_solution_file_is_a_solver_failure():
+    silent = ExternalSolverSpec(sys.executable, ("-c", "pass", "{mps}", "{out}"))
+    with pytest.raises(SolverFailure, match=r"wrote no .*model\.sol"):
+        solve_external(three_sense_lp(), silent)
 
 
 @pytest.mark.parametrize("rhs, status", [(None, "optimal"), (0.0, "optimal"), (1.0, "infeasible")])

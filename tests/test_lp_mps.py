@@ -338,6 +338,13 @@ class TestSolutionFiles:
         with pytest.raises(ParseError):
             read_solution(str(path), toy_instance())
 
+    @pytest.mark.parametrize("line", ["f_a_b_t1 abc", "obj abc"])
+    def test_malformed_number_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.sol"
+        path.write_text(f"status optimal\n\n{line}\n")
+        with pytest.raises(ParseError, match=r"bad\.sol:3: malformed number 'abc'"):
+            read_solution(str(path), toy_instance())
+
     def test_infeasible_status_carries_no_primal(self, tmp_path):
         path = str(tmp_path / "inf.sol")
         write_solution(SolveResult(status="infeasible"), path, toy_instance())
