@@ -1,10 +1,11 @@
 """Timing harness and statistics: per-seed build/solve timing, median
 speedups against a reference approach, and two-sample t-tests.
 
-The t-distribution tail probability comes from ``scipy.special.stdtr``
-(only ``scipy.special`` is imported: ``scipy.stats`` costs ten times as
-much to import).  The tests check the whole t-test against a brute-force
-oracle that shares no code with scipy.
+The t-distribution tail probability comes from ``scipy.special.stdtr``.
+:func:`two_sample_t_test` imports ``scipy.special`` on its first call, so
+importing this module loads no scipy; ``scipy.stats`` is never imported,
+as it costs ten times as much.  The tests check the whole t-test against
+a brute-force oracle that shares no code with scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.special
 
 from .cases import CaseSpec, hybrid_fixture, scale_horizon, tri_area_case
 from .errors import (
@@ -141,6 +141,8 @@ def two_sample_t_test(
     a: Sequence[float], b: Sequence[float], alpha: float = 0.05
 ) -> TTestResult:
     """Pooled-variance two-sample Student t-test, two-sided."""
+    import scipy.special
+
     if len(a) < 2 or len(b) < 2:
         raise EmptySample("need at least two observations per sample")
     na, nb = len(a), len(b)

@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
-from scipy.sparse import coo_matrix
 
 
 @dataclass
@@ -100,8 +98,12 @@ def solve(path: str):
     per-row bounds.  No integrality is passed, so marked integer columns are
     relaxed.  A file with no columns is not passed to HiGHS: it is optimal
     with objective 0 when every row admits 0, else infeasible.  Returns the
-    parsed file and scipy's result.
+    parsed file and scipy's result.  scipy is imported here, not with the
+    module, so importing the adapter stays cheap.
     """
+    from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+    from scipy.sparse import coo_matrix
+
     p = parse_free_mps(path)
     row_index = {r: i for i, r in enumerate(p.row_order)}
     cost = np.zeros(len(p.col_order))

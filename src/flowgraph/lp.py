@@ -27,12 +27,14 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvariantViolation, ParseError, UnknownVariableName
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INF = math.inf
 
@@ -138,6 +140,9 @@ class LpArrays:
     col_hi: np.ndarray
     cost: np.ndarray
 
+
+#: terms :meth:`LpInstance.check` reads per step: bounds its extra memory
+_CHECK_TERMS = 1 << 14
 
 #: the tables that row ``sense`` and ``family`` codes index
 SENSES = ("<=", "=", ">=")
@@ -280,9 +285,12 @@ class LpInstance:
         built on first call and shared: every array is read-only.
 
         ``=`` rows get ``[rhs, rhs]``, ``<=`` rows ``[rhs_low or -inf, rhs]``
-        and ``>=`` rows ``[rhs, inf]``.
+        and ``>=`` rows ``[rhs, inf]``.  scipy is imported here, not with
+        the module, so building a model and writing MPS never load it.
         """
         if self._arrays is None:
+            import scipy.sparse as sp
+
             self._raise_bad_sense()
             m, n = len(self.rhs), len(self.lower)
             data = np.asarray(self.data, float)
@@ -302,29 +310,42 @@ class LpInstance:
 
         A row needs a known sense, and ``rhs_low`` only on a ``<=`` row; each
         term needs a column index in range, a finite non-zero coefficient
-        and a column no earlier term of its row uses.
+        and a column no earlier term of its row uses.  Terms are checked in
+        blocks of whole rows, ``_CHECK_TERMS`` terms at most unless one row
+        has more, so the extra memory does not grow with the instance.
         """
-        n = len(self.lower)
+        n, indptr = len(self.lower), self.indptr
         bad_row = self._raise_bad_sense(before=0)
-        cols, coefs = self.indices, np.asarray(self.data, float)
-        term_row = np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
-        out_of_range = (cols < 0) | (cols >= n)
-        # a stable sort by (row, column) puts a repeated column right after
-        # its first use in the row; clipping keeps keys distinct
-        key = term_row * (n + 2) + np.clip(cols, -1, n)
-        order = np.argsort(key, kind="stable")
-        duplicate = np.zeros(len(cols), bool)
-        duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
-        bad = np.flatnonzero(out_of_range | duplicate | (coefs == 0.0) | ~np.isfinite(coefs))
-        if bad.size and term_row[bad[0]] < bad_row:
-            k = bad[0]
-            name, j = self.row_names()[term_row[k]], cols[k]
-            if out_of_range[k]:
-                raise ParseError(f"row {name}: bad variable index {j}")
-            if duplicate[k]:
-                raise ParseError(f"row {name}: duplicate term for column {j}")
-            raise ParseError(f"row {name}: invalid coefficient {self.data[k:k + 1].tolist()[0]}")
+        start = 0
+        while start < bad_row:
+            stop = int(np.searchsorted(indptr, indptr[start] + _CHECK_TERMS, "right")) - 1
+            stop = min(max(stop, start + 1), bad_row)
+            lo, hi = indptr[start], indptr[stop]
+            cols, coefs = self.indices[lo:hi], np.asarray(self.data[lo:hi], float)
+            term_row = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+            out_of_range = (cols < 0) | (cols >= n)
+            # a stable sort by (row, column) puts a repeated column right after
+            # its first use in the row; clipping keeps keys distinct
+            key = term_row * (n + 2) + np.clip(cols, -1, n)
+            order = np.argsort(key, kind="stable")
+            duplicate = np.zeros(len(cols), bool)
+            duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+            bad = np.flatnonzero(out_of_range | duplicate | (coefs == 0.0) | ~np.isfinite(coefs))
+            if bad.size:
+                k = bad[0]
+                name, j = self.row_names()[start + term_row[k]], cols[k]
+                if out_of_range[k]:
+                    raise ParseError(f"row {name}: bad variable index {j}")
+                if duplicate[k]:
+                    raise ParseError(f"row {name}: duplicate term for column {j}")
+                raise ParseError(
+                    f"row {name}: invalid coefficient {self.data[lo + k:lo + k + 1].tolist()[0]}")
+            start = stop
         self._raise_bad_sense()
+
+
+#: the statuses a :class:`SolveResult` and a solution file may carry
+STATUSES = ("optimal", "infeasible", "unbounded", "iteration_limit", "numerical_failure")
 
 
 @dataclass
@@ -333,7 +354,7 @@ class SolveResult:
     unless the status is ``"optimal"``, is a read-only array of one value per
     column in column order; the instance's ``col_names()`` names them."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    status: str  # one of STATUSES
     objective: Optional[float] = None
     primal: Optional[np.ndarray] = None
     iterations: int = 0
@@ -498,7 +519,7 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
     if len(head) != 2 or head[0] != "status":
         raise ParseError(f"{path}: expected 'status <value>' on line 1")
     status = head[1].lower()
-    if status not in ("optimal", "infeasible", "unbounded", "iteration_limit"):
+    if status not in STATUSES:
         raise ParseError(f"{path}: unknown status {status!r}")
     result = SolveResult(status=status)
     rest = lines[1:]

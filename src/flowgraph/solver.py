@@ -38,14 +38,15 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure, SolverLaunchFailure
 from .lp import INF, LpInstance, SolveResult, read_solution, write_mps
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: the labels :func:`solver_for` takes
 SOLVER_LABELS = ("reference", "external:<spec.json>")
@@ -59,6 +60,10 @@ _REFACTOR_EVERY = 16
 _STALL_WINDOW = 1000
 
 
+class _SingularBasis(Exception):
+    """SuperLU could not factorize the basis."""
+
+
 class _Basis:
     """Sparse LU of the basis with product-form eta updates."""
 
@@ -70,9 +75,14 @@ class _Basis:
         self.refactor()
 
     def refactor(self) -> None:
+        from scipy.sparse.linalg import splu
+
         self.etas = []
+        try:
+            self.lu = splu(self.matrix[:, self.basic].tocsc(), permc_spec="COLAMD")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise _SingularBasis(str(exc)) from None
         self.factorizations += 1
-        self.lu = splu(self.matrix[:, self.basic].tocsc(), permc_spec="COLAMD")
 
     def push_eta(self, row: int, column: np.ndarray) -> None:
         self.etas.append((row, column))
@@ -100,6 +110,8 @@ class _Basis:
 
 class _Simplex:
     def __init__(self, instance: LpInstance):
+        import scipy.sparse as sp
+
         lp = instance.arrays()
         rows, n = lp.A.shape
         self.n_structural = n
@@ -254,7 +266,8 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     Integrality marks are relaxed with a warning; the result is the LP
     relaxation in that case.  Running out of iterations, after
     ``50 * (2 * rows + cols + 1)`` pivots, gives status ``"iteration_limit"``
-    and no primal.  ``refactorizations`` counts
+    and no primal; a basis SuperLU cannot factorize gives status
+    ``"numerical_failure"`` and no primal.  ``refactorizations`` counts
     the LU factorizations of the basis, the first one included.
     """
     if instance.integral.any():
@@ -262,9 +275,16 @@ def solve_reference(instance: LpInstance) -> SolveResult:
             f"{instance.name}: integrality marks relaxed to their LP bounds",
             stacklevel=2,
         )
+    # scipy is imported on first use; loading it here keeps the import off
+    # the solve's clock
+    import scipy.sparse.linalg  # noqa: F401
+
     start = time.perf_counter()
     worker = _Simplex(instance)
-    status, value, iterations = worker.solve()
+    try:
+        status, value, iterations = worker.solve()
+    except _SingularBasis:
+        status, value, iterations = "numerical_failure", None, worker.iterations
     elapsed = time.perf_counter() - start
     refactorizations = worker.basis.factorizations if worker.basis is not None else 0
     result = SolveResult(status=status, iterations=iterations, wall_time_s=elapsed,
@@ -323,7 +343,8 @@ class ExternalSolverSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "ExternalSolverSpec":
-        """Read ``{"executable": ..., "args": [...]}``; ``args`` is optional."""
+        """Read ``{"executable": ..., "args": [...]}``; ``args`` is optional
+        and any other key is an error."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -333,6 +354,10 @@ class ExternalSolverSpec:
             raise ParseError(f"{path}: solver spec is not JSON ({exc})") from None
         if not isinstance(raw, dict) or not isinstance(raw.get("executable"), str):
             raise ParseError(f"{path}: solver spec needs an 'executable' string")
+        unknown = sorted(set(raw) - {"executable", "args"})
+        if unknown:
+            raise ParseError(f"{path}: unknown solver spec key(s) {', '.join(map(repr, unknown))}"
+                             "; use 'executable' and 'args'")
         args = raw.get("args", list(cls.args))
         if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
             raise ParseError(f"{path}: solver spec 'args' must be a list of strings")

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -144,10 +145,34 @@ class TestTTestProperties:
         assert all(x > y for x, y in zip(ps, ps[1:]))
 
     def test_scipy_stats_not_imported(self):
-        code = ("import sys, flowgraph, flowgraph.cli, flowgraph.highs_adapter; "
-                "sys.exit('scipy.stats' in sys.modules)")
+        # scipy loads only in the calls that use it: importing the package,
+        # building, sizing and writing MPS load no scipy subpackage, and the
+        # reference simplex does not load the HiGHS side
+        code = textwrap.dedent("""
+            import json, sys
+            import flowgraph, flowgraph.cli, flowgraph.highs_adapter
+            from flowgraph import ALL_APPROACHES, build_model, hybrid_fixture
+            from flowgraph import mps_string, size_report, solve_reference
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.startswith("scipy."))
+
+            for approach in ALL_APPROACHES:
+                lp = build_model(hybrid_fixture(), approach)
+                size_report(lp)
+                mps_string(lp)
+            assert flowgraph.cli.main(["compare", "--case", "hybrid", "--T", "1"]) == 0
+            built = scipy_modules()
+            solve_reference(lp)
+            print(json.dumps([built, scipy_modules()]))
+        """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        built, solved = json.loads(proc.stdout.splitlines()[-1])
+        deferred = {"scipy.sparse", "scipy.sparse.linalg", "scipy.special", "scipy.optimize"}
+        assert deferred.isdisjoint(built)
+        assert "scipy.optimize" not in solved and "scipy.stats" not in solved
 
 
 class TestMedianSpeedup:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import scipy.sparse.linalg
 
 from flowgraph.cli import main
 
@@ -77,7 +78,6 @@ class TestBuildSolve:
         spec.write_text(json.dumps({
             "executable": "python3",
             "args": ["-m", "flowgraph.highs_adapter", "{mps}", "{out}", "{seed}"],
-            "solution_path": "{out}",
         }))
         code, out, _ = run(capsys, "solve", "--case", "hybrid", "--T", "6",
                            "--approach", "2BB-1F", "--solver", f"external:{spec}")
@@ -96,6 +96,24 @@ class TestBuildSolve:
         code, _, err = run(capsys, "solve", "--case", "hybrid", "--T", "1",
                            "--solver", f"external:{path}")
         assert code == 1 and err.startswith(f"error: {path}:") and "Traceback" not in err
+
+    def test_solver_spec_typo_names_the_key(self, capsys, tmp_path):
+        path = tmp_path / "ext.json"
+        path.write_text(json.dumps({
+            "executable": "python3",
+            "arg": ["-m", "flowgraph.highs_adapter", "{mps}", "{out}"],
+        }))
+        code, _, err = run(capsys, "solve", "--case", "hybrid", "--T", "1",
+                           "--solver", f"external:{path}")
+        assert code == 1 and err.startswith(f"error: {path}: unknown solver spec key(s) 'arg'")
+
+    def test_singular_basis_fails_the_solve(self, capsys, monkeypatch):
+        def splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        code, _, err = run(capsys, "solve", "--case", "hybrid", "--T", "2")
+        assert code == 1 and err == "solve failed: numerical_failure\n"
 
     def test_env_var_selects_default_solver(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "ext.json"

@@ -33,6 +33,7 @@ from flowgraph import (
     write_mps,
     write_solution,
 )
+from flowgraph import lp as lp_module
 from flowgraph.errors import InvariantViolation, ParseError, UnknownVariableName
 from flowgraph.highs_adapter import parse_free_mps
 
@@ -161,6 +162,25 @@ class TestCheck:
         rows[0] = replace(rows[0], terms=[(0, 1.0), (0, 1.0)])
         with pytest.raises(ParseError, match="r_up: duplicate"):
             LpInstance("toy", variables, rows, objective).check()
+
+    def test_blocks_keep_the_first_defect(self, monkeypatch):
+        # blocks of two terms: r_bad, a three-term row, is a block of its own
+        # after six others, and a bad sense in a later row does not hide it
+        monkeypatch.setattr(lp_module, "_CHECK_TERMS", 2)
+        variables, rows, objective = toy_parts()
+        rows += [ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0, [(0, 1.0), (1, 1.0)], f"r{i}")
+                 for i in range(4)]
+        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0,
+                                  [(2, 1.0), (0, 1.0), (2, 2.0)], "r_bad"))
+        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "=", 1.0, [(0, 1.0)], "r_eq",
+                                  rhs_low=0.0))
+        with pytest.raises(ParseError) as err:
+            LpInstance("toy", variables, rows, objective).check()
+        assert str(err.value) == "row r_bad: duplicate term for column 2"
+        rows.insert(3, rows.pop())
+        with pytest.raises(InvariantViolation) as err:
+            LpInstance("toy", variables, rows, objective).check()
+        assert str(err.value) == "row r_eq: rhs_low on a = row; ranges are <= rows"
 
     def test_matches_reference_on_random_defects(self):
         # thousands of rows, so defects land in several check blocks

@@ -1,11 +1,17 @@
 """Reference simplex tests: correctness against scipy on random LPs,
 status detection, and primal feasibility checking."""
 
+import ast
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.optimize import linprog
 
 from flowgraph import (
@@ -20,9 +26,11 @@ from flowgraph import (
     check_primal,
     hybrid_fixture,
     mps_string,
+    read_solution,
     scale_horizon,
     solve_reference,
     tri_area_case,
+    write_solution,
 )
 from flowgraph import solver
 from flowgraph.errors import InvariantViolation
@@ -212,6 +220,54 @@ class TestStatuses:
         result = solve_reference(lp)
         assert result.status == "iteration_limit"
         assert result.primal is None and result.iterations == 5
+
+    @pytest.mark.parametrize("failing_call", [1, 3], ids=["first", "refactor"])
+    def test_singular_basis_is_a_status(self, monkeypatch, tmp_path, failing_call):
+        # SuperLU's error on a singular basis, at the first factorization
+        # and at a refactorization mid-solve
+        lp = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
+        real, calls = scipy.sparse.linalg.splu, []
+
+        def splu(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        result = solve_reference(lp)
+        assert result.status == "numerical_failure"
+        assert result.primal is None and result.objective is None
+        assert result.refactorizations == failing_call - 1
+        assert (result.iterations > 0) == (failing_call > 1)
+        path = str(tmp_path / "failed.sol")
+        write_solution(result, path, lp)
+        assert read_solution(path, lp).status == "numerical_failure"
+
+
+def test_solve_clock_starts_after_scipy_loads():
+    # scipy is imported on first use; in a fresh interpreter the import must
+    # land before the solve reads its clock, so wall_time_s never holds it
+    code = textwrap.dedent("""
+        import sys, time
+        from flowgraph import Approach, build_model, hybrid_fixture, solve_reference
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        clock, loaded = time.perf_counter, []
+
+        def read():
+            loaded.append("scipy.sparse.linalg" in sys.modules)
+            return clock()
+
+        time.perf_counter = read
+        solve_reference(lp)
+        time.perf_counter = clock
+        print(loaded)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert loaded and all(loaded)
 
 
 def test_basis_solves_track_replaced_columns():
