@@ -188,15 +188,14 @@ def _shuffled(instance: LpInstance, seed: int) -> LpInstance:
     position = np.empty(len(order), np.int64)
     position[order] = np.arange(len(order))
     cols = position[instance.indices]
-    terms = np.lexsort((cols, np.repeat(np.arange(len(instance.rhs)), np.diff(instance.indptr))))
-    objective = position[instance.obj_index]
-    by_column = np.argsort(objective)
+    row = np.repeat(np.arange(len(instance.row_lo)), np.diff(instance.indptr))
+    terms = np.lexsort((cols, row))
     columns = [(role, key, (t,)) for role, key, steps in instance.col_blocks for t in steps]
     store.update(
         indices=cols[terms], data=instance.data[terms],
         lower=instance.lower[order], upper=instance.upper[order],
-        integral=instance.integral[order], col_blocks=[columns[j] for j in order],
-        obj_index=objective[by_column], obj_coef=instance.obj_coef[by_column],
+        integral=instance.integral[order], cost=instance.cost[order],
+        col_blocks=[columns[j] for j in order],
     )
     return LpInstance.from_store(f"{instance.name}:s{seed}", **store)
 

@@ -30,7 +30,7 @@ from .errors import (
     MissingHubAnnotation,
     UnsupportedCombination,
 )
-from .lp import FAMILIES, INF, SENSES, LpInstance, RowFamily, VarRole
+from .lp import FAMILIES, INF, LpInstance, RowFamily, VarRole
 from .model import Asset, AssetKind, EnergySystem, FlowArc, HubAnnotation
 
 
@@ -307,8 +307,9 @@ def _tiled(profile: Optional[Sequence[float]], T: int) -> np.ndarray:
 class _Template(NamedTuple):
     """One row per timestep, described once at t=1.
 
-    At timestep t the row is named ``f"{prefix}_t{t}"`` and has right-hand
-    side ``rhs[t - 1]``.  A term ``(j, coef)`` with one coefficient moves
+    At timestep t the row is named ``f"{prefix}_t{t}"`` and has bounds
+    ``lo`` and ``hi``, each one value or one per timestep (then ``lo[t - 1]``
+    and ``hi[t - 1]``).  A term ``(j, coef)`` with one coefficient moves
     with the row to column ``j + t - 1``; a term with a coefficient per
     timestep (an INVEST column, scaled by availability) stays on column
     ``j`` with coefficient ``coef[t - 1]``.  ``lag_at`` is the position of a
@@ -317,11 +318,10 @@ class _Template(NamedTuple):
     """
 
     family: RowFamily
-    sense: str
     prefix: str
-    rhs: np.ndarray
+    lo: float | np.ndarray
+    hi: float | np.ndarray
     terms: list[tuple[int, float | np.ndarray]]
-    rhs_low: Optional[float] = None
     lag_at: Optional[int] = None
 
 
@@ -351,9 +351,6 @@ class _Builder:
 
     def flows(self, keys: list[tuple[str, str]], coef: float) -> list[tuple[int, float]]:
         return [(self.first[(VarRole.FLOW, key)], coef) for key in keys]
-
-    def constant(self, value: float) -> np.ndarray:
-        return np.full(self.T, value, float)
 
     # -- variables -------------------------------------------------------
 
@@ -388,13 +385,12 @@ class _Builder:
         lower, upper, integral, cost, times = zip(*map(blocks.get, order)) if order else [()] * 5
         counts = [len(ts) for ts in times]
         self.first = dict(zip(order, np.cumsum([0, *counts]).tolist()))
-        cost = np.repeat(np.array(cost, float), counts)
         self.store.update(
             lower=np.repeat(np.array(lower, float), counts),
             upper=np.repeat(np.array(upper, float), counts),
             integral=np.repeat(np.array(integral, bool), counts),
+            cost=np.repeat(np.array(cost, float), counts),
             col_blocks=[(*rk, ts) for rk, ts in zip(order, times)],
-            obj_index=np.flatnonzero(cost), obj_coef=cost[cost != 0],
         )
 
     # -- rows ------------------------------------------------------------
@@ -406,10 +402,15 @@ class _Builder:
         holds the CSR terms of the rows at t = 1..T in emission order.
         """
         T = self.T
+
+        def per_step(values: list) -> np.ndarray:
+            """A (T, values) array of each value, or of its entry at each timestep."""
+            return np.array([np.broadcast_to(v, T) for v in values], float).reshape(-1, T).T
+
         terms = [term for tpl in templates for term in tpl.terms]
         moves = np.array([np.ndim(coef) == 0 for _, coef in terms], np.int64)
         cols = np.array([j for j, _ in terms], np.int64) + moves * np.arange(T)[:, None]
-        coefs = np.array([np.broadcast_to(coef, T) for _, coef in terms], float).reshape(-1, T).T
+        coefs = per_step([coef for _, coef in terms])
         lengths = np.array([len(tpl.terms) for tpl in templates], np.int64)
         lagged = [k for k, tpl in enumerate(templates) if tpl.lag_at is not None]
         starts = np.cumsum(lengths) - lengths
@@ -419,11 +420,9 @@ class _Builder:
         counts[lagged] -= 1
         self.parts.append((
             counts, cols[keep], coefs[keep],
-            np.tile(np.array([SENSES.index(tpl.sense) for tpl in templates], np.int8), T),
             np.tile(np.array([FAMILIES.index(tpl.family) for tpl in templates], np.int8), T),
-            np.array([tpl.rhs for tpl in templates], float).reshape(-1, T).T.ravel(),
-            np.tile(np.array([np.nan if tpl.rhs_low is None else tpl.rhs_low
-                              for tpl in templates], float), T),
+            per_step([tpl.lo for tpl in templates]).ravel(),
+            per_step([tpl.hi for tpl in templates]).ravel(),
         ))
         self.store["row_blocks"].append(([tpl.prefix for tpl in templates], range(1, T + 1)))
 
@@ -441,10 +440,9 @@ class _Builder:
                     level = self.var(VarRole.STORAGE_LEVEL, (a.id,))
                     terms = [(level, 1.0), (level - 1, -1.0), *terms]
                     lag_at = 1
+                rhs = bal.rhs(a, self.T)
                 templates.append(_Template(
-                    bal.family, "=", f"{bal.prefix}_{a.id}", bal.rhs(a, self.T), terms,
-                    lag_at=lag_at,
-                ))
+                    bal.family, f"{bal.prefix}_{a.id}", rhs, rhs, terms, lag_at=lag_at))
             if templates:
                 self.instantiate(templates)
 
@@ -459,25 +457,19 @@ class _Builder:
         terms = self.flows(keys, 1.0)
         if asset.investable:
             terms.append((self.var(VarRole.INVEST, (asset.id,)), -cap * avails))
-        return [_Template(family, "<=", prefix, cap * avails * asset.initial_units, terms)]
+        return [_Template(family, prefix, -INF, cap * avails * asset.initial_units, terms)]
 
     def _flow_bound(self, key: tuple[str, str]) -> list[_Template]:
+        """``-max_bwd_mw <= flow <= max_fwd_mw``; a one-sided flow has no low bound."""
         arc = self.system.arcs[key]
+        lo = -arc.max_bwd_mw if arc.two_sided else -INF
+        if arc.max_fwd_mw is None and (lo == -INF or arc.dc_params is not None and lo == 0):
+            # an unbounded flow needs no row at all, and a DC line with no
+            # cap given runs either way, as its angles set
+            return []
+        hi = INF if arc.max_fwd_mw is None else arc.max_fwd_mw
         terms = [(self.var(VarRole.FLOW, key), 1.0)]
-        name = f"fb_{key[0]}_{key[1]}"
-        if arc.two_sided:
-            low = None if arc.max_bwd_mw == INF else -arc.max_bwd_mw
-            if arc.max_fwd_mw is not None:
-                rhs = self.constant(arc.max_fwd_mw)
-                return [_Template(RowFamily.FLOW_BOUND, "<=", name, rhs, terms, rhs_low=low)]
-            if low is not None and not (arc.dc_params is not None and arc.max_bwd_mw == 0):
-                return [_Template(RowFamily.FLOW_BOUND, ">=", name, self.constant(low), terms)]
-            # an unbounded two-sided flow needs no row at all, and a DC
-            # line with no cap given runs either way, as its angles set
-        elif arc.max_fwd_mw is not None:
-            rhs = self.constant(arc.max_fwd_mw)
-            return [_Template(RowFamily.FLOW_BOUND, "<=", name, rhs, terms)]
-        return []
+        return [_Template(RowFamily.FLOW_BOUND, f"fb_{key[0]}_{key[1]}", lo, hi, terms)]
 
     def _dc_angle(self, key: tuple[str, str]) -> list[_Template]:
         dc = self.system.arcs[key].dc_params
@@ -493,28 +485,22 @@ class _Builder:
             (self.var(VarRole.VOLTAGE_ANGLE, (u,)), -b),
             (self.var(VarRole.VOLTAGE_ANGLE, (v,)), b),
         ]
-        return [_Template(RowFamily.DC_ANGLE, "=", f"dc_{u}_{v}", self.constant(0.0), terms)]
+        return [_Template(RowFamily.DC_ANGLE, f"dc_{u}_{v}", 0.0, 0.0, terms)]
 
     def _unit_commitment(self, a: Asset) -> list[_Template]:
         u_j = self.var(VarRole.UNITS_ON, (a.id,))
         fa_j = self.var(VarRole.FLOW_ABOVE_MIN, (a.id,))
-        zero = self.constant(0.0)
         units = [(u_j, 1.0)]
         if a.investable:
-            units.append((self.var(VarRole.INVEST, (a.id,)), self.constant(-1.0)))
+            units.append((self.var(VarRole.INVEST, (a.id,)), np.full(self.T, -1.0)))
         cap = (a.capacity_mw or 0.0) - a.min_capacity_mw
         return [
             _Template(
-                RowFamily.UC_MIN_OPER, "=", f"ucm_{a.id}", zero,
+                RowFamily.UC_MIN_OPER, f"ucm_{a.id}", 0.0, 0.0,
                 [(fa_j, 1.0), *self.flows(self.adj[a.id][1], -1.0), (u_j, a.min_capacity_mw)],
             ),
-            _Template(
-                RowFamily.UC_LIMIT, "<=", f"ucl_{a.id}", self.constant(float(a.initial_units)),
-                units,
-            ),
-            _Template(
-                RowFamily.UC_MAX_ABOVE, "<=", f"uca_{a.id}", zero, [(fa_j, 1.0), (u_j, -cap)],
-            ),
+            _Template(RowFamily.UC_LIMIT, f"ucl_{a.id}", -INF, a.initial_units, units),
+            _Template(RowFamily.UC_MAX_ABOVE, f"uca_{a.id}", -INF, 0.0, [(fa_j, 1.0), (u_j, -cap)]),
         ]
 
     def limit_templates(self) -> list[_Template]:
@@ -533,8 +519,8 @@ class _Builder:
             )
         for a in storages:
             level = [(self.var(VarRole.STORAGE_LEVEL, (a.id,)), 1.0)]
-            rhs = self.constant(a.storage_capacity_mwh)
-            table.append(_Template(RowFamily.STORAGE_CAPACITY, "<=", f"scap_{a.id}", rhs, level))
+            table.append(_Template(
+                RowFamily.STORAGE_CAPACITY, f"scap_{a.id}", -INF, a.storage_capacity_mwh, level))
         for key in self.arc_keys:
             table += self._flow_bound(key)
         if self.dc_opf:
@@ -550,10 +536,10 @@ class _Builder:
         self.create_variables()
         self.emit_balances()
         self.instantiate(self.limit_templates())
-        counts, cols, coefs, sense, family, rhs, rhs_low = map(np.concatenate, zip(*self.parts))
+        counts, cols, coefs, family, row_lo, row_hi = map(np.concatenate, zip(*self.parts))
         lp = LpInstance.from_store(
             self.system.name, indptr=np.concatenate([[0], np.cumsum(counts)]), indices=cols,
-            data=coefs, sense=sense, family=family, rhs=rhs, rhs_low=rhs_low, **self.store,
+            data=coefs, row_lo=row_lo, row_hi=row_hi, family=family, **self.store,
         )
         lp.check()
         return lp

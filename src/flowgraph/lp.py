@@ -1,19 +1,23 @@
 """LP instance store, size accounting and format writers.
 
 An :class:`LpInstance` is one columnar store that every consumer reads (size
-report, MPS writer, checks, both solvers):
+report, MPS writer, checks, both solvers): minimize ``cost @ x`` subject to
+``row_lo <= A @ x <= row_hi`` and ``lower <= x <= upper``.
 
-- rows: CSR ``indptr``/``indices``/``data`` in emission order, and per row a
-  ``sense`` code (into :data:`SENSES`), ``rhs``, ``rhs_low`` (NaN for none)
+- rows: CSR ``indptr``/``indices``/``data`` (float) in emission order, and
+  per row the bounds ``row_lo`` and ``row_hi`` (``-inf``/``inf`` for none)
   and a ``family`` code (into :data:`FAMILIES`);
-- columns: ``lower``, ``upper`` and ``integral``;
-- objective: the listed columns ``obj_index``, increasing, and ``obj_coef``;
+- columns: ``lower``, ``upper``, ``integral`` and the objective ``cost``;
 - names, made on demand from per-block prefixes: ``"_".join((role prefix,
   *key))`` plus ``_t{t}`` for a column, a template prefix plus ``_t{t}``
   for a row.
 
-Store arrays are read-only, and so are ``rows``, ``variables`` and
-``objective``: tuples of frozen records, built on first read.
+:meth:`LpInstance.matrix` is the rows as one CSR matrix.  Store arrays are
+read-only, and so are the matrix, ``rows``, ``variables`` and ``objective``:
+the last three are tuples of frozen records, built on first read.
+
+MPS, the size report and the ``rows`` view derive a row's sense,
+right-hand side and range from its bounds (see :func:`_senses`).
 
 Model size is reported under a fixed counting convention: every limit is a
 real row (single-variable capacity rows included), a two-sided range row
@@ -124,36 +128,36 @@ class ModelSize:
         return (self.n_vars, self.n_constraints, self.n_nonzeros)
 
 
-@dataclass(frozen=True)
-class LpArrays:
-    """Array view of an LP: minimize ``cost @ x`` subject to
-    ``row_lo <= A @ x <= row_hi`` and ``col_lo <= x <= col_hi``.
-
-    ``A`` is CSR, rows by columns, with each row's terms in emission order.
-    Every array is read-only.
-    """
-
-    A: sp.csr_matrix
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    col_lo: np.ndarray
-    col_hi: np.ndarray
-    cost: np.ndarray
-
-
 #: terms :meth:`LpInstance.check` reads per step: bounds its extra memory
 _CHECK_TERMS = 1 << 14
 
-#: the tables that row ``sense`` and ``family`` codes index
-SENSES = ("<=", "=", ">=")
+#: the table that row ``family`` codes index, and the one of derived senses
 FAMILIES = tuple(RowFamily)
+SENSES = ("<=", "=", ">=")
 
 
-def _codes(values: list, table: tuple) -> tuple[np.ndarray, tuple]:
-    """Each value's index in ``table``, and ``table`` grown by the values it lacks."""
-    index = {value: k for k, value in enumerate(table)}
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int8, len(values))
-    return codes, tuple(index)
+def _senses(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row with bounds ``lo`` and ``hi``: its sense (an index into
+    :data:`SENSES`), its right-hand side and whether it is a range row.
+
+    A row is ``=`` when ``lo == hi``, ``>=`` when only ``lo`` is finite, and
+    otherwise ``<=`` with right-hand side ``hi``, a range if ``lo`` is finite.
+    """
+    ge = np.isfinite(lo) & ~np.isfinite(hi)
+    sense = np.where(lo == hi, 1, np.where(ge, 2, 0))
+    return sense, np.where(ge, lo, hi), (sense == 0) & np.isfinite(lo)
+
+
+def _bounds(row: ConstraintRow) -> tuple[float, float]:
+    """``(row_lo, row_hi)`` of a record; raises for a sense a store cannot hold."""
+    if row.sense == "<=":
+        return -INF if row.rhs_low is None else row.rhs_low, row.rhs
+    if row.rhs_low is not None:
+        raise InvariantViolation(
+            f"row {row.name}: rhs_low on a {row.sense} row; ranges are <= rows")
+    if row.sense not in SENSES:
+        raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
+    return row.rhs, (row.rhs if row.sense == "=" else INF)
 
 
 def _names(blocks) -> list[str]:
@@ -181,33 +185,32 @@ class LpInstance:
 
     ``LpInstance(name, variables, rows, objective)`` converts lists of
     :class:`VariableRef`, :class:`ConstraintRow` and ``(column,
-    coefficient)`` pairs once and never raises: :meth:`check` and
-    :meth:`arrays` report a malformed row.  A row coefficient that is not a
-    float keeps its Python value, so MPS prints it as given; the objective
-    keeps the last coefficient given for a column.
+    coefficient)`` pairs once, into bounds and floats.  It raises for a sense
+    bounds cannot hold and for an objective column out of range;
+    :meth:`check` reports any other malformed row.  The objective keeps the
+    last coefficient given for a column.
     """
 
     def __init__(self, name: str = "lp", variables: Sequence[VariableRef] = (),
                  rows: Sequence[ConstraintRow] = (), objective=()):
-        variables, rows, objective = list(variables), list(rows), dict(objective)
-        coefs = [coef for row in rows for _, coef in row.terms]
-        sense, senses = _codes([row.sense for row in rows], SENSES)
-        family, families = _codes([row.family for row in rows], FAMILIES)
-        obj_index = sorted(objective)
+        variables, rows = list(variables), list(rows)
+        cost = np.zeros(len(variables))
+        for j, coef in objective:
+            if not 0 <= j < len(cost):
+                raise ParseError(f"objective: bad variable index {j}")
+            cost[j] = coef
+        row_lo, row_hi = np.array([_bounds(row) for row in rows], float).reshape(-1, 2).T.copy()
         self._fill(
-            name, sense=sense, senses=senses, family=family, families=families,
-            indptr=np.cumsum([0, *(len(row.terms) for row in rows)]),
+            name, indptr=np.cumsum([0, *(len(row.terms) for row in rows)]),
             indices=np.array([j for row in rows for j, _ in row.terms], np.int64),
-            data=np.array(coefs, float if all(type(c) is float for c in coefs) else object),
-            rhs=np.array([row.rhs for row in rows], float),
-            rhs_low=np.array([np.nan if r.rhs_low is None else r.rhs_low for r in rows], float),
+            data=np.array([coef for row in rows for _, coef in row.terms], float),
+            row_lo=row_lo, row_hi=row_hi,
+            family=np.array([FAMILIES.index(row.family) for row in rows], np.int8),
             row_blocks=[([row.name for row in rows], (None,))],
             lower=np.array([v.lower for v in variables], float),
             upper=np.array([v.upper for v in variables], float),
             integral=np.array([v.integrality for v in variables], bool),
-            col_blocks=[(v.role, v.key, (v.timestep,)) for v in variables],
-            obj_index=np.array(obj_index, np.int64),
-            obj_coef=np.array([objective[j] for j in obj_index], float),
+            col_blocks=[(v.role, v.key, (v.timestep,)) for v in variables], cost=cost,
         )
 
     @classmethod
@@ -215,8 +218,7 @@ class LpInstance:
         """An instance over a store given as keywords: the arrays the module
         docstring names, ``row_blocks`` as ``(name prefixes, timesteps)`` and
         ``col_blocks`` as ``(role, key, timesteps)``, in order (a ``None``
-        timestep adds no suffix), and optionally ``senses`` and ``families``,
-        the tables the codes index."""
+        timestep adds no suffix)."""
         instance = cls.__new__(cls)
         instance._fill(name, **store)
         return instance
@@ -225,12 +227,12 @@ class LpInstance:
         """The keywords :meth:`from_store` takes to rebuild this instance."""
         return dict(self._store)
 
-    def _fill(self, name: str, senses=SENSES, families=FAMILIES, **store) -> None:
+    def _fill(self, name: str, **store) -> None:
         for value in store.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self._store = dict(store, senses=senses, families=families)
-        self.__dict__.update(self._store, name=name, _arrays=None, _views={})
+        self._store = store
+        self.__dict__.update(store, name=name, _views={})
 
     # -- names and record views --------------------------------------------
 
@@ -253,75 +255,57 @@ class LpInstance:
     @_view
     def rows(self) -> tuple[ConstraintRow, ...]:
         pairs, ends = list(zip(self.indices.tolist(), self.data.tolist())), self.indptr.tolist()
+        sense, rhs, ranged = _senses(self.row_lo, self.row_hi)
         return tuple(map(
-            ConstraintRow, [self.families[c] for c in self.family.tolist()],
-            [self.senses[c] for c in self.sense.tolist()], self.rhs.tolist(),
+            ConstraintRow, [FAMILIES[c] for c in self.family.tolist()],
+            [SENSES[c] for c in sense.tolist()], rhs.tolist(),
             [pairs[a:b] for a, b in zip(ends, ends[1:])], self.row_names(),
-            [None if math.isnan(low) else low for low in self.rhs_low.tolist()],
+            [low if r else None for low, r in zip(self.row_lo.tolist(), ranged.tolist())],
         ))
 
     @_view
     def objective(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.obj_index.tolist(), self.obj_coef.tolist()))
+        listed = np.flatnonzero(self.cost)
+        return tuple(zip(listed.tolist(), self.cost[listed].tolist()))
 
     # -- checks and the solver view ----------------------------------------
 
-    def _raise_bad_sense(self, before: Optional[int] = None) -> int:
-        """Raise for the first row with an unknown sense or with ``rhs_low``
-        on a row that is not ``<=``, unless it comes at or after ``before``;
-        returns that row (the row count when there is none)."""
-        bad = (self.sense != 0) & (~np.isnan(self.rhs_low) | (self.sense >= len(SENSES)))
-        i = int(bad.argmax()) if bad.any() else len(bad)
-        if i < len(bad) and (before is None or i < before):
-            sense, name = self.senses[self.sense[i]], self.row_names()[i]
-            if not np.isnan(self.rhs_low[i]):
-                raise InvariantViolation(
-                    f"row {name}: rhs_low on a {sense} row; ranges are <= rows")
-            raise InvariantViolation(f"row {name}: unknown sense {sense}")
-        return i
-
-    def arrays(self) -> LpArrays:
-        """The instance as one sparse matrix with row and column bounds,
-        built on first call and shared: every array is read-only.
-
-        ``=`` rows get ``[rhs, rhs]``, ``<=`` rows ``[rhs_low or -inf, rhs]``
-        and ``>=`` rows ``[rhs, inf]``.  scipy is imported here, not with
-        the module, so building a model and writing MPS never load it.
-        """
-        if self._arrays is None:
+    def matrix(self) -> sp.csr_matrix:
+        """The rows as one CSR matrix, built on first call and shared, so its
+        arrays are read-only.  scipy is imported here, not with the module,
+        so building a model and writing MPS never load it."""
+        if "matrix" not in self._views:
             import scipy.sparse as sp
 
-            self._raise_bad_sense()
-            m, n = len(self.rhs), len(self.lower)
-            data = np.asarray(self.data, float)
-            A = sp.csr_matrix((data, self.indices, self.indptr), shape=(m, n))
-            low = np.where(np.isnan(self.rhs_low), -INF, self.rhs_low)
-            row_lo = np.where(self.sense == 0, low, self.rhs)
-            row_hi = np.where(self.sense == 2, INF, self.rhs)
-            cost = np.zeros(n)
-            cost[self.obj_index] = self.obj_coef
-            for array in (A.data, A.indices, A.indptr, row_lo, row_hi, cost):
+            A = sp.csr_matrix((self.data, self.indices, self.indptr),
+                              shape=(len(self.row_lo), len(self.lower)))
+            for array in (A.data, A.indices, A.indptr):
                 array.flags.writeable = False
-            self._arrays = LpArrays(A, row_lo, row_hi, self.lower, self.upper, cost)
-        return self._arrays
+            self._views["matrix"] = A
+        return self._views["matrix"]
 
     def check(self) -> None:
-        """Reject a malformed instance, naming its first offending row.
+        """Reject a malformed instance, naming the first offending row or column.
 
-        A row needs a known sense, and ``rhs_low`` only on a ``<=`` row; each
-        term needs a column index in range, a finite non-zero coefficient
-        and a column no earlier term of its row uses.  Terms are checked in
-        blocks of whole rows, ``_CHECK_TERMS`` terms at most unless one row
-        has more, so the extra memory does not grow with the instance.
+        No row bound, column bound or cost may be NaN.  Each term needs a
+        column index in range, a finite non-zero coefficient and a column no
+        earlier term of its row uses.  Terms are checked in blocks of whole
+        rows, ``_CHECK_TERMS`` terms at most unless one row has more, so the
+        extra memory does not grow with the instance.
         """
-        n, indptr = len(self.lower), self.indptr
-        bad_row = self._raise_bad_sense(before=0)
+        for kind, keys, names in (("row", ("row_lo", "row_hi"), self.row_names),
+                                  ("column", ("lower", "upper", "cost"), self.col_names)):
+            for key in keys:
+                nan = np.flatnonzero(np.isnan(getattr(self, key)))
+                if nan.size:
+                    raise InvariantViolation(f"{kind} {names()[nan[0]]}: {key} is NaN")
+        m, n, indptr = len(self.row_lo), len(self.lower), self.indptr
         start = 0
-        while start < bad_row:
+        while start < m:
             stop = int(np.searchsorted(indptr, indptr[start] + _CHECK_TERMS, "right")) - 1
-            stop = min(max(stop, start + 1), bad_row)
+            stop = min(max(stop, start + 1), m)
             lo, hi = indptr[start], indptr[stop]
-            cols, coefs = self.indices[lo:hi], np.asarray(self.data[lo:hi], float)
+            cols, coefs = self.indices[lo:hi], self.data[lo:hi]
             term_row = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
             out_of_range = (cols < 0) | (cols >= n)
             # a stable sort by (row, column) puts a repeated column right after
@@ -338,10 +322,8 @@ class LpInstance:
                     raise ParseError(f"row {name}: bad variable index {j}")
                 if duplicate[k]:
                     raise ParseError(f"row {name}: duplicate term for column {j}")
-                raise ParseError(
-                    f"row {name}: invalid coefficient {self.data[lo + k:lo + k + 1].tolist()[0]}")
+                raise ParseError(f"row {name}: invalid coefficient {float(coefs[k])}")
             start = stop
-        self._raise_bad_sense()
 
 
 #: the statuses a :class:`SolveResult` and a solution file may carry
@@ -376,7 +358,8 @@ def size_report(instance: LpInstance) -> ModelSize:
     they are present in the LP (and in MPS output).
     """
     counted = instance.family != FAMILIES.index(RowFamily.TRANSPORT_BALANCE)
-    n_cons = np.count_nonzero(counted) + np.count_nonzero(counted & ~np.isnan(instance.rhs_low))
+    ranged = _senses(instance.row_lo, instance.row_hi)[2]
+    n_cons = np.count_nonzero(counted) + np.count_nonzero(counted & ranged)
     n_nz = np.diff(instance.indptr)[counted].sum()
     return ModelSize(len(instance.lower), int(n_cons), int(n_nz))
 
@@ -389,10 +372,8 @@ _MPS_SENSE = np.array([" L ", " E ", " G "], object)
 
 
 def _text(values: np.ndarray, end: str = "\n") -> np.ndarray:
-    """``repr(value) + end`` for each value, as an object array; a float
-    array formats each distinct bit pattern once."""
-    if values.dtype != float:
-        return np.array([f"{value!r}{end}" for value in values.tolist()], object)
+    """``repr(value) + end`` for each float value, as an object array; each
+    distinct bit pattern is formatted once."""
     bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
     return np.array([f"{value!r}{end}" for value in bits.view(float).tolist()], object)[inverse]
 
@@ -410,10 +391,10 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     """Write free-format MPS with deterministic ordering.
 
     Columns appear in variable order; a column lists its objective entry
-    first, then its row entries in row order, and a column with no entry
-    gets ``OBJ 0.0`` so that dimensions round-trip.  Range rows land in the
-    RANGES section; integrality uses INTORG/INTEND markers.  The objective
-    row is named OBJ.  Coefficients print with ``repr``.
+    (a non-zero cost) first, then its row entries in row order, and a column
+    with no entry gets ``OBJ 0.0`` so that dimensions round-trip.  Range
+    rows land in the RANGES section; integrality uses INTORG/INTEND markers.
+    The objective row is named OBJ.  Coefficients print with ``repr``.
 
     The COLUMNS section is written in blocks of ``_BLOCK`` columns, so the
     writer holds the text of one block at a time, never the whole file.
@@ -423,31 +404,31 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
             write_mps(instance, fh)
         return
     out, lp = destination, instance
-    lp._raise_bad_sense()
     n = len(lp.lower)
     names = lp.row_names()
     if "" in names:
         names = [name or f"R{i}" for i, name in enumerate(names)]
     names, cname = np.array(names, object), np.array(lp.col_names(), object)
     out.write(f"NAME {lp.name}\nROWS\n N OBJ\n")
-    out.write(_joined(_MPS_SENSE[lp.sense], names, "\n"))
+    sense, rhs, ranged = _senses(lp.row_lo, lp.row_hi)
+    out.write(_joined(_MPS_SENSE[sense], names, "\n"))
 
-    # COLUMNS is one stream of entries sorted by column: the objective and
-    # empty-column entries (row OBJ) come first, so the stable sort puts them
-    # ahead of a column's row entries, which stay in row order
-    listed = np.zeros(n, bool)
-    listed[lp.obj_index] = True
-    listed[lp.indices] = True
-    empty = np.flatnonzero(~listed)
-    cols = np.concatenate([lp.obj_index, empty, lp.indices])
+    # COLUMNS is one stream of entries sorted by column: the entries of row
+    # OBJ (a column's cost, if it is not zero or the column is in no row)
+    # come first, so the stable sort puts them ahead of a column's row
+    # entries, which stay in row order; + 0.0 writes a cost of -0.0 as 0.0
+    in_rows = np.zeros(n, bool)
+    in_rows[lp.indices] = True
+    obj_cols = np.flatnonzero((lp.cost != 0.0) | ~in_rows)
+    cols = np.concatenate([obj_cols, lp.indices])
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
     rows = np.concatenate([
-        np.full(len(lp.obj_index) + len(empty), "OBJ", object),
+        np.full(len(obj_cols), "OBJ", object),
         np.repeat(names, np.diff(lp.indptr)),
     ])[order]
-    coefs = _text(np.concatenate([lp.obj_coef, np.zeros(len(empty)), lp.data])[order])
-    del listed, empty, order
+    coefs = _text(np.concatenate([lp.cost[obj_cols] + 0.0, lp.data])[order])
+    del in_rows, obj_cols, order
 
     # blocks end every _BLOCK columns and wherever integrality changes
     integral = lp.integral
@@ -466,11 +447,10 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     if in_int:
         out.write(f"    MARKER{marker} 'MARKER' 'INTEND'\n")
 
-    given = lp.rhs != 0.0
-    out.write("RHS\n" + _joined("    RHS ", names[given], " ", _text(lp.rhs[given])))
-    ranged = ~np.isnan(lp.rhs_low)
+    given = rhs != 0.0
+    out.write("RHS\n" + _joined("    RHS ", names[given], " ", _text(rhs[given])))
     if ranged.any():
-        span = _text(lp.rhs[ranged] - lp.rhs_low[ranged])
+        span = _text(lp.row_hi[ranged] - lp.row_lo[ranged])
         out.write("RANGES\n" + _joined("    RNG ", names[ranged], " ", span))
 
     # each column has up to two BOUNDS lines: FX, FR, MI or LO, then UP

@@ -10,6 +10,7 @@ modelling approach is derived.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -39,9 +40,10 @@ class DcFlowParams:
     s_base_mva: float = 100.0
 
     def __post_init__(self):
-        if self.reactance_pu <= 0:
+        # each test is written so that NaN fails it
+        if not self.reactance_pu > 0:
             raise InvariantViolation("reactance_pu must be positive")
-        if self.s_base_mva <= 0:
+        if not self.s_base_mva > 0:
             raise InvariantViolation("s_base_mva must be positive")
 
     @property
@@ -86,9 +88,10 @@ class Asset:
         asset cannot become invalid afterwards."""
         if not self.id:
             raise InvariantViolation("asset id must be non-empty")
-        if self.capacity_mw is not None and self.capacity_mw < 0:
+        # each test of a float is written so that NaN fails it
+        if self.capacity_mw is not None and not self.capacity_mw >= 0:
             raise InvariantViolation(f"{self.id}: capacity_mw must be nonnegative")
-        if self.min_capacity_mw < 0:
+        if not self.min_capacity_mw >= 0:
             raise InvariantViolation(f"{self.id}: min_capacity_mw must be nonnegative")
         if self.capacity_mw is not None and self.min_capacity_mw > self.capacity_mw:
             raise InvariantViolation(f"{self.id}: min_capacity_mw exceeds capacity_mw")
@@ -96,7 +99,7 @@ class Asset:
             raise InvariantViolation(f"{self.id}: initial_units must be nonnegative")
         if self.invest_limit is not None and self.invest_limit < 0:
             raise InvariantViolation(f"{self.id}: invest_limit must be nonnegative")
-        if self.invest_cost < 0:
+        if not self.invest_cost >= 0:
             raise InvariantViolation(f"{self.id}: invest_cost must be nonnegative")
         if not (0.0 < self.eta_in <= 1.0) or not (0.0 < self.eta_out <= 1.0):
             raise InvariantViolation(f"{self.id}: efficiencies must lie in (0, 1]")
@@ -104,16 +107,16 @@ class Asset:
         if is_storage:
             if self.storage_capacity_mwh is None:
                 raise InvariantViolation(f"{self.id}: storage asset needs storage_capacity_mwh")
-            if self.storage_capacity_mwh < 0:
+            if not self.storage_capacity_mwh >= 0:
                 raise InvariantViolation(f"{self.id}: storage_capacity_mwh must be nonnegative")
-            if self.initial_storage_mwh > self.storage_capacity_mwh:
-                raise InvariantViolation(f"{self.id}: initial storage exceeds storage capacity")
+            if not self.initial_storage_mwh <= self.storage_capacity_mwh:
+                raise InvariantViolation(f"{self.id}: initial storage must be at most its capacity")
         elif self.storage_capacity_mwh is not None or self.initial_storage_mwh:
             raise InvariantViolation(f"{self.id}: storage fields on a non-storage asset")
         if self.kind is AssetKind.CONSUMER:
             if self.demand_profile is None:
                 raise InvariantViolation(f"{self.id}: consumer needs a demand_profile")
-            if any(d < 0 for d in self.demand_profile):
+            if any(not d >= 0 for d in self.demand_profile):
                 raise InvariantViolation(f"{self.id}: demand must be nonnegative")
         elif self.demand_profile is not None:
             raise InvariantViolation(f"{self.id}: demand_profile on a non-consumer asset")
@@ -149,10 +152,13 @@ class FlowArc:
         object.__setattr__(self, "via_hubs", tuple(self.via_hubs))
         if self.from_asset == self.to_asset:
             raise SelfLoop(f"self-loop on {self.from_asset}")
-        if self.max_fwd_mw is not None and self.max_fwd_mw < 0:
+        # each test is written so that NaN fails it; inf passes
+        if self.max_fwd_mw is not None and not self.max_fwd_mw >= 0:
             raise InvariantViolation("max_fwd_mw must be nonnegative")
-        if self.max_bwd_mw < 0:
+        if not self.max_bwd_mw >= 0:
             raise InvariantViolation("max_bwd_mw must be nonnegative")
+        if math.isnan(self.op_cost):
+            raise InvariantViolation("op_cost must be a number")
         if self.max_bwd_mw > 0 or self.dc_params is not None:
             object.__setattr__(self, "two_sided", True)
 

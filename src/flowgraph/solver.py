@@ -2,8 +2,8 @@
 
 The reference solver exists so cross-approach objective equality can be
 verified without any third-party LP dependency.  It is a two-phase simplex
-over variables with general bounds.  It reads the LP as one sparse matrix
-from :meth:`LpInstance.arrays`, as :func:`check_primal` does.  A presolve
+over variables with general bounds.  It reads :meth:`LpInstance.matrix` and
+the store's bounds and cost, as :func:`check_primal` does.  A presolve
 turns every single-term row into a bound on its column, intersects the
 bounds several such rows put on one column, and drops those rows; bounds
 that cross by more than the feasibility tolerance make the LP infeasible
@@ -109,24 +109,23 @@ class _Basis:
 
 
 class _Simplex:
-    def __init__(self, instance: LpInstance):
+    def __init__(self, lp: LpInstance):
         import scipy.sparse as sp
 
-        lp = instance.arrays()
-        rows, n = lp.A.shape
+        rows, n = len(lp.row_lo), len(lp.lower)
         self.n_structural = n
         self.max_iter = _PIVOTS_PER_SIZE * (2 * rows + n + 1)
         # presolve: a single-term row lo <= a x_j <= hi is the bound
         # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix;
         # a zero coefficient is no term, so it cannot become a bound
-        # (``lp`` is shared and read-only: what the presolve changes is copied)
-        A = lp.A.copy()
+        # (the store is shared and read-only: what the presolve changes is copied)
+        A = lp.matrix().copy()
         A.eliminate_zeros()
         single = np.diff(A.indptr) == 1
         first = A.indptr[:-1][single]
         j, a = A.indices[first], A.data[first]
         lo, hi = lp.row_lo[single] / a, lp.row_hi[single] / a
-        col_lo, col_hi = lp.col_lo.copy(), lp.col_hi.copy()
+        col_lo, col_hi = lp.lower.copy(), lp.upper.copy()
         np.maximum.at(col_lo, j, np.where(a > 0, lo, hi))
         np.minimum.at(col_hi, j, np.where(a > 0, hi, lo))
         # bounds that cross by no more than the tolerance fix the column;
@@ -292,8 +291,8 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     if status == "optimal":
         result.primal = value[:worker.n_structural]
         result.primal.flags.writeable = False
-        # summed term by term in column order, as the objective lists them
-        result.objective = float(sum((instance.obj_coef * value[instance.obj_index]).tolist()))
+        # summed term by term in column order
+        result.objective = float(sum((instance.cost * result.primal).tolist()))
     return result
 
 
@@ -302,19 +301,20 @@ def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) ->
     ``primal`` beyond ``tol``, each in index order.
 
     ``primal`` holds one value per column, in column order, as
-    :attr:`SolveResult.primal` does.  Rows are evaluated as ``A @ x`` against
-    the bounds of :meth:`LpInstance.arrays`; a value or an ``A @ x`` that is
-    not finite is violated.  Names are made only for what is violated.
+    :attr:`SolveResult.primal` does.  Rows are evaluated as
+    :meth:`LpInstance.matrix` ``@ x`` against ``row_lo`` and ``row_hi``; a
+    value or an ``A @ x`` that is not finite is violated.  Names are made
+    only for what is violated.
     """
     x = np.asarray(primal, float)
     if x.shape != (len(instance.lower),):
         raise InvariantViolation(
             f"primal of shape {x.shape} for an LP of {len(instance.lower)} columns")
-    lp = instance.arrays()
-    lhs = lp.A @ x
-    bad_cols = np.flatnonzero(~np.isfinite(x) | (x < lp.col_lo - tol) | (x > lp.col_hi + tol))
+    lhs = instance.matrix() @ x
+    bad_cols = np.flatnonzero(
+        ~np.isfinite(x) | (x < instance.lower - tol) | (x > instance.upper + tol))
     bad_rows = np.flatnonzero(
-        ~np.isfinite(lhs) | (lhs < lp.row_lo - tol) | (lhs > lp.row_hi + tol))
+        ~np.isfinite(lhs) | (lhs < instance.row_lo - tol) | (lhs > instance.row_hi + tol))
     cols = instance.col_names() if bad_cols.size else []
     rows = instance.row_names() if bad_rows.size else []
     return [f"bound:{cols[j]}" for j in bad_cols] + [rows[i] for i in bad_rows]

@@ -1,10 +1,13 @@
 """CLI surface tests: subcommands, exit codes, and output shape."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 import scipy.sparse.linalg
 
+import flowgraph
 from flowgraph.cli import main
 
 
@@ -142,6 +145,19 @@ class TestCaseBundles:
         flows.write_text(flows.read_text().splitlines()[0] + "\n")
         code, out, err = run(capsys, "validate", "--case", f"csv:{bundle}")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("argv", [("validate",), ("solve", "--approach", "1BB-1F"),
+                                      ("compare", "--solve")], ids=lambda argv: argv[0])
+    def test_nan_demand_is_an_error(self, capsys, tmp_path, argv):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(Path(flowgraph.__file__).parent / "fixtures" / "tri_area_t24", bundle)
+        profiles = bundle / "profiles.csv"
+        lines = profiles.read_text().splitlines(keepends=True)
+        (k,) = [k for k, line in enumerate(lines) if line.startswith("ed_a,5,")]
+        lines[k] = "ed_a,5,nan\n"
+        profiles.write_text("".join(lines))
+        code, out, err = run(capsys, *argv, "--case", f"csv:{bundle}")
+        assert code == 1 and "ed_a: demand must be nonnegative" in err and not out
 
 
 class TestBench:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowgraph import (
     Approach,
@@ -99,29 +100,29 @@ class TestSizeReport:
 
     @pytest.mark.parametrize("sense", [">=", "="])
     def test_range_only_on_le_rows(self, sense):
-        # x <= 10, minimize -x; as a >= row, MPS RANGES would read [1, 2]
-        # while the arrays read [1, inf]
-        lp = LpInstance(
-            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
-            rows=[ConstraintRow(RowFamily.FLOW_BOUND, sense, 1.0, [(0, 1.0)], "r0",
-                                rhs_low=0.0)],
-            objective=[(0, -1.0)],
-        )
-        with pytest.raises(InvariantViolation):
-            lp.check()
-        with pytest.raises(InvariantViolation):
-            solve_reference(lp)
+        # as a >= row, MPS RANGES would read [1, 2] while the bounds read
+        # [1, inf], so a store of bounds cannot hold the row
+        with pytest.raises(InvariantViolation) as err:
+            LpInstance(
+                variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
+                rows=[ConstraintRow(RowFamily.FLOW_BOUND, sense, 1.0, [(0, 1.0)], "r0",
+                                    rhs_low=0.0)],
+                objective=[(0, -1.0)],
+            )
+        assert str(err.value) == f"row r0: rhs_low on a {sense} row; ranges are <= rows"
 
 
-def reference_check(lp: LpInstance) -> None:
-    """Row-by-row, term-by-term form of ``LpInstance.check``."""
-    n = len(lp.variables)
-    for row in lp.rows:
+def reference_check(rows: list[ConstraintRow], n: int) -> None:
+    """Row-by-row, term-by-term form of building an ``LpInstance`` of ``n``
+    columns from ``rows`` and checking it: construction raises for a sense
+    first, then ``LpInstance.check`` for a term, in row order."""
+    for row in rows:
         if row.sense != "<=" and row.rhs_low is not None:
             raise InvariantViolation(
                 f"row {row.name}: rhs_low on a {row.sense} row; ranges are <= rows")
         if row.sense not in ("<=", "=", ">="):
             raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
+    for row in rows:
         seen = set()
         for j, coef in row.terms:
             if not (0 <= j < n):
@@ -153,34 +154,55 @@ class TestCheck:
         assert str(err.value) == f"row r_bal: {message}"
 
     def test_bad_sense_before_bad_terms(self):
+        # construction raises for a sense, even one after a bad term
         variables, rows, objective = toy_parts()
         rows[1] = replace(rows[1], terms=[(0, 0.0)])
         rows.insert(1, ConstraintRow(RowFamily.FLOW_BOUND, "=", 1.0, [(0, 1.0)], "r_eq",
                                      rhs_low=0.0))
-        with pytest.raises(InvariantViolation, match="r_eq"):
-            LpInstance("toy", variables, rows, objective).check()
         rows[0] = replace(rows[0], terms=[(0, 1.0), (0, 1.0)])
+        with pytest.raises(InvariantViolation) as err:
+            LpInstance("toy", variables, rows, objective)
+        assert str(err.value) == "row r_eq: rhs_low on a = row; ranges are <= rows"
+        rows[1] = replace(rows[1], sense="<", rhs_low=None)
+        with pytest.raises(InvariantViolation) as err:
+            LpInstance("toy", variables, rows, objective)
+        assert str(err.value) == "row r_eq: unknown sense <"
+        del rows[1]
         with pytest.raises(ParseError, match="r_up: duplicate"):
             LpInstance("toy", variables, rows, objective).check()
 
     def test_blocks_keep_the_first_defect(self, monkeypatch):
         # blocks of two terms: r_bad, a three-term row, is a block of its own
-        # after six others, and a bad sense in a later row does not hide it
+        # after six others
         monkeypatch.setattr(lp_module, "_CHECK_TERMS", 2)
         variables, rows, objective = toy_parts()
         rows += [ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0, [(0, 1.0), (1, 1.0)], f"r{i}")
                  for i in range(4)]
         rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0,
                                   [(2, 1.0), (0, 1.0), (2, 2.0)], "r_bad"))
-        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, "=", 1.0, [(0, 1.0)], "r_eq",
-                                  rhs_low=0.0))
         with pytest.raises(ParseError) as err:
             LpInstance("toy", variables, rows, objective).check()
         assert str(err.value) == "row r_bad: duplicate term for column 2"
-        rows.insert(3, rows.pop())
+
+    @pytest.mark.parametrize("key, k, message", [
+        ("row_lo", 0, "row r_up: row_lo is NaN"),
+        ("row_hi", 1, "row r_bal: row_hi is NaN"),
+        ("lower", 2, "column u_a_t1: lower is NaN"),
+        ("cost", 1, "column i_a: cost is NaN"),
+    ])
+    def test_nan_bound_or_cost_named(self, key, k, message):
+        store = toy_instance().store()
+        store[key] = store[key].copy()
+        store[key][k] = math.nan
         with pytest.raises(InvariantViolation) as err:
-            LpInstance("toy", variables, rows, objective).check()
-        assert str(err.value) == "row r_eq: rhs_low on a = row; ranges are <= rows"
+            LpInstance.from_store("toy", **store).check()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("j", [3, 1, -1])
+    def test_objective_column_out_of_range(self, j):
+        with pytest.raises(ParseError) as err:
+            LpInstance(variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1)], objective=[(j, 2.0)])
+        assert str(err.value) == f"objective: bad variable index {j}"
 
     def test_matches_reference_on_random_defects(self):
         # thousands of rows, so defects land in several check blocks
@@ -204,28 +226,105 @@ class TestCheck:
                     row.terms.insert(0, (rng.randrange(n), rng.choice([0.0, math.nan, -math.inf])))
                 elif kind == 3:
                     row.sense, row.rhs_low = rng.choice([(">=", 0.0), ("<", None), ("<", 0.0)])
-            lp = LpInstance(variables=variables, rows=[
-                ConstraintRow(RowFamily.FLOW_BOUND, r.sense, 1.0, r.terms, r.name, r.rhs_low)
-                for r in drafts
-            ])
+            rows = [ConstraintRow(RowFamily.FLOW_BOUND, r.sense, 1.0, r.terms, r.name, r.rhs_low)
+                    for r in drafts]
             try:
-                reference_check(lp)
+                reference_check(rows, n)
                 expected = None
             except (ParseError, InvariantViolation) as exc:
                 expected = (type(exc), str(exc))
             try:
-                lp.check()
+                LpInstance(variables=variables, rows=rows).check()
                 got = None
             except (ParseError, InvariantViolation) as exc:
                 got = (type(exc), str(exc))
             assert got == expected, trial
 
 
+def test_store_holds_what_solvers_read():
+    built = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
+    for lp in (built, toy_instance(), LpInstance.from_store("copy", **built.store())):
+        assert set(lp.store()) == {"indptr", "indices", "data", "row_lo", "row_hi", "family",
+                                   "lower", "upper", "integral", "cost", "row_blocks",
+                                   "col_blocks"}
+        assert lp.data.dtype == float and lp.cost.shape == lp.lower.shape
+    A = built.matrix()
+    assert A is built.matrix() and A.shape == (len(built.row_lo), len(built.lower))
+    assert not (A.data.flags.writeable or A.indices.flags.writeable or A.indptr.flags.writeable)
+
+
+def one_row_lp(sense: str, rhs: float, rhs_low=None) -> LpInstance:
+    return LpInstance("one", [VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-math.inf)],
+                      [ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, [(0, 1.0)], "r", rhs_low)])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+record = st.one_of(st.tuples(st.just("<="), finite, st.none() | finite),
+                   st.tuples(st.sampled_from(["=", ">="]), finite, st.none()))
+
+
+class TestDerivedSenses:
+    """Sense, right-hand side and range of a row, derived from its bounds."""
+
+    def test_negative_zero_low_bound_stays_a_range(self):
+        lp = one_row_lp("<=", 50.0, -0.0)
+        (row,) = lp.rows
+        assert (row.sense, row.rhs, row.rhs_low) == ("<=", 50.0, 0.0)
+        assert math.copysign(1.0, row.rhs_low) == -1.0
+        assert size_report(lp).n_constraints == 2
+        assert " L r\n" in mps_string(lp) and "    RNG r 50.0\n" in mps_string(lp)
+        # a two-sided flow with no backward cap has such a row
+        built = build_model(scale_horizon(tri_area_case(CaseSpec()), 2), Approach.TWO_BB_2F)
+        (row,) = [r for r in built.rows if r.name == "fb_AE_ME_t1"]
+        assert row.sense == "<=" and math.copysign(1.0, row.rhs_low) == -1.0
+
+    @pytest.mark.parametrize("sense, mps", [(">=", "G"), ("=", "E")])
+    def test_ge_and_eq_keep_their_sense(self, sense, mps):
+        lp = one_row_lp(sense, -1.5)
+        (row,) = lp.rows
+        assert (row.sense, row.rhs, row.rhs_low) == (sense, -1.5, None)
+        assert size_report(lp).n_constraints == 1
+        text = mps_string(lp)
+        assert f" {mps} r\n" in text and "    RHS r -1.5\n" in text and "RANGES" not in text
+
+    def test_zero_width_range_is_an_equality(self):
+        lp = one_row_lp("<=", 2.0, 2.0)
+        (row,) = lp.rows
+        assert (row.sense, row.rhs, row.rhs_low) == ("=", 2.0, None)
+        assert size_report(lp).n_constraints == 1
+        text = mps_string(lp)
+        assert " E r\n" in text and "    RHS r 2.0\n" in text and "RANGES" not in text
+
+    def test_row_with_no_finite_bound_is_le_inf(self):
+        lp = one_row_lp("<=", math.inf)
+        (row,) = lp.rows
+        assert (row.sense, row.rhs, row.rhs_low) == ("<=", math.inf, None)
+        text = mps_string(lp)
+        assert " L r\n" in text and "    RHS r inf\n" in text and "RANGES" not in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(record, max_size=6))
+    def test_records_round_trip(self, records):
+        rows = [ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, [(0, 1.0)], f"r{i}", low)
+                for i, (sense, rhs, low) in enumerate(records)]
+        lp = LpInstance("trip", [VariableRef(VarRole.FLOW, ("a", "b"), 1)], rows)
+        for row, back in zip(rows, lp.rows, strict=True):
+            if row.rhs_low == row.rhs:
+                assert (back.sense, back.rhs, back.rhs_low) == ("=", row.rhs, None)
+            else:
+                assert (back.sense, back.rhs, back.rhs_low) == (row.sense, row.rhs, row.rhs_low)
+        again = LpInstance("trip", lp.variables, lp.rows, lp.objective)
+        assert np.array_equal(again.row_lo, lp.row_lo)
+        assert np.array_equal(again.row_hi, lp.row_hi)
+        assert LpInstance.from_store("trip", **again.store()).rows == lp.rows
+
+
 def every_branch_instance() -> LpInstance:
     """Reaches every branch of the MPS writer: an unnamed row, integer
     markers mid-list and at the end, an empty column, objective entries,
-    a range row, each bound kind, an int coefficient and a column with
-    entries from three rows."""
+    a range row, each bound kind and a column with entries from three rows.
+    An int coefficient is written as a float, and a zero objective entry
+    is not written."""
     variables = [
         VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-math.inf),
         VariableRef(VarRole.INVEST, ("a",), None, upper=3.0, integrality=True),
@@ -262,9 +361,8 @@ COLUMNS
     u_a_t1 r_ge 1.0
     MARKER1 'MARKER' 'INTEND'
     s_s_t1 OBJ 0.0
-    s_s_t2 r_rng 5
+    s_s_t2 r_rng 5.0
     MARKER2 'MARKER' 'INTORG'
-    u_a_t2 OBJ 0.0
     u_a_t2 r_ge 3.0
     MARKER3 'MARKER' 'INTEND'
 RHS

@@ -1,5 +1,7 @@
 """Unit tests for the asset-graph model layer."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,27 @@ class TestAssetInvariants:
         with pytest.raises(InvariantViolation):
             Asset(id="g", kind=AssetKind.PRODUCER, capacity_mw=5.0, min_capacity_mw=6.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind=AssetKind.PRODUCER, capacity_mw=math.nan),
+         "capacity_mw must be nonnegative"),
+        (dict(kind=AssetKind.PRODUCER, min_capacity_mw=math.nan),
+         "min_capacity_mw must be nonnegative"),
+        (dict(kind=AssetKind.PRODUCER, invest_cost=math.nan),
+         "invest_cost must be nonnegative"),
+        (dict(kind=AssetKind.STORAGE, storage_capacity_mwh=math.nan),
+         "storage_capacity_mwh must be nonnegative"),
+        (dict(kind=AssetKind.STORAGE, storage_capacity_mwh=1.0, initial_storage_mwh=math.nan),
+         "initial storage must be at most its capacity"),
+        (dict(kind=AssetKind.PRODUCER, initial_storage_mwh=math.nan),
+         "storage fields on a non-storage asset"),
+        (dict(kind=AssetKind.CONSUMER, demand_profile=(1.0, math.nan)),
+         "demand must be nonnegative"),
+    ])
+    def test_nan_rejected(self, fields, message):
+        with pytest.raises(InvariantViolation) as err:
+            Asset(id="x", **fields)
+        assert str(err.value) == f"x: {message}"
+
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     def test_efficiency_in_unit_interval_accepted(self, eta):
         asset = Asset(id="st", kind=AssetKind.STORAGE, storage_capacity_mwh=1.0,
@@ -93,6 +116,20 @@ class TestFlowArc:
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvariantViolation):
             FlowArc("a", "b", max_fwd_mw=-1.0)
+
+    @pytest.mark.parametrize("field", ["max_fwd_mw", "max_bwd_mw", "op_cost"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(InvariantViolation, match=f"^{field} must be"):
+            FlowArc("a", "b", **{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["reactance_pu", "s_base_mva"])
+    def test_nan_dc_params_rejected(self, field):
+        with pytest.raises(InvariantViolation, match=f"^{field} must be positive"):
+            DcFlowParams(**{"reactance_pu": 0.1, field: math.nan})
+
+    def test_infinite_backward_capacity_accepted(self):
+        # the 2BB-1F lowering gives an uncapped node link this bound
+        assert FlowArc("a", "b", max_bwd_mw=math.inf).max_bwd_mw == math.inf
 
     def test_susceptance(self):
         assert DcFlowParams(reactance_pu=0.5, s_base_mva=100.0).susceptance == 200.0

@@ -176,11 +176,11 @@ def test_rebuilt_from_views_is_the_same_lp(make, approach, options):
     rebuilt = LpInstance(built.name, built.variables, built.rows, built.objective)
     assert mps_string(rebuilt) == mps_string(built)
     assert size_report(rebuilt) == size_report(built)
-    a, b = built.arrays(), rebuilt.arrays()
+    a, b = built.matrix(), rebuilt.matrix()
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(a.A, name), getattr(b.A, name)), name
-    for name in ("row_lo", "row_hi", "col_lo", "col_hi", "cost"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("row_lo", "row_hi", "lower", "upper", "cost"):
+        assert np.array_equal(getattr(built, name), getattr(rebuilt, name)), name
 
 
 def test_build_size_write_make_no_records(monkeypatch, tmp_path):

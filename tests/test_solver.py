@@ -215,7 +215,7 @@ class TestStatuses:
         lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
         # the limit is _PIVOTS_PER_SIZE * (2 * rows + cols + 1); an exact
         # fraction makes it 5 pivots
-        size = 2 * len(lp.rhs) + len(lp.lower) + 1
+        size = 2 * len(lp.row_lo) + len(lp.lower) + 1
         monkeypatch.setattr(solver, "_PIVOTS_PER_SIZE", Fraction(5, size))
         result = solve_reference(lp)
         assert result.status == "iteration_limit"
@@ -297,17 +297,17 @@ def test_basis_solves_track_replaced_columns():
 
 def test_solve_leaves_the_instance_alone():
     # single-term rows become column bounds and zero terms leave the matrix
-    # inside the solver; none of it may reach the shared arrays
+    # inside the solver; none of it may reach the shared matrix or store
     lp = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
-    text, arrays = mps_string(lp), lp.arrays()
-    before = [arrays.A.data.copy(), arrays.A.indices.copy(), arrays.A.indptr.copy(),
-              arrays.row_lo.copy(), arrays.row_hi.copy(), arrays.col_lo.copy(),
-              arrays.col_hi.copy(), arrays.cost.copy()]
+    text, A = mps_string(lp), lp.matrix()
+    stored = ("row_lo", "row_hi", "lower", "upper", "cost")
+    before = [A.data.copy(), A.indices.copy(), A.indptr.copy(),
+              *(getattr(lp, name).copy() for name in stored)]
     assert solve_reference(lp).is_optimal
-    after = lp.arrays()
-    assert after is arrays
-    for old, new in zip(before, [after.A.data, after.A.indices, after.A.indptr, after.row_lo,
-                                 after.row_hi, after.col_lo, after.col_hi, after.cost]):
+    after = lp.matrix()
+    assert after is A
+    for old, new in zip(before, [after.data, after.indices, after.indptr,
+                                 *(getattr(lp, name) for name in stored)]):
         assert not new.flags.writeable
         assert np.array_equal(old, new)
     assert mps_string(lp) == text
@@ -323,7 +323,7 @@ def test_refactorizations_counted():
 
 def check_primal_by_rows(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7):
     """Reference: the per-row loop ``check_primal`` was before it read
-    ``LpInstance.arrays()``."""
+    ``LpInstance.matrix()``."""
     violated = []
     for j, ref in enumerate(instance.variables):
         if primal[j] < ref.lower - tol or primal[j] > ref.upper + tol:
