@@ -160,15 +160,37 @@ def _bounds(row: ConstraintRow) -> tuple[float, float]:
     return row.rhs, (row.rhs if row.sense == "=" else INF)
 
 
-def _names(blocks) -> list[str]:
-    """Names of ``(heads, timesteps)`` blocks, timestep-major; a ``None``
-    timestep adds no suffix."""
-    names, suffixes = [], {}
-    for heads, steps in blocks:
-        if steps not in suffixes:
-            suffixes[steps] = ["" if t is None else f"_t{t}" for t in steps]
-        names += [head + s for s in suffixes[steps] for head in heads]
-    return names
+class _Names:
+    """The names of ``(heads, timesteps)`` blocks, made on demand.
+
+    Blocks are timestep-major: name ``i`` of a block is ``heads[i %
+    len(heads)]`` plus the suffix of timestep ``i // len(heads)``, which is
+    ``_t{t}``, or nothing for a ``None`` timestep.  The table holds every
+    head once and the suffix list of each distinct ``timesteps`` once.
+    """
+
+    def __init__(self, blocks):
+        heads, suffixes, first = [], [], {}
+        head_at, suffix_at, width, size = [], [], [], []
+        for block_heads, steps in blocks:
+            if steps not in first:
+                first[steps] = len(suffixes)
+                suffixes += ["" if t is None else f"_t{t}" for t in steps]
+            head_at.append(len(heads))
+            heads += block_heads
+            suffix_at.append(first[steps])
+            width.append(len(block_heads))
+            size.append(len(block_heads) * len(steps))
+        self.heads, self.suffixes = np.array(heads, object), np.array(suffixes, object)
+        self.starts = np.cumsum([0, *size])
+        self.head_at, self.suffix_at, self.width = (
+            np.array(a, np.int64) for a in (head_at, suffix_at, width))
+
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """The names at ``index``, as an object array."""
+        k = np.searchsorted(self.starts, index, "right") - 1
+        t, h = np.divmod(index - self.starts[k], self.width[k])
+        return self.heads[self.head_at[k] + h] + self.suffixes[self.suffix_at[k] + t]
 
 
 def _view(build):
@@ -237,10 +259,13 @@ class LpInstance:
     # -- names and record views --------------------------------------------
 
     def row_names(self) -> list[str]:
-        return _names(self.row_blocks)
+        return _Names(self.row_blocks).take(np.arange(len(self.row_lo))).tolist()
 
     def col_names(self) -> list[str]:
-        return _names([(("_".join((_ROLE_PREFIX[role], *key)),), steps)
+        return self._col_table().take(np.arange(len(self.lower))).tolist()
+
+    def _col_table(self) -> _Names:
+        return _Names([(("_".join((_ROLE_PREFIX[role], *key)),), steps)
                        for role, key, steps in self.col_blocks])
 
     def var_index(self) -> dict[str, int]:
@@ -291,8 +316,11 @@ class LpInstance:
         column index in range, a finite non-zero coefficient and a column no
         earlier term of its row uses.  Terms are checked in blocks of whole
         rows, ``_CHECK_TERMS`` terms at most unless one row has more, so the
-        extra memory does not grow with the instance.
+        extra memory does not grow with the instance.  A passed check is
+        remembered, since the store is read-only, so a second call is free.
         """
+        if "check" in self._views:
+            return
         for kind, keys, names in (("row", ("row_lo", "row_hi"), self.row_names),
                                   ("column", ("lower", "upper", "cost"), self.col_names)):
             for key in keys:
@@ -324,6 +352,7 @@ class LpInstance:
                     raise ParseError(f"row {name}: duplicate term for column {j}")
                 raise ParseError(f"row {name}: invalid coefficient {float(coefs[k])}")
             start = stop
+        self._views["check"] = True
 
 
 #: the statuses a :class:`SolveResult` and a solution file may carry
@@ -366,16 +395,17 @@ def size_report(instance: LpInstance) -> ModelSize:
 
 # -- MPS output ----------------------------------------------------------
 
-#: columns written per step: bounds the extra memory of ``write_mps``
-_BLOCK = 512
+#: lines written per step, about: bounds the extra memory of ``write_mps``
+_BLOCK = 4096
 _MPS_SENSE = np.array([" L ", " E ", " G "], object)
 
 
-def _text(values: np.ndarray, end: str = "\n") -> np.ndarray:
-    """``repr(value) + end`` for each float value, as an object array; each
-    distinct bit pattern is formatted once."""
+def _text(values: np.ndarray, cache: dict) -> np.ndarray:
+    """``" " + repr(value) + "\\n"`` for each float value, as an object array;
+    each distinct bit pattern is formatted once per ``cache``."""
     bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
-    return np.array([f"{value!r}{end}" for value in bits.view(float).tolist()], object)[inverse]
+    return np.array([cache.get(key) or cache.setdefault(key, f" {value!r}\n") for key, value
+                     in zip(bits.tolist(), bits.view(float).tolist())], object)[inverse]
 
 
 def _joined(*pieces) -> str:
@@ -387,6 +417,13 @@ def _joined(*pieces) -> str:
     return "".join(lines.ravel().tolist())
 
 
+def _section(out: IO[str], head: str, edges: list[int], text) -> None:
+    """Write ``head``, then ``text(lo, hi)`` for each block between ``edges``."""
+    out.write(head)
+    for lo, hi in zip(edges, edges[1:]):
+        out.write(text(lo, hi))
+
+
 def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     """Write free-format MPS with deterministic ordering.
 
@@ -396,79 +433,113 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     rows land in the RANGES section; integrality uses INTORG/INTEND markers.
     The objective row is named OBJ.  Coefficients print with ``repr``.
 
-    The COLUMNS section is written in blocks of ``_BLOCK`` columns, so the
-    writer holds the text of one block at a time, never the whole file.
+    Every section is written in blocks of about ``_BLOCK`` lines, so the
+    writer holds the text of one block at a time, never the whole file.  Row
+    and column names are made per block from the name heads and timestep
+    suffixes.  Beyond one block, the heads and one string per distinct
+    coefficient, the writer holds integer and boolean arrays, the largest
+    a permutation that takes the row-ordered entries to column order.
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
             write_mps(instance, fh)
         return
     out, lp = destination, instance
-    n = len(lp.lower)
-    names = lp.row_names()
-    if "" in names:
-        names = [name or f"R{i}" for i, name in enumerate(names)]
-    names, cname = np.array(names, object), np.array(lp.col_names(), object)
-    out.write(f"NAME {lp.name}\nROWS\n N OBJ\n")
-    sense, rhs, ranged = _senses(lp.row_lo, lp.row_hi)
-    out.write(_joined(_MPS_SENSE[sense], names, "\n"))
+    m, n = len(lp.row_lo), len(lp.lower)
+    row_table, col_table = _Names(lp.row_blocks), lp._col_table()
+    unnamed = any("" in heads for heads, _ in lp.row_blocks)
 
-    # COLUMNS is one stream of entries sorted by column: the entries of row
-    # OBJ (a column's cost, if it is not zero or the column is in no row)
-    # come first, so the stable sort puts them ahead of a column's row
-    # entries, which stay in row order; + 0.0 writes a cost of -0.0 as 0.0
-    in_rows = np.zeros(n, bool)
-    in_rows[lp.indices] = True
-    obj_cols = np.flatnonzero((lp.cost != 0.0) | ~in_rows)
-    cols = np.concatenate([obj_cols, lp.indices])
-    order = np.argsort(cols, kind="stable")
-    cols = cols[order]
-    rows = np.concatenate([
-        np.full(len(obj_cols), "OBJ", object),
-        np.repeat(names, np.diff(lp.indptr)),
-    ])[order]
-    coefs = _text(np.concatenate([lp.cost[obj_cols] + 0.0, lp.data])[order])
-    del in_rows, obj_cols, order
+    def names(index):
+        """Row names at ``index``; a row with an empty name is R<index>."""
+        text = row_table.take(index)
+        if unnamed:
+            empty = text == ""
+            text[empty] = [f"R{i}" for i in index[empty].tolist()]
+        return text
 
-    # blocks end every _BLOCK columns and wherever integrality changes
-    integral = lp.integral
-    flips = (np.flatnonzero(integral[1:] != integral[:-1]) + 1).tolist()
-    edges = sorted({*range(0, n, _BLOCK), *flips, n})
-    firsts = np.searchsorted(cols, edges).tolist()
-    out.write("COLUMNS\n")
-    in_int = False
-    marker = 0
-    for b, lo, hi in zip(edges, firsts, firsts[1:]):
-        if integral[b] != in_int:
-            in_int = not in_int
-            out.write(f"    MARKER{marker} 'MARKER' '{'INTORG' if in_int else 'INTEND'}'\n")
-            marker += 1
-        out.write(_joined("    ", cname[cols[lo:hi]], " ", rows[lo:hi], " ", coefs[lo:hi]))
-    if in_int:
-        out.write(f"    MARKER{marker} 'MARKER' 'INTEND'\n")
+    row_edges = [*range(0, m, _BLOCK), m]
 
-    given = rhs != 0.0
-    out.write("RHS\n" + _joined("    RHS ", names[given], " ", _text(rhs[given])))
-    if ranged.any():
-        span = _text(lp.row_hi[ranged] - lp.row_lo[ranged])
-        out.write("RANGES\n" + _joined("    RNG ", names[ranged], " ", span))
+    def senses(lo, hi):
+        return _senses(lp.row_lo[lo:hi], lp.row_hi[lo:hi])
+
+    def rows(lo, hi):
+        return _joined(_MPS_SENSE[senses(lo, hi)[0]], names(np.arange(lo, hi)), "\n")
+
+    _section(out, f"NAME {lp.name}\nROWS\n N OBJ\n", row_edges, rows)
+
+    # entry k of column order is data[by_col[k]] in row row_of[k]; column j
+    # holds entries colptr[j] to colptr[j + 1], in row order since the sort
+    # is stable.  Its OBJ entry, a cost that is not zero or that of a column
+    # in no row, comes first; + 0.0 writes a cost of -0.0 as 0.0
+    counts = np.bincount(lp.indices, minlength=n)
+    colptr = np.concatenate([[0], np.cumsum(counts)])
+    by_col = np.argsort(lp.indices, kind="stable")
+    row_of = np.repeat(np.arange(m, dtype=np.int32), np.diff(lp.indptr))[by_col]
+    has_obj = (lp.cost != 0.0) | (counts == 0)
+    # marker k sits before column turns[k], where integrality changes
+    integral = np.concatenate([[False], lp.integral, [False]])
+    turns = np.flatnonzero(integral[1:] != integral[:-1]).tolist()
+    markers = {j: f"    MARKER{k} 'MARKER' '{'INTEND' if k % 2 else 'INTORG'}'\n"
+               for k, j in enumerate(turns)}
+    # a block starts at the column that holds line k * _BLOCK of the section
+    # (a column has its entries and its OBJ line), and wherever integrality
+    # changes, so it has at most _BLOCK lines beyond those of one column
+    ends = np.cumsum(counts + has_obj)
+    firsts = np.searchsorted(ends, np.arange(0, ends[-1] if n else 0, _BLOCK), "right")
+    col_edges = sorted({*firsts.tolist(), *turns, n})
+    coef_text: dict = {}
+
+    def columns(lo, hi):
+        obj = has_obj[lo:hi]
+        lines = counts[lo:hi] + obj
+        is_obj = np.zeros(int(lines.sum()), bool)
+        is_obj[(np.cumsum(lines) - lines)[obj]] = True
+        row, value = np.empty(len(is_obj), object), np.empty(len(is_obj))
+        row[is_obj], value[is_obj] = "OBJ", lp.cost[lo:hi][obj] + 0.0
+        row[~is_obj] = names(row_of[colptr[lo]:colptr[hi]])
+        value[~is_obj] = lp.data[by_col[colptr[lo]:colptr[hi]]]
+        cname = np.repeat("    " + col_table.take(np.arange(lo, hi)) + " ", lines)
+        return markers.get(lo, "") + _joined(cname, row, _text(value, coef_text))
+
+    _section(out, "COLUMNS\n", col_edges, columns)
+    out.write(markers.get(n, ""))
+
+    def rhs(lo, hi):
+        value = senses(lo, hi)[1]
+        given = np.flatnonzero(value != 0.0)
+        return _joined("    RHS ", names(lo + given), _text(value[given], {}))
+
+    def ranges(lo, hi):
+        ranged = np.flatnonzero(senses(lo, hi)[2])
+        span = lp.row_hi[lo:hi][ranged] - lp.row_lo[lo:hi][ranged]
+        return _joined("    RNG ", names(lo + ranged), _text(span, {}))
+
+    _section(out, "RHS\n", row_edges, rhs)
+    if any(senses(lo, hi)[2].any() for lo, hi in zip(row_edges, row_edges[1:])):
+        _section(out, "RANGES\n", row_edges, ranges)
 
     # each column has up to two BOUNDS lines: FX, FR, MI or LO, then UP
-    lower, upper = lp.lower, lp.upper
-    rest = (lower != 0.0) | (upper != INF)
-    fixed = rest & (lower == upper)
-    free = rest & ~fixed & (lower == -INF) & (upper == INF)
-    rest &= ~fixed & ~free
-    below = rest & (lower == -INF)
-    above = rest & (lower != -INF) & (lower != 0.0)
-    capped = rest & (upper != INF)
-    lines = np.full((n, 2), "", object)
-    lines[fixed, 0] = " FX BND " + cname[fixed] + " " + _text(lower[fixed])
-    lines[free, 0] = " FR BND " + cname[free] + "\n"
-    lines[below, 0] = " MI BND " + cname[below] + "\n"
-    lines[above, 0] = " LO BND " + cname[above] + " " + _text(lower[above])
-    lines[capped, 1] = " UP BND " + cname[capped] + " " + _text(upper[capped])
-    out.write("BOUNDS\n" + "".join(lines.ravel().tolist()) + "ENDATA\n")
+    def bounds(lo, hi):
+        lower, upper = lp.lower[lo:hi], lp.upper[lo:hi]
+        rest = (lower != 0.0) | (upper != INF)
+        cname = np.empty(hi - lo, object)
+        cname[rest] = col_table.take(lo + np.flatnonzero(rest))
+        fixed = rest & (lower == upper)
+        free = rest & ~fixed & (lower == -INF) & (upper == INF)
+        rest &= ~fixed & ~free
+        below = rest & (lower == -INF)
+        above = rest & (lower != -INF) & (lower != 0.0)
+        capped = rest & (upper != INF)
+        lines = np.full((hi - lo, 2), "", object)
+        lines[fixed, 0] = " FX BND " + cname[fixed] + _text(lower[fixed], {})
+        lines[free, 0] = " FR BND " + cname[free] + "\n"
+        lines[below, 0] = " MI BND " + cname[below] + "\n"
+        lines[above, 0] = " LO BND " + cname[above] + _text(lower[above], {})
+        lines[capped, 1] = " UP BND " + cname[capped] + _text(upper[capped], {})
+        return "".join(lines.ravel().tolist())
+
+    _section(out, "BOUNDS\n", col_edges, bounds)
+    out.write("ENDATA\n")
 
 
 def mps_string(instance: LpInstance) -> str:

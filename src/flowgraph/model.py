@@ -111,6 +111,8 @@ class Asset:
                 raise InvariantViolation(f"{self.id}: storage_capacity_mwh must be nonnegative")
             if not self.initial_storage_mwh <= self.storage_capacity_mwh:
                 raise InvariantViolation(f"{self.id}: initial storage must be at most its capacity")
+            if self.initial_storage_mwh < 0:
+                raise InvariantViolation(f"{self.id}: initial_storage_mwh must be nonnegative")
         elif self.storage_capacity_mwh is not None or self.initial_storage_mwh:
             raise InvariantViolation(f"{self.id}: storage fields on a non-storage asset")
         if self.kind is AssetKind.CONSUMER:

@@ -116,11 +116,10 @@ class _Simplex:
         self.n_structural = n
         self.max_iter = _PIVOTS_PER_SIZE * (2 * rows + n + 1)
         # presolve: a single-term row lo <= a x_j <= hi is the bound
-        # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix;
-        # a zero coefficient is no term, so it cannot become a bound
-        # (the store is shared and read-only: what the presolve changes is copied)
-        A = lp.matrix().copy()
-        A.eliminate_zeros()
+        # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix; a is
+        # never zero, since solve_reference checks the instance first (the
+        # store is shared and read-only: what the presolve changes is copied)
+        A = lp.matrix()
         single = np.diff(A.indptr) == 1
         first = A.indptr[:-1][single]
         j, a = A.indices[first], A.data[first]
@@ -262,6 +261,7 @@ class _Simplex:
 def solve_reference(instance: LpInstance) -> SolveResult:
     """Solve ``instance`` with the bundled deterministic simplex.
 
+    The instance is checked first (:meth:`LpInstance.check`), off the clock.
     Integrality marks are relaxed with a warning; the result is the LP
     relaxation in that case.  Running out of iterations, after
     ``50 * (2 * rows + cols + 1)`` pivots, gives status ``"iteration_limit"``
@@ -269,6 +269,7 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     ``"numerical_failure"`` and no primal.  ``refactorizations`` counts
     the LU factorizations of the basis, the first one included.
     """
+    instance.check()
     if instance.integral.any():
         warnings.warn(
             f"{instance.name}: integrality marks relaxed to their LP bounds",
@@ -304,8 +305,10 @@ def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) ->
     :attr:`SolveResult.primal` does.  Rows are evaluated as
     :meth:`LpInstance.matrix` ``@ x`` against ``row_lo`` and ``row_hi``; a
     value or an ``A @ x`` that is not finite is violated.  Names are made
-    only for what is violated.
+    only for what is violated.  The instance is checked first
+    (:meth:`LpInstance.check`).
     """
+    instance.check()
     x = np.asarray(primal, float)
     if x.shape != (len(instance.lower),):
         raise InvariantViolation(

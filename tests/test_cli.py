@@ -159,6 +159,18 @@ class TestCaseBundles:
         code, out, err = run(capsys, *argv, "--case", f"csv:{bundle}")
         assert code == 1 and "ed_a: demand must be nonnegative" in err and not out
 
+    def test_negative_initial_storage_is_an_error(self, capsys, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(Path(flowgraph.__file__).parent / "fixtures" / "tri_area_t24", bundle)
+        assets = bundle / "assets.csv"
+        text = assets.read_text()
+        # the battery's initial_storage_mwh, 120.0 in the bundled fixture
+        assert text.count(",240.0,120.0,") == 1
+        assets.write_text(text.replace(",240.0,120.0,", ",240.0,-5.0,"))
+        code, out, err = run(capsys, "validate", "--case", f"csv:{bundle}")
+        assert code == 1 and "error: " in err and not out
+        assert "battery: initial_storage_mwh must be nonnegative" in err
+
 
 class TestBench:
     def test_bench_writes_csvs(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ sides never share code.
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -37,6 +38,7 @@ from flowgraph import (
 from flowgraph import lp as lp_module
 from flowgraph.errors import InvariantViolation, ParseError, UnknownVariableName
 from flowgraph.highs_adapter import parse_free_mps
+from test_mps_digest import dc_uc_case, dc_uc_hub_case
 
 
 def toy_parts() -> tuple[list, list, list]:
@@ -385,6 +387,76 @@ def test_mps_text_every_branch():
     lp = every_branch_instance()
     lp.check()
     assert mps_string(lp) == EVERY_BRANCH_MPS
+
+
+def hybrid_uc_case():
+    """The hybrid fixture with its PV as a unit-commitment unit: its T
+    integral ``units_on`` columns end the column order, so the integrality
+    markers sit inside a block or on its edges as the block size varies."""
+    system = hybrid_fixture()
+    system.assets["pv"] = replace(system.assets["pv"], uc_enabled=True, min_capacity_mw=2.0)
+    return system
+
+
+def signed_zero_instance() -> LpInstance:
+    """A cost of -0.0 on a column in no row (written ``OBJ 0.0``) and on one
+    in a row (not written), a -0.0 right-hand side (not written) and a
+    column fixed at -0.0 (written ``FX ... -0.0``)."""
+    variables = [
+        VariableRef(VarRole.FLOW, ("a", "b"), 1),
+        VariableRef(VarRole.FLOW, ("a", "b"), 2),
+        VariableRef(VarRole.INVEST, ("a",), None, lower=-0.0, upper=-0.0),
+    ]
+    rows = [ConstraintRow(RowFamily.FLOW_BOUND, "<=", -0.0, [(0, 1.0), (2, 2.0)], "r")]
+    return LpInstance("signed-zero", variables, rows, [(0, -0.0), (1, -0.0)])
+
+
+def block_cases():
+    """``(id, instance)`` pairs whose MPS text must not depend on ``_BLOCK``."""
+    for approach in Approach:
+        yield f"hybrid-uc-{approach.value}", build_model(
+            hybrid_uc_case(), approach, unit_commitment=True)
+    yield "dc-uc-1BB-1F", build_model(
+        dc_uc_case(), Approach.ONE_BB_1F, dc_opf=True, unit_commitment=True)
+    for approach in (Approach.TWO_BB_2F, Approach.TWO_BB_1F):
+        yield f"dc-uc-hubs-{approach.value}", build_model(
+            dc_uc_hub_case(), approach, dc_opf=True, unit_commitment=True)
+    yield "every-branch", every_branch_instance()
+    yield "signed-zero", signed_zero_instance()
+
+
+def test_signed_zeros_in_mps():
+    text = mps_string(signed_zero_instance())
+    assert "    f_a_b_t2 OBJ 0.0\n" in text and "f_a_b_t1 OBJ" not in text
+    assert "RHS\nBOUNDS\n FX BND i_a -0.0\nENDATA\n" in text
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_block_size_does_not_change_output(monkeypatch, block):
+    default = {name: mps_string(lp) for name, lp in block_cases()}
+    monkeypatch.setattr(lp_module, "_BLOCK", block)
+    for name, lp in block_cases():
+        assert mps_string(lp) == default[name], name
+
+
+#: tracemalloc peak of write_mps at i1 3BB-4F, above the instance: measured
+#: 3.6 MiB with blocks of 4096 lines, 16.0 MiB when COLUMNS was built whole
+WRITE_PEAK_MIB = 5.0
+
+
+def test_write_holds_one_block_of_text():
+    class Discard:
+        def write(self, text):
+            pass
+
+    lp = build_model(tri_area_case(CaseSpec(instance=1)), Approach.THREE_BB_4F)
+    tracemalloc.start()
+    try:
+        write_mps(lp, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WRITE_PEAK_MIB * 2**20
 
 
 class TestMpsRoundTrip:

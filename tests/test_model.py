@@ -81,6 +81,13 @@ class TestAssetInvariants:
             Asset(id="x", **fields)
         assert str(err.value) == f"x: {message}"
 
+    def test_negative_initial_storage_rejected(self):
+        # the storage balance would start the level below zero
+        with pytest.raises(InvariantViolation) as err:
+            Asset(id="st", kind=AssetKind.STORAGE, storage_capacity_mwh=10.0,
+                  initial_storage_mwh=-5.0, capacity_mw=5.0)
+        assert str(err.value) == "st: initial_storage_mwh must be nonnegative"
+
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     def test_efficiency_in_unit_interval_accepted(self, eta):
         asset = Asset(id="st", kind=AssetKind.STORAGE, storage_capacity_mwh=1.0,

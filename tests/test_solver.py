@@ -2,6 +2,7 @@
 status detection, and primal feasibility checking."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from flowgraph import (
     write_solution,
 )
 from flowgraph import solver
-from flowgraph.errors import InvariantViolation
+from flowgraph.errors import InvariantViolation, ParseError
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
@@ -188,15 +189,16 @@ class TestStatuses:
         assert result.objective == pytest.approx(-1.0, abs=1e-7)
         assert check_primal(lp, result.primal) == []
 
-    def test_zero_coefficient_is_no_bound(self):
-        # 0 * x = 0 holds for every x, so it must not pin x to a bound
+    def test_zero_coefficient_is_rejected(self):
+        # 0 * x = 0 holds for every x; the check before the solve rejects it,
+        # so the presolve never takes it for a bound that pins x
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0)],
             rows=[ConstraintRow(RowFamily.FLOW_BOUND, "=", 0.0, [(0, 0.0)], "z")],
             objective=[(0, -1.0)],
         )
-        result = solve_reference(lp)
-        assert result.is_optimal and result.objective == -3.0
+        with pytest.raises(ParseError, match="row z: invalid coefficient 0.0"):
+            solve_reference(lp)
 
     def test_empty_instance_is_trivially_optimal(self):
         result = solve_reference(LpInstance())
@@ -268,6 +270,42 @@ def test_solve_clock_starts_after_scipy_loads():
                           text=True, check=True)
     loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert loaded and all(loaded)
+
+
+def unchecked_lp(rhs: float = 4.0, column: int = 0) -> LpInstance:
+    """One column, one row, built without :meth:`LpInstance.check`."""
+    return LpInstance("x", [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=5.0)],
+                      [ConstraintRow(RowFamily.FLOW_BOUND, "<=", rhs, [(column, 1.0)], "r")],
+                      [(0, -1.0)])
+
+
+class TestCheckedFirst:
+    """``solve_reference`` and ``check_primal`` check the instance first."""
+
+    CALLS = [solve_reference, lambda lp: check_primal(lp, np.zeros(1))]
+
+    @pytest.mark.parametrize("call", CALLS, ids=["solve_reference", "check_primal"])
+    def test_nan_bound_is_an_invariant_violation(self, call):
+        with pytest.raises(InvariantViolation, match="row r: row_hi is NaN"):
+            call(unchecked_lp(rhs=math.nan))
+
+    @pytest.mark.parametrize("call", CALLS, ids=["solve_reference", "check_primal"])
+    def test_column_out_of_range_is_a_parse_error(self, call):
+        with pytest.raises(ParseError, match="row r: bad variable index 3"):
+            call(unchecked_lp(column=3))
+
+    def test_passed_check_is_remembered(self, monkeypatch):
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        # build_model checked lp, so a later check must not read the terms
+        monkeypatch.setattr(lp, "indices", None)
+        lp.check()
+
+    def test_check_runs_before_the_clock(self, monkeypatch):
+        events, check, clock = [], LpInstance.check, solver.time.perf_counter
+        monkeypatch.setattr(LpInstance, "check", lambda lp: events.append("check") or check(lp))
+        monkeypatch.setattr(solver.time, "perf_counter", lambda: events.append("clock") or clock())
+        assert solve_reference(unchecked_lp()).is_optimal
+        assert events[0] == "check" and events.count("check") == 1 and "clock" in events
 
 
 def test_basis_solves_track_replaced_columns():
