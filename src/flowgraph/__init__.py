@@ -1,95 +1,79 @@
-"""Asset-graph energy system modelling with size-aware LP lowering."""
+"""Asset-graph energy system modelling with size-aware LP lowering.
 
-from .errors import FlowgraphError
-from .formulation import ALL_APPROACHES, Approach, build_model, lower_to_node_form
-from .lp import (
-    ConstraintRow,
-    LpInstance,
-    ModelSize,
-    RowFamily,
-    SolveResult,
-    VariableRef,
-    VarRole,
-    mps_string,
-    read_solution,
-    size_report,
-    write_mps,
-    write_solution,
-)
-from .model import (
-    Asset,
-    AssetKind,
-    DcFlowParams,
-    Diagnostic,
-    EnergySystem,
-    FlowArc,
-    HubAnnotation,
-)
-from .cases import CaseSpec, INSTANCE_HOURS, hybrid_fixture, scale_horizon, tri_area_case
-from .csvio import export_case, load_case
-from .solver import (
-    ExternalSolverSpec,
-    check_primal,
-    solve_external,
-    solve_reference,
-    solver_for,
-)
-from .bench import (
-    BenchConfig,
-    BenchReport,
-    TimingSample,
-    TTestResult,
-    median_speedup,
-    run_benchmark,
-    two_sample_t_test,
-    write_report,
-)
+The public names below are loaded on first use (PEP 562): ``import
+flowgraph`` imports no submodule, and ``flowgraph.build_model`` or ``from
+flowgraph import build_model`` imports :mod:`flowgraph.formulation` then.
+So a process that needs one submodule, such as the HiGHS adapter child
+(``python -m flowgraph.highs_adapter``), loads only that one.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_APPROACHES",
-    "Approach",
-    "Asset",
-    "AssetKind",
-    "BenchConfig",
-    "BenchReport",
-    "CaseSpec",
-    "ExternalSolverSpec",
-    "TTestResult",
-    "TimingSample",
-    "check_primal",
-    "export_case",
-    "load_case",
-    "median_speedup",
-    "run_benchmark",
-    "solve_external",
-    "solve_reference",
-    "solver_for",
-    "two_sample_t_test",
-    "write_report",
-    "ConstraintRow",
-    "DcFlowParams",
-    "Diagnostic",
-    "EnergySystem",
-    "FlowArc",
-    "FlowgraphError",
-    "HubAnnotation",
-    "INSTANCE_HOURS",
-    "LpInstance",
-    "ModelSize",
-    "RowFamily",
-    "SolveResult",
-    "VariableRef",
-    "VarRole",
-    "build_model",
-    "hybrid_fixture",
-    "lower_to_node_form",
-    "mps_string",
-    "read_solution",
-    "scale_horizon",
-    "size_report",
-    "tri_area_case",
-    "write_mps",
-    "write_solution",
-]
+#: submodule -> the public names it defines
+_EXPORTS = {
+    "errors": ("FlowgraphError",),
+    "formulation": ("ALL_APPROACHES", "Approach", "build_model", "lower_to_node_form"),
+    "lp": (
+        "ConstraintRow",
+        "LpInstance",
+        "ModelSize",
+        "RowFamily",
+        "SolveResult",
+        "VariableRef",
+        "VarRole",
+        "mps_string",
+        "read_solution",
+        "size_report",
+        "write_mps",
+        "write_solution",
+    ),
+    "model": (
+        "Asset",
+        "AssetKind",
+        "DcFlowParams",
+        "Diagnostic",
+        "EnergySystem",
+        "FlowArc",
+        "HubAnnotation",
+    ),
+    "cases": ("CaseSpec", "INSTANCE_HOURS", "hybrid_fixture", "scale_horizon", "tri_area_case"),
+    "csvio": ("export_case", "load_case"),
+    "solver": (
+        "ExternalSolverSpec",
+        "check_primal",
+        "solve_external",
+        "solve_reference",
+        "solver_for",
+    ),
+    "bench": (
+        "BenchConfig",
+        "BenchReport",
+        "TimingSample",
+        "TTestResult",
+        "median_speedup",
+        "run_benchmark",
+        "two_sample_t_test",
+        "write_report",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` (or is named ``name``)
+    and cache the result here, so the next lookup is a plain global."""
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")  # binds itself as an attribute
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -438,7 +438,8 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     and column names are made per block from the name heads and timestep
     suffixes.  Beyond one block, the heads and one string per distinct
     coefficient, the writer holds integer and boolean arrays, the largest
-    a permutation that takes the row-ordered entries to column order.
+    a permutation that takes the row-ordered entries to column order; it
+    and the row of each entry are released once COLUMNS is written.
     """
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
@@ -502,6 +503,9 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         return markers.get(lo, "") + _joined(cname, row, _text(value, coef_text))
 
     _section(out, "COLUMNS\n", col_edges, columns)
+    # RHS, RANGES and BOUNDS need neither the 12 bytes per nonzero nor the
+    # coefficient strings
+    del by_col, row_of, coef_text
     out.write(markers.get(n, ""))
 
     def rhs(lo, hi):

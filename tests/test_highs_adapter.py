@@ -2,14 +2,23 @@
 without columns is answered without HiGHS, single-term rows that cross are
 infeasible for both solvers, the adapter's memory grows with the
 nonzeros, not with rows times columns, and a solver that writes no
-solution file is a typed failure."""
+solution file is a typed failure.  Every HiGHS status maps to a solution
+status, a range on an equality row widens it on the side the range's sign
+names, and the child process, which freezes its imports, writes the same
+file as an in-process call, which freezes nothing."""
 
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import pytest
+import scipy.optimize
 
 from flowgraph import (
+    ALL_APPROACHES,
     Approach,
     CaseSpec,
     ConstraintRow,
@@ -18,13 +27,14 @@ from flowgraph import (
     VariableRef,
     VarRole,
     build_model,
+    read_solution,
     scale_horizon,
     solve_reference,
     tri_area_case,
     write_mps,
 )
 from flowgraph.errors import SolverFailure
-from flowgraph.highs_adapter import solve as highs_solve
+from flowgraph.highs_adapter import main as highs_main, solve as highs_solve
 from flowgraph.solver import ExternalSolverSpec, solve_external
 
 HIGHS = ExternalSolverSpec(sys.executable, ("-m", "flowgraph.highs_adapter", "{mps}", "{out}"))
@@ -102,3 +112,74 @@ def test_solve_memory_stays_sparse(tmp_path):
         tracemalloc.stop()
     assert result.status == 0
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("code, status", [(1, "iteration_limit"), (4, "numerical_failure")])
+def test_failure_statuses(code, status, tmp_path, monkeypatch):
+    lp = three_sense_lp()
+    mps, out = tmp_path / "model.mps", tmp_path / "model.sol"
+    write_mps(lp, str(mps))
+    monkeypatch.setattr(scipy.optimize, "milp",
+                        lambda *a, **k: scipy.optimize.OptimizeResult(status=code, x=None, fun=None))
+    assert highs_main([str(mps), str(out)]) == 0
+    assert out.read_text() == f"status {status}\n"
+    assert read_solution(str(out), lp).status == status
+
+
+#: x = 2 with a range R on the row: [2, 2 + R] for R > 0, [2 + R, 2] for R < 0
+RANGED_EQUALITY = """NAME ranged
+ROWS
+ N OBJ
+ E r
+COLUMNS
+    x OBJ {cost}
+    x r 1.0
+RHS
+    RHS r 2.0
+RANGES
+    RNG r {range}
+BOUNDS
+ FR BND x
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("span, cost, optimum", [
+    (3.0, 1.0, 2.0), (3.0, -1.0, -5.0), (-3.0, 1.0, -1.0), (-3.0, -1.0, -2.0),
+])
+def test_range_on_equality_row(span, cost, optimum, tmp_path):
+    path = tmp_path / "ranged.mps"
+    path.write_text(RANGED_EQUALITY.format(cost=cost, range=span))
+    _, result = highs_solve(str(path))
+    assert result.status == 0
+    assert result.fun == pytest.approx(optimum)
+
+
+def test_in_process_main_freezes_nothing(tmp_path):
+    mps = tmp_path / "model.mps"
+    write_mps(three_sense_lp(), str(mps))
+    code = textwrap.dedent(f"""
+        import gc, json
+        from flowgraph import highs_adapter
+        code = highs_adapter.main([{str(mps)!r}, {str(tmp_path / "model.sol")!r}])
+        print(json.dumps([code, gc.get_freeze_count()]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0]
+
+
+@pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.value)
+def test_child_writes_what_main_writes(approach, tmp_path):
+    """The child process, whose imports are frozen, and an in-process call
+    write byte-identical solution files for the T=96 tri-area LPs."""
+    mps = tmp_path / "model.mps"
+    write_mps(build_model(scale_horizon(tri_area_case(CaseSpec(seed=13)), 96), approach), str(mps))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-m", "flowgraph.highs_adapter", str(mps),
+                    str(tmp_path / "child.sol"), "13"], env=env, check=True)
+    assert highs_main([str(mps), str(tmp_path / "main.sol"), "13"]) == 0
+    child = (tmp_path / "child.sol").read_bytes()
+    assert child.startswith(b"status optimal\n")
+    assert child == (tmp_path / "main.sol").read_bytes()

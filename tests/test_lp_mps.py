@@ -459,6 +459,30 @@ def test_write_holds_one_block_of_text():
     assert peak < WRITE_PEAK_MIB * 2**20
 
 
+def test_write_releases_column_order_after_columns():
+    """RHS, RANGES and BOUNDS need no column-order permutation (8 bytes per
+    nonzero) nor row of each entry (4 bytes per nonzero)."""
+    samples = []
+
+    class Sample:
+        section = None
+
+        def write(self, text):
+            if text in ("COLUMNS\n", "RHS\n"):
+                self.section = text
+            samples.append((self.section, tracemalloc.get_traced_memory()[0]))
+
+    lp = build_model(tri_area_case(CaseSpec(instance=1)), Approach.THREE_BB_4F)
+    tracemalloc.start()
+    try:
+        write_mps(lp, Sample())
+    finally:
+        tracemalloc.stop()
+    columns = max(live for section, live in samples if section == "COLUMNS\n")
+    rhs = next(live for section, live in samples if section == "RHS\n")
+    assert columns - rhs >= 12 * len(lp.data)
+
+
 class TestMpsRoundTrip:
     def _round_trip(self, instance, tmp_path):
         path = tmp_path / "model.mps"
