@@ -145,6 +145,11 @@ def two_sample_t_test(
 
     if len(a) < 2 or len(b) < 2:
         raise EmptySample("need at least two observations per sample")
+    # t is scale-free: dividing both samples by the power of two nearest
+    # their largest magnitude is exact, and keeps the variances of tiny
+    # samples from underflowing
+    shift = -math.frexp(max(map(abs, [*a, *b])))[1]
+    a, b = [math.ldexp(x, shift) for x in a], [math.ldexp(x, shift) for x in b]
     na, nb = len(a), len(b)
     ma, mb = statistics.fmean(a), statistics.fmean(b)
     va = statistics.variance(a)

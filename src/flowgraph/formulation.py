@@ -11,9 +11,11 @@ straight into the arrays of one :class:`LpInstance` store.  Columns come in
 blocks of T timesteps per ``(role, key)``, so a column index is
 ``first + t - 1``.  Every row is one timestep's copy of a :class:`_Template`
 described once at t=1: balance templates come from the ``_BALANCE`` table,
-every other one from :meth:`_Builder.limit_templates`, and
-:meth:`_Builder.instantiate` expands each group over T with numpy.  No name
-is built here: the store keeps each block's name prefix.
+every other one from :meth:`_Builder.limit_templates`.
+:meth:`_Builder.instantiate` records each group of templates; the build then
+sizes the store's row arrays from the templates and writes each group's rows
+over T in place, so the rows are never held twice.  No name is built here:
+the store keeps each block's name prefix.
 """
 
 from __future__ import annotations
@@ -329,8 +331,10 @@ class _Builder:
     """Columns are sorted by ``(role, key, t)``, so each ``(role, key)`` owns a
     contiguous block of T columns (one for INVEST): column ``first + t - 1``.
 
-    Rows go into ``parts``, one tuple of row arrays per instantiated group,
-    and the whole LP into one :class:`LpInstance` store at the end.
+    Rows are recorded as ``groups`` of templates.  :meth:`build` counts
+    their rows and terms (a group has T rows per template and T terms per
+    template term, less one per lagged term), allocates the store's row
+    arrays at their final size and fills them group by group.
     """
 
     def __init__(self, system: EnergySystem, dc_opf: bool, unit_commitment: bool):
@@ -343,7 +347,7 @@ class _Builder:
         self.assets = [system.assets[a] for a in sorted(system.assets)]
         self.adj = system.adjacency()
         self.store: dict = {"row_blocks": []}
-        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.groups: list[list[_Template]] = []
 
     def var(self, role: VarRole, key: tuple[str, ...]) -> int:
         """The column of ``(role, key)`` at t=1."""
@@ -396,35 +400,52 @@ class _Builder:
     # -- rows ------------------------------------------------------------
 
     def instantiate(self, templates: list[_Template]) -> None:
-        """Emit every template's row at each timestep, timestep-major.
+        """Record a group of templates whose rows come timestep-major: every
+        template's row at t=1, then every one at t=2, and so on."""
+        self.groups.append(templates)
+        self.store["row_blocks"].append(([tpl.prefix for tpl in templates], range(1, self.T + 1)))
 
-        Row-major, a (T, terms) array of all templates' terms side by side
-        holds the CSR terms of the rows at t = 1..T in emission order.
+    def _fill(self, templates: list[_Template], r: int, k: int) -> tuple[int, int]:
+        """Write the rows of one group into the store's arrays from row ``r``
+        and term ``k`` on; return where the next group starts.
+
+        The rows at t=1 hold every term but the lagged ones.  Row-major, the
+        terms of the rows at t = 2..T are a (T - 1, terms) array: all
+        templates' terms side by side, a moving term's column one further
+        on each row.
         """
-        T = self.T
-
-        def per_step(values: list) -> np.ndarray:
-            """A (T, values) array of each value, or of its entry at each timestep."""
-            return np.array([np.broadcast_to(v, T) for v in values], float).reshape(-1, T).T
-
+        T, R, store = self.T, len(templates), self.store
         terms = [term for tpl in templates for term in tpl.terms]
-        moves = np.array([np.ndim(coef) == 0 for _, coef in terms], np.int64)
-        cols = np.array([j for j, _ in terms], np.int64) + moves * np.arange(T)[:, None]
-        coefs = per_step([coef for _, coef in terms])
         lengths = np.array([len(tpl.terms) for tpl in templates], np.int64)
-        lagged = [k for k, tpl in enumerate(templates) if tpl.lag_at is not None]
+        lagged = [p for p, tpl in enumerate(templates) if tpl.lag_at is not None]
+        keep = np.ones(len(terms), bool)  # the row at t=1 has no previous level
         starts = np.cumsum(lengths) - lengths
-        keep = np.ones(cols.shape, bool)  # the row at t=1 has no previous level
-        keep[0, [starts[k] + templates[k].lag_at for k in lagged]] = False
-        counts = np.tile(lengths, T)
-        counts[lagged] -= 1
-        self.parts.append((
-            counts, cols[keep], coefs[keep],
-            np.tile(np.array([FAMILIES.index(tpl.family) for tpl in templates], np.int8), T),
-            per_step([tpl.lo for tpl in templates]).ravel(),
-            per_step([tpl.hi for tpl in templates]).ravel(),
-        ))
-        self.store["row_blocks"].append(([tpl.prefix for tpl in templates], range(1, T + 1)))
+        keep[[starts[p] + templates[p].lag_at for p in lagged]] = False
+        at_first = lengths.copy()
+        at_first[lagged] -= 1
+        L, first = len(terms), int(at_first.sum())
+        js = np.array([j for j, _ in terms], np.int64)
+        coefs = [coef for _, coef in terms]
+        per_step = [q for q, coef in enumerate(coefs) if np.ndim(coef)]
+
+        store["indices"][k:k + first] = js[keep]
+        store["data"][k:k + first] = np.array([np.ravel(c)[0] for c in coefs], float)[keep]
+        cols = store["indices"][k + first:k + first + (T - 1) * L].reshape(T - 1, L)
+        cols[:] = js
+        cols += np.arange(1, T)[:, None]
+        cols[:, per_step] = js[per_step]
+        _spread(store["data"][k + first:k + first + (T - 1) * L].reshape(T - 1, L), coefs, 1)
+
+        ends = store["indptr"][r + 1:r + 1 + T * R].reshape(T, R)
+        ends[0] = k + np.cumsum(at_first)
+        ends[1:] = np.cumsum(lengths)
+        ends[1:] += (k + first + L * np.arange(T - 1))[:, None]
+        store["family"][r:r + T * R].reshape(T, R)[:] = [
+            FAMILIES.index(tpl.family) for tpl in templates]
+        for key, side in (("row_lo", "lo"), ("row_hi", "hi")):
+            _spread(store[key][r:r + T * R].reshape(T, R),
+                    [getattr(tpl, side) for tpl in templates], 0)
+        return r + T * R, k + first + (T - 1) * L
 
     def emit_balances(self) -> None:
         for kind, bal in _BALANCE.items():
@@ -536,13 +557,29 @@ class _Builder:
         self.create_variables()
         self.emit_balances()
         self.instantiate(self.limit_templates())
-        counts, cols, coefs, family, row_lo, row_hi = map(np.concatenate, zip(*self.parts))
-        lp = LpInstance.from_store(
-            self.system.name, indptr=np.concatenate([[0], np.cumsum(counts)]), indices=cols,
-            data=coefs, row_lo=row_lo, row_hi=row_hi, family=family, **self.store,
+        m = self.T * sum(map(len, self.groups))
+        nnz = sum(self.T * len(tpl.terms) - (tpl.lag_at is not None)
+                  for templates in self.groups for tpl in templates)
+        self.store.update(
+            indptr=np.zeros(m + 1, np.int64), indices=np.empty(nnz, np.int64),
+            data=np.empty(nnz), family=np.empty(m, np.int8),
+            row_lo=np.empty(m), row_hi=np.empty(m),
         )
+        r = k = 0
+        for templates in self.groups:
+            r, k = self._fill(templates, r, k)
+        lp = LpInstance.from_store(self.system.name, **self.store)
         lp.check()
         return lp
+
+
+def _spread(out: np.ndarray, values: list, start: int) -> None:
+    """Set column p of ``out`` to ``values[p]``: one value on every row, or
+    a value per timestep, taken from timestep ``start`` on."""
+    out[:] = [value if np.ndim(value) == 0 else 0.0 for value in values]
+    for p, value in enumerate(values):
+        if np.ndim(value):
+            out[:, p] = value[start:start + len(out)]
 
 
 def build_model(

@@ -186,11 +186,16 @@ class _Names:
         self.head_at, self.suffix_at, self.width = (
             np.array(a, np.int64) for a in (head_at, suffix_at, width))
 
-    def take(self, index: np.ndarray) -> np.ndarray:
-        """The names at ``index``, as an object array."""
+    def pieces(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The heads and the suffixes of the names at ``index``, as object arrays."""
         k = np.searchsorted(self.starts, index, "right") - 1
         t, h = np.divmod(index - self.starts[k], self.width[k])
-        return self.heads[self.head_at[k] + h] + self.suffixes[self.suffix_at[k] + t]
+        return self.heads[self.head_at[k] + h], self.suffixes[self.suffix_at[k] + t]
+
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """The names at ``index``, as an object array."""
+        heads, suffixes = self.pieces(index)
+        return heads + suffixes
 
 
 def _view(build):
@@ -436,7 +441,8 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     Every section is written in blocks of about ``_BLOCK`` lines, so the
     writer holds the text of one block at a time, never the whole file.  Row
     and column names are made per block from the name heads and timestep
-    suffixes.  Beyond one block, the heads and one string per distinct
+    suffixes; a named row's head and suffix go into its line as two pieces,
+    never joined into a name first.  Beyond one block, the heads and one string per distinct
     coefficient, the writer holds integer and boolean arrays, the largest
     a permutation that takes the row-ordered entries to column order; it
     and the row of each entry are released once COLUMNS is written.
@@ -451,12 +457,14 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     unnamed = any("" in heads for heads, _ in lp.row_blocks)
 
     def names(index):
-        """Row names at ``index``; a row with an empty name is R<index>."""
+        """Row names at ``index`` as two pieces, heads and suffixes; a row
+        with an empty name is R<index>, a head with no suffix."""
+        if not unnamed:
+            return row_table.pieces(index)
         text = row_table.take(index)
-        if unnamed:
-            empty = text == ""
-            text[empty] = [f"R{i}" for i in index[empty].tolist()]
-        return text
+        empty = text == ""
+        text[empty] = [f"R{i}" for i in index[empty].tolist()]
+        return text, ""
 
     row_edges = [*range(0, m, _BLOCK), m]
 
@@ -464,7 +472,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         return _senses(lp.row_lo[lo:hi], lp.row_hi[lo:hi])
 
     def rows(lo, hi):
-        return _joined(_MPS_SENSE[senses(lo, hi)[0]], names(np.arange(lo, hi)), "\n")
+        return _joined(_MPS_SENSE[senses(lo, hi)[0]], *names(np.arange(lo, hi)), "\n")
 
     _section(out, f"NAME {lp.name}\nROWS\n N OBJ\n", row_edges, rows)
 
@@ -495,12 +503,13 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         lines = counts[lo:hi] + obj
         is_obj = np.zeros(int(lines.sum()), bool)
         is_obj[(np.cumsum(lines) - lines)[obj]] = True
-        row, value = np.empty(len(is_obj), object), np.empty(len(is_obj))
-        row[is_obj], value[is_obj] = "OBJ", lp.cost[lo:hi][obj] + 0.0
-        row[~is_obj] = names(row_of[colptr[lo]:colptr[hi]])
+        head, suffix = np.empty((2, len(is_obj)), object)
+        value = np.empty(len(is_obj))
+        head[is_obj], suffix[is_obj], value[is_obj] = "OBJ", "", lp.cost[lo:hi][obj] + 0.0
+        head[~is_obj], suffix[~is_obj] = names(row_of[colptr[lo]:colptr[hi]])
         value[~is_obj] = lp.data[by_col[colptr[lo]:colptr[hi]]]
         cname = np.repeat("    " + col_table.take(np.arange(lo, hi)) + " ", lines)
-        return markers.get(lo, "") + _joined(cname, row, _text(value, coef_text))
+        return markers.get(lo, "") + _joined(cname, head, suffix, _text(value, coef_text))
 
     _section(out, "COLUMNS\n", col_edges, columns)
     # RHS, RANGES and BOUNDS need neither the 12 bytes per nonzero nor the
@@ -511,12 +520,12 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     def rhs(lo, hi):
         value = senses(lo, hi)[1]
         given = np.flatnonzero(value != 0.0)
-        return _joined("    RHS ", names(lo + given), _text(value[given], {}))
+        return _joined("    RHS ", *names(lo + given), _text(value[given], {}))
 
     def ranges(lo, hi):
         ranged = np.flatnonzero(senses(lo, hi)[2])
         span = lp.row_hi[lo:hi][ranged] - lp.row_lo[lo:hi][ranged]
-        return _joined("    RNG ", names(lo + ranged), _text(span, {}))
+        return _joined("    RNG ", *names(lo + ranged), _text(span, {}))
 
     _section(out, "RHS\n", row_edges, rhs)
     if any(senses(lo, hi)[2].any() for lo, hi in zip(row_edges, row_edges[1:])):

@@ -137,6 +137,19 @@ class TestTTestProperties:
             return
         assert scaled.t_statistic == pytest.approx(base.t_statistic, rel=1e-9, abs=1e-9)
 
+    def test_tiny_samples_keep_their_scale(self):
+        # the variance of b (about 2.7e-314) was subnormal: t read
+        # -0.9999999999490 here and -1.0000000017961 on the samples scaled by 0.25
+        b = [0.0, 2.3129298368778237e-157]
+        for scale in (1.0, 0.25):
+            result = two_sample_t_test([0.0, 0.0], [scale * x for x in b])
+            assert result.t_statistic == -1.0
+
+    def test_underflowing_variance_is_not_zero(self):
+        # (1e-170)**2 / 2 underflows to 0.0, which read as zero variance
+        # with different means
+        assert two_sample_t_test([0.0, 0.0], [0.0, 1e-170]).t_statistic == -1.0
+
     def test_p_monotone_in_t(self):
         a = [1.0, 2.0, 4.0, 3.0, 5.0]
         ps = [two_sample_t_test(a, [x + shift for x in a]).p_value

@@ -1,6 +1,9 @@
 """Lowering and model-building tests: per-timestep counts, node forms,
 extension rows, and the invariant that every valid system lowers cleanly."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from flowgraph import (
@@ -22,7 +25,10 @@ from flowgraph import (
     tri_area_case,
 )
 from flowgraph.errors import MissingAngleAsset, UnsupportedCombination
-from flowgraph.lp import RowFamily, VarRole
+from flowgraph.formulation import _Builder
+from flowgraph.lp import FAMILIES, RowFamily, VarRole
+from test_lp_mps import hybrid_uc_case
+from test_mps_digest import dc_uc_hub_case
 
 
 def hybrid_t1():
@@ -263,3 +269,74 @@ class TestExtensions:
         assert {RowFamily.UC_MIN_OPER, RowFamily.UC_LIMIT, RowFamily.UC_MAX_ABOVE} <= families
         units = [v for v in instance.variables if v.role is VarRole.UNITS_ON]
         assert len(units) == 2 and all(v.integrality for v in units)
+
+
+def reference_rows(builder) -> dict:
+    """The CSR row store of the builder's template groups, one term at a
+    time: per group, per timestep, per template, per term, with the lagged
+    term left out at t=1."""
+    indptr, indices, data, family, row_lo, row_hi = [0], [], [], [], [], []
+    at = lambda value, t: value[t - 1] if np.ndim(value) else value  # noqa: E731
+    for templates in builder.groups:
+        for t in range(1, builder.T + 1):
+            for tpl in templates:
+                for q, (j, coef) in enumerate(tpl.terms):
+                    if t == 1 and q == tpl.lag_at:
+                        continue
+                    indices.append(j if np.ndim(coef) else j + t - 1)
+                    data.append(at(coef, t))
+                indptr.append(len(indices))
+                family.append(FAMILIES.index(tpl.family))
+                row_lo.append(at(tpl.lo, t))
+                row_hi.append(at(tpl.hi, t))
+    return {
+        "indptr": np.array(indptr, np.int64), "indices": np.array(indices, np.int64),
+        "data": np.array(data, float), "family": np.array(family, np.int8),
+        "row_lo": np.array(row_lo, float), "row_hi": np.array(row_hi, float),
+    }
+
+
+def fill_cases():
+    """``(id, system, approach, options)`` of every case the fill must match."""
+    for approach in ALL_APPROACHES:
+        yield f"hybrid-{approach.value}", hybrid_fixture(), approach, {}
+        for T in (1, 2, 24):
+            system = scale_horizon(tri_area_case(CaseSpec()), T)
+            yield f"tri-area-T{T}-{approach.value}", system, approach, {}
+        yield (f"hybrid-uc-{approach.value}", hybrid_uc_case(), approach,
+               {"unit_commitment": True})
+        if approach is not Approach.THREE_BB_4F:  # DC flow needs no four-flow links
+            yield (f"dc-uc-hubs-{approach.value}", dc_uc_hub_case(), approach,
+                   {"dc_opf": True, "unit_commitment": True})
+
+
+@pytest.mark.parametrize("system,approach,options",
+                         [case[1:] for case in fill_cases()],
+                         ids=[case[0] for case in fill_cases()])
+def test_fill_matches_row_by_row_reference(system, approach, options):
+    instance = build_model(system, approach, **options)
+    builder = _Builder(lower_to_node_form(system, approach), options.get("dc_opf", False),
+                       options.get("unit_commitment", False))
+    builder.build()
+    for key, expected in reference_rows(builder).items():
+        actual = getattr(instance, key)
+        assert actual.dtype == expected.dtype, key
+        np.testing.assert_array_equal(actual, expected, err_msg=key)
+
+
+#: tracemalloc peak of build_model at i2 3BB-4F over the bytes of its store:
+#: 1.11 when rows are written in place, 1.97 when each group's rows were
+#: concatenated at the end
+BUILD_PEAK_RATIO = 1.3
+
+
+def test_build_holds_its_rows_once():
+    system = tri_area_case(CaseSpec(instance=2))
+    tracemalloc.start()
+    try:
+        instance = build_model(system, Approach.THREE_BB_4F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = sum(v.nbytes for v in instance.store().values() if isinstance(v, np.ndarray))
+    assert peak <= BUILD_PEAK_RATIO * store
