@@ -255,7 +255,8 @@ def scale_horizon(system: EnergySystem, T: int) -> EnergySystem:
     """Copy of ``system`` with all profiles tiled or truncated to length T."""
     if T < 1:
         raise InvariantViolation("T must be positive")
-    out = system.with_horizon(T)
+    out = replace(system, horizon_t=T, assets=dict(system.assets), arcs=dict(system.arcs),
+                  hubs=dict(system.hubs))
     for asset_id, asset in list(out.assets.items()):
         changes = {}
         for field in ("demand_profile", "availability_profile"):

@@ -16,8 +16,8 @@ report, MPS writer, checks, both solvers): minimize ``cost @ x`` subject to
 read-only, and so are the matrix, ``rows``, ``variables`` and ``objective``:
 the last three are tuples of frozen records, built on first read.
 
-MPS, the size report and the ``rows`` view derive a row's sense,
-right-hand side and range from its bounds (see :func:`_senses`).
+Only MPS has row senses: the writer derives a row's sense, right-hand side
+and range from its bounds (see :func:`_senses`).
 
 Model size is reported under a fixed counting convention: every limit is a
 real row (single-variable capacity rows included), a two-sided range row
@@ -100,19 +100,18 @@ class RowFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """One LP row in coordinate form; ``terms`` is kept as a tuple.
+    """One LP row ``lo <= terms <= hi`` in coordinate form, bounded as the
+    store bounds it (``-inf``/``inf`` for none); ``terms`` is kept as a tuple.
 
-    ``rhs_low`` set makes this a range row ``rhs_low <= terms <= rhs``; only a
-    ``<=`` row may have one.  Range rows count as two constraints in the size
-    report.
+    A row with two finite bounds that differ is a range row; it counts as two
+    constraints in the size report.
     """
 
     family: RowFamily
-    sense: str  # "<=", "=", ">="
-    rhs: float
+    lo: float
+    hi: float
     terms: tuple[tuple[int, float], ...]
     name: str = ""
-    rhs_low: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -131,33 +130,14 @@ class ModelSize:
 #: terms :meth:`LpInstance.check` reads per step: bounds its extra memory
 _CHECK_TERMS = 1 << 14
 
-#: the table that row ``family`` codes index, and the one of derived senses
+#: the table that row ``family`` codes index
 FAMILIES = tuple(RowFamily)
-SENSES = ("<=", "=", ">=")
 
 
-def _senses(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row with bounds ``lo`` and ``hi``: its sense (an index into
-    :data:`SENSES`), its right-hand side and whether it is a range row.
-
-    A row is ``=`` when ``lo == hi``, ``>=`` when only ``lo`` is finite, and
-    otherwise ``<=`` with right-hand side ``hi``, a range if ``lo`` is finite.
-    """
-    ge = np.isfinite(lo) & ~np.isfinite(hi)
-    sense = np.where(lo == hi, 1, np.where(ge, 2, 0))
-    return sense, np.where(ge, lo, hi), (sense == 0) & np.isfinite(lo)
-
-
-def _bounds(row: ConstraintRow) -> tuple[float, float]:
-    """``(row_lo, row_hi)`` of a record; raises for a sense a store cannot hold."""
-    if row.sense == "<=":
-        return -INF if row.rhs_low is None else row.rhs_low, row.rhs
-    if row.rhs_low is not None:
-        raise InvariantViolation(
-            f"row {row.name}: rhs_low on a {row.sense} row; ranges are <= rows")
-    if row.sense not in SENSES:
-        raise InvariantViolation(f"row {row.name}: unknown sense {row.sense}")
-    return row.rhs, (row.rhs if row.sense == "=" else INF)
+def _ranged(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each row with bounds ``lo`` and ``hi`` is a range row: both
+    bounds finite and apart."""
+    return np.isfinite(lo) & np.isfinite(hi) & (lo != hi)
 
 
 class _Names:
@@ -212,10 +192,9 @@ class LpInstance:
 
     ``LpInstance(name, variables, rows, objective)`` converts lists of
     :class:`VariableRef`, :class:`ConstraintRow` and ``(column,
-    coefficient)`` pairs once, into bounds and floats.  It raises for a sense
-    bounds cannot hold and for an objective column out of range;
-    :meth:`check` reports any other malformed row.  The objective keeps the
-    last coefficient given for a column.
+    coefficient)`` pairs once, into arrays.  It raises for an objective
+    column out of range; :meth:`check` reports a malformed row.  The
+    objective keeps the last coefficient given for a column.
     """
 
     def __init__(self, name: str = "lp", variables: Sequence[VariableRef] = (),
@@ -226,12 +205,12 @@ class LpInstance:
             if not 0 <= j < len(cost):
                 raise ParseError(f"objective: bad variable index {j}")
             cost[j] = coef
-        row_lo, row_hi = np.array([_bounds(row) for row in rows], float).reshape(-1, 2).T.copy()
         self._fill(
             name, indptr=np.cumsum([0, *(len(row.terms) for row in rows)]),
             indices=np.array([j for row in rows for j, _ in row.terms], np.int64),
             data=np.array([coef for row in rows for _, coef in row.terms], float),
-            row_lo=row_lo, row_hi=row_hi,
+            row_lo=np.array([row.lo for row in rows], float),
+            row_hi=np.array([row.hi for row in rows], float),
             family=np.array([FAMILIES.index(row.family) for row in rows], np.int8),
             row_blocks=[([row.name for row in rows], (None,))],
             lower=np.array([v.lower for v in variables], float),
@@ -285,13 +264,10 @@ class LpInstance:
     @_view
     def rows(self) -> tuple[ConstraintRow, ...]:
         pairs, ends = list(zip(self.indices.tolist(), self.data.tolist())), self.indptr.tolist()
-        sense, rhs, ranged = _senses(self.row_lo, self.row_hi)
         return tuple(map(
-            ConstraintRow, [FAMILIES[c] for c in self.family.tolist()],
-            [SENSES[c] for c in sense.tolist()], rhs.tolist(),
-            [pairs[a:b] for a, b in zip(ends, ends[1:])], self.row_names(),
-            [low if r else None for low, r in zip(self.row_lo.tolist(), ranged.tolist())],
-        ))
+            ConstraintRow, [FAMILIES[c] for c in self.family.tolist()], self.row_lo.tolist(),
+            self.row_hi.tolist(), [pairs[a:b] for a, b in zip(ends, ends[1:])],
+            self.row_names()))
 
     @_view
     def objective(self) -> tuple[tuple[int, float], ...]:
@@ -392,9 +368,10 @@ def size_report(instance: LpInstance) -> ModelSize:
     they are present in the LP (and in MPS output).
     """
     counted = instance.family != FAMILIES.index(RowFamily.TRANSPORT_BALANCE)
-    ranged = _senses(instance.row_lo, instance.row_hi)[2]
+    ranged = _ranged(instance.row_lo, instance.row_hi)
     n_cons = np.count_nonzero(counted) + np.count_nonzero(counted & ranged)
-    n_nz = np.diff(instance.indptr)[counted].sum()
+    indptr, transport = instance.indptr, np.flatnonzero(~counted)
+    n_nz = indptr[-1] - (indptr[transport + 1] - indptr[transport]).sum()
     return ModelSize(len(instance.lower), int(n_cons), int(n_nz))
 
 
@@ -403,6 +380,14 @@ def size_report(instance: LpInstance) -> ModelSize:
 #: lines written per step, about: bounds the extra memory of ``write_mps``
 _BLOCK = 4096
 _MPS_SENSE = np.array([" L ", " E ", " G "], object)
+
+
+def _senses(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row with bounds ``lo`` and ``hi``: its MPS sense as an index into
+    ``_MPS_SENSE`` (``E`` if ``lo == hi``, ``G`` if only ``lo`` is finite,
+    else ``L``) and its right-hand side (``lo`` for ``G``, else ``hi``)."""
+    ge = np.isfinite(lo) & ~np.isfinite(hi)
+    return np.where(lo == hi, 1, np.where(ge, 2, 0)), np.where(ge, lo, hi)
 
 
 def _text(values: np.ndarray, cache: dict) -> np.ndarray:
@@ -471,6 +456,9 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     def senses(lo, hi):
         return _senses(lp.row_lo[lo:hi], lp.row_hi[lo:hi])
 
+    def ranged(lo, hi):
+        return _ranged(lp.row_lo[lo:hi], lp.row_hi[lo:hi])
+
     def rows(lo, hi):
         return _joined(_MPS_SENSE[senses(lo, hi)[0]], *names(np.arange(lo, hi)), "\n")
 
@@ -523,12 +511,12 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         return _joined("    RHS ", *names(lo + given), _text(value[given], {}))
 
     def ranges(lo, hi):
-        ranged = np.flatnonzero(senses(lo, hi)[2])
-        span = lp.row_hi[lo:hi][ranged] - lp.row_lo[lo:hi][ranged]
-        return _joined("    RNG ", *names(lo + ranged), _text(span, {}))
+        which = np.flatnonzero(ranged(lo, hi))
+        span = lp.row_hi[lo:hi][which] - lp.row_lo[lo:hi][which]
+        return _joined("    RNG ", *names(lo + which), _text(span, {}))
 
     _section(out, "RHS\n", row_edges, rhs)
-    if any(senses(lo, hi)[2].any() for lo, hi in zip(row_edges, row_edges[1:])):
+    if any(ranged(lo, hi).any() for lo, hi in zip(row_edges, row_edges[1:])):
         _section(out, "RANGES\n", row_edges, ranges)
 
     # each column has up to two BOUNDS lines: FX, FR, MI or LO, then UP

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DuplicateArc, DuplicateId, InvariantViolation, SelfLoop, UnknownAsset
@@ -256,12 +256,6 @@ class EnergySystem:
         self.hubs[hub.id] = hub
         return self
 
-    def remove_asset(self, asset_id: str) -> "EnergySystem":
-        self.assets.pop(asset_id, None)
-        for key in [k for k in self.arcs if asset_id in k]:
-            del self.arcs[key]
-        return self
-
     # -- queries ---------------------------------------------------------
 
     def adjacency(self) -> dict[str, tuple[list[tuple[str, str]], list[tuple[str, str]]]]:
@@ -322,20 +316,3 @@ class EnergySystem:
                 if h not in self.hubs:
                     err(f"{arc.key}", f"via hub {h!r} is not annotated")
         return out
-
-    def copy(self) -> "EnergySystem":
-        clone = EnergySystem(horizon_t=self.horizon_t, name=self.name)
-        clone.assets = dict(self.assets)
-        clone.arcs = dict(self.arcs)
-        clone.hubs = dict(self.hubs)
-        return clone
-
-    def with_horizon(self, horizon_t: int) -> "EnergySystem":
-        clone = self.copy()
-        clone.horizon_t = horizon_t
-        return clone
-
-
-def replace_asset(system: EnergySystem, asset_id: str, **changes) -> None:
-    """Swap one asset for a modified copy in place."""
-    system.assets[asset_id] = replace(system.assets[asset_id], **changes)

@@ -1,6 +1,7 @@
 """Lowering and model-building tests: per-timestep counts, node forms,
 extension rows, and the invariant that every valid system lowers cleanly."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestLowering:
         # so the forbidden demand->battery route caps that flow at zero
         instance = build_model(hybrid_t1(), Approach.TWO_BB_2F)
         bounds = [r for r in instance.rows
-                  if r.family is RowFamily.FLOW_BOUND and r.rhs == 0.0]
+                  if r.family is RowFamily.FLOW_BOUND and r.hi == 0.0]
         assert len(bounds) == 1
         # the asset-to-asset form has no such arc in the first place
         assert ("ed", "bt") not in hybrid_fixture().arcs
@@ -121,8 +122,8 @@ class TestDeterminism:
         a = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
         b = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
         assert [v.name for v in a.variables] == [v.name for v in b.variables]
-        assert [(r.name, r.terms, r.rhs) for r in a.rows] == \
-               [(r.name, r.terms, r.rhs) for r in b.rows]
+        assert [(r.name, r.terms, r.lo, r.hi) for r in a.rows] == \
+               [(r.name, r.terms, r.lo, r.hi) for r in b.rows]
 
 
 class TestBackwardCap:
@@ -146,7 +147,7 @@ class TestBackwardCap:
     def test_backward_row_emitted(self):
         instance = build_model(self._system(max_bwd_mw=2.0), Approach.ONE_BB_1F)
         (row,) = [r for r in instance.rows if r.family is RowFamily.FLOW_BOUND]
-        assert (row.name, row.sense, row.rhs) == ("fb_c1_c2_t1", ">=", -2.0)
+        assert (row.name, row.lo, row.hi) == ("fb_c1_c2_t1", -2.0, math.inf)
 
     @pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.value)
     def test_all_approaches_agree(self, approach):

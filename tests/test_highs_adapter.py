@@ -8,6 +8,7 @@ names, and the child process, which freezes its imports, writes the same
 file as an in-process call, which freezes nothing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,10 +50,9 @@ def three_sense_lp() -> LpInstance:
         VariableRef(VarRole.FLOW, ("c", "d"), 1),
     ]
     rows = [
-        ConstraintRow(RowFamily.FLOW_BOUND, "<=", 4.0, [(0, 1.0), (1, -1.0)], "rng",
-                      rhs_low=-1.0),
-        ConstraintRow(RowFamily.FLOW_BOUND, ">=", 3.0, [(0, 1.0), (2, 2.0)], "ge"),
-        ConstraintRow(RowFamily.CONSUMER_BALANCE, "=", 2.0, [(1, 1.0), (2, 1.0)], "eq"),
+        ConstraintRow(RowFamily.FLOW_BOUND, -1.0, 4.0, [(0, 1.0), (1, -1.0)], "rng"),
+        ConstraintRow(RowFamily.FLOW_BOUND, 3.0, math.inf, [(0, 1.0), (2, 2.0)], "ge"),
+        ConstraintRow(RowFamily.CONSUMER_BALANCE, 2.0, 2.0, [(1, 1.0), (2, 1.0)], "eq"),
     ]
     return LpInstance("senses", variables, rows, [(0, 2.0), (1, -1.0), (2, 2.0)])
 
@@ -76,7 +76,7 @@ def test_missing_solution_file_is_a_solver_failure():
 def test_no_columns(rhs, status):
     rows = []
     if rhs is not None:  # a row without terms: 0 >= rhs
-        rows = [ConstraintRow(RowFamily.FLOW_BOUND, ">=", rhs, [], "r0")]
+        rows = [ConstraintRow(RowFamily.FLOW_BOUND, rhs, math.inf, [], "r0")]
     lp = LpInstance(rows=rows)
     theirs = solve_external(lp, HIGHS)
     assert theirs.status == solve_reference(lp).status == status
@@ -90,8 +90,8 @@ def test_crossing_singleton_rows_are_infeasible():
         "crossing",
         [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
         [
-            ConstraintRow(RowFamily.FLOW_BOUND, ">=", 6.0, [(0, 2.0)], "lo"),
-            ConstraintRow(RowFamily.FLOW_BOUND, ">=", -2.0, [(0, -1.0)], "hi"),
+            ConstraintRow(RowFamily.FLOW_BOUND, 6.0, math.inf, [(0, 2.0)], "lo"),
+            ConstraintRow(RowFamily.FLOW_BOUND, -2.0, math.inf, [(0, -1.0)], "hi"),
         ],
         [(0, 1.0)],
     )

@@ -23,7 +23,6 @@ from flowgraph.errors import (
     SelfLoop,
     UnknownAsset,
 )
-from flowgraph.model import replace_asset
 
 
 def small_system() -> EnergySystem:
@@ -101,7 +100,7 @@ class TestAssetInvariants:
         sy.add_asset(Asset(id="d", kind=AssetKind.CONSUMER, demand_profile=(1.0,)))
         sy.add_flow(FlowArc("g", "d"))
         lp = build_model(sy, Approach.ONE_BB_1F)
-        caps = [r.rhs for r in lp.rows if r.family is RowFamily.CAPACITY_LIMIT]
+        caps = [r.hi for r in lp.rows if r.family is RowFamily.CAPACITY_LIMIT]
         assert caps == [2.5, 7.5, 2.5, 7.5]
 
 
@@ -158,20 +157,12 @@ class TestEnergySystem:
         with pytest.raises(DuplicateArc):
             sy.add_flow(FlowArc("gen", "load"))
 
-    def test_add_then_remove_restores_graph(self):
-        sy = small_system()
-        before = (dict(sy.assets), dict(sy.arcs))
-        sy.add_asset(Asset(id="extra", kind=AssetKind.PRODUCER, capacity_mw=1.0))
-        sy.add_flow(FlowArc("extra", "load"))
-        sy.remove_asset("extra")
-        assert (sy.assets, sy.arcs) == before
-
     def test_validate_clean_fixture(self):
         assert small_system().validate() == []
 
     def test_validate_is_pure(self):
         sy = small_system()
-        sy.remove_asset("gen")  # leaves the consumer without an inflow
+        del sy.arcs[("gen", "load")]  # leaves the consumer without an inflow
         assert sy.validate() == sy.validate()
 
     def test_consumer_without_inflow_flagged(self):
@@ -232,11 +223,6 @@ class TestEnergySystem:
         dangling = {k for k in sy.arcs if not set(k) <= set(sy.assets)}
         reported = {d.entity for d in sy.validate() if "unknown asset" in d.message}
         assert reported == {f"{k}" for k in dangling}
-
-    def test_replace_asset(self):
-        sy = small_system()
-        replace_asset(sy, "gen", capacity_mw=99.0)
-        assert sy.assets["gen"].capacity_mw == 99.0
 
     def test_hub_port_cap_lookup(self):
         hub = HubAnnotation(id="h", member_ports=(("a", "in"),),

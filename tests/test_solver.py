@@ -44,7 +44,7 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
     ``narrow`` columns get bounds near 2000 that are only 1e-3..1e-2 wide,
     narrower than a relative 1e-5 of their magnitude.  ``singletons`` adds
     that many single-term rows after the others, with coefficients of either
-    sign and every sense (``<=`` with and without a low side, ``>=``, ``=``);
+    sign and every kind of bounds (two, an upper one, a lower one, equal);
     the first two share a column, and column 0 loses its bounds so that one
     such range row alone bounds it.
     """
@@ -65,9 +65,8 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
             coefs[int(rng.integers(n))] = 1.0
         terms = [(j, float(c)) for j, c in enumerate(coefs) if c != 0.0]
         lhs0 = float(coefs @ x0)
-        sense = ["<=", ">=", "="][int(rng.integers(3))]
-        rhs = lhs0 + (0.5 if sense == "<=" else -0.5 if sense == ">=" else 0.0)
-        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, terms, f"r{i}"))
+        lo, hi = [(-np.inf, lhs0 + 0.5), (lhs0 - 0.5, np.inf), (lhs0, lhs0)][int(rng.integers(3))]
+        rows.append(ConstraintRow(RowFamily.FLOW_BOUND, lo, hi, terms, f"r{i}"))
     if singletons:
         lower[0], upper[0] = -np.inf, np.inf
         # a range row on the free column, then one row of each kind
@@ -79,14 +78,13 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
             lhs0 = a * x0[j]
             slack_lo, slack_hi = rng.uniform(0.0, 1.0, 2)
             below, above = lhs0 - slack_lo, lhs0 + slack_hi
-            sense, rhs, low = {
-                "range": ("<=", above, below),
-                "<=": ("<=", above, None),
-                ">=": (">=", below, None),
-                "=": ("=", lhs0, None),
+            lo, hi = {
+                "range": (below, above),
+                "<=": (-np.inf, above),
+                ">=": (below, np.inf),
+                "=": (lhs0, lhs0),
             }[kind]
-            rows.append(ConstraintRow(RowFamily.FLOW_BOUND, sense, rhs, [(j, a)], f"s{k}",
-                                      rhs_low=low))
+            rows.append(ConstraintRow(RowFamily.FLOW_BOUND, lo, hi, [(j, a)], f"s{k}"))
     variables = [
         VariableRef(VarRole.FLOW, (f"x{j}", "y"), 1, lower=lower[j], upper=upper[j])
         for j in range(n)
@@ -104,18 +102,16 @@ def scipy_solve(lp: LpInstance):
         vec = np.zeros(n)
         for j, c in row.terms:
             vec[j] = c
-        if row.sense == "=":
+        if row.lo == row.hi:
             a_eq.append(vec)
-            b_eq.append(row.rhs)
-        elif row.sense == "<=":
+            b_eq.append(row.hi)
+            continue
+        if row.hi < np.inf:
             a_ub.append(vec)
-            b_ub.append(row.rhs)
-        else:
+            b_ub.append(row.hi)
+        if row.lo > -np.inf:
             a_ub.append(-vec)
-            b_ub.append(-row.rhs)
-        if row.rhs_low is not None:
-            a_ub.append(-vec)
-            b_ub.append(-row.rhs_low)
+            b_ub.append(-row.lo)
     bounds = [(v.lower if np.isfinite(v.lower) else None,
                v.upper if np.isfinite(v.upper) else None) for v in lp.variables]
     return linprog(cost, A_ub=np.array(a_ub) if a_ub else None,
@@ -155,7 +151,7 @@ class TestStatuses:
     def test_infeasible(self):
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)],
-            rows=[ConstraintRow(RowFamily.FLOW_BOUND, ">=", 2.0, [(0, 1.0)], "r0")],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 2.0, np.inf, [(0, 1.0)], "r0")],
         )
         assert solve_reference(lp).status == "infeasible"
 
@@ -179,8 +175,8 @@ class TestStatuses:
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
             rows=[
-                ConstraintRow(RowFamily.FLOW_BOUND, ">=", 1.0, [(0, 1.0)], "lo"),
-                ConstraintRow(RowFamily.FLOW_BOUND, "<=", 1.0 - 5e-8, [(0, 1.0)], "hi"),
+                ConstraintRow(RowFamily.FLOW_BOUND, 1.0, np.inf, [(0, 1.0)], "lo"),
+                ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 1.0 - 5e-8, [(0, 1.0)], "hi"),
             ],
             objective=[(0, -1.0)],
         )
@@ -194,7 +190,7 @@ class TestStatuses:
         # so the presolve never takes it for a bound that pins x
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0)],
-            rows=[ConstraintRow(RowFamily.FLOW_BOUND, "=", 0.0, [(0, 0.0)], "z")],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 0.0, [(0, 0.0)], "z")],
             objective=[(0, -1.0)],
         )
         with pytest.raises(ParseError, match="row z: invalid coefficient 0.0"):
@@ -275,7 +271,7 @@ def test_solve_clock_starts_after_scipy_loads():
 def unchecked_lp(rhs: float = 4.0, column: int = 0) -> LpInstance:
     """One column, one row, built without :meth:`LpInstance.check`."""
     return LpInstance("x", [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=5.0)],
-                      [ConstraintRow(RowFamily.FLOW_BOUND, "<=", rhs, [(column, 1.0)], "r")],
+                      [ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, rhs, [(column, 1.0)], "r")],
                       [(0, -1.0)])
 
 
@@ -368,14 +364,7 @@ def check_primal_by_rows(instance: LpInstance, primal: np.ndarray, tol: float = 
             violated.append(f"bound:{ref.name}")
     for row in instance.rows:
         lhs = sum(coef * primal[j] for j, coef in row.terms)
-        if row.sense == "=":
-            bad = abs(lhs - row.rhs) > tol
-        elif row.sense == "<=":
-            low = row.rhs_low if row.rhs_low is not None else -np.inf
-            bad = lhs > row.rhs + tol or lhs < low - tol
-        else:
-            bad = lhs < row.rhs - tol
-        if bad:
+        if lhs > row.hi + tol or lhs < row.lo - tol:
             violated.append(row.name)
     return violated
 
@@ -400,7 +389,7 @@ class TestCheckPrimal:
     def test_flags_violated_bound_and_row(self):
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=1.0)],
-            rows=[ConstraintRow(RowFamily.FLOW_BOUND, "<=", 0.5, [(0, 1.0)], "r0")],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 0.5, [(0, 1.0)], "r0")],
         )
         violated = check_primal(lp, np.array([2.0]))
         assert "bound:f_a_b_t1" in violated
@@ -409,8 +398,7 @@ class TestCheckPrimal:
     def test_range_row_low_side(self):
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-5.0)],
-            rows=[ConstraintRow(RowFamily.FLOW_BOUND, "<=", 3.0, [(0, 1.0)], "rng",
-                                rhs_low=-1.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, -1.0, 3.0, [(0, 1.0)], "rng")],
         )
         assert check_primal(lp, np.array([-2.0])) == ["rng"]
         assert check_primal(lp, np.array([0.0])) == []
@@ -438,7 +426,7 @@ class TestCheckPrimal:
     def test_overflowing_row_is_a_violation(self):
         lp = LpInstance(
             variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1)],
-            rows=[ConstraintRow(RowFamily.FLOW_BOUND, ">=", 0.0, [(0, 10.0)], "r0")],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 0.0, np.inf, [(0, 10.0)], "r0")],
         )
         # 1e308 is within the column's bounds, but 10 * 1e308 overflows
         assert check_primal(lp, np.array([1e308])) == ["r0"]
