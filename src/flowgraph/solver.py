@@ -64,6 +64,20 @@ class _SingularBasis(Exception):
     """SuperLU could not factorize the basis."""
 
 
+def _columns(matrix: sp.csc_matrix, basic: np.ndarray) -> sp.csc_matrix:
+    """``matrix[:, basic]``, gathered straight from the CSC arrays: the same
+    ``indptr``, ``indices`` and ``data`` as scipy's fancy indexing gives."""
+    import scipy.sparse as sp
+
+    starts = matrix.indptr[basic]
+    counts = matrix.indptr[basic + 1] - starts
+    indptr = np.zeros(len(basic) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    return sp.csc_matrix((matrix.data[take], matrix.indices[take], indptr),
+                         shape=(matrix.shape[0], len(basic)))
+
+
 class _Basis:
     """Sparse LU of the basis with product-form eta updates."""
 
@@ -79,7 +93,7 @@ class _Basis:
 
         self.etas = []
         try:
-            self.lu = splu(self.matrix[:, self.basic].tocsc(), permc_spec="COLAMD")
+            self.lu = splu(_columns(self.matrix, self.basic), permc_spec="COLAMD")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise _SingularBasis(str(exc)) from None
         self.factorizations += 1

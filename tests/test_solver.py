@@ -329,6 +329,24 @@ def test_basis_solves_track_replaced_columns():
     assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
 
 
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+@pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
+def test_basis_columns_match_fancy_indexing(case, approach):
+    # the LU factorizes the gathered columns, so they must be scipy's
+    # matrix[:, basic] array for array, at the slack basis and at the optimum
+    make = PIVOTS[case][0]
+    worker = solver._Simplex(build_model(make(), approach))
+    for solved in (False, True):
+        if solved:
+            assert worker.solve()[0] == "optimal"
+        got = solver._columns(worker.A, worker.basic)
+        expected = worker.A[:, worker.basic].tocsc()
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
 def test_solve_leaves_the_instance_alone():
     # single-term rows become column bounds and zero terms leave the matrix
     # inside the solver; none of it may reach the shared matrix or store
