@@ -351,8 +351,13 @@ class SolveResult:
     primal: Optional[np.ndarray] = None
     iterations: int = 0
     wall_time_s: float = 0.0
-    # LU factorizations of the basis, the first one included (reference simplex)
+    # set by the reference simplex only: LU factorizations of the basis, the
+    # first one included; iterations of phase 1; pivots with a step of 0;
+    # the iteration at which Bland's rule took over, if it did
     refactorizations: int = 0
+    phase1_iterations: int = 0
+    degenerate_pivots: int = 0
+    bland_from: Optional[int] = None
 
     @property
     def is_optimal(self) -> bool:

@@ -177,6 +177,9 @@ class _Simplex:
         self.basic[art_rows] = n + m + np.arange(n_art)
         self.basis: Optional[_Basis] = None
         self.iterations = 0
+        self.phase1_iterations = 0
+        self.degenerate_pivots = 0
+        self.bland_from: Optional[int] = None
 
     def solve(self) -> tuple[str, np.ndarray, int]:
         # artificials are bounded by [0, inf), so only the LP's own bounds can cross
@@ -187,6 +190,7 @@ class _Simplex:
             phase1 = np.zeros(len(self.cost))
             phase1[-self.n_art:] = 1.0
             status = self._iterate(phase1, phase=1)
+            self.phase1_iterations = self.iterations
             if status != "optimal":
                 return status, self.value, self.iterations
             if phase1 @ self.value > _FEAS_TOL:
@@ -219,6 +223,8 @@ class _Simplex:
             idx = np.flatnonzero(eligible)
             if bland:
                 q = idx[0]
+                if self.bland_from is None:
+                    self.bland_from = self.iterations
             else:
                 q = idx[np.argmax(np.abs(d[idx]))]
             direction = 1.0 if can_up[q] else -1.0
@@ -254,6 +260,8 @@ class _Simplex:
             if theta > 0:
                 self.value[jb] += step * theta
                 self.value[q] += direction * theta
+            else:
+                self.degenerate_pivots += 1
             if leaving < 0:
                 # bound flip: entering variable crosses to its other bound
                 self.value[q] = self.upper[q] if direction > 0 else self.lower[q]
@@ -282,6 +290,10 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     and no primal; a basis SuperLU cannot factorize gives status
     ``"numerical_failure"`` and no primal.  ``refactorizations`` counts
     the LU factorizations of the basis, the first one included.
+    ``phase1_iterations`` counts the iterations spent finding a feasible
+    basis, ``degenerate_pivots`` the pivots that moved no value (a step of
+    0), and ``bland_from`` is the iteration at which Bland's rule first
+    chose the entering column, or ``None``.
     """
     instance.check()
     if instance.integral.any():
@@ -302,7 +314,10 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     elapsed = time.perf_counter() - start
     refactorizations = worker.basis.factorizations if worker.basis is not None else 0
     result = SolveResult(status=status, iterations=iterations, wall_time_s=elapsed,
-                         refactorizations=refactorizations)
+                         refactorizations=refactorizations,
+                         phase1_iterations=worker.phase1_iterations,
+                         degenerate_pivots=worker.degenerate_pivots,
+                         bland_from=worker.bland_from)
     if status == "optimal":
         result.primal = value[:worker.n_structural]
         result.primal.flags.writeable = False

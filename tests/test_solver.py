@@ -453,14 +453,19 @@ class TestCheckPrimal:
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
 def test_bland_fallback_agrees_with_dantzig(approach, monkeypatch):
     lp = build_model(hybrid_fixture(), approach)
-    dantzig = solve_reference(lp)
+    priced = solve_reference(lp)
+    assert priced.bland_from is None
     # a window of one hands pricing to Bland's rule at the first
     # non-improving pivot
     monkeypatch.setattr(solver, "_STALL_WINDOW", 1)
     bland = solve_reference(lp)
-    assert bland.iterations != dantzig.iterations
-    assert abs(bland.objective - dantzig.objective) < 1e-9
+    assert bland.iterations != priced.iterations
+    assert abs(bland.objective - priced.objective) < 1e-9
     assert check_primal(lp, bland.primal) == []
+    assert 1 < bland.bland_from < bland.iterations
+    for result in (priced, bland):
+        assert 0 < result.phase1_iterations < result.iterations
+        assert 0 < result.degenerate_pivots < result.iterations
 
 
 # Simplex iterations per approach, measured when the simplex began to turn
