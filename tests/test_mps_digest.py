@@ -49,15 +49,18 @@ TRI_AREA_T24 = {
     "1BB-1F": "91a88991623bce21b40caff589d75cba50b8c9e6790aa47794260e5bd55ca6e2",
 }
 
+# Re-pinned when pricing began to divide by the steepest-edge weights: the
+# hybrid primals moved by at most 1.8e-15, and at tri-area T=24 the solver
+# reaches another optimal vertex with the same objective.
 SOLUTION_FILES = {
-    ("hybrid", "3BB-4F"): "83d6efe877ad584c6b724ad03639ebe06e6942b6b8e2ede4b39df5b348cbe734",
-    ("hybrid", "2BB-2F"): "a4b035de63735f18283768ce46a075bb27c582e082fe937b8b4c9afca85b9c4c",
-    ("hybrid", "2BB-1F"): "585aaa57645e49bfb0778b51c78dd05dc39152eb2766a8d6db6bf041bf708bfa",
-    ("hybrid", "1BB-1F"): "8f47bb17c8fe99d1a9e835780d8e963b1ca79a4aaffa032218ba9983817325a8",
-    ("tri-area-t24", "3BB-4F"): "be372c4d694e968bb731064c573b595ca61b155f32ff499feada581c771819f0",
-    ("tri-area-t24", "2BB-2F"): "82447d17a127d86dee26e4899302d2160d923e7b538313207a1986f7ce48620b",
-    ("tri-area-t24", "2BB-1F"): "114267d6e769283c36084ac704a67cd3d8021d7d3f99666e6d278bd7f493f651",
-    ("tri-area-t24", "1BB-1F"): "bf6f0406ae59356cb163683814c7f1cef141763bf16518a0e941443fe3dcf6f2",
+    ("hybrid", "3BB-4F"): "94fb2ebc6e020dd594f13571fb3fc8d7cb5f029ced8cff647a7df22f127d4de2",
+    ("hybrid", "2BB-2F"): "739ab938b445bf2a5d1fb96fdf06f59e5dc8b85ce5aa6361e64eb876cc3f2134",
+    ("hybrid", "2BB-1F"): "62db85783619fbabc7a803d17199c966ddfb79e15328978cca92bd46b2eee6cb",
+    ("hybrid", "1BB-1F"): "ecace63b0f92a45f379d47b10d923fc82dd453d67be74ada4b1c721ba682a0e7",
+    ("tri-area-t24", "3BB-4F"): "8830583bea976ff955430442d7654ed6cf04a884f0a7d212d94c9a8fe0a4fb01",
+    ("tri-area-t24", "2BB-2F"): "593596fd525f2be1b6df08dc08146657efeac780746a1b02a3e2065301003c3a",
+    ("tri-area-t24", "2BB-1F"): "d9a40df80921609f60d01049f2265bd3d07de403f83c43e536075bb7faed0436",
+    ("tri-area-t24", "1BB-1F"): "373dc57f962da1ad5a533f83a38e42a0d9a57b16ae963f689284eeacf48fa5dc",
 }
 
 DC_UC_1BB_1F = "baec1ef6cbbe2bf60201b5886c9e637118f31fc62ac7669daab4fa355c09113c"

@@ -492,12 +492,15 @@ def test_bland_fallback_agrees_with_dantzig(approach, monkeypatch):
 # Refactorizing every 16 eta updates instead of every 100 changed the
 # rounding of the basis solves, and so the Dantzig path, at tri-area T=24:
 # 2BB-2F 833 -> 824, 2BB-1F 824 -> 851, 1BB-1F 680 -> 685 (3BB-4F and the
-# hybrid case kept theirs).
+# hybrid case kept theirs).  Dividing |d_j| by the steepest-edge weight
+# sqrt(1 + |a_j|^2) instead of Dantzig's largest |d_j| changed the path:
+# hybrid 125/101/77/77 -> 129/105/81/81, tri-area T=24 1040/824/851/685 ->
+# 864/646/668/521 (3BB-4F/2BB-2F/2BB-1F/1BB-1F).
 PIVOTS = {
-    "hybrid": (hybrid_fixture, {"3BB-4F": 125, "2BB-2F": 101, "2BB-1F": 77, "1BB-1F": 77}),
+    "hybrid": (hybrid_fixture, {"3BB-4F": 129, "2BB-2F": 105, "2BB-1F": 81, "1BB-1F": 81}),
     "tri-area-t24": (
         lambda: scale_horizon(tri_area_case(CaseSpec()), 24),
-        {"3BB-4F": 1040, "2BB-2F": 824, "2BB-1F": 851, "1BB-1F": 685},
+        {"3BB-4F": 864, "2BB-2F": 646, "2BB-1F": 668, "1BB-1F": 521},
     ),
 }
 
