@@ -353,7 +353,7 @@ class SolveResult:
     wall_time_s: float = 0.0
     # set by the reference simplex only: LU factorizations of the basis, the
     # first one included; iterations of phase 1; pivots with a step of 0;
-    # the iteration at which Bland's rule took over, if it did
+    # the iteration at which Bland's rule first took over, if it did
     refactorizations: int = 0
     phase1_iterations: int = 0
     degenerate_pivots: int = 0
