@@ -6,23 +6,27 @@ unrelated engine (scipy's HiGHS).  The MPS parser here is written from the
 format description and shares no code with the writer in :mod:`.lp`, so
 the write/parse round trip exercises two genuinely different routes.  The
 parsed rows reach HiGHS as one sparse matrix with per-row bounds, so memory
-grows with the nonzeros, not with rows times columns.
+grows with the nonzeros, not with rows times columns.  HiGHS is scipy's
+bundled extension, driven directly (:func:`highs_core`), so a child never
+imports ``scipy.optimize`` or ``scipy.sparse``.
 
-Run as a script, the child imports ``scipy.optimize`` and then calls
+Run as a script, the child loads the extension and then calls
 :func:`gc.freeze`, which moves everything imported so far into a generation
 the collector never scans.  Otherwise the collections the interpreter runs
-at exit walk scipy's whole import graph: on the T=96 tri-area 3BB-4F file
-that teardown took 0.14 s of a 0.98 s child, and 0.02 s with the imports
-frozen.  :func:`solve` and :func:`main` do not freeze, because tests and
-the benchmark's probes call them in process and must not change the
-host's collector.  ``os._exit`` would skip teardown too, but also
-``atexit`` handlers and finalizers.
+at exit walk numpy's import graph: on the T=96 tri-area 3BB-4F file that
+teardown took 0.030 s of a 0.318 s child, and 0.007 s of 0.292 s with the
+imports frozen (medians of 30 runs).  :func:`solve` and :func:`main` do
+not freeze, because tests and the benchmark's probes call them in process
+and must not change the host's collector.  ``os._exit`` would skip
+teardown too, but also ``atexit`` handlers and finalizers.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -101,20 +105,32 @@ def parse_free_mps(path: str) -> _ParsedMps:
     return parsed
 
 
-def solve(path: str):
-    """Parse the MPS file at ``path`` and solve it with HiGHS.
+@dataclass(frozen=True)
+class HighsResult:
+    """HiGHS's answer: the solution-file status, with the objective ``fun``
+    and the primal ``x`` when the status is ``optimal``."""
 
-    The rows go to :func:`scipy.optimize.milp` as one sparse matrix with
-    per-row bounds.  No integrality is passed, so marked integer columns are
-    relaxed.  A file with no columns is not passed to HiGHS: it is optimal
-    with objective 0 when every row admits 0, else infeasible.  Returns the
-    parsed file and scipy's result.  scipy is imported here, not with the
-    module, so importing the adapter stays cheap.
-    """
-    from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
-    from scipy.sparse import coo_matrix
+    status: str
+    fun: Optional[float] = None
+    x: Optional[np.ndarray] = None
 
-    p = parse_free_mps(path)
+
+class LpArrays(NamedTuple):
+    """A parsed MPS file as HiGHS reads it: ``row_lo <= A x <= row_hi`` and
+    ``col_lo <= x <= col_hi``, with ``A`` in CSC form and each column's
+    rows in increasing order."""
+
+    cost: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+
+
+def lp_arrays(p: _ParsedMps) -> LpArrays:
     row_index = {r: i for i, r in enumerate(p.row_order)}
     cost = np.zeros(len(p.col_order))
     rows, cols, coefs = [], [], []
@@ -138,24 +154,100 @@ def solve(path: str):
             width = np.inf if r is None else abs(r)
             lo[i] = rhs - width if sense == "L" else rhs
             hi[i] = rhs + width if sense == "G" else rhs
-    if not p.col_order:
-        # milp rejects an empty cost vector; with no columns every row reads 0
-        feasible = bool(np.all((lo <= 0.0) & (hi >= 0.0)))
-        return p, OptimizeResult(status=0 if feasible else 2, fun=0.0, x=cost)
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    A = coo_matrix((np.array(coefs, dtype=float), (rows, cols)), shape=(len(lo), len(cost)))
-    bounds = Bounds(
-        [p.lower.get(c, 0.0) for c in p.col_order],
-        [p.upper.get(c, np.inf) for c in p.col_order],
+    rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
+    order = np.lexsort((rows, cols))  # a column's row names are unique, so no duplicates
+    indptr = np.zeros(len(cost) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=len(cost)), out=indptr[1:])
+    return LpArrays(
+        cost, indptr, rows[order], np.array(coefs, dtype=float)[order], lo, hi,
+        np.array([p.lower.get(c, 0.0) for c in p.col_order], dtype=float),
+        np.array([p.upper.get(c, np.inf) for c in p.col_order], dtype=float),
     )
-    result = milp(cost, constraints=LinearConstraint(A, lo, hi), bounds=bounds)
-    return p, result
 
 
-#: scipy.optimize.milp status -> solution-file status; 1 is an iteration or
-#: time limit, 4 any other failure
-_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded",
-           4: "numerical_failure"}
+_CORE = "scipy.optimize._highspy._core"
+
+
+def highs_core():
+    """Return scipy's bundled HiGHS extension, ``scipy.optimize._highspy._core``.
+
+    The extension is found in scipy's ``optimize/_highspy`` directory and
+    executed without running ``scipy/optimize/__init__.py``, whose imports
+    cost a fresh interpreter about half a second.  As the import system
+    does, it is registered in :data:`sys.modules` under its own name before
+    it runs, so a later ``import scipy.optimize`` finds it there and uses
+    this module rather than loading the extension again.  A copy that
+    ``scipy.optimize`` already loaded is returned as it is.
+    """
+    core = sys.modules.get(_CORE)
+    if core is None:
+        from importlib.machinery import PathFinder
+        from importlib.util import find_spec, module_from_spec
+
+        scipy_dir = find_spec("scipy").submodule_search_locations[0]
+        spec = PathFinder.find_spec(_CORE, [os.path.join(scipy_dir, "optimize", "_highspy")])
+        core = module_from_spec(spec)
+        sys.modules[_CORE] = core
+        try:
+            spec.loader.exec_module(core)
+        except BaseException:
+            del sys.modules[_CORE]
+            raise
+    return core
+
+
+#: HiGHS model status -> solution-file status, as scipy.optimize.milp reads
+#: it; every status not named here is a numerical failure
+_STATUS = {
+    "kOptimal": "optimal",
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
+    "kTimeLimit": "iteration_limit",
+    "kIterationLimit": "iteration_limit",
+}
+
+
+def status_label(model_status) -> str:
+    return _STATUS.get(model_status.name, "numerical_failure")
+
+
+def solve(path: str) -> tuple[_ParsedMps, HighsResult]:
+    """Parse the MPS file at ``path`` and solve it with HiGHS.
+
+    The rows go to HiGHS as one sparse matrix with per-row bounds, through
+    the calls :func:`scipy.optimize.milp` makes, with every column
+    continuous: marked integer columns are relaxed.  A file with no columns
+    is not passed to HiGHS: it is optimal with objective 0 when every row
+    admits 0, else infeasible.  Returns the parsed file and HiGHS's answer.
+    """
+    p = parse_free_mps(path)
+    a = lp_arrays(p)
+    if not p.col_order:
+        feasible = bool(np.all((a.row_lo <= 0.0) & (a.row_hi >= 0.0)))
+        return p, HighsResult("optimal" if feasible else "infeasible", 0.0, a.cost)
+    h = highs_core()
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(a.cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(a.row_lo)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = a.cost, a.col_lo, a.col_hi
+    lp.row_lower_, lp.row_upper_ = a.row_lo, a.row_hi
+    lp.integrality_ = [h.HighsVarType.kContinuous] * len(a.cost)
+    highs = h._Highs()
+    options = h.HighsOptions()
+    options.log_to_console = False
+    highs.passOptions(options)
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        status = status_label(h.HighsModelStatus.kModelError)
+    else:
+        highs.run()
+        status = status_label(highs.getModelStatus())
+    if status != "optimal":
+        return p, HighsResult(status)
+    x = np.array(highs.getSolution().col_value)
+    return p, HighsResult(status, highs.getInfo().objective_function_value, x)
 
 
 def main(argv: list[str]) -> int:
@@ -165,8 +257,8 @@ def main(argv: list[str]) -> int:
     mps_path, out_path = argv[0], argv[1]
     p, result = solve(mps_path)
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"status {_STATUS[result.status]}\n")
-        if result.status == 0:
+        fh.write(f"status {result.status}\n")
+        if result.status == "optimal":
             fh.write(f"obj {float(result.fun)!r}\n")
             for col, val in zip(p.col_order, result.x):
                 fh.write(f"{col} {float(val)!r}\n")
@@ -176,7 +268,7 @@ def main(argv: list[str]) -> int:
 if __name__ == "__main__":
     import gc
 
-    import scipy.optimize  # noqa: F401  (imported before the freeze, so it is frozen too)
+    highs_core()  # loaded before the freeze, so it is frozen too
 
     gc.freeze()
     raise SystemExit(main(sys.argv[1:]))

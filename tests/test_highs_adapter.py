@@ -2,10 +2,13 @@
 without columns is answered without HiGHS, single-term rows that cross are
 infeasible for both solvers, the adapter's memory grows with the
 nonzeros, not with rows times columns, and a solver that writes no
-solution file is a typed failure.  Every HiGHS status maps to a solution
-status, a range on an equality row widens it on the side the range's sign
-names, and the child process, which freezes its imports, writes the same
-file as an in-process call, which freezes nothing."""
+solution file is a typed failure.  Every HiGHS model status maps to the
+solution status scipy.optimize.milp gave it, a range on an equality row
+widens it on the side the range's sign names, and the child process,
+which freezes its imports, writes the same file as an in-process call,
+which freezes nothing.  The adapter drives scipy's HiGHS extension
+without importing scipy.optimize: its answers are milp's bit for bit,
+and the extension it loads is the one scipy.optimize uses."""
 
 import json
 import math
@@ -17,6 +20,8 @@ import tracemalloc
 
 import pytest
 import scipy.optimize
+import scipy.sparse
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from flowgraph import (
     ALL_APPROACHES,
@@ -35,7 +40,14 @@ from flowgraph import (
     write_mps,
 )
 from flowgraph.errors import SolverFailure
-from flowgraph.highs_adapter import main as highs_main, solve as highs_solve
+from flowgraph.highs_adapter import (
+    highs_core,
+    lp_arrays,
+    main as highs_main,
+    parse_free_mps,
+    solve as highs_solve,
+    status_label,
+)
 from flowgraph.solver import ExternalSolverSpec, solve_external
 
 HIGHS = ExternalSolverSpec(sys.executable, ("-m", "flowgraph.highs_adapter", "{mps}", "{out}"))
@@ -110,20 +122,43 @@ def test_solve_memory_stays_sparse(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.status == 0
+    assert result.status == "optimal"
     assert peak < 64e6
 
 
-@pytest.mark.parametrize("code, status", [(1, "iteration_limit"), (4, "numerical_failure")])
+@pytest.mark.parametrize("code, status", [("kIterationLimit", "iteration_limit"),
+                                          ("kSolveError", "numerical_failure")])
 def test_failure_statuses(code, status, tmp_path, monkeypatch):
     lp = three_sense_lp()
     mps, out = tmp_path / "model.mps", tmp_path / "model.sol"
     write_mps(lp, str(mps))
-    monkeypatch.setattr(scipy.optimize, "milp",
-                        lambda *a, **k: scipy.optimize.OptimizeResult(status=code, x=None, fun=None))
+    core = highs_core()
+
+    class Stopped(core._Highs):  # HiGHS runs, then reports ``code``
+        def getModelStatus(self):
+            return getattr(core.HighsModelStatus, code)
+
+    monkeypatch.setattr(core, "_Highs", Stopped)
     assert highs_main([str(mps), str(out)]) == 0
     assert out.read_text() == f"status {status}\n"
     assert read_solution(str(out), lp).status == status
+
+
+#: scipy.optimize.milp status -> the solution-file status the adapter wrote
+#: for it when it called milp
+MILP_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded",
+               4: "numerical_failure"}
+
+
+@pytest.mark.parametrize("name", sorted(highs_core().HighsModelStatus.__members__))
+def test_status_table(name):
+    """kOptimal -> optimal; kInfeasible and kModelError -> infeasible;
+    kTimeLimit and kIterationLimit -> iteration_limit; kUnbounded ->
+    unbounded; kUnboundedOrInfeasible and every other status ->
+    numerical_failure, as milp's status chain read them."""
+    model_status = getattr(highs_core().HighsModelStatus, name)
+    code, _ = _highs_to_scipy_status_message(model_status, "")
+    assert status_label(model_status) == MILP_STATUS[code]
 
 
 #: x = 2 with a range R on the row: [2, 2 + R] for R > 0, [2 + R, 2] for R < 0
@@ -151,7 +186,7 @@ def test_range_on_equality_row(span, cost, optimum, tmp_path):
     path = tmp_path / "ranged.mps"
     path.write_text(RANGED_EQUALITY.format(cost=cost, range=span))
     _, result = highs_solve(str(path))
-    assert result.status == 0
+    assert result.status == "optimal"
     assert result.fun == pytest.approx(optimum)
 
 
@@ -183,3 +218,94 @@ def test_child_writes_what_main_writes(approach, tmp_path):
     child = (tmp_path / "child.sol").read_bytes()
     assert child.startswith(b"status optimal\n")
     assert child == (tmp_path / "main.sol").read_bytes()
+
+
+def t96_mps(approach, path):
+    write_mps(build_model(scale_horizon(tri_area_case(CaseSpec(seed=13)), 96), approach), str(path))
+    return path
+
+
+def ranged_mps(span, cost, path):
+    path.write_text(RANGED_EQUALITY.format(cost=cost, range=span))
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda path, a=a: t96_mps(a, path) for a in ALL_APPROACHES),
+    *(lambda path, s=s, c=c: ranged_mps(s, c, path) for s in (3.0, -3.0) for c in (1.0, -1.0)),
+], ids=[*(f"t96-{a.value}" for a in ALL_APPROACHES),
+        *(f"ranged-{s}-{c}" for s in (3.0, -3.0) for c in (1.0, -1.0))])
+def test_same_answer_as_milp(make, tmp_path):
+    path = str(make(tmp_path / "model.mps"))
+    a = lp_arrays(parse_free_mps(path))
+    matrix = scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=(len(a.row_lo), len(a.cost)))
+    theirs = scipy.optimize.milp(
+        a.cost,
+        constraints=scipy.optimize.LinearConstraint(matrix, a.row_lo, a.row_hi),
+        bounds=scipy.optimize.Bounds(a.col_lo, a.col_hi),
+    )
+    _, ours = highs_solve(path)
+    assert theirs.status == 0 and ours.status == "optimal"
+    assert ours.fun.hex() == theirs.fun.hex()
+    assert ours.x.dtype == theirs.x.dtype and ours.x.tobytes() == theirs.x.tobytes()
+
+
+@pytest.mark.parametrize("adapter_first", [True, False], ids=["adapter-first", "scipy-first"])
+def test_one_extension_beside_scipy_optimize(adapter_first, tmp_path):
+    """Loaded by the adapter before or after ``import scipy.optimize``, the
+    HiGHS extension is one module that both use, and both still solve."""
+    mps = tmp_path / "model.mps"
+    write_mps(three_sense_lp(), str(mps))
+    code = textwrap.dedent(f"""
+        import json, sys
+        from flowgraph import highs_adapter
+
+        cores = []
+
+        def adapter():
+            cores.append(highs_adapter.highs_core())
+            return highs_adapter.solve({str(mps)!r})[1].fun
+
+        objectives = [adapter()] if {adapter_first} else []
+        import scipy.optimize
+        from scipy.optimize._highspy import _highs_wrapper
+        objectives.append(scipy.optimize.milp(
+            [1.0, 2.0], constraints=scipy.optimize.LinearConstraint([[1.0, 1.0]], 1.0, 3.0)).fun)
+        objectives.append(scipy.optimize.linprog(
+            [1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs").fun)
+        objectives.append(adapter())
+        names = [name for name in sys.modules if name.endswith("._core") and "highs" in name]
+        shared = all(core is _highs_wrapper._h is sys.modules[names[0]] for core in cores)
+        print(json.dumps([objectives, names, shared]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    objectives, names, shared = json.loads(proc.stdout.splitlines()[-1])
+    # the adapter's LP has optimum 2, milp's and linprog's LP optimum 1
+    assert objectives == pytest.approx([2.0] * adapter_first + [1.0, 1.0, 2.0])
+    assert names == ["scipy.optimize._highspy._core"]
+    assert shared
+
+
+def test_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
+    """The child, run as ``python -m flowgraph.highs_adapter`` runs it,
+    loads scipy's HiGHS extension and no scipy subpackage."""
+    mps, out = tmp_path / "model.mps", tmp_path / "model.sol"
+    write_mps(three_sense_lp(), str(mps))
+    code = textwrap.dedent(f"""
+        import json, runpy, sys
+        sys.argv = ["highs_adapter", {str(mps)!r}, {str(out)!r}]
+        try:
+            runpy.run_module("flowgraph.highs_adapter", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            print(json.dumps([stop.code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0
+    assert out.read_text().startswith("status optimal\n")
+    assert "scipy.optimize._highspy._core" in loaded
+    assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
