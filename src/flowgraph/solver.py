@@ -221,7 +221,6 @@ class _Simplex:
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
-            self.iterations += 1
             y = self.basis.btran(cost[self.basic])
             d = cost - self.AT @ y
             d[self.basic] = 0.0
@@ -236,8 +235,6 @@ class _Simplex:
             idx = np.flatnonzero(eligible)
             if bland:
                 q = idx[0]
-                if self.bland_from is None:
-                    self.bland_from = self.iterations
             else:
                 q = idx[np.argmax(np.abs(d[idx]) * self.weight[idx])]
             direction = 1.0 if can_up[q] else -1.0
@@ -270,6 +267,10 @@ class _Simplex:
             else:
                 theta = theta_flip
 
+            # iterations counts pivots and bound flips, not pricing rounds
+            self.iterations += 1
+            if bland and self.bland_from is None:
+                self.bland_from = self.iterations
             if theta > 0:
                 self.value[jb] += step * theta
                 self.value[q] += direction * theta
@@ -304,10 +305,12 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     and no primal; a basis SuperLU cannot factorize gives status
     ``"numerical_failure"`` and no primal.  ``refactorizations`` counts
     the LU factorizations of the basis, the first one included.
-    ``phase1_iterations`` counts the iterations spent finding a feasible
-    basis, ``degenerate_pivots`` the pivots that moved no value (a step of
-    0), and ``bland_from`` is the iteration at which Bland's rule first
-    chose the entering column, or ``None``.
+    ``iterations`` counts the pivots and bound flips taken, so a pricing
+    that finds no entering column adds nothing.  ``phase1_iterations``
+    counts those spent finding a feasible basis, ``degenerate_pivots`` the
+    pivots that moved no value (a step of 0), and ``bland_from`` is the
+    number of the first pivot whose entering column Bland's rule chose, or
+    ``None``.
     """
     instance.check()
     if instance.integral.any():
