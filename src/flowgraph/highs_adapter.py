@@ -155,7 +155,9 @@ def lp_arrays(p: _ParsedMps) -> LpArrays:
             lo[i] = rhs - width if sense == "L" else rhs
             hi[i] = rhs + width if sense == "G" else rhs
     rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
-    order = np.lexsort((rows, cols))  # a column's row names are unique, so no duplicates
+    # each column's rows in increasing order, as scipy's CSC conversion gave them
+    # to milp; a column names a row once, so no entries are summed
+    order = np.lexsort((rows, cols))
     indptr = np.zeros(len(cost) + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=len(cost)), out=indptr[1:])
     return LpArrays(
@@ -224,6 +226,7 @@ def solve(path: str) -> tuple[_ParsedMps, HighsResult]:
     p = parse_free_mps(path)
     a = lp_arrays(p)
     if not p.col_order:
+        # HiGHS calls such a model empty, not infeasible; every row reads 0
         feasible = bool(np.all((a.row_lo <= 0.0) & (a.row_hi >= 0.0)))
         return p, HighsResult("optimal" if feasible else "infeasible", 0.0, a.cost)
     h = highs_core()

@@ -172,7 +172,7 @@ def test_criterion_6_solver_oracle(tmp_path):
         path = tmp_path / f"variant{seed}.mps"
         write_mps(instance, str(path))
         _, theirs = highs_solve(str(path))
-        assert theirs.status == 0
+        assert theirs.status == "optimal"
         worst = max(worst,
                     abs(ours.objective - theirs.fun) / max(1.0, abs(theirs.fun)))
     ok = worst <= 1e-6

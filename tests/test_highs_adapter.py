@@ -220,31 +220,26 @@ def test_child_writes_what_main_writes(approach, tmp_path):
     assert child == (tmp_path / "main.sol").read_bytes()
 
 
-def t96_mps(approach, path):
-    write_mps(build_model(scale_horizon(tri_area_case(CaseSpec(seed=13)), 96), approach), str(path))
-    return path
-
-
-def ranged_mps(span, cost, path):
-    path.write_text(RANGED_EQUALITY.format(cost=cost, range=span))
-    return path
-
-
-@pytest.mark.parametrize("make", [
-    *(lambda path, a=a: t96_mps(a, path) for a in ALL_APPROACHES),
-    *(lambda path, s=s, c=c: ranged_mps(s, c, path) for s in (3.0, -3.0) for c in (1.0, -1.0)),
-], ids=[*(f"t96-{a.value}" for a in ALL_APPROACHES),
-        *(f"ranged-{s}-{c}" for s in (3.0, -3.0) for c in (1.0, -1.0))])
-def test_same_answer_as_milp(make, tmp_path):
-    path = str(make(tmp_path / "model.mps"))
-    a = lp_arrays(parse_free_mps(path))
+@pytest.mark.parametrize("case", [
+    *(pytest.param((approach,), id=f"t96-{approach.value}") for approach in ALL_APPROACHES),
+    *(pytest.param((span, cost), id=f"ranged-{span}-{cost}")
+      for span in (3.0, -3.0) for cost in (1.0, -1.0)),
+])
+def test_same_answer_as_milp(case, tmp_path):
+    mps = tmp_path / "model.mps"
+    if len(case) == 1:
+        system = scale_horizon(tri_area_case(CaseSpec(seed=13)), 96)
+        write_mps(build_model(system, case[0]), str(mps))
+    else:
+        mps.write_text(RANGED_EQUALITY.format(range=case[0], cost=case[1]))
+    a = lp_arrays(parse_free_mps(str(mps)))
     matrix = scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=(len(a.row_lo), len(a.cost)))
     theirs = scipy.optimize.milp(
         a.cost,
         constraints=scipy.optimize.LinearConstraint(matrix, a.row_lo, a.row_hi),
         bounds=scipy.optimize.Bounds(a.col_lo, a.col_hi),
     )
-    _, ours = highs_solve(path)
+    _, ours = highs_solve(str(mps))
     assert theirs.status == 0 and ours.status == "optimal"
     assert ours.fun.hex() == theirs.fun.hex()
     assert ours.x.dtype == theirs.x.dtype and ours.x.tobytes() == theirs.x.tobytes()
