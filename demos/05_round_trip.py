@@ -40,8 +40,8 @@ with tempfile.TemporaryDirectory() as tmp:
     mps = Path(tmp) / "model.mps"
     write_mps(original, str(mps))
     parsed = parse_free_mps(str(mps))
-    print(f"MPS re-read: {len(parsed.col_order)} columns, "
-          f"{len(parsed.row_order)} rows")
+    print(f"MPS re-read: {len(parsed.col_names)} columns, "
+          f"{len(parsed.row_names)} rows, {parsed.indptr[-1]} nonzeros")
 
     ours = solve_reference(original)
     _, theirs = highs_solve(str(mps))

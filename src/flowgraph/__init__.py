@@ -4,7 +4,8 @@ The public names below are loaded on first use (PEP 562): ``import
 flowgraph`` imports no submodule, and ``flowgraph.build_model`` or ``from
 flowgraph import build_model`` imports :mod:`flowgraph.formulation` then.
 So a process that needs one submodule, such as the HiGHS adapter child
-(``python -m flowgraph.highs_adapter``), loads only that one.
+(``python -m flowgraph.highs_adapter``), loads only that one and the
+error types it raises.
 """
 
 from importlib import import_module as _import_module

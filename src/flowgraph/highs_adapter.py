@@ -4,11 +4,18 @@ Runs as a subprocess (``python -m flowgraph.highs_adapter model.mps out.sol
 [seed]``) so the reference simplex can be cross-checked against an
 unrelated engine (scipy's HiGHS).  The MPS parser here is written from the
 format description and shares no code with the writer in :mod:`.lp`, so
-the write/parse round trip exercises two genuinely different routes.  The
-parsed rows reach HiGHS as one sparse matrix with per-row bounds, so memory
-grows with the nonzeros, not with rows times columns.  HiGHS is scipy's
-bundled extension, driven directly (:func:`highs_core`), so a child never
-imports ``scipy.optimize`` or ``scipy.sparse``.
+the write/parse round trip exercises two genuinely different routes.  It
+reads the file once, straight into the arrays HiGHS takes (:class:`MpsModel`),
+so memory grows with the nonzeros, not with rows times columns.  HiGHS is
+scipy's bundled extension, driven directly (:func:`highs_core`), so a child
+never imports ``scipy.optimize`` or ``scipy.sparse``.
+
+The parser raises ``ParseError`` naming ``file:line``, rather than solve
+another LP, at a name it cannot resolve (a row missing from ROWS, a column
+missing from COLUMNS, a row type, bound kind or section it does not know),
+an RHS or RANGES entry on the objective row, a (column, row) entry given
+twice, a row declared twice, a column split in two and a line it cannot
+read.  The child then prints ``error: <message>`` to stderr and exits 1.
 
 Run as a script, the child loads the extension and then calls
 :func:`gc.freeze`, which moves everything imported so far into a generation
@@ -25,84 +32,125 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-
-@dataclass
-class _ParsedMps:
-    row_sense: dict = field(default_factory=dict)  # name -> L | G | E
-    row_order: list = field(default_factory=list)
-    objective_row: str = ""
-    columns: dict = field(default_factory=dict)  # col -> {row: coef}
-    col_order: list = field(default_factory=list)
-    rhs: dict = field(default_factory=dict)
-    ranges: dict = field(default_factory=dict)
-    lower: dict = field(default_factory=dict)
-    upper: dict = field(default_factory=dict)
-    integer: set = field(default_factory=set)
+from .errors import ParseError
 
 
-def parse_free_mps(path: str) -> _ParsedMps:
-    parsed = _ParsedMps()
-    section = None
-    in_integer = False
+class MpsModel(NamedTuple):
+    """A parsed MPS file as HiGHS takes it: minimize ``cost @ x`` subject to
+    ``row_lo <= A x <= row_hi`` and ``col_lo <= x <= col_hi``, ``A`` in CSC
+    form with each column's rows in increasing order, rows and columns in
+    file order; ``integer`` marks the columns between INTORG and INTEND."""
+
+    row_names: list
+    col_names: list
+    cost: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+    integer: np.ndarray
+
+
+def parse_free_mps(path: str) -> MpsModel:
+    """Read the free-format MPS file at ``path`` in one pass; raise
+    ParseError for a name it cannot resolve (see the module docstring)."""
+    row_at, col_at = {}, {}  # name -> index, in the order the file names them
+    senses, rhs, ranges = [], {}, {}
+    cost, lower, upper, integer, starts = [], [], [], [], []
+    rows, coefs = array("i"), array("d")
+    section, objective, col, in_integer = None, None, None, False
+
+    def fail(message):
+        return ParseError(f"{path}:{number}: {message}")
+
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
+        for number, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("*"):
                 continue
             if not line[0].isspace():
-                section = line.split()[0].upper()
+                section = fields[0].upper()
                 continue
-            fields = line.split()
-            if section == "ROWS":
-                sense, name = fields[0].upper(), fields[1]
-                if sense == "N":
-                    parsed.objective_row = name
+            try:
+                if section == "ROWS":
+                    sense, name = fields[0].upper(), fields[1]
+                    if name in row_at or name == objective:
+                        raise fail(f"row {name} is declared twice")
+                    if sense == "N":
+                        objective = name
+                    elif sense in ("L", "G", "E"):
+                        row_at[name] = len(senses)
+                        senses.append(sense)
+                    else:
+                        raise fail(f"unknown row type {fields[0]}")
+                elif section == "COLUMNS":
+                    if fields[1] == "'MARKER'":
+                        in_integer = fields[2] == "'INTORG'"
+                        continue
+                    if fields[0] != col:
+                        col = fields[0]
+                        if col in col_at:
+                            raise fail(f"column {col} continues after another column")
+                        col_at[col] = len(cost)
+                        cost.append(0.0)
+                        lower.append(0.0)
+                        upper.append(np.inf)
+                        integer.append(in_integer)
+                        starts.append(len(rows))
+                        seen = set()
+                    for row, value in zip(fields[1::2], fields[2::2], strict=True):
+                        if row in seen:
+                            raise fail(f"column {col} names row {row} twice")
+                        seen.add(row)
+                        if row == objective:
+                            cost[-1] = float(value)
+                            continue
+                        rows.append(row_at[row])
+                        coefs.append(float(value))
+                elif section in ("RHS", "RANGES"):
+                    given = rhs if section == "RHS" else ranges
+                    for row, value in zip(fields[1::2], fields[2::2], strict=True):
+                        if row == objective:
+                            raise fail(f"{section} entry on the objective row {row}")
+                        given[row_at[row]] = float(value)
+                elif section == "BOUNDS":
+                    j, val = col_at[fields[2]], float(fields[3]) if len(fields) > 3 else 0.0
+                    lo, hi = lower[j], upper[j]
+                    lower[j], upper[j] = {"UP": (lo, val), "LO": (val, hi), "FX": (val, val),
+                                          "FR": (-np.inf, np.inf), "MI": (-np.inf, hi),
+                                          "PL": (lo, np.inf)}[fields[0].upper()]
                 else:
-                    parsed.row_sense[name] = sense
-                    parsed.row_order.append(name)
-            elif section == "COLUMNS":
-                if len(fields) >= 3 and fields[1] == "'MARKER'":
-                    in_integer = fields[2] == "'INTORG'"
-                    continue
-                col = fields[0]
-                if col not in parsed.columns:
-                    parsed.columns[col] = {}
-                    parsed.col_order.append(col)
-                    if in_integer:
-                        parsed.integer.add(col)
-                for row, coef in zip(fields[1::2], fields[2::2]):
-                    parsed.columns[col][row] = float(coef)
-            elif section == "RHS":
-                for row, coef in zip(fields[1::2], fields[2::2]):
-                    parsed.rhs[row] = float(coef)
-            elif section == "RANGES":
-                for row, coef in zip(fields[1::2], fields[2::2]):
-                    parsed.ranges[row] = float(coef)
-            elif section == "BOUNDS":
-                kind, col = fields[0].upper(), fields[2]
-                val = float(fields[3]) if len(fields) > 3 else 0.0
-                if kind == "UP":
-                    parsed.upper[col] = val
-                elif kind == "LO":
-                    parsed.lower[col] = val
-                elif kind == "FX":
-                    parsed.lower[col] = val
-                    parsed.upper[col] = val
-                elif kind == "FR":
-                    parsed.lower[col] = -np.inf
-                    parsed.upper[col] = np.inf
-                elif kind == "MI":
-                    parsed.lower[col] = -np.inf
-                elif kind == "PL":
-                    parsed.upper[col] = np.inf
-                else:
-                    raise ValueError(f"unsupported bound kind {kind}")
-    return parsed
+                    raise fail(f"data line in section {section}, which is not read")
+            except KeyError as exc:  # a row, column or bound kind the file never declared
+                raise fail(f"unknown name {exc.args[0]} in {section}") from None
+            except (IndexError, ValueError):
+                raise fail(f"cannot read {line.strip()!r}") from None
+
+    # L: rhs - |R| <= a.x <= rhs;  G: rhs <= a.x <= rhs + |R|;  E: a.x = rhs, or with
+    # a range R, a.x between rhs and rhs + R (MPS: [rhs, rhs + R] if R > 0, else [rhs + R, rhs])
+    sense, b, r = np.array(senses, "U1"), np.zeros(len(senses)), np.full(len(senses), np.nan)
+    b[list(rhs)], r[list(ranges)] = list(rhs.values()), list(ranges.values())
+    width = np.where(np.isnan(r), np.inf, np.abs(r))
+    row_lo = np.where(sense == "L", b - width, np.where((sense == "E") & (r < 0), b + r, b))
+    row_hi = np.where(sense == "G", b + width, np.where((sense == "E") & (r >= 0), b + r, b))
+    indptr = np.array([*starts, len(rows)], dtype=np.int32)
+    indices, data = np.asarray(rows, dtype=np.int32), np.asarray(coefs)
+    # a file may list a column's rows in any order; HiGHS gets them in
+    # increasing order, as scipy's CSC conversion gave them to milp
+    order = np.lexsort((indices, np.repeat(np.arange(len(cost), dtype=np.int32), np.diff(indptr))))
+    return MpsModel(
+        list(row_at), list(col_at), np.array(cost), indptr, indices[order], data[order],
+        row_lo, row_hi, np.array(lower), np.array(upper), np.array(integer, dtype=bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -113,58 +161,6 @@ class HighsResult:
     status: str
     fun: Optional[float] = None
     x: Optional[np.ndarray] = None
-
-
-class LpArrays(NamedTuple):
-    """A parsed MPS file as HiGHS reads it: ``row_lo <= A x <= row_hi`` and
-    ``col_lo <= x <= col_hi``, with ``A`` in CSC form and each column's
-    rows in increasing order."""
-
-    cost: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    col_lo: np.ndarray
-    col_hi: np.ndarray
-
-
-def lp_arrays(p: _ParsedMps) -> LpArrays:
-    row_index = {r: i for i, r in enumerate(p.row_order)}
-    cost = np.zeros(len(p.col_order))
-    rows, cols, coefs = [], [], []
-    for j, entries in enumerate(p.columns.values()):  # columns are in col_order
-        for row, coef in entries.items():
-            if row == p.objective_row:
-                cost[j] = coef
-            elif row in row_index:
-                rows.append(row_index[row])
-                cols.append(j)
-                coefs.append(coef)
-    # L: rhs - |R| <= a.x <= rhs;  G: rhs <= a.x <= rhs + |R|;  E: a.x = rhs, or with
-    # a range R, a.x between rhs and rhs + R (MPS: [rhs, rhs + R] if R > 0, else [rhs + R, rhs])
-    lo = np.empty(len(p.row_order))
-    hi = np.empty(len(p.row_order))
-    for i, name in enumerate(p.row_order):
-        rhs, sense, r = p.rhs.get(name, 0.0), p.row_sense[name], p.ranges.get(name)
-        if sense == "E":
-            lo[i], hi[i] = (rhs, rhs) if r is None else sorted((rhs, rhs + r))
-        else:
-            width = np.inf if r is None else abs(r)
-            lo[i] = rhs - width if sense == "L" else rhs
-            hi[i] = rhs + width if sense == "G" else rhs
-    rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
-    # each column's rows in increasing order, as scipy's CSC conversion gave them
-    # to milp; a column names a row once, so no entries are summed
-    order = np.lexsort((rows, cols))
-    indptr = np.zeros(len(cost) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=len(cost)), out=indptr[1:])
-    return LpArrays(
-        cost, indptr, rows[order], np.array(coefs, dtype=float)[order], lo, hi,
-        np.array([p.lower.get(c, 0.0) for c in p.col_order], dtype=float),
-        np.array([p.upper.get(c, np.inf) for c in p.col_order], dtype=float),
-    )
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -214,7 +210,7 @@ def status_label(model_status) -> str:
     return _STATUS.get(model_status.name, "numerical_failure")
 
 
-def solve(path: str) -> tuple[_ParsedMps, HighsResult]:
+def solve(path: str) -> tuple[MpsModel, HighsResult]:
     """Parse the MPS file at ``path`` and solve it with HiGHS.
 
     The rows go to HiGHS as one sparse matrix with per-row bounds, through
@@ -223,12 +219,11 @@ def solve(path: str) -> tuple[_ParsedMps, HighsResult]:
     is not passed to HiGHS: it is optimal with objective 0 when every row
     admits 0, else infeasible.  Returns the parsed file and HiGHS's answer.
     """
-    p = parse_free_mps(path)
-    a = lp_arrays(p)
-    if not p.col_order:
+    a = parse_free_mps(path)
+    if not a.col_names:
         # HiGHS calls such a model empty, not infeasible; every row reads 0
         feasible = bool(np.all((a.row_lo <= 0.0) & (a.row_hi >= 0.0)))
-        return p, HighsResult("optimal" if feasible else "infeasible", 0.0, a.cost)
+        return a, HighsResult("optimal" if feasible else "infeasible", 0.0, a.cost)
     h = highs_core()
     lp = h.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(a.cost)
@@ -248,9 +243,9 @@ def solve(path: str) -> tuple[_ParsedMps, HighsResult]:
         highs.run()
         status = status_label(highs.getModelStatus())
     if status != "optimal":
-        return p, HighsResult(status)
+        return a, HighsResult(status)
     x = np.array(highs.getSolution().col_value)
-    return p, HighsResult(status, highs.getInfo().objective_function_value, x)
+    return a, HighsResult(status, highs.getInfo().objective_function_value, x)
 
 
 def main(argv: list[str]) -> int:
@@ -258,12 +253,16 @@ def main(argv: list[str]) -> int:
         print("usage: highs_adapter <model.mps> <out.sol> [seed]", file=sys.stderr)
         return 2
     mps_path, out_path = argv[0], argv[1]
-    p, result = solve(mps_path)
+    try:
+        model, result = solve(mps_path)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"status {result.status}\n")
         if result.status == "optimal":
             fh.write(f"obj {float(result.fun)!r}\n")
-            for col, val in zip(p.col_order, result.x):
+            for col, val in zip(model.col_names, result.x):
                 fh.write(f"{col} {float(val)!r}\n")
     return 0
 

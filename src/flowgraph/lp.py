@@ -192,9 +192,10 @@ class LpInstance:
 
     ``LpInstance(name, variables, rows, objective)`` converts lists of
     :class:`VariableRef`, :class:`ConstraintRow` and ``(column,
-    coefficient)`` pairs once, into arrays.  It raises for an objective
-    column out of range; :meth:`check` reports a malformed row.  The
-    objective keeps the last coefficient given for a column.
+    coefficient)`` pairs once, into arrays; row ``i`` with an empty name is
+    named ``R{i}``.  It raises for an objective column out of range;
+    :meth:`check` reports a malformed row.  The objective keeps the last
+    coefficient given for a column.
     """
 
     def __init__(self, name: str = "lp", variables: Sequence[VariableRef] = (),
@@ -212,7 +213,7 @@ class LpInstance:
             row_lo=np.array([row.lo for row in rows], float),
             row_hi=np.array([row.hi for row in rows], float),
             family=np.array([FAMILIES.index(row.family) for row in rows], np.int8),
-            row_blocks=[([row.name for row in rows], (None,))],
+            row_blocks=[([row.name or f"R{i}" for i, row in enumerate(rows)], (None,))],
             lower=np.array([v.lower for v in variables], float),
             upper=np.array([v.upper for v in variables], float),
             integral=np.array([v.integrality for v in variables], bool),
@@ -431,7 +432,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     Every section is written in blocks of about ``_BLOCK`` lines, so the
     writer holds the text of one block at a time, never the whole file.  Row
     and column names are made per block from the name heads and timestep
-    suffixes; a named row's head and suffix go into its line as two pieces,
+    suffixes; a row's head and suffix go into its line as two pieces,
     never joined into a name first.  Beyond one block, the heads and one string per distinct
     coefficient, the writer holds integer and boolean arrays, the largest
     a permutation that takes the row-ordered entries to column order; it
@@ -444,18 +445,6 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     out, lp = destination, instance
     m, n = len(lp.row_lo), len(lp.lower)
     row_table, col_table = _Names(lp.row_blocks), lp._col_table()
-    unnamed = any("" in heads for heads, _ in lp.row_blocks)
-
-    def names(index):
-        """Row names at ``index`` as two pieces, heads and suffixes; a row
-        with an empty name is R<index>, a head with no suffix."""
-        if not unnamed:
-            return row_table.pieces(index)
-        text = row_table.take(index)
-        empty = text == ""
-        text[empty] = [f"R{i}" for i in index[empty].tolist()]
-        return text, ""
-
     row_edges = [*range(0, m, _BLOCK), m]
 
     def senses(lo, hi):
@@ -465,7 +454,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         return _ranged(lp.row_lo[lo:hi], lp.row_hi[lo:hi])
 
     def rows(lo, hi):
-        return _joined(_MPS_SENSE[senses(lo, hi)[0]], *names(np.arange(lo, hi)), "\n")
+        return _joined(_MPS_SENSE[senses(lo, hi)[0]], *row_table.pieces(np.arange(lo, hi)), "\n")
 
     _section(out, f"NAME {lp.name}\nROWS\n N OBJ\n", row_edges, rows)
 
@@ -499,7 +488,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         head, suffix = np.empty((2, len(is_obj)), object)
         value = np.empty(len(is_obj))
         head[is_obj], suffix[is_obj], value[is_obj] = "OBJ", "", lp.cost[lo:hi][obj] + 0.0
-        head[~is_obj], suffix[~is_obj] = names(row_of[colptr[lo]:colptr[hi]])
+        head[~is_obj], suffix[~is_obj] = row_table.pieces(row_of[colptr[lo]:colptr[hi]])
         value[~is_obj] = lp.data[by_col[colptr[lo]:colptr[hi]]]
         cname = np.repeat("    " + col_table.take(np.arange(lo, hi)) + " ", lines)
         return markers.get(lo, "") + _joined(cname, head, suffix, _text(value, coef_text))
@@ -513,12 +502,12 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     def rhs(lo, hi):
         value = senses(lo, hi)[1]
         given = np.flatnonzero(value != 0.0)
-        return _joined("    RHS ", *names(lo + given), _text(value[given], {}))
+        return _joined("    RHS ", *row_table.pieces(lo + given), _text(value[given], {}))
 
     def ranges(lo, hi):
         which = np.flatnonzero(ranged(lo, hi))
         span = lp.row_hi[lo:hi][which] - lp.row_lo[lo:hi][which]
-        return _joined("    RNG ", *names(lo + which), _text(span, {}))
+        return _joined("    RNG ", *row_table.pieces(lo + which), _text(span, {}))
 
     _section(out, "RHS\n", row_edges, rhs)
     if any(ranged(lo, hi).any() for lo, hi in zip(row_edges, row_edges[1:])):

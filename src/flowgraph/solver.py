@@ -414,7 +414,9 @@ class ExternalSolverSpec:
 
 
 def solve_external(instance: LpInstance, spec: ExternalSolverSpec, seed: int = 0) -> SolveResult:
-    """Write MPS, run the external solver, parse its solution file."""
+    """Write MPS, run the external solver, parse its solution file.  A
+    nonzero exit is a NonzeroExit that keeps the end of the solver's stderr,
+    where a traceback or an ``error:`` line ends."""
     with tempfile.TemporaryDirectory(prefix="flowgraph-") as workdir:
         mps_path = os.path.join(workdir, "model.mps")
         out_path = os.path.join(workdir, "model.sol")
@@ -430,7 +432,7 @@ def solve_external(instance: LpInstance, spec: ExternalSolverSpec, seed: int = 0
         if proc.returncode != 0:
             raise NonzeroExit(
                 f"{spec.executable} exited with {proc.returncode}: "
-                f"{proc.stderr.strip()[:500]}"
+                f"{proc.stderr.strip()[-500:]}"
             )
         if not os.path.exists(out_path):
             raise SolverFailure(f"{spec.executable} exited with 0 but wrote no {out_path}")

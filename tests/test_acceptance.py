@@ -302,15 +302,15 @@ def test_criterion_9_format_round_trip(tmp_path):
     path = tmp_path / "tri24.mps"
     write_mps(instance, str(path))
     parsed = parse_free_mps(str(path))
-    # COLUMNS entries also carry objective coefficients; the nonzero
-    # comparison excludes the OBJ row (documented convention)
-    parsed_nnz = sum(1 for coefs in parsed.columns.values()
-                     for row in coefs if row != parsed.objective_row)
+    # COLUMNS entries also carry objective coefficients; the parser keeps
+    # those in the cost, so the matrix nonzeros exclude the OBJ row
+    # (documented convention)
+    parsed_nnz = int(parsed.indptr[-1])
     ok = (
-        len(parsed.col_order) == len(instance.variables)
-        and len(parsed.row_order) == len(instance.rows)
+        len(parsed.col_names) == len(instance.variables)
+        and len(parsed.row_names) == len(instance.rows)
         and parsed_nnz == sum(len(r.terms) for r in instance.rows)
     )
     verdict(9, "variable/row/nonzero counts survive the MPS round trip", ok,
-            f"{len(parsed.col_order)} cols, {len(parsed.row_order)} rows, "
+            f"{len(parsed.col_names)} cols, {len(parsed.row_names)} rows, "
             f"{parsed_nnz} nonzeros")

@@ -8,11 +8,15 @@ widens it on the side the range's sign names, and the child process,
 which freezes its imports, writes the same file as an in-process call,
 which freezes nothing.  The adapter drives scipy's HiGHS extension
 without importing scipy.optimize: its answers are milp's bit for bit,
-and the extension it loads is the one scipy.optimize uses."""
+and the extension it loads is the one scipy.optimize uses.  A file the
+parser cannot resolve is a ParseError naming the file and line, which the
+child reports on stderr with exit code 1, and a solver that exits nonzero
+is a NonzeroExit that keeps the end of its stderr."""
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -39,10 +43,9 @@ from flowgraph import (
     tri_area_case,
     write_mps,
 )
-from flowgraph.errors import SolverFailure
+from flowgraph.errors import NonzeroExit, ParseError, SolverFailure
 from flowgraph.highs_adapter import (
     highs_core,
-    lp_arrays,
     main as highs_main,
     parse_free_mps,
     solve as highs_solve,
@@ -82,6 +85,17 @@ def test_missing_solution_file_is_a_solver_failure():
     silent = ExternalSolverSpec(sys.executable, ("-c", "pass", "{mps}", "{out}"))
     with pytest.raises(SolverFailure, match=r"wrote no .*model\.sol"):
         solve_external(three_sense_lp(), silent)
+
+
+def test_nonzero_exit_keeps_the_end_of_stderr():
+    """A traceback ends in its error line, so the message keeps the last
+    500 characters of the solver's stderr, not the first."""
+    noisy = ExternalSolverSpec(sys.executable, (
+        "-c", "import sys; sys.stderr.write('x' * 1000 + 'the cause'); sys.exit(3)",
+        "{mps}", "{out}"))
+    with pytest.raises(NonzeroExit, match=r"exited with 3: x+the cause$") as caught:
+        solve_external(three_sense_lp(), noisy)
+    assert str(caught.value).endswith("x" * 491 + "the cause")
 
 
 @pytest.mark.parametrize("rhs, status", [(None, "optimal"), (0.0, "optimal"), (1.0, "infeasible")])
@@ -232,7 +246,7 @@ def test_same_answer_as_milp(case, tmp_path):
         write_mps(build_model(system, case[0]), str(mps))
     else:
         mps.write_text(RANGED_EQUALITY.format(range=case[0], cost=case[1]))
-    a = lp_arrays(parse_free_mps(str(mps)))
+    a = parse_free_mps(str(mps))
     matrix = scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=(len(a.row_lo), len(a.cost)))
     theirs = scipy.optimize.milp(
         a.cost,
@@ -304,3 +318,83 @@ def test_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
     assert out.read_text().startswith("status optimal\n")
     assert "scipy.optimize._highspy._core" in loaded
     assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
+
+
+#: a file the parser reads; each case below changes one line of it
+GOOD_MPS = """NAME good
+ROWS
+ N OBJ
+ E r
+COLUMNS
+    x OBJ 1.0
+    x r 1.0
+    y r 1.0
+RHS
+    RHS r 2.0
+RANGES
+    RNG r 1.0
+BOUNDS
+ UP BND x 4.0
+ENDATA
+"""
+
+#: case -> (a line of GOOD_MPS, what replaces it, the line the parser stops
+#: at, what its message says there)
+BAD_MPS = {
+    "columns-undeclared-row": ("    x r 1.0", "    x rr 1.0", 7, "unknown name rr in COLUMNS"),
+    "rhs-undeclared-row": ("    RHS r 2.0", "    RHS rr 2.0", 10, "unknown name rr in RHS"),
+    "ranges-undeclared-row": ("    RNG r 1.0", "    RNG rr 1.0", 12, "unknown name rr in RANGES"),
+    "rhs-objective-constant": ("    RHS r 2.0", "    RHS OBJ 2.0", 10,
+                               "RHS entry on the objective row OBJ"),
+    "ranges-objective-row": ("    RNG r 1.0", "    RNG OBJ 1.0", 12,
+                             "RANGES entry on the objective row OBJ"),
+    "bounds-undeclared-column": (" UP BND x 4.0", " UP BND z 4.0", 14, "unknown name z in BOUNDS"),
+    "repeated-entry": ("    y r 1.0", "    x r 2.0\n    y r 1.0", 8, "column x names row r twice"),
+    "repeated-objective-entry": ("    x r 1.0", "    x r 1.0 OBJ 2.0", 7,
+                                 "column x names row OBJ twice"),
+    "unknown-bound-kind": (" UP BND x 4.0", " BV BND x", 14, "unknown name BV in BOUNDS"),
+    "row-declared-twice": (" E r", " E r\n G r", 5, "row r is declared twice"),
+    "unknown-row-type": (" E r", " X r", 4, "unknown row type X"),
+    "split-column": ("    y r 1.0", "    y r 1.0\n    x OBJ 3.0", 9,
+                     "column x continues after another column"),
+    "unknown-section": ("RANGES\n    RNG r 1.0", "OBJSENSE\n    MAX", 12,
+                        "data line in section OBJSENSE"),
+    "unpaired-field": ("    x r 1.0", "    x r", 7, "cannot read 'x r'"),
+    "bad-number": ("    RHS r 2.0", "    RHS r two", 10, "cannot read 'RHS r two'"),
+}
+
+
+def bad_mps(tmp_path, case: str) -> str:
+    good, bad, _, _ = BAD_MPS[case]
+    assert GOOD_MPS.count(good + "\n") == 1
+    path = tmp_path / f"{case}.mps"
+    path.write_text(GOOD_MPS.replace(good + "\n", bad + "\n"))
+    return str(path)
+
+
+def test_good_mps_solves(tmp_path):
+    path = tmp_path / "good.mps"
+    path.write_text(GOOD_MPS)
+    model, result = highs_solve(str(path))
+    assert model.row_names == ["r"] and model.col_names == ["x", "y"]
+    assert result.status == "optimal" and result.fun == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MPS))
+def test_unresolved_name_is_a_parse_error(case, tmp_path):
+    path = bad_mps(tmp_path, case)
+    _, _, line, message = BAD_MPS[case]
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
+        parse_free_mps(path)
+
+
+def test_child_reports_a_parse_error(tmp_path, capsys):
+    path, out = bad_mps(tmp_path, "columns-undeclared-row"), tmp_path / "model.sol"
+    assert highs_main([path, str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:7: unknown name rr in COLUMNS\n"
+    assert not out.exists()
+    # the adapter reads the hand-written file; the written {mps} takes the unused seed slot
+    misspelt = ExternalSolverSpec(sys.executable, ("-m", "flowgraph.highs_adapter", path,
+                                                   "{out}", "{mps}"))
+    with pytest.raises(NonzeroExit, match=r"exited with 1: error: .*unknown name rr in COLUMNS$"):
+        solve_external(three_sense_lp(), misspelt)

@@ -86,6 +86,16 @@ class TestSizeReport:
         with pytest.raises(ParseError):
             lp.check()
 
+    def test_unnamed_row_is_named_by_index(self):
+        """The list constructor names row i ``R{i}`` when its name is empty,
+        so the MPS file and check() name it alike."""
+        variables, rows, objective = toy_parts()
+        rows[1] = replace(rows[1], terms=[(0, 0.0)], name="")
+        lp = LpInstance("toy", variables, rows, objective)
+        assert lp.row_names() == ["r_up", "R1"]
+        with pytest.raises(ParseError, match="^row R1: invalid coefficient 0.0$"):
+            lp.check()
+
     def test_records_are_frozen(self):
         lp = toy_instance()
         with pytest.raises(AttributeError):
@@ -455,43 +465,37 @@ def test_write_releases_column_order_after_columns():
     assert columns - rhs >= 12 * len(lp.data)
 
 
+#: the instances whose MPS files must parse back to their store exactly
+ROUND_TRIP_CASES = {
+    "toy": toy_instance,
+    "every-branch": every_branch_instance,
+    **{f"hybrid{uc}-{a.value}": (lambda a=a, uc=uc: build_model(hybrid_fixture(), a,
+                                                                unit_commitment=bool(uc)))
+       for a in Approach for uc in ("", "-uc")},
+    **{f"tri-T{t}-s{seed}-{a.value}": (lambda a=a, t=t, seed=seed: build_model(
+        scale_horizon(tri_area_case(CaseSpec(seed=seed)), t), a))
+       for t in (24, 96) for seed in (13, 29) for a in Approach},
+}
+
+
 class TestMpsRoundTrip:
-    def _round_trip(self, instance, tmp_path):
+    @pytest.mark.parametrize("case", ROUND_TRIP_CASES)
+    def test_parsed_model_equals_store(self, case, tmp_path):
+        """Names, integrality and every array HiGHS takes come back exactly:
+        the matrix column by column, each column's rows in increasing order."""
+        instance = ROUND_TRIP_CASES[case]()
         path = tmp_path / "model.mps"
         write_mps(instance, str(path))
-        return parse_free_mps(str(path))
-
-    def test_toy_sections(self, tmp_path):
-        parsed = self._round_trip(toy_instance(), tmp_path)
-        assert parsed.objective_row == "OBJ"
-        assert parsed.row_sense == {"r_up": "L", "r_bal": "E"}
-        assert parsed.ranges == {"r_up": 6.0}
-        assert parsed.lower["f_a_b_t1"] == -2.0
-        assert parsed.upper["f_a_b_t1"] == 5.0
-        assert parsed.integer == {"u_a_t1"}
-        assert parsed.columns["i_a"]["OBJ"] == 7.0
-
-    @pytest.mark.parametrize("approach", [Approach.TWO_BB_2F, Approach.ONE_BB_1F],
-                             ids=lambda a: a.value)
-    def test_counts_survive_round_trip(self, approach, tmp_path):
-        instance = build_model(scale_horizon(tri_area_case(CaseSpec()), 6), approach)
-        parsed = self._round_trip(instance, tmp_path)
-        assert len(parsed.col_order) == len(instance.variables)
-        assert len(parsed.row_order) == len(instance.rows)
-        # COLUMNS also carries objective coefficients; exclude the OBJ row
-        parsed_nnz = sum(1 for coefs in parsed.columns.values()
-                         for row in coefs if row != parsed.objective_row)
-        assert parsed_nnz == sum(len(r.terms) for r in instance.rows)
-
-    def test_coefficients_survive_round_trip(self, tmp_path):
-        instance = build_model(hybrid_fixture(), Approach.TWO_BB_1F)
-        parsed = self._round_trip(instance, tmp_path)
-        names = [v.name for v in instance.variables]
-        for row, rname in zip(instance.rows, [r.name for r in instance.rows]):
-            for j, coef in row.terms:
-                assert parsed.columns[names[j]][rname] == coef
-            rhs = parsed.rhs.get(rname, 0.0)
-            assert rhs == (row.lo if parsed.row_sense[rname] == "G" else row.hi)
+        model = parse_free_mps(str(path))
+        assert model.row_names == instance.row_names()
+        assert model.col_names == instance.col_names()
+        assert np.array_equal(model.integer, instance.integral)
+        by_col = instance.matrix().tocsc()
+        for field, expected in [("indptr", by_col.indptr), ("indices", by_col.indices),
+                                ("data", by_col.data), ("cost", instance.cost),
+                                ("row_lo", instance.row_lo), ("row_hi", instance.row_hi),
+                                ("col_lo", instance.lower), ("col_hi", instance.upper)]:
+            assert np.array_equal(getattr(model, field), expected), field
 
     def test_deterministic_output(self, tmp_path):
         instance = build_model(hybrid_fixture(), Approach.THREE_BB_4F)

@@ -1,8 +1,8 @@
 """The package namespace loads its submodules on first use: importing the
-HiGHS adapter loads no other flowgraph module, while every public name, the
-star import and ``dir`` behave as when the package imported everything up
-front.  Each check runs in a fresh interpreter, since this one has long
-imported every submodule."""
+HiGHS adapter loads no other flowgraph module but the error types it
+raises, while every public name, the star import and ``dir`` behave as when
+the package imported everything up front.  Each check runs in a fresh
+interpreter, since this one has long imported every submodule."""
 
 import json
 import os
@@ -28,7 +28,7 @@ def test_adapter_loads_no_other_flowgraph_module():
         import flowgraph.highs_adapter
         print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "flowgraph")))
     """)
-    assert loaded == ["flowgraph", "flowgraph.highs_adapter"]
+    assert loaded == ["flowgraph", "flowgraph.errors", "flowgraph.highs_adapter"]
 
 
 def test_every_public_name_resolves():
