@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,6 +62,8 @@ class MpsModel(NamedTuple):
 def parse_free_mps(path: str) -> MpsModel:
     """Read the free-format MPS file at ``path`` in one pass; raise
     ParseError for a name it cannot resolve (see the module docstring)."""
+    from array import array  # a shared library, loaded only by a process that parses
+
     row_at, col_at = {}, {}  # name -> index, in the order the file names them
     senses, rhs, ranges = [], {}, {}
     cost, lower, upper, integer, starts = [], [], [], [], []
