@@ -131,7 +131,7 @@ def parse_free_mps(path: str) -> MpsModel:
                                           "PL": (lo, np.inf)}[fields[0].upper()]
                 else:
                     raise fail(f"data line in section {section}, which is not read")
-            except KeyError as exc:  # a row, column or bound kind the file never declared
+            except KeyError as exc:  # a row or column the file never declared, or a bound kind
                 raise fail(f"unknown name {exc.args[0]} in {section}") from None
             except (IndexError, ValueError):
                 raise fail(f"cannot read {line.strip()!r}") from None
