@@ -80,6 +80,8 @@ def parse_free_mps(path: str) -> MpsModel:
                 continue
             if not line[0].isspace():
                 section = fields[0].upper()
+                if section not in ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
+                    raise fail(f"unknown section {fields[0]}")
                 continue
             try:
                 if section == "ROWS":
@@ -129,8 +131,6 @@ def parse_free_mps(path: str) -> MpsModel:
                     lower[j], upper[j] = {"UP": (lo, val), "LO": (val, hi), "FX": (val, val),
                                           "FR": (-np.inf, np.inf), "MI": (-np.inf, hi),
                                           "PL": (lo, np.inf)}[fields[0].upper()]
-                else:
-                    raise fail(f"data line in section {section}, which is not read")
             except KeyError as exc:  # a row or column the file never declared, or a bound kind
                 raise fail(f"unknown name {exc.args[0]} in {section}") from None
             except (IndexError, ValueError):

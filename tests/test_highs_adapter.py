@@ -357,8 +357,9 @@ BAD_MPS = {
     "unknown-row-type": (" E r", " X r", 4, "unknown row type X"),
     "split-column": ("    y r 1.0", "    y r 1.0\n    x OBJ 3.0", 9,
                      "column x continues after another column"),
-    "unknown-section": ("RANGES\n    RNG r 1.0", "OBJSENSE\n    MAX", 12,
-                        "data line in section OBJSENSE"),
+    "unknown-section": ("RANGES\n    RNG r 1.0", "OBJSENSE\n    MAX", 11,
+                        "unknown section OBJSENSE"),
+    "one-line-section": ("RANGES\n    RNG r 1.0", "OBJSENSE MAX", 11, "unknown section OBJSENSE"),
     "unpaired-field": ("    x r 1.0", "    x r", 7, "cannot read 'x r'"),
     "bad-number": ("    RHS r 2.0", "    RHS r two", 10, "cannot read 'RHS r two'"),
 }
