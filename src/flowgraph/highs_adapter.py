@@ -8,7 +8,9 @@ the write/parse round trip exercises two genuinely different routes.  It
 reads the file once, straight into the arrays HiGHS takes (:class:`MpsModel`),
 so memory grows with the nonzeros, not with rows times columns.  HiGHS is
 scipy's bundled extension, driven directly (:func:`highs_core`), so a child
-never imports ``scipy.optimize`` or ``scipy.sparse``.
+never imports ``scipy.optimize`` or ``scipy.sparse``.  The one loader of
+such extensions, :func:`scipy_extension`, also serves the reference
+simplex.
 
 The parser raises ``ParseError`` naming ``file:line``, rather than solve
 another LP, at a name it cannot resolve (a row missing from ROWS, a column
@@ -164,35 +166,45 @@ class HighsResult:
     x: Optional[np.ndarray] = None
 
 
-_CORE = "scipy.optimize._highspy._core"
+def scipy_extension(name: str):
+    """Return scipy's compiled extension module ``name``, such as
+    ``"scipy.sparse._sparsetools"``, without running the ``__init__.py`` of
+    any package above it.
 
-
-def highs_core():
-    """Return scipy's bundled HiGHS extension, ``scipy.optimize._highspy._core``.
-
-    The extension is found in scipy's ``optimize/_highspy`` directory and
-    executed without running ``scipy/optimize/__init__.py``, whose imports
-    cost a fresh interpreter about half a second.  As the import system
-    does, it is registered in :data:`sys.modules` under its own name before
-    it runs, so a later ``import scipy.optimize`` finds it there and uses
-    this module rather than loading the extension again.  A copy that
-    ``scipy.optimize`` already loaded is returned as it is.
+    The extension is found in its package's directory in scipy's install
+    (``scipy/sparse`` for ``scipy.sparse._sparsetools``; ``find_spec``
+    locates scipy without importing it) and executed.  As the import
+    system does, it is registered in :data:`sys.modules` under ``name``
+    before it runs, so a later import of the package above it finds it
+    there and uses this module rather than loading the extension again.
+    The import system does not then set it as an attribute of that
+    package: ``from scipy.sparse import _sparsetools`` finds it, the
+    attribute ``scipy.sparse._sparsetools`` does not.  A copy that scipy
+    already loaded is returned as it is.
     """
-    core = sys.modules.get(_CORE)
-    if core is None:
+    module = sys.modules.get(name)
+    if module is None:
         from importlib.machinery import PathFinder
         from importlib.util import find_spec, module_from_spec
 
         scipy_dir = find_spec("scipy").submodule_search_locations[0]
-        spec = PathFinder.find_spec(_CORE, [os.path.join(scipy_dir, "optimize", "_highspy")])
-        core = module_from_spec(spec)
-        sys.modules[_CORE] = core
+        package = name.rpartition(".")[0].split(".")[1:]
+        spec = PathFinder.find_spec(name, [os.path.join(scipy_dir, *package)])
+        module = module_from_spec(spec)
+        sys.modules[name] = module
         try:
-            spec.loader.exec_module(core)
+            spec.loader.exec_module(module)
         except BaseException:
-            del sys.modules[_CORE]
+            del sys.modules[name]
             raise
-    return core
+    return module
+
+
+def highs_core():
+    """Return scipy's bundled HiGHS extension, ``scipy.optimize._highspy._core``,
+    loaded by :func:`scipy_extension`: ``scipy/optimize/__init__.py``, whose
+    imports cost a fresh interpreter about half a second, never runs."""
+    return scipy_extension("scipy.optimize._highspy._core")
 
 
 #: HiGHS model status -> solution-file status, as scipy.optimize.milp reads
