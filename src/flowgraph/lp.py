@@ -279,8 +279,9 @@ class LpInstance:
 
     def matrix(self) -> sp.csr_matrix:
         """The rows as one CSR matrix, built on first call and shared, so its
-        arrays are read-only.  scipy is imported here, not with the module,
-        so building a model and writing MPS never load it."""
+        arrays are read-only.  scipy.sparse is imported here, not with the
+        module, so building, writing MPS and solving never load it: the
+        solvers read the store's arrays."""
         if "matrix" not in self._views:
             import scipy.sparse as sp
 

@@ -2,14 +2,21 @@
 
 The reference solver exists so cross-approach objective equality can be
 verified without any third-party LP dependency.  It is a two-phase simplex
-over variables with general bounds.  It reads :meth:`LpInstance.matrix` and
-the store's bounds and cost, as :func:`check_primal` does.  A presolve
-turns every single-term row into a bound on its column, intersects the
-bounds several such rows put on one column, and drops those rows; bounds
-that cross by more than the feasibility tolerance make the LP infeasible
-before any pivot.  The columns stay those of the LP, so the primal needs
-no mapping back.  The remaining rows become equalities through slack
-variables, infeasible starts get per-row artificials, and the basis is
+over variables with general bounds.  It reads the store's CSR arrays,
+bounds and cost, as :func:`check_primal` does, and calls scipy's compiled
+kernels on those arrays directly: ``csr_matvec`` and ``csc_matvec`` from
+``scipy.sparse._sparsetools``, and SuperLU's ``gstrf``, each loaded by
+:func:`.highs_adapter.scipy_extension`.  So a solve never imports
+``scipy.sparse`` or ``scipy.sparse.linalg``, which cost a fresh
+interpreter about 0.3 s and 32 MB of RSS against 5 ms and 2 MB for the two
+extensions, while its matrices, products and factorizations stay those
+the scipy.sparse calls gave, bit for bit.  A presolve turns every
+single-term row into a bound on its column, intersects the bounds several
+such rows put on one column, and drops those rows; bounds that cross by
+more than the feasibility tolerance make the LP infeasible before any
+pivot.  The columns stay those of the LP, so the primal needs no mapping
+back.  The remaining rows become equalities through slack variables,
+infeasible starts get per-row artificials, and the basis is
 held as a sparse LU factorization with product-form eta updates.  The LU
 is computed afresh after every 16 updates: each forward and backward
 solve walks the whole eta file in Python, one dense column per eta,
@@ -47,15 +54,12 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure, SolverLaunchFailure
 from .lp import INF, LpInstance, SolveResult, read_solution, write_mps
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: the labels :func:`solver_for` takes
 SOLVER_LABELS = ("reference", "external:<spec.json>")
@@ -68,29 +72,46 @@ _PIVOTS_PER_SIZE = 50
 _REFACTOR_EVERY = 16
 _STALL_WINDOW = 1000
 
+#: scipy's compiled sparse kernels (csr_matvec, csc_matvec) and SuperLU
+#: (gstrf), loaded without scipy.sparse
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def _extension(name: str):
+    from .highs_adapter import scipy_extension
+
+    return scipy_extension(name)
+
 
 class _SingularBasis(Exception):
     """SuperLU could not factorize the basis."""
 
 
-def _columns(matrix: sp.csc_matrix, basic: np.ndarray) -> sp.csc_matrix:
+class _Csc(NamedTuple):
+    """A matrix in CSC form, its index arrays at ``intc`` as SuperLU takes
+    them and each column's rows in increasing order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _columns(matrix: _Csc, basic: np.ndarray) -> _Csc:
     """``matrix[:, basic]``, gathered straight from the CSC arrays: the same
     ``indptr``, ``indices`` and ``data`` as scipy's fancy indexing gives."""
-    import scipy.sparse as sp
-
     starts = matrix.indptr[basic]
     counts = matrix.indptr[basic + 1] - starts
-    indptr = np.zeros(len(basic) + 1, dtype=matrix.indptr.dtype)
+    indptr = np.zeros(len(basic) + 1, dtype=np.intc)
     np.cumsum(counts, out=indptr[1:])
     take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-    return sp.csc_matrix((matrix.data[take], matrix.indices[take], indptr),
-                         shape=(matrix.shape[0], len(basic)))
+    return _Csc(indptr, matrix.indices[take], matrix.data[take])
 
 
 class _Basis:
     """Sparse LU of the basis with product-form eta updates."""
 
-    def __init__(self, matrix: sp.csc_matrix, basic: np.ndarray):
+    def __init__(self, matrix: _Csc, basic: np.ndarray):
         self.matrix = matrix
         self.basic = basic
         self.etas: list[tuple[int, np.ndarray]] = []
@@ -98,11 +119,15 @@ class _Basis:
         self.refactor()
 
     def refactor(self) -> None:
-        from scipy.sparse.linalg import splu
-
         self.etas = []
+        B = _columns(self.matrix, self.basic)
+        # what scipy.sparse.linalg.splu(B, permc_spec="COLAMD") passes; the
+        # L and U factors are never read, so no matrix type builds them
         try:
-            self.lu = splu(_columns(self.matrix, self.basic), permc_spec="COLAMD")
+            self.lu = _extension(_SUPERLU).gstrf(
+                len(self.basic), len(B.data), B.data, B.indices, B.indptr,
+                csc_construct_func=None, ilu=False,
+                options=dict(DiagPivotThresh=None, ColPerm="COLAMD", PanelSize=None, Relax=None))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise _SingularBasis(str(exc)) from None
         self.factorizations += 1
@@ -133,8 +158,7 @@ class _Basis:
 
 class _Simplex:
     def __init__(self, lp: LpInstance):
-        import scipy.sparse as sp
-
+        self.sparsetools = _extension(_SPARSETOOLS)
         rows, n = len(lp.row_lo), len(lp.lower)
         self.n_structural = n
         self.max_iter = _PIVOTS_PER_SIZE * (2 * rows + n + 1)
@@ -142,10 +166,10 @@ class _Simplex:
         # [lo/a, hi/a] on x_j (swapped for a < 0) and leaves the matrix; a is
         # never zero, since solve_reference checks the instance first (the
         # store is shared and read-only: what the presolve changes is copied)
-        A = lp.matrix()
-        single = np.diff(A.indptr) == 1
-        first = A.indptr[:-1][single]
-        j, a = A.indices[first], A.data[first]
+        terms = np.diff(lp.indptr)
+        single = terms == 1
+        first = lp.indptr[:-1][single]
+        j, a = lp.indices[first], lp.data[first]
         lo, hi = lp.row_lo[single] / a, lp.row_hi[single] / a
         col_lo, col_hi = lp.lower.copy(), lp.upper.copy()
         np.maximum.at(col_lo, j, np.where(a > 0, lo, hi))
@@ -154,8 +178,17 @@ class _Simplex:
         # a wider crossing is left for solve() to report as infeasible
         close = (col_lo > col_hi) & (col_lo <= col_hi + _FEAS_TOL)
         col_hi[close] = col_lo[close]
-        A, row_lo, row_hi = A[~single].tocsc(), lp.row_lo[~single], lp.row_hi[~single]
-        self.m = m = A.shape[0]
+        # the other rows, renumbered, in CSC form: a stable sort by column
+        # keeps each column's rows in increasing order, as csr_tocsc does
+        kept = np.repeat(~single, terms)
+        row_lo, row_hi = lp.row_lo[~single], lp.row_hi[~single]
+        self.m = m = len(row_lo)
+        cols = lp.indices[kept]
+        by_col = np.argsort(cols, kind="stable")
+        row_of = np.repeat(np.arange(m, dtype=np.intc), terms[~single])[by_col]
+        coef = lp.data[kept][by_col]
+        col_ptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
         # rows become A x + s = rhs with one slack per row, bounded so that
         # A x stays within [row_lo, row_hi]
         rhs = np.where(np.isfinite(row_hi), row_hi, row_lo)
@@ -166,22 +199,30 @@ class _Simplex:
         value = np.where(lower > -INF, lower, np.where(upper < INF, upper, 0.0))
         # start from the slack basis; rows whose slack value violates its
         # bounds get an artificial column instead
-        s = rhs - A @ value[:n]
+        Ax = np.zeros(m)
+        self.sparsetools.csc_matvec(m, n, col_ptr, row_of, coef, value[:n], Ax)
+        s = rhs - Ax
         lo, up = lower[n:], upper[n:]
         art_rows = np.flatnonzero((s < lo - 1e-12) | (s > up + 1e-12))
         self.n_art = n_art = len(art_rows)
         value[n:] = s
         value[n + art_rows] = np.clip(s[art_rows], lo[art_rows], up[art_rows])
         residual = s[art_rows] - value[n + art_rows]
-        art = sp.csc_matrix(
-            (np.where(residual > 0, 1.0, -1.0), (art_rows, np.arange(n_art))), shape=(m, n_art)
+        # [A I art]: each slack and artificial column holds one entry
+        self.A = _Csc(
+            np.concatenate([col_ptr, col_ptr[-1] + np.arange(1, m + n_art + 1, dtype=np.intc)]),
+            np.concatenate([row_of, np.arange(m, dtype=np.intc), art_rows.astype(np.intc)]),
+            np.concatenate([coef, np.ones(m), np.where(residual > 0, 1.0, -1.0)]),
         )
-        self.A = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
-        self.AT = self.A.T  # built once: pricing multiplies by it every pivot
         # steepest-edge reference weights: at the slack basis the edge that
         # column j opens has squared norm 1 + |a_j|^2; pricing divides |d_j|
-        # by its root, so a column's scale no longer decides its rank
-        self.weight = 1.0 / np.sqrt(1.0 + np.asarray(self.A.power(2).sum(axis=0)).ravel())
+        # by its root, so a column's scale no longer decides its rank.  The
+        # sums are scipy's sum(axis=0) of a CSC matrix: one reduceat over
+        # the columns that hold entries
+        norm2 = np.zeros(n + m + n_art)
+        filled = np.flatnonzero(np.diff(self.A.indptr))
+        norm2[filled] = np.add.reduceat(self.A.data ** 2, self.A.indptr[filled])
+        self.weight = 1.0 / np.sqrt(1.0 + norm2)
         self.lower = np.concatenate([lower, np.zeros(n_art)])
         self.upper = np.concatenate([upper, np.full(n_art, INF)])
         self.cost = np.concatenate([lp.cost, np.zeros(m + n_art)])
@@ -222,7 +263,10 @@ class _Simplex:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
             y = self.basis.btran(cost[self.basic])
-            d = cost - self.AT @ y
+            # A^T y: the CSC arrays of A, read as the CSR arrays of A^T
+            aty = np.zeros(len(cost))
+            self.sparsetools.csr_matvec(len(cost), self.m, *self.A, y, aty)
+            d = cost - aty
             d[self.basic] = 0.0
 
             # nonbasic values sit exactly on a bound (or at 0 if free), so
@@ -318,9 +362,10 @@ def solve_reference(instance: LpInstance) -> SolveResult:
             f"{instance.name}: integrality marks relaxed to their LP bounds",
             stacklevel=2,
         )
-    # scipy is imported on first use; loading it here keeps the import off
+    # scipy's kernels load on first use; loading them here keeps that off
     # the solve's clock
-    import scipy.sparse.linalg  # noqa: F401
+    _extension(_SPARSETOOLS)
+    _extension(_SUPERLU)
 
     start = time.perf_counter()
     worker = _Simplex(instance)
@@ -343,14 +388,24 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     return result
 
 
+def _row_sums(instance: LpInstance, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` over the store's CSR arrays, by the kernel that
+    :meth:`LpInstance.matrix` ``@ x`` calls."""
+    lhs = np.zeros(len(instance.row_lo))
+    _extension(_SPARSETOOLS).csr_matvec(len(lhs), len(x), instance.indptr, instance.indices,
+                                        instance.data, x, lhs)
+    return lhs
+
+
 def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) -> list[str]:
     """Names of variable bounds (as ``bound:<name>``), then rows, violated by
     ``primal`` beyond ``tol``, each in index order.
 
     ``primal`` holds one value per column, in column order, as
-    :attr:`SolveResult.primal` does.  Rows are evaluated as
-    :meth:`LpInstance.matrix` ``@ x`` against ``row_lo`` and ``row_hi``; a
-    value or an ``A @ x`` that is not finite is violated.  Names are made
+    :attr:`SolveResult.primal` does.  Rows are evaluated as ``A @ x``,
+    equal bit for bit to :meth:`LpInstance.matrix` ``@ x``, against
+    ``row_lo`` and ``row_hi``; a value or an ``A @ x`` that is not finite
+    is violated.  Names are made
     only for what is violated.  The instance is checked first
     (:meth:`LpInstance.check`).
     """
@@ -359,7 +414,7 @@ def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) ->
     if x.shape != (len(instance.lower),):
         raise InvariantViolation(
             f"primal of shape {x.shape} for an LP of {len(instance.lower)} columns")
-    lhs = instance.matrix() @ x
+    lhs = _row_sums(instance, x)
     bad_cols = np.flatnonzero(
         ~np.isfinite(x) | (x < instance.lower - tol) | (x > instance.upper + tol))
     bad_rows = np.flatnonzero(

@@ -159,16 +159,17 @@ class TestTTestProperties:
 
     def test_scipy_stats_not_imported(self):
         # scipy loads only in the calls that use it: importing the package,
-        # building, sizing and writing MPS load no scipy subpackage, and the
-        # reference simplex does not load the HiGHS side
+        # building, sizing and writing MPS load no scipy module, and the
+        # reference simplex and the primal check load scipy's sparse kernel
+        # and SuperLU extensions alone: no scipy package, not even scipy
         code = textwrap.dedent("""
             import json, sys
             import flowgraph, flowgraph.cli, flowgraph.highs_adapter
             from flowgraph import ALL_APPROACHES, build_model, hybrid_fixture
-            from flowgraph import mps_string, size_report, solve_reference
+            from flowgraph import check_primal, mps_string, size_report, solve_reference
 
             def scipy_modules():
-                return sorted(m for m in sys.modules if m.startswith("scipy."))
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
             for approach in ALL_APPROACHES:
                 lp = build_model(hybrid_fixture(), approach)
@@ -176,16 +177,15 @@ class TestTTestProperties:
                 mps_string(lp)
             assert flowgraph.cli.main(["compare", "--case", "hybrid", "--T", "1"]) == 0
             built = scipy_modules()
-            solve_reference(lp)
+            assert check_primal(lp, solve_reference(lp).primal) == []
             print(json.dumps([built, scipy_modules()]))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         built, solved = json.loads(proc.stdout.splitlines()[-1])
-        deferred = {"scipy.sparse", "scipy.sparse.linalg", "scipy.special", "scipy.optimize"}
-        assert deferred.isdisjoint(built)
-        assert "scipy.optimize" not in solved and "scipy.stats" not in solved
+        assert built == []
+        assert solved == ["scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu"]
 
 
 class TestMedianSpeedup:

@@ -5,10 +5,11 @@ import shutil
 from pathlib import Path
 
 import pytest
-import scipy.sparse.linalg
 
 import flowgraph
+from flowgraph import solver
 from flowgraph.cli import main
+from flowgraph.highs_adapter import scipy_extension
 
 
 def run(capsys, *argv):
@@ -111,10 +112,10 @@ class TestBuildSolve:
         assert code == 1 and err.startswith(f"error: {path}: unknown solver spec key(s) 'arg'")
 
     def test_singular_basis_fails_the_solve(self, capsys, monkeypatch):
-        def splu(*args, **kwargs):
+        def gstrf(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        monkeypatch.setattr(scipy_extension(solver._SUPERLU), "gstrf", gstrf)
         code, _, err = run(capsys, "solve", "--case", "hybrid", "--T", "2")
         assert code == 1 and err == "solve failed: numerical_failure\n"
 

@@ -2,6 +2,7 @@
 status detection, and primal feasibility checking."""
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.optimize import linprog
 
 from flowgraph import (
@@ -35,6 +35,7 @@ from flowgraph import (
 )
 from flowgraph import solver
 from flowgraph.errors import InvariantViolation, ParseError
+from flowgraph.highs_adapter import scipy_extension
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
@@ -185,6 +186,21 @@ class TestStatuses:
         assert result.objective == pytest.approx(-1.0, abs=1e-7)
         assert check_primal(lp, result.primal) == []
 
+    def test_rows_that_all_presolve_away(self):
+        # every row is a single term, so the presolve leaves no row and
+        # SuperLU factorizes a 0 x 0 basis
+        lp = LpInstance(
+            variables=[VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0),
+                       VariableRef(VarRole.FLOW, ("b", "a"), 1, lower=-10.0, upper=10.0)],
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 4.0, [(0, 2.0)], "r0"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, 1.0, 3.0, [(1, -1.0)], "r1")],
+            objective=[(0, -1.0), (1, 1.0)],
+        )
+        assert solver._Simplex(lp).m == 0
+        result = solve_reference(lp)
+        assert result.is_optimal and result.refactorizations == 1
+        assert result.primal.tolist() == [2.0, -3.0] and result.objective == -5.0
+
     def test_zero_coefficient_is_rejected(self):
         # 0 * x = 0 holds for every x; the check before the solve rejects it,
         # so the presolve never takes it for a bound that pins x
@@ -224,15 +240,16 @@ class TestStatuses:
         # SuperLU's error on a singular basis, at the first factorization
         # and at a refactorization mid-solve
         lp = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
-        real, calls = scipy.sparse.linalg.splu, []
+        superlu = scipy_extension(solver._SUPERLU)
+        real, calls = superlu.gstrf, []
 
-        def splu(*args, **kwargs):
+        def gstrf(*args, **kwargs):
             calls.append(args)
             if len(calls) == failing_call:
                 raise RuntimeError("Factor is exactly singular")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        monkeypatch.setattr(superlu, "gstrf", gstrf)
         result = solve_reference(lp)
         assert result.status == "numerical_failure"
         assert result.primal is None and result.objective is None
@@ -244,8 +261,8 @@ class TestStatuses:
 
 
 def test_solve_clock_starts_after_scipy_loads():
-    # scipy is imported on first use; in a fresh interpreter the import must
-    # land before the solve reads its clock, so wall_time_s never holds it
+    # scipy's kernels load on first use; in a fresh interpreter both must
+    # load before the solve reads its clock, so wall_time_s never holds them
     code = textwrap.dedent("""
         import sys, time
         from flowgraph import Approach, build_model, hybrid_fixture, solve_reference
@@ -253,7 +270,8 @@ def test_solve_clock_starts_after_scipy_loads():
         clock, loaded = time.perf_counter, []
 
         def read():
-            loaded.append("scipy.sparse.linalg" in sys.modules)
+            loaded.append(all(name in sys.modules for name in (
+                "scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu")))
             return clock()
 
         time.perf_counter = read
@@ -312,7 +330,8 @@ def test_basis_solves_track_replaced_columns():
     B0 = sp.random(m, m, density=0.3, random_state=rng) + 4.0 * sp.identity(m)
     A = sp.hstack([B0, sp.random(m, extra, density=0.4, random_state=rng)], format="csc")
     basic = np.arange(m)
-    basis = solver._Basis(A, basic)
+    basis = solver._Basis(solver._Csc(A.indptr.astype(np.intc), A.indices.astype(np.intc), A.data),
+                          basic)
     pushes = 2 * solver._REFACTOR_EVERY + 5
     for _ in range(pushes):
         q = int(rng.choice(np.setdiff1d(np.arange(m + extra), basic)))
@@ -333,18 +352,91 @@ def test_basis_solves_track_replaced_columns():
 @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
 def test_basis_columns_match_fancy_indexing(case, approach):
     # the LU factorizes the gathered columns, so they must be scipy's
-    # matrix[:, basic] array for array, at the slack basis and at the optimum
+    # matrix[:, basic] array for array, at the slack basis and at the optimum,
+    # with the index arrays at the intc splu casts them to
     make = PIVOTS[case][0]
     worker = solver._Simplex(build_model(make(), approach))
+    A = worker.A
+    matrix = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(worker.m, len(A.indptr) - 1))
     for solved in (False, True):
         if solved:
             assert worker.solve()[0] == "optimal"
-        got = solver._columns(worker.A, worker.basic)
-        expected = worker.A[:, worker.basic].tocsc()
-        assert got.shape == expected.shape
-        for name in ("indptr", "indices", "data"):
-            assert getattr(got, name).dtype == getattr(expected, name).dtype
-            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        got = solver._columns(A, worker.basic)
+        expected = matrix[:, worker.basic].tocsc()
+        assert len(got.indptr) == expected.shape[1] + 1
+        for name, dtype in (("indptr", np.intc), ("indices", np.intc), ("data", np.float64)):
+            assert getattr(got, name).dtype == dtype
+            assert np.array_equal(getattr(got, name), getattr(expected, name).astype(dtype))
+
+
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+@pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
+def test_solver_matrix_is_scipy_assembly(case, approach):
+    # the simplex assembles [A I art], its start values and its weights from
+    # the store's arrays; built through scipy.sparse as they once were, they
+    # must come out the same bit for bit, or the pivots move
+    lp = build_model(PIVOTS[case][0](), approach)
+    worker = solver._Simplex(lp)
+    csr = lp.matrix()
+    kept = np.diff(csr.indptr) != 1
+    A = csr[kept].tocsc()
+    m, n = A.shape
+    assert worker.m == m and worker.n_art > 0
+    rhs = np.where(np.isfinite(lp.row_hi[kept]), lp.row_hi[kept], lp.row_lo[kept])
+    s = rhs - A @ worker.value[:n]
+    art_rows = np.flatnonzero(worker.basic >= n + m)
+    slack_rows = np.setdiff1d(np.arange(m), art_rows)
+    assert worker.value[n + slack_rows].tobytes() == s[slack_rows].tobytes()
+    clipped = np.clip(s[art_rows], worker.lower[n + art_rows], worker.upper[n + art_rows])
+    art = sp.csc_matrix((np.where(s[art_rows] > clipped, 1.0, -1.0),
+                         (art_rows, np.arange(worker.n_art))), shape=(m, worker.n_art))
+    expected = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
+    for name, dtype in (("indptr", np.intc), ("indices", np.intc), ("data", np.float64)):
+        got = getattr(worker.A, name)
+        assert got.dtype == dtype and np.array_equal(got, getattr(expected, name))
+    weight = 1.0 / np.sqrt(1.0 + np.asarray(expected.power(2).sum(axis=0)).ravel())
+    assert worker.weight.tobytes() == weight.tobytes()
+
+
+@pytest.mark.parametrize("solver_first", [True, False], ids=["solver-first", "scipy-first"])
+def test_kernels_shared_with_scipy_sparse(solver_first):
+    """Loaded by the solver before or after ``import scipy.sparse.linalg``,
+    the sparse kernels and SuperLU are one module each that both use, and
+    both still work."""
+    code = textwrap.dedent(f"""
+        import json, sys
+        import numpy as np
+        from flowgraph import Approach, build_model, check_primal, hybrid_fixture, solve_reference
+        from flowgraph.highs_adapter import scipy_extension
+
+        NAMES = ("scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu")
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        loaded = []
+
+        def solve():
+            result = solve_reference(lp)
+            loaded.extend(scipy_extension(name) for name in NAMES)
+            return [result.objective, check_primal(lp, result.primal)]
+
+        answers = [solve()] if {solver_first} else []
+        import scipy.sparse.linalg
+        from scipy.sparse import _sparsetools
+        from scipy.sparse.linalg._dsolve import _superlu
+        answers.append(solve())
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix([[2.0, 1.0], [0.0, 4.0]]))
+        x = np.linspace(-1.0, 1.0, len(lp.lower))
+        product = bool(np.allclose(lp.matrix() @ x, lp.matrix().toarray() @ x, rtol=0, atol=1e-12))
+        shared = all(module is own is sys.modules[name] for name, module, own in zip(
+            NAMES * len(answers), loaded, [_sparsetools, _superlu] * len(answers)))
+        print(json.dumps([answers, lu.solve(np.array([3.0, 4.0])).tolist(), product, shared]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    answers, solved, product, shared = json.loads(proc.stdout.splitlines()[-1])
+    pinned = solve_reference(build_model(hybrid_fixture(), Approach.ONE_BB_1F)).objective
+    assert answers == [[pinned, []]] * (1 + solver_first)
+    assert solved == [1.0, 1.0] and product and shared
 
 
 def test_solve_leaves_the_instance_alone():
@@ -403,6 +495,22 @@ class TestCheckPrimal:
             seen += expected
         assert any(v.startswith("bound:") for v in seen)
         assert any(not v.startswith("bound:") for v in seen)
+
+    @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
+    def test_row_sums_are_the_scipy_product(self, case):
+        # A @ x from the store's arrays is lp.matrix() @ x bit for bit, inf
+        # and NaN entries included, and a row that is not finite is violated
+        lp = build_model(PIVOTS[case][0](), Approach.TWO_BB_2F)
+        x = np.random.default_rng(5).normal(0.0, 10.0, len(lp.lower))
+        x[[1, 4, 9]] = [np.inf, -np.inf, np.nan]
+        lhs = solver._row_sums(lp, x)
+        expected = lp.matrix() @ x
+        assert lhs.tobytes() == expected.tobytes()
+        assert not np.isfinite(expected).all()
+        bad = ~np.isfinite(expected) | (expected < lp.row_lo - 1e-7) | (expected > lp.row_hi + 1e-7)
+        names = lp.row_names()
+        assert [v for v in check_primal(lp, x) if not v.startswith("bound:")] == [
+            names[i] for i in np.flatnonzero(bad)]
 
     def test_flags_violated_bound_and_row(self):
         lp = LpInstance(
