@@ -355,11 +355,14 @@ class SolveResult:
     wall_time_s: float = 0.0
     # set by the reference simplex only: LU factorizations of the basis, the
     # first one included; pivots of phase 1; pivots with a step of 0;
-    # the number of the first pivot Bland's rule chose, if it did
+    # the number of the first pivot Bland's rule chose, if it did; rows and
+    # columns its presolve removed
     refactorizations: int = 0
     phase1_iterations: int = 0
     degenerate_pivots: int = 0
     bland_from: Optional[int] = None
+    rows_removed: int = 0
+    cols_removed: int = 0
 
     @property
     def is_optimal(self) -> bool:

@@ -125,6 +125,21 @@ def test_crossing_singleton_rows_are_infeasible():
     assert solve_external(lp, HIGHS).status == "infeasible"
 
 
+def test_crossing_implied_bounds_are_infeasible():
+    # x + y = 10 with x, y in [0, 3]: the doubleton row hands x's bounds to
+    # y as [7, 10], which cross y's own [0, 3]
+    lp = LpInstance(
+        "implied",
+        [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0),
+         VariableRef(VarRole.FLOW, ("b", "a"), 1, upper=3.0)],
+        [ConstraintRow(RowFamily.FLOW_BOUND, 10.0, 10.0, [(0, 1.0), (1, 1.0)], "sum")],
+        [(0, 1.0)],
+    )
+    result = solve_reference(lp)
+    assert result.status == "infeasible" and result.iterations == 0
+    assert solve_external(lp, HIGHS).status == "infeasible"
+
+
 def test_solve_memory_stays_sparse(tmp_path):
     # a dense rows x columns matrix here is about 556 MB
     system = scale_horizon(tri_area_case(CaseSpec()), 96)

@@ -39,7 +39,7 @@ from flowgraph.highs_adapter import scipy_extension
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
-              singletons: int = 0) -> LpInstance:
+              singletons: int = 0, doubletons: int = 0) -> LpInstance:
     """A bounded-feasible random LP: x0 feasible by construction, box bounds.
 
     ``narrow`` columns get bounds near 2000 that are only 1e-3..1e-2 wide,
@@ -47,7 +47,12 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
     that many single-term rows after the others, with coefficients of either
     sign and every kind of bounds (two, an upper one, a lower one, equal);
     the first two share a column, and column 0 loses its bounds so that one
-    such range row alone bounds it.
+    such range row alone bounds it.  ``doubletons`` adds a chain of up to
+    that many two-term equality rows ``a x_p + b x_q = rhs`` through distinct
+    columns, coefficients of either sign, before the others, whose dense
+    rows mostly hold both columns of a link; the chain's first column is
+    free, so only the chain bounds it, and a column off the chain is fixed
+    at x0.
     """
     rows = []
     lower = rng.uniform(-5.0, 0.0, n)
@@ -57,6 +62,17 @@ def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
         lower[cols] = rng.uniform(1990.0, 2000.0, len(cols))
         upper[cols] = lower[cols] + rng.uniform(1e-3, 1e-2, len(cols))
     x0 = rng.uniform(lower, upper)
+    if doubletons:
+        order = rng.permutation(n)
+        chain, fixed = order[:min(doubletons, n - 2) + 1], order[-1]
+        for k, (p, q) in enumerate(zip(chain[:-1], chain[1:])):
+            a, b = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
+            rhs = float(a * x0[p] + b * x0[q])
+            rows.append(ConstraintRow(RowFamily.FLOW_BOUND, rhs, rhs, [(int(p), float(a)),
+                                                                       (int(q), float(b))],
+                                      f"d{k}"))
+        lower[chain[0]], upper[chain[0]] = -np.inf, np.inf
+        lower[fixed] = upper[fixed] = x0[fixed]
     cost = rng.uniform(-2.0, 2.0, n)
     objective = [(j, float(c)) for j, c in enumerate(cost) if c != 0.0]
     for i in range(m):
@@ -124,15 +140,16 @@ def scipy_solve(lp: LpInstance):
 
 class TestAgainstScipy:
     @pytest.mark.parametrize(
-        "seed, narrow, singletons",
-        [pytest.param(s, 0, 0, id=str(s)) for s in range(30)]
-        + [pytest.param(s, 3, 0, id=f"narrow-{s}") for s in range(30)]
-        + [pytest.param(s, 0, 8, id=f"singletons-{s}") for s in range(30)],
+        "seed, narrow, singletons, doubletons",
+        [pytest.param(s, 0, 0, 0, id=str(s)) for s in range(30)]
+        + [pytest.param(s, 3, 0, 0, id=f"narrow-{s}") for s in range(30)]
+        + [pytest.param(s, 0, 8, 0, id=f"singletons-{s}") for s in range(30)]
+        + [pytest.param(s, 0, 0, 5, id=f"doubletons-{s}") for s in range(30)],
     )
-    def test_random_lps_match_highs(self, seed, narrow, singletons):
+    def test_random_lps_match_highs(self, seed, narrow, singletons, doubletons):
         rng = np.random.default_rng(seed)
         lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)), narrow=narrow,
-                       singletons=singletons)
+                       singletons=singletons, doubletons=doubletons)
         ours = solve_reference(lp)
         theirs = scipy_solve(lp)
         assert theirs.status == 0, "generator must produce feasible LPs"
@@ -196,7 +213,7 @@ class TestStatuses:
                   ConstraintRow(RowFamily.FLOW_BOUND, 1.0, 3.0, [(1, -1.0)], "r1")],
             objective=[(0, -1.0), (1, 1.0)],
         )
-        assert solver._Simplex(lp).m == 0
+        assert len(solver.presolve(lp).lp.row_lo) == 0
         result = solve_reference(lp)
         assert result.is_optimal and result.refactorizations == 1
         assert result.primal.tolist() == [2.0, -3.0] and result.objective == -5.0
@@ -258,6 +275,121 @@ class TestStatuses:
         path = str(tmp_path / "failed.sol")
         write_solution(result, path, lp)
         assert read_solution(path, lp).status == "numerical_failure"
+
+
+def flows(*bounds) -> list:
+    """One flow column per ``(lower, upper)`` pair."""
+    return [VariableRef(VarRole.FLOW, (f"c{j}", "d"), 1, lower=lo, upper=hi)
+            for j, (lo, hi) in enumerate(bounds)]
+
+
+class TestPresolve:
+    def test_chain_is_substituted_away(self):
+        # x = 2y and y = z + 1 with x in [0, 10], y free and z in [0, 3]:
+        # both rows go, x and z with them (each has fewer terms than y when
+        # its row is taken), and y alone is left
+        lp = LpInstance(
+            variables=flows((0.0, 10.0), (-np.inf, np.inf), (0.0, 3.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 0.0, [(0, 1.0), (1, -2.0)], "x2y"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, 1.0, 1.0, [(1, 1.0), (2, -1.0)], "yz1")],
+            objective=[(0, -1.0)],
+        )
+        reduced = solver.presolve(lp)
+        assert (reduced.rows_removed, reduced.cols_removed) == (2, 2)
+        assert reduced.kept.tolist() == [1] and len(reduced.lp.row_lo) == 0
+        # x in [0, 10] bounds y to [0, 5], and z in [0, 3] to [1, 4]
+        assert reduced.lp.lower.tolist() == [1.0] and reduced.lp.upper.tolist() == [4.0]
+        assert reduced.lp.cost.tolist() == [-2.0]
+        result = solve_reference(lp)
+        assert result.is_optimal and result.primal.tolist() == [8.0, 4.0, 3.0]
+        assert result.objective == -8.0 and check_primal(lp, result.primal) == []
+        assert (result.rows_removed, result.cols_removed) == (2, 2)
+
+    def test_fill_in_that_cancels_leaves_the_row(self):
+        # x - y = 0 eliminates x = y; in x - y + z + w <= 5 the new y term
+        # cancels the old one to exactly 0, so the row keeps z and w only
+        lp = LpInstance(
+            variables=flows((0.0, 4.0), (1.0, 3.0), (0.0, 2.0), (0.0, 2.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 0.0, [(0, 1.0), (1, -1.0)], "xy"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 5.0,
+                                [(0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0)], "sum")],
+            objective=[(0, 1.0), (2, -1.0), (3, -2.0)],
+        )
+        reduced = solver.presolve(lp).lp
+        assert reduced.indptr.tolist() == [0, 2] and reduced.data.tolist() == [1.0, 1.0]
+        assert reduced.row_hi.tolist() == [5.0]
+        # x = y moves x's cost onto y, and x's bounds [0, 4] leave y's [1, 3]
+        assert reduced.cost.tolist() == [1.0, -1.0, -2.0]
+        assert reduced.lower.tolist() == [1.0, 0.0, 0.0] and reduced.upper.tolist() == [3.0, 2.0, 2.0]
+        result = solve_reference(lp)
+        assert result.primal.tolist() == [1.0, 1.0, 2.0, 2.0] and result.objective == -5.0
+        assert check_primal(lp, result.primal) == []
+
+    def test_everything_presolves_away(self):
+        # x is fixed at 2, so x + y = 5 fixes y at 3 and 2 <= y - x <= 4
+        # holds with nothing left to vary
+        lp = LpInstance(
+            variables=flows((2.0, 2.0), (0.0, 10.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 5.0, 5.0, [(0, 1.0), (1, 1.0)], "sum"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 4.0, [(0, -1.0), (1, 1.0)], "gap")],
+            objective=[(0, 1.0), (1, 3.0)],
+        )
+        reduced = solver.presolve(lp)
+        assert (reduced.rows_removed, reduced.cols_removed) == (2, 2)
+        assert len(reduced.lp.row_lo) == len(reduced.lp.lower) == 0
+        result = solve_reference(lp)
+        assert result.is_optimal and result.iterations == 0
+        assert result.primal.tolist() == [2.0, 3.0] and result.objective == 11.0
+
+    def test_empty_row_outside_its_bounds_is_infeasible(self):
+        # fixing x at 1 leaves 0 >= 1 - 1 + 0.5 of the row x >= 1.5
+        lp = LpInstance(
+            variables=flows((1.0, 1.0), (0.0, 1.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 1.5, np.inf, [(0, 1.0)], "r"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 1.0, [(0, 1.0), (1, 1.0)], "s")],
+        )
+        assert solver.presolve(lp).status == "infeasible"
+        assert solve_reference(lp).status == "infeasible"
+
+    def test_tiny_coefficient_is_never_eliminated(self):
+        # 1e-6 x + y = 1: x has fewer terms, but dividing by its coefficient
+        # would blow y's terms up a millionfold, so y goes instead
+        lp = LpInstance(
+            variables=flows((0.0, 1e6), (0.0, 1.0), (0.0, 1.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 1.0, 1.0, [(0, 1e-6), (1, 1.0)], "d"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 1.5, [(1, 1.0), (2, 1.0)], "r")],
+            objective=[(0, -1.0), (2, -1.0)],
+        )
+        reduced = solver.presolve(lp)
+        assert reduced.kept.tolist() == [0, 2]
+        assert reduced.lp.data.tolist() == [-1e-6, 1.0]
+        result = solve_reference(lp)
+        assert result.primal.tolist() == [1e6, 0.0, 1.0] and result.objective == -1000001.0
+        assert check_primal(lp, result.primal) == []
+
+    @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+    @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
+    def test_postsolve_is_primal_feasible(self, case, approach):
+        lp = build_model(PIVOTS[case][0](), approach)
+        reduced = solver.presolve(lp)
+        result = solve_reference(lp)
+        assert result.is_optimal and check_primal(lp, result.primal) == []
+        assert result.rows_removed == reduced.rows_removed > 0
+        assert result.cols_removed == reduced.cols_removed > 0
+        # the objective is read from the LP's own columns and costs
+        assert result.objective == float(sum((lp.cost * result.primal).tolist()))
+        theirs = scipy_solve(lp).fun
+        assert abs(result.objective - theirs) <= 1e-9 * abs(theirs)
+
+    def test_clock_holds_presolve_and_postsolve(self, monkeypatch):
+        events, clock = [], solver.time.perf_counter
+        presolve, postsolve = solver.presolve, solver.Presolved.postsolve
+        monkeypatch.setattr(solver, "presolve", lambda lp: events.append("presolve") or presolve(lp))
+        monkeypatch.setattr(solver.Presolved, "postsolve",
+                            lambda self, x: events.append("postsolve") or postsolve(self, x))
+        monkeypatch.setattr(solver.time, "perf_counter", lambda: events.append("clock") or clock())
+        assert solve_reference(build_model(hybrid_fixture(), Approach.TWO_BB_2F)).is_optimal
+        assert events == ["clock", "presolve", "postsolve", "clock"]
 
 
 def test_solve_clock_starts_after_scipy_loads():
@@ -348,6 +480,11 @@ def test_basis_solves_track_replaced_columns():
     assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
 
 
+def presolved_simplex(lp: LpInstance) -> "solver._Simplex":
+    """The simplex over what the presolve leaves of ``lp``."""
+    return solver._Simplex(solver.presolve(lp).lp, max_iter=10 ** 6)
+
+
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
 @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
 def test_basis_columns_match_fancy_indexing(case, approach):
@@ -355,7 +492,7 @@ def test_basis_columns_match_fancy_indexing(case, approach):
     # matrix[:, basic] array for array, at the slack basis and at the optimum,
     # with the index arrays at the intc splu casts them to
     make = PIVOTS[case][0]
-    worker = solver._Simplex(build_model(make(), approach))
+    worker = presolved_simplex(build_model(make(), approach))
     A = worker.A
     matrix = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(worker.m, len(A.indptr) - 1))
     for solved in (False, True):
@@ -373,16 +510,15 @@ def test_basis_columns_match_fancy_indexing(case, approach):
 @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
 def test_solver_matrix_is_scipy_assembly(case, approach):
     # the simplex assembles [A I art], its start values and its weights from
-    # the store's arrays; built through scipy.sparse as they once were, they
-    # must come out the same bit for bit, or the pivots move
-    lp = build_model(PIVOTS[case][0](), approach)
-    worker = solver._Simplex(lp)
-    csr = lp.matrix()
-    kept = np.diff(csr.indptr) != 1
-    A = csr[kept].tocsc()
+    # the presolved LP's CSR arrays; built through scipy.sparse as they once
+    # were, they must come out the same bit for bit, or the pivots move
+    lp = solver.presolve(build_model(PIVOTS[case][0](), approach)).lp
+    worker = solver._Simplex(lp, max_iter=0)
+    A = sp.csr_matrix((lp.data, lp.indices, lp.indptr),
+                      shape=(len(lp.row_lo), len(lp.lower))).tocsc()
     m, n = A.shape
     assert worker.m == m and worker.n_art > 0
-    rhs = np.where(np.isfinite(lp.row_hi[kept]), lp.row_hi[kept], lp.row_lo[kept])
+    rhs = np.where(np.isfinite(lp.row_hi), lp.row_hi, lp.row_lo)
     s = rhs - A @ worker.value[:n]
     art_rows = np.flatnonzero(worker.basic >= n + m)
     slack_rows = np.setdiff1d(np.arange(m), art_rows)
