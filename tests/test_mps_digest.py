@@ -51,16 +51,30 @@ TRI_AREA_T24 = {
 
 # Re-pinned when pricing began to divide by the steepest-edge weights: the
 # hybrid primals moved by at most 1.8e-15, and at tri-area T=24 the solver
-# reaches another optimal vertex with the same objective.
+# reaches another optimal vertex with the same objective.  Re-pinned again
+# when the presolve began to substitute fixed columns and eliminate
+# doubleton equations, with SuperLU's supernode relaxation at 1: the hybrid
+# primals moved by at most 1.8e-15 and the objectives not at all; at
+# tri-area T=24 2BB-2F and 2BB-1F moved by at most 1.5e-12, and 3BB-4F and
+# 1BB-1F reach other optimal vertices, objectives within 1.5e-16 relative.
+# Before -> after (first 12 hex digits):
+#   hybrid 3BB-4F: 94fb2ebc6e02 -> ff689c794daf
+#   hybrid 2BB-2F: 739ab938b445 -> fb9eafb443c3
+#   hybrid 2BB-1F: 62db85783619 -> 3848fcd6049e
+#   hybrid 1BB-1F: ecace63b0f92 -> 57d573592cf5
+#   tri-area-t24 3BB-4F: 8830583bea97 -> 54570543144d
+#   tri-area-t24 2BB-2F: 593596fd525f -> 37fdc1f617cd
+#   tri-area-t24 2BB-1F: d9a40df80921 -> e6b0be97cff4
+#   tri-area-t24 1BB-1F: 373dc57f962d -> 8567de5ecba7
 SOLUTION_FILES = {
-    ("hybrid", "3BB-4F"): "94fb2ebc6e020dd594f13571fb3fc8d7cb5f029ced8cff647a7df22f127d4de2",
-    ("hybrid", "2BB-2F"): "739ab938b445bf2a5d1fb96fdf06f59e5dc8b85ce5aa6361e64eb876cc3f2134",
-    ("hybrid", "2BB-1F"): "62db85783619fbabc7a803d17199c966ddfb79e15328978cca92bd46b2eee6cb",
-    ("hybrid", "1BB-1F"): "ecace63b0f92a45f379d47b10d923fc82dd453d67be74ada4b1c721ba682a0e7",
-    ("tri-area-t24", "3BB-4F"): "8830583bea976ff955430442d7654ed6cf04a884f0a7d212d94c9a8fe0a4fb01",
-    ("tri-area-t24", "2BB-2F"): "593596fd525f2be1b6df08dc08146657efeac780746a1b02a3e2065301003c3a",
-    ("tri-area-t24", "2BB-1F"): "d9a40df80921609f60d01049f2265bd3d07de403f83c43e536075bb7faed0436",
-    ("tri-area-t24", "1BB-1F"): "373dc57f962da1ad5a533f83a38e42a0d9a57b16ae963f689284eeacf48fa5dc",
+    ("hybrid", "3BB-4F"): "ff689c794daf57aeb6bd968c778ee2a525200333d0c2547796ea676441d37cb6",
+    ("hybrid", "2BB-2F"): "fb9eafb443c3781f222521cab58d516223f71bb49c51edded2d8be8a8140fad7",
+    ("hybrid", "2BB-1F"): "3848fcd6049e237b00089cc280f6a47cb30ecb795c6f62aaf1302e6590183106",
+    ("hybrid", "1BB-1F"): "57d573592cf542ab3157b8e58f86c03dba06e36427d6582dcfd26b95ab0ab143",
+    ("tri-area-t24", "3BB-4F"): "54570543144d1110ee52337803a7ad2df06ae8d1213f574d90e564691f806395",
+    ("tri-area-t24", "2BB-2F"): "37fdc1f617cd57d88b809ddf892841662b3373e07fcfd2f05fd77ba2765e3038",
+    ("tri-area-t24", "2BB-1F"): "e6b0be97cff4236b7bff4ff620c1b06c6afd1f74bc7e55bb11280842382851df",
+    ("tri-area-t24", "1BB-1F"): "8567de5ecba73249574123600a8f09a59ad2f4cf237e8e8e7dc8470e5723a931",
 }
 
 DC_UC_1BB_1F = "baec1ef6cbbe2bf60201b5886c9e637118f31fc62ac7669daab4fa355c09113c"

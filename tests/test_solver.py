@@ -757,12 +757,15 @@ def test_bland_hands_back_once_the_objective_improves(label, monkeypatch):
 # 864/646/668/521 (3BB-4F/2BB-2F/2BB-1F/1BB-1F).  Counting pivots instead
 # of pricing rounds drops the round of each phase that finds no entering
 # column, with the path unchanged: hybrid 129/105/81/81 -> 127/103/79/79,
-# tri-area T=24 864/646/668/521 -> 862/644/666/519.
+# tri-area T=24 864/646/668/521 -> 862/644/666/519.  The presolve that
+# also substitutes fixed columns and eliminates doubleton equations, with
+# SuperLU's supernode relaxation at 1, solves smaller LPs: hybrid
+# 127/103/79/79 -> 79/79/79/57, tri-area T=24 862/644/666/519 -> 569/457/478/470.
 PIVOTS = {
-    "hybrid": (hybrid_fixture, {"3BB-4F": 127, "2BB-2F": 103, "2BB-1F": 79, "1BB-1F": 79}),
+    "hybrid": (hybrid_fixture, {"3BB-4F": 79, "2BB-2F": 79, "2BB-1F": 79, "1BB-1F": 57}),
     "tri-area-t24": (
         lambda: scale_horizon(tri_area_case(CaseSpec()), 24),
-        {"3BB-4F": 862, "2BB-2F": 644, "2BB-1F": 666, "1BB-1F": 519},
+        {"3BB-4F": 569, "2BB-2F": 457, "2BB-1F": 478, "1BB-1F": 470},
     ),
 }
 
