@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 on a domain error (infeasible model, objective
 mismatch, invalid bundle), 2 on a usage error.  Human-readable tables go to
 standard output; machine outputs (MPS, solution files, CSV reports) go to
-files under ``--out``.
+files under ``--out``.  Under the reference solver, ``solve`` and
+``compare --solve`` also print the :class:`SolveResult` counters as
+``field=value`` pairs: the rows and columns the presolve removed, pivots,
+phase-1 and degenerate pivots, refactorizations and ``bland_from``.
 
 ``--solver`` takes a solver label as :func:`flowgraph.solver.solver_for`
 does: ``reference`` (the bundled simplex, the default) or
@@ -24,7 +27,7 @@ from .cases import CaseSpec, hybrid_fixture, scale_horizon, tri_area_case
 from .csvio import export_case, load_case
 from .errors import FlowgraphError
 from .formulation import ALL_APPROACHES, Approach, build_model
-from .lp import size_report, write_mps, write_solution
+from .lp import SolveResult, size_report, write_mps, write_solution
 from .model import EnergySystem
 from .solver import SOLVER_LABELS, check_primal, solver_for
 
@@ -67,6 +70,16 @@ def _parse_approaches(raw: str) -> tuple[Approach, ...]:
     return tuple(Approach.from_label(part) for part in raw.split(","))
 
 
+#: the SolveResult fields only the reference simplex sets
+_COUNTERS = ("rows_removed", "cols_removed", "iterations", "phase1_iterations",
+             "degenerate_pivots", "refactorizations", "bland_from")
+
+
+def _counters(result: SolveResult) -> str:
+    """The reference simplex's counters as ``field=value`` pairs."""
+    return " ".join(f"{name}={getattr(result, name)}" for name in _COUNTERS)
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,6 +118,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     verdict = "primal feasible" if not violated else \
         f"PRIMAL VIOLATIONS: {', '.join(violated[:5])}"
     print(f"{system.name} [{approach.value}] objective {result.objective!r} ({verdict})")
+    if args.solver == "reference":
+        print(_counters(result))
     if args.out:
         path = _out_dir(args) / f"{system.name}-{approach.value}.sol"
         write_solution(result, str(path), instance)
@@ -144,7 +159,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print(f"{approach.value}: solve failed ({result.status})", file=sys.stderr)
             return 1
         objectives[approach] = result.objective
-        print(f"{approach.value:<8} objective {result.objective!r}")
+        counters = f"  {_counters(result)}" if args.solver == "reference" else ""
+        print(f"{approach.value:<8} objective {result.objective!r}{counters}")
     baseline = objectives[approaches[0]]
     scale = max(1.0, abs(baseline))
     spread = max(abs(v - baseline) for v in objectives.values()) / scale

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flowgraph
-from flowgraph import solver
+from flowgraph import Approach, build_model, hybrid_fixture, solve_reference, solver
 from flowgraph.cli import main
 from flowgraph.highs_adapter import scipy_extension
 
@@ -76,6 +76,33 @@ class TestBuildSolve:
         assert code == 0
         assert "primal feasible" in out
         assert (tmp_path / "hybrid-1BB-1F.sol").read_text().startswith("status optimal")
+
+    def test_solver_counters_are_printed(self, capsys, tmp_path):
+        # solve and compare --solve print the reference simplex's counters
+        # as field=value pairs; an external solver has none to print
+        names = ("rows_removed", "cols_removed", "iterations", "phase1_iterations",
+                 "degenerate_pivots", "refactorizations", "bland_from")
+        code, out, _ = run(capsys, "solve", "--case", "hybrid", "--approach", "2BB-2F")
+        assert code == 0
+        result = solve_reference(build_model(hybrid_fixture(), Approach.TWO_BB_2F))
+        expected = {name: str(getattr(result, name)) for name in names}
+        assert dict(pair.split("=") for pair in out.splitlines()[1].split()) == expected
+        assert result.rows_removed > 0 and result.cols_removed > 0 and result.iterations > 0
+        code, out, _ = run(capsys, "compare", "--case", "hybrid", "--approaches",
+                           "2BB-2F,1BB-1F", "--solve")
+        lines = [line for line in out.splitlines() if " objective " in line]
+        assert code == 0 and len(lines) == 2
+        assert lines[0].startswith("2BB-2F ") and lines[0].endswith(
+            " ".join(f"{name}={value}" for name, value in expected.items()))
+        assert "rows_removed=" in lines[1]
+        spec = tmp_path / "ext.json"
+        spec.write_text(json.dumps({
+            "executable": "python3",
+            "args": ["-m", "flowgraph.highs_adapter", "{mps}", "{out}"],
+        }))
+        code, out, _ = run(capsys, "solve", "--case", "hybrid", "--T", "2",
+                           "--solver", f"external:{spec}")
+        assert code == 0 and len(out.splitlines()) == 1 and "=" not in out
 
     def test_external_solver_roundtrip(self, capsys, tmp_path):
         spec = tmp_path / "ext.json"
