@@ -37,6 +37,9 @@ from .lp import LpInstance
 from .solver import solver_for
 
 
+#: builds timed back to back for one build sample
+_BUILDS_PER_SAMPLE = 5
+
 #: each field of a BenchConfig JSON file: its type and, for a list, its items' type
 _JSON_FIELDS = {
     "approaches": (list, str), "instances": (list, int), "horizons": (list, int),
@@ -217,7 +220,9 @@ def _system_for(config: BenchConfig, label_value) -> object:
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Time builds and solves per (approach, instance, seed).
 
-    One warm-up build per (approach, instance) is discarded.  Seeds are the
+    One warm-up build per (approach, instance) is discarded.  A build sample
+    is the mean of ``_BUILDS_PER_SAMPLE`` back-to-back builds, so a hybrid
+    build of 1-2 ms is not timed alone; the last one is solved.  Seeds are the
     outer loop, and every approach is built and solved for each seed, so a
     slow spell on a shared machine falls on all approaches alike rather than
     on one side of a speedup.  Objectives across approaches must agree per
@@ -235,8 +240,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         for seed in range(config.n_seeds):
             for approach in config.approaches:
                 t0 = time.perf_counter()
-                instance = build_model(system, approach)
-                build_time = time.perf_counter() - t0
+                for _ in range(_BUILDS_PER_SAMPLE):
+                    instance = None  # freed before the next build, not during it
+                    instance = build_model(system, approach)
+                build_time = (time.perf_counter() - t0) / _BUILDS_PER_SAMPLE
                 t0 = time.perf_counter()
                 # the shuffled copy is a temporary: kept alive through the next
                 # build, it doubled that build's time at hybrid T=1000

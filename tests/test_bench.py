@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from flowgraph import bench
 from flowgraph import (
     Approach,
     BenchConfig,
@@ -279,6 +280,19 @@ class TestHarness:
         assert len(report.samples) == 6  # 2 approaches x 1 horizon x 3 seeds
         assert len(report.speedups) == 1
         assert len(report.ttests) == 1
+
+    def test_build_sample_is_a_mean_of_back_to_back_builds(self, monkeypatch):
+        # one warm-up build per approach, then _BUILDS_PER_SAMPLE builds per
+        # sample, and the sample is their mean
+        built, build = [], bench.build_model
+        monkeypatch.setattr(bench, "build_model",
+                            lambda *args: built.append(args[1]) or build(*args))
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: float(next(ticks)))
+        report = self._small_report()
+        assert len(built) == 2 * (1 + 3 * bench._BUILDS_PER_SAMPLE)
+        # each build sample spans two clock reads, one apart
+        assert {s.build_time_s for s in report.samples} == {1 / bench._BUILDS_PER_SAMPLE}
 
     def test_objectives_agree_across_seeds(self):
         report = self._small_report()
