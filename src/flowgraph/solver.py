@@ -275,7 +275,6 @@ def presolve(instance: LpInstance) -> Presolved:
             _close(lower, upper)
             row_alive[i] = False
             row, col, val = row[~single], col[~single], val[~single]
-            counts[i] = 0
             changed = True
 
         fixed = np.flatnonzero(col_alive & (lower == upper) & np.isfinite(lower))
@@ -373,7 +372,7 @@ def presolve(instance: LpInstance) -> Presolved:
 
 
 class _Simplex:
-    def __init__(self, lp: "_Lp", max_iter: int):
+    def __init__(self, lp: _Lp, max_iter: int):
         self.sparsetools = _extension(_SPARSETOOLS)
         self.m = m = len(lp.row_lo)
         self.n_structural = n = len(lp.lower)

@@ -320,7 +320,8 @@ class TestPresolve:
         assert reduced.row_hi.tolist() == [5.0]
         # x = y moves x's cost onto y, and x's bounds [0, 4] leave y's [1, 3]
         assert reduced.cost.tolist() == [1.0, -1.0, -2.0]
-        assert reduced.lower.tolist() == [1.0, 0.0, 0.0] and reduced.upper.tolist() == [3.0, 2.0, 2.0]
+        assert reduced.lower.tolist() == [1.0, 0.0, 0.0]
+        assert reduced.upper.tolist() == [3.0, 2.0, 2.0]
         result = solve_reference(lp)
         assert result.primal.tolist() == [1.0, 1.0, 2.0, 2.0] and result.objective == -5.0
         assert check_primal(lp, result.primal) == []
@@ -384,7 +385,8 @@ class TestPresolve:
     def test_clock_holds_presolve_and_postsolve(self, monkeypatch):
         events, clock = [], solver.time.perf_counter
         presolve, postsolve = solver.presolve, solver.Presolved.postsolve
-        monkeypatch.setattr(solver, "presolve", lambda lp: events.append("presolve") or presolve(lp))
+        monkeypatch.setattr(solver, "presolve",
+                            lambda lp: events.append("presolve") or presolve(lp))
         monkeypatch.setattr(solver.Presolved, "postsolve",
                             lambda self, x: events.append("postsolve") or postsolve(self, x))
         monkeypatch.setattr(solver.time, "perf_counter", lambda: events.append("clock") or clock())
@@ -480,11 +482,6 @@ def test_basis_solves_track_replaced_columns():
     assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
 
 
-def presolved_simplex(lp: LpInstance) -> "solver._Simplex":
-    """The simplex over what the presolve leaves of ``lp``."""
-    return solver._Simplex(solver.presolve(lp).lp, max_iter=10 ** 6)
-
-
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
 @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
 def test_basis_columns_match_fancy_indexing(case, approach):
@@ -492,7 +489,7 @@ def test_basis_columns_match_fancy_indexing(case, approach):
     # matrix[:, basic] array for array, at the slack basis and at the optimum,
     # with the index arrays at the intc splu casts them to
     make = PIVOTS[case][0]
-    worker = presolved_simplex(build_model(make(), approach))
+    worker = solver._Simplex(solver.presolve(build_model(make(), approach)).lp, max_iter=10 ** 6)
     A = worker.A
     matrix = sp.csc_matrix((A.data, A.indices, A.indptr), shape=(worker.m, len(A.indptr) - 1))
     for solved in (False, True):
