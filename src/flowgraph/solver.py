@@ -79,6 +79,9 @@ _STALL_WINDOW = 1000
 # a doubleton equation never eliminates a column whose coefficient is below
 # this share of the other column's
 _DOUBLETON_RATIO = 1e-3
+# fill-in that sums two terms of a row to below this share of the larger
+# one is rounding left by a cancellation, and leaves the row
+_CANCEL_RATIO = 1e-12
 
 #: scipy's compiled sparse kernels (csr_matvec, csc_matvec) and SuperLU
 #: (gstrf), loaded without scipy.sparse
@@ -217,8 +220,8 @@ class Presolved:
 
 
 def _close(lower: np.ndarray, upper: np.ndarray) -> None:
-    """Bounds that cross by no more than the feasibility tolerance fix the
-    column; a wider crossing is left for the presolve to report."""
+    """Bounds that cross by no more than the feasibility tolerance become
+    equal; a wider crossing is left for the presolve to report."""
     close = (lower > upper) & (lower <= upper + _FEAS_TOL)
     upper[close] = lower[close]
 
@@ -237,15 +240,17 @@ def presolve(instance: LpInstance) -> Presolved:
       ``x_j = (r - b x_k) / a``: the bounds of ``x_j`` become bounds of
       ``x_k``, its cost moves onto ``x_k``, and each of its other terms
       becomes a term in ``x_k`` of the same row, added to the one the row
-      has; a sum of exactly 0 leaves the row.  The column with fewer terms
+      has; a sum below ``_CANCEL_RATIO`` times the larger of its two terms
+      is a cancellation and leaves the row.  The column with fewer terms
       is eliminated, on a tie the one with the larger coefficient, then
       the row's later column, but never one whose coefficient is below
       ``_DOUBLETON_RATIO`` times the other's.  A round takes each row that
       is the first doubleton row to name both of its columns, so no two
       eliminations of a round share a column.
 
-    Bounds that cross by more than the tolerance make the LP infeasible.
-    The instance's store is read, never written.
+    Column bounds, and row bounds of the rows left, that cross by more
+    than the tolerance make the LP infeasible; a narrower crossing makes
+    them equal.  The instance's store is read, never written.
     """
     m, n = len(instance.row_lo), len(instance.lower)
     # the terms as (row, col, val) triplets in row order; a term keeps its
@@ -260,7 +265,8 @@ def presolve(instance: LpInstance) -> Presolved:
     status = None
     _close(lower, upper)
     while True:
-        if (lower > upper)[col_alive].any():
+        _close(row_lo, row_hi)
+        if (lower > upper)[col_alive].any() or (row_lo > row_hi)[row_alive].any():
             status = "infeasible"
             break
         changed = False
@@ -343,7 +349,7 @@ def presolve(instance: LpInstance) -> Presolved:
             col[moved] = k[t]
             val[moved] = -ratio * b[t]
             # a row that already held x_k now holds it twice: the sum takes
-            # the first place, and leaves the row when it is exactly 0
+            # the first place, and leaves the row when it cancels
             touched = np.zeros(m, bool)
             touched[row[moved]] = True
             near = np.flatnonzero(touched[row])
@@ -351,10 +357,11 @@ def presolve(instance: LpInstance) -> Presolved:
             order = near[np.argsort(key, kind="stable")]
             twice = (row[order[1:]] == row[order[:-1]]) & (col[order[1:]] == col[order[:-1]])
             kept_term, dropped = order[:-1][twice], order[1:][twice]
+            larger = np.maximum(abs(val[kept_term]), abs(val[dropped]))
             val[kept_term] += val[dropped]
             gone = np.zeros(len(row), bool)
             gone[dropped] = True
-            gone[kept_term[val[kept_term] == 0.0]] = True
+            gone[kept_term[abs(val[kept_term]) <= _CANCEL_RATIO * larger]] = True
             row, col, val = row[~gone], col[~gone], val[~gone]
             changed = True
 

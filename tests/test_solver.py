@@ -342,6 +342,51 @@ class TestPresolve:
         assert result.is_optimal and result.iterations == 0
         assert result.primal.tolist() == [2.0, 3.0] and result.objective == 11.0
 
+    def test_parallel_rows_leave_no_rounding_term(self):
+        # 0.1x + 0.3y = 1 eliminates y, and 0.7x + 2.1y = 7, seven times
+        # the first row, keeps only a rounding residue in x (about 1e-16),
+        # which leaves the row instead of fixing x near 8 outside [0, 3]
+        lp = LpInstance(
+            variables=flows((0.0, 3.0), (0.0, 10.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 1.0, 1.0, [(0, 0.1), (1, 0.3)], "a"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, 7.0, 7.0, [(0, 0.7), (1, 2.1)], "b")],
+            objective=[(0, 1.0)],
+        )
+        reduced = solver.presolve(lp)
+        assert reduced.status is None and reduced.kept.tolist() == [0]
+        assert len(reduced.lp.row_lo) == 0
+        result = solve_reference(lp)
+        assert result.is_optimal and check_primal(lp, result.primal) == []
+        theirs = scipy_solve(lp)
+        assert theirs.status == 0 and abs(result.objective - theirs.fun) <= 1e-9
+
+    def test_crossing_row_bounds_are_infeasible(self):
+        # 1 <= x + y <= 0 with x, y in [0, 5]: no rule takes the row, so
+        # the crossing is read from the row's own bounds, as HiGHS reads it
+        lp = LpInstance(
+            variables=flows((0.0, 5.0), (0.0, 5.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 1.0, 0.0, [(0, 1.0), (1, 1.0)], "r")],
+            objective=[(0, 1.0)],
+        )
+        assert solver.presolve(lp).status == "infeasible"
+        result = solve_reference(lp)
+        assert result.status == "infeasible" and result.iterations == 0
+        assert scipy_solve(lp).status == 2  # infeasible
+
+    def test_rows_crossing_within_the_tolerance_are_equalities(self):
+        # 1 + 1e-9 <= x + y <= 1 crosses by less than the feasibility
+        # tolerance: the row is the equality x + y = 1, and y goes
+        lp = LpInstance(
+            variables=flows((0.0, 5.0), (0.0, 5.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 1.0 + 1e-9, 1.0, [(0, 1.0), (1, 1.0)], "r")],
+            objective=[(0, -1.0)],
+        )
+        reduced = solver.presolve(lp)
+        assert reduced.status is None and (reduced.rows_removed, reduced.cols_removed) == (1, 1)
+        result = solve_reference(lp)
+        assert result.primal.tolist() == [1.0 + 1e-9, 0.0]
+        assert check_primal(lp, result.primal) == []
+
     def test_empty_row_outside_its_bounds_is_infeasible(self):
         # fixing x at 1 leaves 0 >= 1 - 1 + 0.5 of the row x >= 1.5
         lp = LpInstance(
