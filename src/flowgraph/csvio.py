@@ -34,11 +34,25 @@ from typing import Optional
 from .errors import IoFailure, ParseError
 from .model import Asset, AssetKind, DcFlowParams, EnergySystem, FlowArc, HubAnnotation
 
-ASSET_COLUMNS = (
-    "id", "kind", "capacity_mw", "min_capacity_mw", "initial_units",
-    "investable", "invest_limit", "invest_cost", "storage_capacity_mwh",
-    "initial_storage_mwh", "eta_in", "eta_out", "uc", "dc",
+#: ``assets.csv`` per column: the :class:`Asset` field it holds, its cell
+#: type and what an empty cell reads as
+_ASSET_SCHEMA = (
+    ("id", "id", str, ""),
+    ("kind", "kind", AssetKind, None),
+    ("capacity_mw", "capacity_mw", float, None),
+    ("min_capacity_mw", "min_capacity_mw", float, 0.0),
+    ("initial_units", "initial_units", int, 1),
+    ("investable", "investable", bool, False),
+    ("invest_limit", "invest_limit", int, None),
+    ("invest_cost", "invest_cost", float, 0.0),
+    ("storage_capacity_mwh", "storage_capacity_mwh", float, None),
+    ("initial_storage_mwh", "initial_storage_mwh", float, 0.0),
+    ("eta_in", "eta_in", float, 1.0),
+    ("eta_out", "eta_out", float, 1.0),
+    ("uc", "uc_enabled", bool, False),
+    ("dc", "voltage_angle_enabled", bool, False),
 )
+ASSET_COLUMNS = tuple(column for column, *_ in _ASSET_SCHEMA)
 FLOW_COLUMNS = ("from", "to", "max_fwd_mw", "max_bwd_mw", "op_cost",
                 "reactance_pu", "s_base_mva")
 HUB_COLUMNS = ("hub_id", "asset_id", "direction")
@@ -55,6 +69,8 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, AssetKind):
+        return value.value
     return str(value)
 
 
@@ -84,13 +100,7 @@ def export_case(system: EnergySystem, directory: str | Path) -> list[Path]:
     asset_rows = []
     profile_rows = []
     for asset in sorted(system.assets.values(), key=lambda a: a.id):
-        asset_rows.append((
-            asset.id, asset.kind.value, asset.capacity_mw, asset.min_capacity_mw,
-            asset.initial_units, asset.investable, asset.invest_limit,
-            asset.invest_cost, asset.storage_capacity_mwh,
-            asset.initial_storage_mwh, asset.eta_in, asset.eta_out,
-            asset.uc_enabled, asset.voltage_angle_enabled,
-        ))
+        asset_rows.append([getattr(asset, field) for _, field, _, _ in _ASSET_SCHEMA])
         profile = asset.demand_profile if asset.kind is AssetKind.CONSUMER \
             else asset.availability_profile
         if profile is not None:
@@ -157,40 +167,26 @@ def _read_rows(path: Path, header: tuple[str, ...], required: bool) -> list[dict
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _opt_float(cell: str, where: str) -> Optional[float]:
-    if cell == "":
-        return None
+#: per cell type: how a cell is read, and what one that cannot be read is
+_READ = {
+    str: (str, ""),
+    AssetKind: (AssetKind, "unknown kind"),
+    float: (float, "not a number:"),
+    int: (int, "not an integer:"),
+    bool: ({"true": True, "false": False}.__getitem__, "expected true/false, got"),
+}
+
+
+def _read(cell: str, where: str, kind: type = float, default=None):
+    """``cell`` read as a ``kind``, or ``default`` if it is empty; a kind
+    cell is never empty."""
+    if cell == "" and kind is not AssetKind:
+        return default
+    parse, fault = _READ[kind]
     try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"{where}: not a number: {cell!r}") from None
-
-
-def _opt_int(cell: str, where: str) -> Optional[int]:
-    if cell == "":
-        return None
-    try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"{where}: not an integer: {cell!r}") from None
-
-
-def _int_or(cell: str, where: str, default: int) -> int:
-    value = _opt_int(cell, where)
-    return default if value is None else value
-
-
-def _float_or(cell: str, where: str, default: float) -> float:
-    value = _opt_float(cell, where)
-    return default if value is None else value
-
-
-def _bool(cell: str, where: str) -> bool:
-    if cell in ("", "false"):
-        return False
-    if cell == "true":
-        return True
-    raise ParseError(f"{where}: expected true/false, got {cell!r}")
+        return parse(cell)
+    except (KeyError, ValueError):
+        raise ParseError(f"{where}: {fault} {cell!r}") from None
 
 
 def load_case(directory: str | Path, horizon_t: Optional[int] = None,
@@ -211,8 +207,8 @@ def load_case(directory: str | Path, horizon_t: Optional[int] = None,
     series: dict[str, dict[int, float]] = {}
     for row in profiles:
         where = f"profiles.csv ({row['asset_id']})"
-        t = _opt_int(row["timestep"], where)
-        value = _opt_float(row["value"], where)
+        t = _read(row["timestep"], where, int)
+        value = _read(row["value"], where)
         if t is None or value is None or t < 1:
             raise ParseError(f"{where}: timestep and value are mandatory")
         series.setdefault(row["asset_id"], {})[t] = value
@@ -222,48 +218,32 @@ def load_case(directory: str | Path, horizon_t: Optional[int] = None,
         horizon_t = max(max(points) for points in series.values())
 
     system = EnergySystem(horizon_t=horizon_t, name=name or directory.name)
-    kinds = {k.value: k for k in AssetKind}
     for row in assets:
         where = f"assets.csv ({row['id']})"
-        if row["kind"] not in kinds:
-            raise ParseError(f"{where}: unknown kind {row['kind']!r}")
+        fields = {field: _read(row[column], where, kind, default)
+                  for column, field, kind, default in _ASSET_SCHEMA}
         profile = None
         if row["id"] in series:
             points = series[row["id"]]
             if set(points) != set(range(1, max(points) + 1)):
                 raise ParseError(f"{where}: profile timesteps must be contiguous from 1")
             profile = tuple(points[t] for t in range(1, max(points) + 1))
-        kind = kinds[row["kind"]]
-        system.add_asset(Asset(
-            id=row["id"], kind=kind,
-            capacity_mw=_opt_float(row["capacity_mw"], where),
-            min_capacity_mw=_float_or(row["min_capacity_mw"], where, 0.0),
-            initial_units=_int_or(row["initial_units"], where, 1),
-            investable=_bool(row["investable"], where),
-            invest_limit=_opt_int(row["invest_limit"], where),
-            invest_cost=_float_or(row["invest_cost"], where, 0.0),
-            storage_capacity_mwh=_opt_float(row["storage_capacity_mwh"], where),
-            initial_storage_mwh=_float_or(row["initial_storage_mwh"], where, 0.0),
-            eta_in=_float_or(row["eta_in"], where, 1.0),
-            eta_out=_float_or(row["eta_out"], where, 1.0),
-            uc_enabled=_bool(row["uc"], where),
-            voltage_angle_enabled=_bool(row["dc"], where),
-            demand_profile=profile if kind is AssetKind.CONSUMER else None,
-            availability_profile=profile if kind is not AssetKind.CONSUMER else None,
-        ))
+        consumer = fields["kind"] is AssetKind.CONSUMER
+        system.add_asset(Asset(**fields, demand_profile=profile if consumer else None,
+                               availability_profile=None if consumer else profile))
 
     for row in flows:
         where = f"flows.csv ({row['from']}->{row['to']})"
-        bwd = _opt_float(row["max_bwd_mw"], where)
-        reactance = _opt_float(row["reactance_pu"], where)
+        bwd = _read(row["max_bwd_mw"], where)
+        reactance = _read(row["reactance_pu"], where)
         dc_params = None
         if reactance is not None:
-            dc_params = DcFlowParams(reactance, _float_or(row["s_base_mva"], where, 100.0))
+            dc_params = DcFlowParams(reactance, _read(row["s_base_mva"], where, float, 100.0))
         system.add_flow(FlowArc(
             from_asset=row["from"], to_asset=row["to"],
-            max_fwd_mw=_opt_float(row["max_fwd_mw"], where),
+            max_fwd_mw=_read(row["max_fwd_mw"], where),
             max_bwd_mw=bwd or 0.0,
-            op_cost=_float_or(row["op_cost"], where, 0.0),
+            op_cost=_read(row["op_cost"], where, float, 0.0),
             dc_params=dc_params,
             two_sided=bwd is not None,  # explicit 0.0 = zero-backward range
         ))
@@ -277,7 +257,7 @@ def load_case(directory: str | Path, horizon_t: Optional[int] = None,
     caps: dict[str, list[tuple[str, str, float]]] = {}
     for row in port_caps:
         where = f"port_caps.csv ({row['hub_id']})"
-        cap = _opt_float(row["cap_mw"], where)
+        cap = _read(row["cap_mw"], where)
         if cap is None:
             raise ParseError(f"{where}: cap_mw is mandatory")
         caps.setdefault(row["hub_id"], []).append((row["asset_id"], row["direction"], cap))

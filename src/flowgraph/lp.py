@@ -12,9 +12,10 @@ report, MPS writer, checks, both solvers): minimize ``cost @ x`` subject to
   *key))`` plus ``_t{t}`` for a column, a template prefix plus ``_t{t}``
   for a row.
 
-:meth:`LpInstance.matrix` is the rows as one CSR matrix.  Store arrays are
-read-only, and so are the matrix, ``rows``, ``variables`` and ``objective``:
-the last three are tuples of frozen records, built on first read.
+Store arrays are read-only, and so are ``rows``, ``variables`` and
+``objective``: tuples of frozen records, built on first read.
+:func:`by_column` puts the rows' entries in column order, for the MPS writer
+and the simplex.
 
 Only MPS has row senses: the writer derives a row's sense, right-hand side
 and range from its bounds (see :func:`_senses`).
@@ -31,14 +32,11 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvariantViolation, ParseError, UnknownVariableName
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 INF = math.inf
 
@@ -132,6 +130,20 @@ _CHECK_TERMS = 1 << 14
 
 #: the table that row ``family`` codes index
 FAMILIES = tuple(RowFamily)
+
+
+def by_column(indptr: np.ndarray, indices: np.ndarray, n: int):
+    """The entries of CSR rows ``indptr``/``indices`` over ``n`` columns, in
+    column order: ``(colptr, by_col, row_of)``.  Column ``j`` holds entries
+    ``colptr[j]`` to ``colptr[j + 1]``; entry ``k`` is row-ordered entry
+    ``by_col[k]``, in row ``row_of[k]``.  ``colptr`` and ``row_of`` are at
+    ``intc``, as SuperLU takes them.  The sort is stable, so each column's
+    rows increase, as scipy's ``tocsc`` gives them."""
+    colptr = np.zeros(n + 1, np.intc)
+    np.cumsum(np.bincount(indices, minlength=n), out=colptr[1:])
+    by_col = np.argsort(indices, kind="stable")
+    row_of = np.repeat(np.arange(len(indptr) - 1, dtype=np.intc), np.diff(indptr))[by_col]
+    return colptr, by_col, row_of
 
 
 def _ranged(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -275,22 +287,7 @@ class LpInstance:
         listed = np.flatnonzero(self.cost)
         return tuple(zip(listed.tolist(), self.cost[listed].tolist()))
 
-    # -- checks and the solver view ----------------------------------------
-
-    def matrix(self) -> sp.csr_matrix:
-        """The rows as one CSR matrix, built on first call and shared, so its
-        arrays are read-only.  scipy.sparse is imported here, not with the
-        module, so building, writing MPS and solving never load it: the
-        solvers read the store's arrays."""
-        if "matrix" not in self._views:
-            import scipy.sparse as sp
-
-            A = sp.csr_matrix((self.data, self.indices, self.indptr),
-                              shape=(len(self.row_lo), len(self.lower)))
-            for array in (A.data, A.indices, A.indptr):
-                array.flags.writeable = False
-            self._views["matrix"] = A
-        return self._views["matrix"]
+    # -- checks ------------------------------------------------------------
 
     def check(self) -> None:
         """Reject a malformed instance, naming the first offending row or column.
@@ -432,6 +429,8 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     with no entry gets ``OBJ 0.0`` so that dimensions round-trip.  Range
     rows land in the RANGES section; integrality uses INTORG/INTEND markers.
     The objective row is named OBJ.  Coefficients print with ``repr``.
+    A row with no finite bound, or whose bounds cross, has no MPS form that
+    reads back as the same row, so it raises InvariantViolation naming it.
 
     Every section is written in blocks of about ``_BLOCK`` lines, so the
     writer holds the text of one block at a time, never the whole file.  Row
@@ -442,6 +441,13 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     a permutation that takes the row-ordered entries to column order; it
     and the row of each entry are released once COLUMNS is written.
     """
+    row_lo, row_hi = instance.row_lo, instance.row_hi
+    free = (row_lo == -INF) & (row_hi == INF)
+    bad = np.flatnonzero(free | (row_lo > row_hi))
+    if bad.size:
+        i, name = bad[0], _Names(instance.row_blocks).take(bad[:1])[0]
+        why = "no finite bound" if free[i] else f"bounds cross ({row_lo[i]} > {row_hi[i]})"
+        raise InvariantViolation(f"row {name}: {why}; MPS cannot carry it")
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
             write_mps(instance, fh)
@@ -462,14 +468,10 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
 
     _section(out, f"NAME {lp.name}\nROWS\n N OBJ\n", row_edges, rows)
 
-    # entry k of column order is data[by_col[k]] in row row_of[k]; column j
-    # holds entries colptr[j] to colptr[j + 1], in row order since the sort
-    # is stable.  Its OBJ entry, a cost that is not zero or that of a column
-    # in no row, comes first; + 0.0 writes a cost of -0.0 as 0.0
-    counts = np.bincount(lp.indices, minlength=n)
-    colptr = np.concatenate([[0], np.cumsum(counts)])
-    by_col = np.argsort(lp.indices, kind="stable")
-    row_of = np.repeat(np.arange(m, dtype=np.int32), np.diff(lp.indptr))[by_col]
+    # a column's OBJ entry, a cost that is not zero or that of a column in
+    # no row, comes before its row entries; + 0.0 writes a cost of -0.0 as 0.0
+    colptr, by_col, row_of = by_column(lp.indptr, lp.indices, n)
+    counts = np.diff(colptr)
     has_obj = (lp.cost != 0.0) | (counts == 0)
     # marker k sits before column turns[k], where integrality changes
     integral = np.concatenate([[False], lp.integral, [False]])

@@ -43,7 +43,7 @@ from flowgraph import (
     tri_area_case,
     write_mps,
 )
-from flowgraph.errors import NonzeroExit, ParseError, SolverFailure
+from flowgraph.errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure
 from flowgraph.highs_adapter import (
     highs_core,
     main as highs_main,
@@ -138,6 +138,25 @@ def test_crossing_implied_bounds_are_infeasible():
     result = solve_reference(lp)
     assert result.status == "infeasible" and result.iterations == 0
     assert solve_external(lp, HIGHS).status == "infeasible"
+
+
+@pytest.mark.parametrize("lo, hi, fault", [(-math.inf, math.inf, "no finite bound"),
+                                           (1.0, 0.0, r"bounds cross \(1\.0 > 0\.0\)")],
+                         ids=["free", "crossing"])
+def test_rows_mps_cannot_carry_are_refused(lo, hi, fault):
+    # x + y >= 1 with x, y in [0, 5] is feasible; HiGHS read the free row
+    # x - y, written as L with RHS inf, as row_lo = NaN and the LP as
+    # infeasible, and a crossing range by its size
+    lp = LpInstance(
+        "refused",
+        [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=5.0),
+         VariableRef(VarRole.FLOW, ("b", "a"), 1, upper=5.0)],
+        [ConstraintRow(RowFamily.FLOW_BOUND, 1.0, math.inf, [(0, 1.0), (1, 1.0)], "sum"),
+         ConstraintRow(RowFamily.FLOW_BOUND, lo, hi, [(0, 1.0), (1, -1.0)], "r0")],
+        [(0, 1.0), (1, 2.0)],
+    )
+    with pytest.raises(InvariantViolation, match=f"^row r0: {fault}"):
+        solve_external(lp, HIGHS)
 
 
 def test_solve_memory_stays_sparse(tmp_path):

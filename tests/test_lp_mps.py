@@ -38,6 +38,7 @@ from flowgraph import (
 from flowgraph import lp as lp_module
 from flowgraph.errors import InvariantViolation, ParseError, UnknownVariableName
 from flowgraph.highs_adapter import parse_free_mps
+from conftest import csr
 from test_mps_digest import dc_uc_case, dc_uc_hub_case
 
 
@@ -225,9 +226,6 @@ def test_store_holds_what_solvers_read():
                                    "lower", "upper", "integral", "cost", "row_blocks",
                                    "col_blocks"}
         assert lp.data.dtype == float and lp.cost.shape == lp.lower.shape
-    A = built.matrix()
-    assert A is built.matrix() and A.shape == (len(built.row_lo), len(built.lower))
-    assert not (A.data.flags.writeable or A.indices.flags.writeable or A.indptr.flags.writeable)
 
 
 def one_row_lp(lo: float, hi: float) -> LpInstance:
@@ -267,12 +265,22 @@ class TestDerivedSenses:
         text = mps_string(lp)
         assert f" {mps} r\n" in text and "    RHS r -1.5\n" in text and "RANGES" not in text
 
-    def test_row_with_no_finite_bound_is_le_inf(self):
+    def test_row_with_no_finite_bound_is_refused(self, tmp_path):
+        # an L row with RHS inf would read back as row_lo = inf - inf = NaN
         lp = one_row_lp(-math.inf, math.inf)
         (row,) = lp.rows
         assert (row.lo, row.hi) == (-math.inf, math.inf)
-        text = mps_string(lp)
-        assert " L r\n" in text and "    RHS r inf\n" in text and "RANGES" not in text
+        with pytest.raises(InvariantViolation, match=r"^row r: no finite bound"):
+            mps_string(lp)
+        path = tmp_path / "free.mps"
+        with pytest.raises(InvariantViolation, match=r"^row r: no finite bound"):
+            write_mps(lp, str(path))
+        assert not path.exists()
+
+    def test_crossing_row_bounds_are_refused(self):
+        # a negative range reads back by its size: 1 <= x <= 0 as -1 <= x <= 0
+        with pytest.raises(InvariantViolation, match=r"^row r: bounds cross \(1\.0 > 0\.0\)"):
+            mps_string(one_row_lp(1.0, 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(record, max_size=6))
@@ -490,7 +498,7 @@ class TestMpsRoundTrip:
         assert model.row_names == instance.row_names()
         assert model.col_names == instance.col_names()
         assert np.array_equal(model.integer, instance.integral)
-        by_col = instance.matrix().tocsc()
+        by_col = csr(instance).tocsc()
         for field, expected in [("indptr", by_col.indptr), ("indices", by_col.indices),
                                 ("data", by_col.data), ("cost", instance.cost),
                                 ("row_lo", instance.row_lo), ("row_hi", instance.row_hi),

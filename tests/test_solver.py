@@ -36,6 +36,7 @@ from flowgraph import (
 from flowgraph import solver
 from flowgraph.errors import InvariantViolation, ParseError
 from flowgraph.highs_adapter import scipy_extension
+from conftest import csr
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
@@ -397,6 +398,27 @@ class TestPresolve:
         assert solver.presolve(lp).status == "infeasible"
         assert solve_reference(lp).status == "infeasible"
 
+    @pytest.mark.parametrize("need, bound, status, objective", [
+        (3.0, 1.0, "infeasible", None), (1.0, 5.0, "optimal", 1.0)], ids=["infeasible", "optimal"])
+    def test_row_with_no_finite_bound_is_dropped(self, need, bound, status, objective):
+        # x + y >= need with x, y in [0, bound], and the free row x - y: its
+        # slack once had bounds inf - inf = NaN and hid the positive
+        # artificial of an infeasible LP
+        lp = LpInstance(
+            variables=flows((0.0, bound), (0.0, bound)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, need, np.inf, [(0, 1.0), (1, 1.0)], "s"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, np.inf, [(0, 1.0), (1, -1.0)],
+                                "r0")],
+            objective=[(0, 1.0), (1, 2.0)],
+        )
+        reduced = solver.presolve(lp)
+        assert reduced.status is None and reduced.rows_removed == 1
+        assert reduced.lp.indptr.tolist() == [0, 2] and reduced.lp.row_lo.tolist() == [need]
+        result = solve_reference(lp)
+        assert result.status == status and result.objective == objective
+        if objective is not None:
+            assert check_primal(lp, result.primal) == []
+
     def test_tiny_coefficient_is_never_eliminated(self):
         # 1e-6 x + y = 1: x has fewer terms, but dividing by its coefficient
         # would blow y's terms up a millionfold, so y goes instead
@@ -556,8 +578,7 @@ def test_solver_matrix_is_scipy_assembly(case, approach):
     # were, they must come out the same bit for bit, or the pivots move
     lp = solver.presolve(build_model(PIVOTS[case][0](), approach)).lp
     worker = solver._Simplex(lp, max_iter=0)
-    A = sp.csr_matrix((lp.data, lp.indices, lp.indptr),
-                      shape=(len(lp.row_lo), len(lp.lower))).tocsc()
+    A = csr(lp).tocsc()
     m, n = A.shape
     assert worker.m == m and worker.n_art > 0
     rhs = np.where(np.isfinite(lp.row_hi), lp.row_hi, lp.row_lo)
@@ -603,7 +624,9 @@ def test_kernels_shared_with_scipy_sparse(solver_first):
         answers.append(solve())
         lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix([[2.0, 1.0], [0.0, 4.0]]))
         x = np.linspace(-1.0, 1.0, len(lp.lower))
-        product = bool(np.allclose(lp.matrix() @ x, lp.matrix().toarray() @ x, rtol=0, atol=1e-12))
+        A = scipy.sparse.csr_matrix((lp.data, lp.indices, lp.indptr),
+                                    shape=(len(lp.row_lo), len(lp.lower)))
+        product = bool(np.allclose(A @ x, A.toarray() @ x, rtol=0, atol=1e-12))
         shared = all(module is own is sys.modules[name] for name, module, own in zip(
             NAMES * len(answers), loaded, [_sparsetools, _superlu] * len(answers)))
         print(json.dumps([answers, lu.solve(np.array([3.0, 4.0])).tolist(), product, shared]))
@@ -619,17 +642,14 @@ def test_kernels_shared_with_scipy_sparse(solver_first):
 
 def test_solve_leaves_the_instance_alone():
     # single-term rows become column bounds and zero terms leave the matrix
-    # inside the solver; none of it may reach the shared matrix or store
+    # inside the solver; none of it may reach the store
     lp = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
-    text, A = mps_string(lp), lp.matrix()
-    stored = ("row_lo", "row_hi", "lower", "upper", "cost")
-    before = [A.data.copy(), A.indices.copy(), A.indptr.copy(),
-              *(getattr(lp, name).copy() for name in stored)]
+    text = mps_string(lp)
+    stored = ("data", "indices", "indptr", "row_lo", "row_hi", "lower", "upper", "cost")
+    before = [getattr(lp, name).copy() for name in stored]
     assert solve_reference(lp).is_optimal
-    after = lp.matrix()
-    assert after is A
-    for old, new in zip(before, [after.data, after.indices, after.indptr,
-                                 *(getattr(lp, name) for name in stored)]):
+    for old, name in zip(before, stored):
+        new = getattr(lp, name)
         assert not new.flags.writeable
         assert np.array_equal(old, new)
     assert mps_string(lp) == text
@@ -644,8 +664,8 @@ def test_refactorizations_counted():
 
 
 def check_primal_by_rows(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7):
-    """Reference: the per-row loop ``check_primal`` was before it read
-    ``LpInstance.matrix()``."""
+    """Reference: the per-row loop ``check_primal`` was before it read the
+    store's CSR arrays."""
     violated = []
     for j, ref in enumerate(instance.variables):
         if primal[j] < ref.lower - tol or primal[j] > ref.upper + tol:
@@ -676,13 +696,13 @@ class TestCheckPrimal:
 
     @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
     def test_row_sums_are_the_scipy_product(self, case):
-        # A @ x from the store's arrays is lp.matrix() @ x bit for bit, inf
-        # and NaN entries included, and a row that is not finite is violated
+        # A @ x from the store's arrays is scipy's CSR product bit for bit,
+        # inf and NaN entries included, and a row that is not finite is violated
         lp = build_model(PIVOTS[case][0](), Approach.TWO_BB_2F)
         x = np.random.default_rng(5).normal(0.0, 10.0, len(lp.lower))
         x[[1, 4, 9]] = [np.inf, -np.inf, np.nan]
         lhs = solver._row_sums(lp, x)
-        expected = lp.matrix() @ x
+        expected = csr(lp) @ x
         assert lhs.tobytes() == expected.tobytes()
         assert not np.isfinite(expected).all()
         bad = ~np.isfinite(expected) | (expected < lp.row_lo - 1e-7) | (expected > lp.row_hi + 1e-7)
@@ -755,14 +775,25 @@ def test_pricing_divides_by_the_column_norm():
 
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
 def test_bland_fallback_agrees_with_dantzig(approach, monkeypatch):
+    # the columns each solve enters, read as the pivot puts them in the basis
+    paths: list[list[int]] = []
+    push_eta = solver._Basis.push_eta
+
+    def spy(basis, row, column):
+        paths[-1].append(int(basis.basic[row]))
+        push_eta(basis, row, column)
+
+    monkeypatch.setattr(solver._Basis, "push_eta", spy)
     lp = build_model(hybrid_fixture(), approach)
+    paths.append([])
     priced = solve_reference(lp)
     assert priced.bland_from is None
     # a window of one hands pricing to Bland's rule at the first
     # non-improving pivot
     monkeypatch.setattr(solver, "_STALL_WINDOW", 1)
+    paths.append([])
     bland = solve_reference(lp)
-    assert bland.iterations != priced.iterations
+    assert paths[0] and paths[1] != paths[0]
     assert abs(bland.objective - priced.objective) < 1e-9
     assert check_primal(lp, bland.primal) == []
     assert 1 < bland.bland_from < bland.iterations
