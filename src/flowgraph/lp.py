@@ -131,6 +131,10 @@ _CHECK_TERMS = 1 << 14
 #: the table that row ``family`` codes index
 FAMILIES = tuple(RowFamily)
 
+#: the keywords of a store, as :meth:`LpInstance.from_store` takes them
+_STORE_KEYS = ("indptr", "indices", "data", "row_lo", "row_hi", "family", "row_blocks",
+               "lower", "upper", "integral", "col_blocks", "cost")
+
 
 def by_column(indptr: np.ndarray, indices: np.ndarray, n: int):
     """The entries of CSR rows ``indptr``/``indices`` over ``n`` columns, in
@@ -237,7 +241,14 @@ class LpInstance:
         """An instance over a store given as keywords: the arrays the module
         docstring names, ``row_blocks`` as ``(name prefixes, timesteps)`` and
         ``col_blocks`` as ``(role, key, timesteps)``, in order (a ``None``
-        timestep adds no suffix)."""
+        timestep adds no suffix).  A missing or unknown keyword raises
+        InvariantViolation naming it."""
+        for key in _STORE_KEYS:
+            if key not in store:
+                raise InvariantViolation(f"{name}: store has no {key!r}")
+        for key in store:
+            if key not in _STORE_KEYS:
+                raise InvariantViolation(f"{name}: unknown store key {key!r}")
         instance = cls.__new__(cls)
         instance._fill(name, **store)
         return instance
@@ -292,7 +303,8 @@ class LpInstance:
     def check(self) -> None:
         """Reject a malformed instance, naming the first offending row or column.
 
-        No row bound, column bound or cost may be NaN.  Each term needs a
+        No row bound, column bound or cost may be NaN, and no lower bound
+        ``inf`` or upper bound ``-inf``, which no value meets.  Each term needs a
         column index in range, a finite non-zero coefficient and a column no
         earlier term of its row uses.  Terms are checked in blocks of whole
         rows, ``_CHECK_TERMS`` terms at most unless one row has more, so the
@@ -301,12 +313,17 @@ class LpInstance:
         """
         if "check" in self._views:
             return
-        for kind, keys, names in (("row", ("row_lo", "row_hi"), self.row_names),
-                                  ("column", ("lower", "upper", "cost"), self.col_names)):
-            for key in keys:
-                nan = np.flatnonzero(np.isnan(getattr(self, key)))
-                if nan.size:
-                    raise InvariantViolation(f"{kind} {names()[nan[0]]}: {key} is NaN")
+        # each key with the infinity it may not hold (NaN: none)
+        for kind, keys, names in (
+                ("row", (("row_lo", INF), ("row_hi", -INF)), self.row_names),
+                ("column", (("lower", INF), ("upper", -INF), ("cost", math.nan)), self.col_names)):
+            for key, wrong in keys:
+                values = getattr(self, key)
+                bad = np.flatnonzero(np.isnan(values) | (values == wrong))
+                if bad.size:
+                    value = values[bad[0]]
+                    raise InvariantViolation(f"{kind} {names()[bad[0]]}: {key} is "
+                                             f"{'NaN' if np.isnan(value) else value}")
         m, n, indptr = len(self.row_lo), len(self.lower), self.indptr
         start = 0
         while start < m:
@@ -429,8 +446,9 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     with no entry gets ``OBJ 0.0`` so that dimensions round-trip.  Range
     rows land in the RANGES section; integrality uses INTORG/INTEND markers.
     The objective row is named OBJ.  Coefficients print with ``repr``.
-    A row with no finite bound, or whose bounds cross, has no MPS form that
-    reads back as the same row, so it raises InvariantViolation naming it.
+    The instance is checked first (:meth:`LpInstance.check`).  A row with
+    no finite bound, or whose bounds cross, has no MPS form that reads back
+    as the same row, so it raises InvariantViolation naming it.
 
     Every section is written in blocks of about ``_BLOCK`` lines, so the
     writer holds the text of one block at a time, never the whole file.  Row
@@ -441,6 +459,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     a permutation that takes the row-ordered entries to column order; it
     and the row of each entry are released once COLUMNS is written.
     """
+    instance.check()
     row_lo, row_hi = instance.row_lo, instance.row_hi
     free = (row_lo == -INF) & (row_hi == INF)
     bad = np.flatnonzero(free | (row_lo > row_hi))

@@ -176,6 +176,45 @@ class TestCheck:
             LpInstance.from_store("toy", **store).check()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("row_lo", math.inf, "row r: row_lo is inf"),
+        ("row_hi", -math.inf, "row r: row_hi is -inf"),
+        ("lower", math.inf, "column f_c1_d_t1: lower is inf"),
+        ("upper", -math.inf, "column f_c1_d_t1: upper is -inf"),
+    ])
+    def test_infinity_on_the_wrong_side_is_refused(self, key, value, message, tmp_path):
+        # inf <= x + y <= inf read optimal at 0.0 with a violated row, and a
+        # column with both bounds at inf optimal with a NaN objective
+        variables = [VariableRef(VarRole.FLOW, (f"c{j}", "d"), 1, upper=1.0) for j in range(2)]
+        rows = [ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 2.0, [(0, 1.0), (1, 1.0)], "r")]
+        store = LpInstance("wrong", variables, rows, [(0, 1.0)]).store()
+        store[key] = store[key].copy()
+        store[key][{"row_lo": 0, "row_hi": 0}.get(key, 1)] = value
+        if key == "row_lo":
+            store["row_hi"] = np.array([math.inf])
+        if key == "row_hi":
+            store["row_lo"] = np.array([-math.inf])
+        if key == "lower":
+            store["upper"] = np.array([1.0, math.inf])
+        path = tmp_path / "wrong.mps"
+        for call in (lambda lp: lp.check(), solve_reference, lambda lp: write_mps(lp, str(path))):
+            with pytest.raises(InvariantViolation) as err:
+                call(LpInstance.from_store("wrong", **store))
+            assert str(err.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda store: store.pop("integral"), "toy: store has no 'integral'"),
+        (lambda store: store.update(costs=store["cost"]), "toy: unknown store key 'costs'"),
+    ])
+    def test_store_keys_named(self, change, message):
+        # a store without integral failed later, inside solve_reference
+        store = toy_instance().store()
+        change(store)
+        with pytest.raises(InvariantViolation) as err:
+            LpInstance.from_store("toy", **store)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("j", [3, 1, -1])
     def test_objective_column_out_of_range(self, j):
         with pytest.raises(ParseError) as err:
