@@ -23,13 +23,21 @@ infeasible before any pivot.  On tri-area T=24 3BB-4F it leaves 672 of
 in reverse, so the primal is in the LP's own columns.  The remaining rows
 become equalities through slack variables,
 infeasible starts get per-row artificials, and the basis is
-held as a sparse LU factorization with product-form eta updates.  The LU
-is computed afresh after every 16 updates: each forward and backward
-solve walks the whole eta file in Python, one dense column per eta,
-while a fresh COLAMD LU of these bases takes under a millisecond at
-T=24.  Of the intervals from 8 to 100, 16 gave the best geometric-mean
-solve time on the benchmark LPs.  The dense dot products of the backward
-solve fix the summation order, and so the pivot path.  Every nonbasic
+held as a sparse LU factorization with product-form updates, kept as one
+block (Bisschop & Meeraus, "Matrix augmentation and partitioning in the
+updating of the basis inverse", Math. Prog. 13, 1977): a forward or
+backward solve is the LU's solve plus a fixed handful of array
+operations, however many updates the block holds (see :class:`_Basis`).
+The LU is computed afresh after every 32 updates; of the intervals from
+16 to 64, 32 to 64 gave the best geometric-mean solve time on the T=24
+benchmark LPs, 16 was 8 % slower, and 32 keeps the block at 32 floats
+per row.  At each fresh LU the basic values are solved again from the
+nonbasic ones, which drops the rounding the steps since have left.  The
+block's dense products fix the summation order, and so the pivot path.
+The pivot loop keeps the basics' values, bounds and costs in basis
+order, and each column's allowed moves in two arrays that change only at
+the columns that enter and leave; it adds ``d_q`` times the entering
+column's move to the objective instead of recomputing it.  Every nonbasic
 value is set exactly to one of its bounds, or to 0 for a free column, so
 a column's bound status is read from its value with exact comparisons,
 however narrow its bounds.  Pricing enters the eligible column with the
@@ -75,7 +83,7 @@ _PIVOT_TOL = 1e-9
 # the iteration limit is 50 * (2 * rows + cols + 1), counting the rows and
 # columns the presolve drops
 _PIVOTS_PER_SIZE = 50
-_REFACTOR_EVERY = 16
+_REFACTOR_EVERY = 32
 _STALL_WINDOW = 1000
 # a doubleton equation never eliminates a column whose coefficient is below
 # this share of the other column's
@@ -121,17 +129,31 @@ def _columns(matrix: _Csc, basic: np.ndarray) -> _Csc:
 
 
 class _Basis:
-    """Sparse LU of the basis with product-form eta updates."""
+    """Sparse LU of the basis, with the column replacements made since it
+    was computed held as one block of product-form etas.
+
+    Replacement ``i`` put the column ``a`` with ``w_i = B^-1 a`` at basis
+    row ``r_i``.  Row ``i`` of ``V`` holds ``w_i - e_{r_i}``, ``rows`` the
+    ``r_i``, and ``T_inv`` the inverse of the lower-triangular ``T`` with
+    ``T[i, j] = V[j, r_i]`` for ``j < i`` and ``T[i, i] = w_i[r_i]``.  Then
+    ``B^-1 b = x0 - V^T (T^-1 x0[rows])`` with ``x0`` the LU's solve, and
+    ``B^-T c`` is the LU's solve of ``c - S^T (T^-T (V c))``, where ``S``
+    picks the ``rows``: a fixed handful of array operations, however many
+    replacements there are.
+    """
 
     def __init__(self, matrix: _Csc, basic: np.ndarray):
         self.matrix = matrix
         self.basic = basic
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.V = np.empty((_REFACTOR_EVERY, len(basic)))
+        self.rows = np.empty(_REFACTOR_EVERY, np.intp)
+        self.T_inv = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
+        self.count = 0
         self.factorizations = 0
         self.refactor()
 
     def refactor(self) -> None:
-        self.etas = []
+        self.count = 0
         B = _columns(self.matrix, self.basic)
         # what scipy.sparse.linalg.splu(B, permc_spec="COLAMD") passes, but
         # for a supernode relaxation of 1, which made the basis solves of
@@ -147,26 +169,32 @@ class _Basis:
         self.factorizations += 1
 
     def push_eta(self, row: int, column: np.ndarray) -> None:
-        self.etas.append((row, column))
-        if len(self.etas) >= _REFACTOR_EVERY:
+        """Record that ``column`` (``B^-1 a``) replaced basis row ``row``;
+        the block's last slot computes the LU afresh."""
+        k = self.count
+        self.V[k] = column
+        self.V[k, row] -= 1.0
+        self.rows[k] = row
+        # T gains the row (V[:k, row], w[row]): T_inv the row it borders with
+        self.T_inv[k, :k] = self.V[:k, row] @ self.T_inv[:k, :k] / -column[row]
+        self.T_inv[k, k] = 1.0 / column[row]
+        self.count = k + 1
+        if self.count >= _REFACTOR_EVERY:
             self.refactor()
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         x = self.lu.solve(rhs)
-        for r, w in self.etas:
-            xr = x[r] / w[r]
-            # a zero entry subtracts 0 * xr, which leaves x as it is
-            x -= w * xr
-            x[r] = xr
+        k = self.count
+        if k:
+            x -= (self.T_inv[:k, :k] @ x[self.rows[:k]]) @ self.V[:k]
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        y = rhs.astype(float)
-        for r, w in reversed(self.etas):
-            wr = w[r]
-            yr = y[r] / wr
-            y[r] = 0.0
-            y[r] = yr - (w @ y) / wr
+        y = np.array(rhs, float)
+        k = self.count
+        if k:
+            # a row replaced twice takes both of its terms
+            np.subtract.at(y, self.rows[:k], (self.V[:k] @ y) @ self.T_inv[:k, :k])
         return self.lu.solve(y, trans="T")
 
 
@@ -432,6 +460,7 @@ class _Simplex:
         self.upper = np.concatenate([upper, np.full(n_art, INF)])
         self.cost = np.concatenate([lp.cost, np.zeros(m + n_art)])
         self.value = np.concatenate([value, np.abs(residual)])
+        self.rhs = rhs
         self.basic = np.arange(n, n + m)
         self.basic[art_rows] = n + m + np.arange(n_art)
         self.basis: Optional[_Basis] = None
@@ -458,87 +487,125 @@ class _Simplex:
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
         tol = _FEAS_TOL
+        A, basis, basic = self.A, self.basis, self.basic
+        value, lower, upper, weight = self.value, self.lower, self.upper, self.weight
+        # the basics' values, bounds and costs, in basis order
+        x_B, l_B, u_B, c_B = value[basic], lower[basic], upper[basic], cost[basic]
+        # the moves each nonbasic column allows, -1 up and 1 down (0 for
+        # none), so d * move is what the objective gains per unit of move
+        up, down = np.where(value < upper, -1.0, 0.0), np.where(value > lower, 1.0, 0.0)
+        up[basic] = down[basic] = 0.0
+        d, gain, score = np.empty(len(cost)), np.empty(len(cost)), np.empty(len(cost))
+        eligible = np.empty(len(cost), bool)
         bland = False
-        best_obj = cost @ self.value
+        obj = best_obj = cost @ value
         stall = 0
-        while True:
-            if self.iterations >= self.max_iter:
-                return "iteration_limit"
-            y = self.basis.btran(cost[self.basic])
-            # A^T y: the CSC arrays of A, read as the CSR arrays of A^T
-            aty = np.zeros(len(cost))
-            self.sparsetools.csr_matvec(len(cost), self.m, *self.A, y, aty)
-            d = cost - aty
-            d[self.basic] = 0.0
+        if not len(cost):
+            return "optimal"
+        try:
+            while True:
+                if self.iterations >= self.max_iter:
+                    return "iteration_limit"
+                # d = c - A^T y: the CSC arrays of A, read as the CSR arrays of A^T
+                y = basis.btran(c_B)
+                d.fill(0.0)
+                self.sparsetools.csr_matvec(len(cost), self.m, *A, y, d)
+                np.subtract(cost, d, out=d)
 
-            # nonbasic values sit exactly on a bound (or at 0 if free), so
-            # exact comparisons give the status; basics have d == 0
-            can_up = (self.value < self.upper) & (d < -tol)
-            can_down = (self.value > self.lower) & (d > tol)
-            eligible = can_up | can_down
-            if not eligible.any():
-                return "optimal"
-            idx = np.flatnonzero(eligible)
-            if bland:
-                q = idx[0]
-            else:
-                q = idx[np.argmax(np.abs(d[idx]) * self.weight[idx])]
-            direction = 1.0 if can_up[q] else -1.0
-
-            column = np.zeros(self.m)
-            span = slice(self.A.indptr[q], self.A.indptr[q + 1])
-            column[self.A.indices[span]] = self.A.data[span]
-            w = self.basis.ftran(column)
-            # ratio test: entering variable moves by theta*direction, basics
-            # move by -direction*w; the tightest bound wins
-            step = -direction * w
-            jb = self.basic
-            vb, ub, lb = self.value[jb], self.upper[jb], self.lower[jb]
-            limits = np.full(self.m, INF)
-            np.divide(ub - vb, step, out=limits, where=(step > _PIVOT_TOL) & (ub < INF))
-            np.divide(lb - vb, step, out=limits, where=(step < -_PIVOT_TOL) & (lb > -INF))
-            np.maximum(limits, 0.0, out=limits)
-            theta_flip = self.upper[q] - self.lower[q]
-            lmin = limits.min() if self.m else INF
-            if min(lmin, theta_flip) >= INF:
-                return "unbounded" if phase == 2 else "infeasible"
-            leaving = -1
-            if lmin <= theta_flip:  # a basic variable blocks first
-                ties = np.flatnonzero(limits <= lmin + 1e-12)
+                # nonbasic values sit exactly on a bound (or at 0 if free),
+                # so the moves hold each column's bound status
+                np.multiply(d, up, out=gain)
+                np.multiply(d, down, out=score)
+                np.maximum(gain, score, out=gain)
+                np.greater(gain, tol, out=eligible)
                 if bland:
-                    leaving = ties[np.argmin(jb[ties])]
+                    q = eligible.argmax()
+                else:  # an ineligible column scores 0
+                    np.multiply(gain, eligible, out=gain)
+                    np.multiply(gain, weight, out=score)
+                    q = score.argmax()
+                if not eligible[q]:
+                    return "optimal"
+                direction = 1.0 if d[q] < 0 else -1.0
+
+                column = np.zeros(self.m)
+                span = slice(A.indptr[q], A.indptr[q + 1])
+                column[A.indices[span]] = A.data[span]
+                w = basis.ftran(column)
+                # ratio test: entering variable moves by theta*direction,
+                # basics move by -direction*w; the tightest bound wins
+                # basics whose step is within the pivot tolerance never block
+                step = w if direction < 0 else -w
+                moved = (np.abs(w) > _PIVOT_TOL).nonzero()[0]
+                s = step[moved]
+                limits = np.where(s > 0, u_B[moved], l_B[moved])
+                limits -= x_B[moved]
+                limits /= s
+                np.maximum(limits, 0.0, out=limits)
+                theta_flip = upper[q] - lower[q]
+                lmin = limits[limits.argmin()] if len(moved) else INF
+                if min(lmin, theta_flip) >= INF:
+                    return "unbounded" if phase == 2 else "infeasible"
+                leaving = -1
+                if lmin <= theta_flip:  # a basic variable blocks first
+                    ties = (limits <= lmin + 1e-12).nonzero()[0]
+                    t = ties[0]
+                    if len(ties) > 1:
+                        t = ties[np.argmin(basic[moved[ties]]) if bland
+                                 else np.argmax(np.abs(s[ties]))]
+                    leaving, theta = moved[t], limits[t]
                 else:
-                    leaving = ties[np.argmax(np.abs(w[ties]))]
-                theta = limits[leaving]
-            else:
-                theta = theta_flip
+                    theta = theta_flip
 
-            # iterations counts pivots and bound flips, not pricing rounds
-            self.iterations += 1
-            if bland and self.bland_from is None:
-                self.bland_from = self.iterations
-            if theta > 0:
-                self.value[jb] += step * theta
-                self.value[q] += direction * theta
-            else:
-                self.degenerate_pivots += 1
-            if leaving < 0:
-                # bound flip: entering variable crosses to its other bound
-                self.value[q] = self.upper[q] if direction > 0 else self.lower[q]
-            else:
-                self.value[jb[leaving]] = ub[leaving] if step[leaving] > 0 else lb[leaving]
-                self.basic[leaving] = q
-                self.basis.push_eta(leaving, w)
+                # iterations counts pivots and bound flips, not pricing rounds
+                self.iterations += 1
+                if bland and self.bland_from is None:
+                    self.bland_from = self.iterations
+                if theta > 0:
+                    x_B += step * theta
+                    value[q] += direction * theta
+                    obj += d[q] * direction * theta
+                else:
+                    self.degenerate_pivots += 1
+                if leaving < 0:
+                    # bound flip: entering variable crosses to its other bound
+                    value[q] = upper[q] if direction > 0 else lower[q]
+                    self._moves(up, down, q)
+                else:
+                    p = basic[leaving]
+                    value[p] = u_B[leaving] if step[leaving] > 0 else l_B[leaving]
+                    self._moves(up, down, p)
+                    up[q] = down[q] = 0.0
+                    x_B[leaving], l_B[leaving], u_B[leaving] = value[q], lower[q], upper[q]
+                    c_B[leaving] = cost[q]
+                    basic[leaving] = q
+                    basis.push_eta(leaving, w)
+                    if not basis.count:  # a fresh LU: drop the steps' rounding
+                        x_B[:] = self._solve_basics()
 
-            obj = cost @ self.value
-            if obj < best_obj - 1e-12:
-                best_obj = obj
-                stall = 0
-                bland = False  # the stall is over: weighted pricing resumes
-            else:
-                stall += 1
-                if stall >= _STALL_WINDOW:
-                    bland = True  # Bland's rule cannot cycle, so the stall ends
+                if obj < best_obj - 1e-12:
+                    best_obj = obj
+                    stall = 0
+                    bland = False  # the stall is over: weighted pricing resumes
+                else:
+                    stall += 1
+                    if stall >= _STALL_WINDOW:
+                        bland = True  # Bland's rule cannot cycle, so the stall ends
+        finally:
+            value[basic] = x_B
+
+    def _solve_basics(self) -> np.ndarray:
+        """The basics' values the nonbasic ones give: ``B x_B = rhs - N x_N``."""
+        nonbasic = self.value.copy()
+        nonbasic[self.basic] = 0.0
+        lhs = np.zeros(self.m)
+        self.sparsetools.csc_matvec(self.m, len(nonbasic), *self.A, nonbasic, lhs)
+        return self.basis.ftran(self.rhs - lhs)
+
+    def _moves(self, up: np.ndarray, down: np.ndarray, j: int) -> None:
+        """Set the moves of nonbasic column ``j`` from its value."""
+        up[j] = -1.0 if self.value[j] < self.upper[j] else 0.0
+        down[j] = 1.0 if self.value[j] > self.lower[j] else 0.0
 
 
 def solve_reference(instance: LpInstance) -> SolveResult:

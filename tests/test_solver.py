@@ -31,9 +31,10 @@ from flowgraph import (
     scale_horizon,
     solve_reference,
     tri_area_case,
+    write_mps,
     write_solution,
 )
-from flowgraph import solver
+from flowgraph import highs_adapter, solver
 from flowgraph.errors import InvariantViolation, ParseError
 from flowgraph.highs_adapter import scipy_extension
 from conftest import csr
@@ -256,7 +257,9 @@ class TestStatuses:
     @pytest.mark.parametrize("failing_call", [1, 3], ids=["first", "refactor"])
     def test_singular_basis_is_a_status(self, monkeypatch, tmp_path, failing_call):
         # SuperLU's error on a singular basis, at the first factorization
-        # and at a refactorization mid-solve
+        # and at a refactorization mid-solve; a short block of etas makes
+        # the third factorization come well before the optimum
+        monkeypatch.setattr(solver, "_REFACTOR_EVERY", 4)
         lp = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
         superlu = scipy_extension(solver._SUPERLU)
         real, calls = superlu.gstrf, []
@@ -524,7 +527,7 @@ class TestCheckedFirst:
 
 
 def test_basis_solves_track_replaced_columns():
-    # drive the eta file directly through more than two refactorizations,
+    # drive the eta block directly through more than two refactorizations,
     # checking both solves against the dense basis after every update
     rng = np.random.default_rng(3)
     m, extra = 12, 40
@@ -547,6 +550,43 @@ def test_basis_solves_track_replaced_columns():
         np.testing.assert_allclose(basis.btran(c), np.linalg.solve(dense.T, c), rtol=0,
                                    atol=1e-9)
     assert basis.factorizations == 1 + pushes // solver._REFACTOR_EVERY
+
+
+def test_fresh_lu_solves_the_basics_again(monkeypatch):
+    # at each fresh LU the basics' values are solved again from the
+    # nonbasic ones, B x_B = rhs - N x_N, as a dense solve gives them
+    real, checked = solver._Simplex._solve_basics, []
+
+    def spy(worker):
+        x_B = real(worker)
+        A = sp.csc_matrix((worker.A.data, worker.A.indices, worker.A.indptr),
+                          shape=(worker.m, len(worker.value)))
+        nonbasic = worker.value.copy()
+        nonbasic[worker.basic] = 0.0
+        dense = np.linalg.solve(A[:, worker.basic].toarray(), worker.rhs - A @ nonbasic)
+        np.testing.assert_allclose(x_B, dense, rtol=1e-12, atol=1e-9)
+        checked.append(worker.basis.factorizations)
+        return x_B
+
+    monkeypatch.setattr(solver._Simplex, "_solve_basics", spy)
+    result = solve_reference(build_model(PIVOTS["tri-area-t24"][0](), Approach.THREE_BB_4F))
+    assert result.is_optimal
+    # every factorization after the first, each on its own fresh LU
+    assert checked == list(range(2, result.refactorizations + 1)) and len(checked) >= 2
+
+
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+def test_tri_area_t168_matches_highs(approach, tmp_path):
+    # the longest horizon tier-1 solves, against HiGHS on the written MPS
+    lp = build_model(scale_horizon(tri_area_case(CaseSpec()), 168), approach)
+    result = solve_reference(lp)
+    assert result.is_optimal
+    assert check_primal(lp, result.primal) == []
+    path = str(tmp_path / "t168.mps")
+    write_mps(lp, path)
+    _, highs = highs_adapter.solve(path)
+    assert highs.status == "optimal"
+    assert abs(result.objective - highs.fun) <= 1e-9 * abs(highs.fun)
 
 
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
