@@ -66,15 +66,28 @@ TRI_AREA_T24 = {
 #   tri-area-t24 2BB-2F: 593596fd525f -> 37fdc1f617cd
 #   tri-area-t24 2BB-1F: d9a40df80921 -> e6b0be97cff4
 #   tri-area-t24 1BB-1F: 373dc57f962d -> 8567de5ecba7
+# Re-pinned when the basis updates became one block refactorized every 32
+# updates, with the basics solved again at each fresh LU: the hybrid
+# primals moved by at most 3.9e-15, tri-area T=24 3BB-4F and 2BB-1F by at
+# most 1.4e-12, and 2BB-2F and 1BB-1F reach other optimal vertices; every
+# objective stayed within 3.1e-16 relative.
+#   hybrid 3BB-4F: ff689c794daf -> 4691a8f49f7b
+#   hybrid 2BB-2F: fb9eafb443c3 -> 54f263f47517
+#   hybrid 2BB-1F: 3848fcd6049e -> 03aedff1a1ff
+#   hybrid 1BB-1F: 57d573592cf5 -> f1fc520d12a3
+#   tri-area-t24 3BB-4F: 54570543144d -> 9b1e7b17a3ff
+#   tri-area-t24 2BB-2F: 37fdc1f617cd -> 6353b8e205cf
+#   tri-area-t24 2BB-1F: e6b0be97cff4 -> 3567ff1b2146
+#   tri-area-t24 1BB-1F: 8567de5ecba7 -> 3587103c9f98
 SOLUTION_FILES = {
-    ("hybrid", "3BB-4F"): "ff689c794daf57aeb6bd968c778ee2a525200333d0c2547796ea676441d37cb6",
-    ("hybrid", "2BB-2F"): "fb9eafb443c3781f222521cab58d516223f71bb49c51edded2d8be8a8140fad7",
-    ("hybrid", "2BB-1F"): "3848fcd6049e237b00089cc280f6a47cb30ecb795c6f62aaf1302e6590183106",
-    ("hybrid", "1BB-1F"): "57d573592cf542ab3157b8e58f86c03dba06e36427d6582dcfd26b95ab0ab143",
-    ("tri-area-t24", "3BB-4F"): "54570543144d1110ee52337803a7ad2df06ae8d1213f574d90e564691f806395",
-    ("tri-area-t24", "2BB-2F"): "37fdc1f617cd57d88b809ddf892841662b3373e07fcfd2f05fd77ba2765e3038",
-    ("tri-area-t24", "2BB-1F"): "e6b0be97cff4236b7bff4ff620c1b06c6afd1f74bc7e55bb11280842382851df",
-    ("tri-area-t24", "1BB-1F"): "8567de5ecba73249574123600a8f09a59ad2f4cf237e8e8e7dc8470e5723a931",
+    ("hybrid", "3BB-4F"): "4691a8f49f7b493e2ffe7dcfab74b915ea43462eb58c89dd17304f5346ca5a25",
+    ("hybrid", "2BB-2F"): "54f263f475170f1e1c9945844afcb48c5dbd012e86fc49d1c68031c76c92aa0b",
+    ("hybrid", "2BB-1F"): "03aedff1a1ff28045ebfba55304d5a8ccc07d2f4ec5fca10c08e1d4ed75ff954",
+    ("hybrid", "1BB-1F"): "f1fc520d12a332f188cc8a4972303c4821d4edf55ebb0ad3ae032d2df834fd4a",
+    ("tri-area-t24", "3BB-4F"): "9b1e7b17a3ffb3f826e6f3c6bd9c7a7e0413c5412a2a86f86c61782ecceae4ea",
+    ("tri-area-t24", "2BB-2F"): "6353b8e205cfff4808387107177d6a4e8d2c93eebfc322fe744e1e0b95918307",
+    ("tri-area-t24", "2BB-1F"): "3567ff1b2146cb9b01491ba0c545e4d538c0c851847a2ac3180b4308c348ac91",
+    ("tri-area-t24", "1BB-1F"): "3587103c9f986149aedee754bf2a714dc94e09b49c4e7add3d2dc3992b82ce85",
 }
 
 DC_UC_1BB_1F = "baec1ef6cbbe2bf60201b5886c9e637118f31fc62ac7669daab4fa355c09113c"
