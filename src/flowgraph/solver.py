@@ -21,26 +21,20 @@ Bounds that cross by more than the feasibility tolerance make the LP
 infeasible before any pivot.  On tri-area T=24 3BB-4F it leaves 672 of
 1872 rows and 828 of 1428 columns.  A postsolve replays the eliminations
 in reverse, so the primal is in the LP's own columns.  The remaining rows
-become equalities through slack variables,
-infeasible starts get per-row artificials, and the basis is
-held as a sparse LU factorization with product-form updates, kept as one
-block (Bisschop & Meeraus, "Matrix augmentation and partitioning in the
-updating of the basis inverse", Math. Prog. 13, 1977): a forward or
-backward solve is the LU's solve plus a fixed handful of array
-operations, however many updates the block holds (see :class:`_Basis`).
-The LU is computed afresh after every 32 updates; of the intervals from
-16 to 64, 32 to 64 gave the best geometric-mean solve time on the T=24
-benchmark LPs, 16 was 8 % slower, and 32 keeps the block at 32 floats
-per row.  At each fresh LU the basic values are solved again from the
-nonbasic ones, which drops the rounding the steps since have left.  The
-block's dense products fix the summation order, and so the pivot path.
-The pivot loop keeps the basics' values, bounds and costs in basis
-order, and each column's allowed moves in two arrays that change only at
-the columns that enter and leave; it adds ``d_q`` times the entering
-column's move to the objective instead of recomputing it.  Every nonbasic
-value is set exactly to one of its bounds, or to 0 for a free column, so
-a column's bound status is read from its value with exact comparisons,
-however narrow its bounds.  Pricing enters the eligible column with the
+become equalities through slack variables, infeasible starts get per-row
+artificials, and the basis is held as a sparse LU with the product-form
+updates since kept as one block (Bisschop & Meeraus, Math. Prog. 13,
+1977), so a basis solve is the LU's solve plus a fixed handful of array
+operations.  The LU is computed afresh every 32 updates, and the basics
+are then solved again from the nonbasic values; of 16 to 64 updates, 32
+to 64 gave the best solve time on the T=24 benchmark LPs, and 16 was 8 %
+slower.  The block's dense products fix the summation order, and so the
+pivot path.  The pivot loop keeps the basics' values, bounds and costs
+in basis order, and the moves each column allows in two arrays changed
+only where columns enter and leave.  Every nonbasic value is set exactly
+to one of its bounds, or to 0 for a free column, so a column's bound
+status is read from its value with exact comparisons, however narrow its
+bounds.  Pricing enters the eligible column with the
 largest ``|d_j| / sqrt(1 + |a_j|^2)``, the first one on a tie.  These are
 steepest-edge weights taken once at the slack basis (Goldfarb & Reid
 1977; Forrest & Goldfarb 1992) and never updated, so a pivot costs what
@@ -129,17 +123,14 @@ def _columns(matrix: _Csc, basic: np.ndarray) -> _Csc:
 
 
 class _Basis:
-    """Sparse LU of the basis, with the column replacements made since it
-    was computed held as one block of product-form etas.
+    """Sparse LU of the basis and the replacements since, as one block.
 
-    Replacement ``i`` put the column ``a`` with ``w_i = B^-1 a`` at basis
-    row ``r_i``.  Row ``i`` of ``V`` holds ``w_i - e_{r_i}``, ``rows`` the
-    ``r_i``, and ``T_inv`` the inverse of the lower-triangular ``T`` with
-    ``T[i, j] = V[j, r_i]`` for ``j < i`` and ``T[i, i] = w_i[r_i]``.  Then
-    ``B^-1 b = x0 - V^T (T^-1 x0[rows])`` with ``x0`` the LU's solve, and
-    ``B^-T c`` is the LU's solve of ``c - S^T (T^-T (V c))``, where ``S``
-    picks the ``rows``: a fixed handful of array operations, however many
-    replacements there are.
+    Replacement ``i`` put a column ``w_i = B^-1 a`` at basis row ``r_i``.
+    Row ``i`` of ``V`` is ``w_i - e_{r_i}``, and ``T_inv`` inverts the lower
+    triangle ``T[i, j] = V[j, r_i]`` (``j < i``), ``T[i, i] = w_i[r_i]``.
+    Then ``B^-1 b`` is ``x - V^T (T^-1 x[rows])`` for the LU's solve ``x``,
+    and ``B^-T c`` the LU's solve of ``c - S^T (T^-T (V c))``, where ``S``
+    picks the ``rows``.
     """
 
     def __init__(self, matrix: _Csc, basic: np.ndarray):
@@ -169,8 +160,7 @@ class _Basis:
         self.factorizations += 1
 
     def push_eta(self, row: int, column: np.ndarray) -> None:
-        """Record that ``column`` (``B^-1 a``) replaced basis row ``row``;
-        the block's last slot computes the LU afresh."""
+        """``column``, ``B^-1 a``, replaced basis row ``row``."""
         k = self.count
         self.V[k] = column
         self.V[k, row] -= 1.0
@@ -185,16 +175,14 @@ class _Basis:
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         x = self.lu.solve(rhs)
         k = self.count
-        if k:
-            x -= (self.T_inv[:k, :k] @ x[self.rows[:k]]) @ self.V[:k]
+        x -= (self.T_inv[:k, :k] @ x[self.rows[:k]]) @ self.V[:k]
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
         y = np.array(rhs, float)
         k = self.count
-        if k:
-            # a row replaced twice takes both of its terms
-            np.subtract.at(y, self.rows[:k], (self.V[:k] @ y) @ self.T_inv[:k, :k])
+        # a row replaced twice takes both of its terms
+        np.subtract.at(y, self.rows[:k], (self.V[:k] @ y) @ self.T_inv[:k, :k])
         return self.lu.solve(y, trans="T")
 
 
@@ -486,22 +474,21 @@ class _Simplex:
         return status, self.value, self.iterations
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
+        if not len(cost):
+            return "optimal"
         tol = _FEAS_TOL
         A, basis, basic = self.A, self.basis, self.basic
         value, lower, upper, weight = self.value, self.lower, self.upper, self.weight
         # the basics' values, bounds and costs, in basis order
         x_B, l_B, u_B, c_B = value[basic], lower[basic], upper[basic], cost[basic]
         # the moves each nonbasic column allows, -1 up and 1 down (0 for
-        # none), so d * move is what the objective gains per unit of move
+        # none), so d * move is how far the objective falls per unit moved
         up, down = np.where(value < upper, -1.0, 0.0), np.where(value > lower, 1.0, 0.0)
         up[basic] = down[basic] = 0.0
         d, gain, score = np.empty(len(cost)), np.empty(len(cost)), np.empty(len(cost))
-        eligible = np.empty(len(cost), bool)
         bland = False
         obj = best_obj = cost @ value
         stall = 0
-        if not len(cost):
-            return "optimal"
         try:
             while True:
                 if self.iterations >= self.max_iter:
@@ -517,7 +504,7 @@ class _Simplex:
                 np.multiply(d, up, out=gain)
                 np.multiply(d, down, out=score)
                 np.maximum(gain, score, out=gain)
-                np.greater(gain, tol, out=eligible)
+                eligible = gain > tol
                 if bland:
                     q = eligible.argmax()
                 else:  # an ineligible column scores 0
@@ -533,8 +520,8 @@ class _Simplex:
                 column[A.indices[span]] = A.data[span]
                 w = basis.ftran(column)
                 # ratio test: entering variable moves by theta*direction,
-                # basics move by -direction*w; the tightest bound wins
-                # basics whose step is within the pivot tolerance never block
+                # basics move by -direction*w; the tightest bound wins, and a
+                # basic whose step is within the pivot tolerance never blocks
                 step = w if direction < 0 else -w
                 moved = (np.abs(w) > _PIVOT_TOL).nonzero()[0]
                 s = step[moved]
