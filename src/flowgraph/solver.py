@@ -522,12 +522,11 @@ class _Simplex:
                 # ratio test: entering variable moves by theta*direction,
                 # basics move by -direction*w; the tightest bound wins, and a
                 # basic whose step is within the pivot tolerance never blocks
-                step = w if direction < 0 else -w
                 moved = (np.abs(w) > _PIVOT_TOL).nonzero()[0]
-                s = step[moved]
-                limits = np.where(s > 0, u_B[moved], l_B[moved])
+                step = w[moved] if direction < 0 else -w[moved]
+                limits = np.where(step > 0, u_B[moved], l_B[moved])
                 limits -= x_B[moved]
-                limits /= s
+                limits /= step
                 np.maximum(limits, 0.0, out=limits)
                 theta_flip = upper[q] - lower[q]
                 lmin = limits[limits.argmin()] if len(moved) else INF
@@ -539,7 +538,7 @@ class _Simplex:
                     t = ties[0]
                     if len(ties) > 1:
                         t = ties[np.argmin(basic[moved[ties]]) if bland
-                                 else np.argmax(np.abs(s[ties]))]
+                                 else np.argmax(np.abs(step[ties]))]
                     leaving, theta = moved[t], limits[t]
                 else:
                     theta = theta_flip
@@ -549,7 +548,7 @@ class _Simplex:
                 if bland and self.bland_from is None:
                     self.bland_from = self.iterations
                 if theta > 0:
-                    x_B += step * theta
+                    x_B -= w * (direction * theta)
                     value[q] += direction * theta
                     obj += d[q] * direction * theta
                 else:
@@ -560,7 +559,7 @@ class _Simplex:
                     self._moves(up, down, q)
                 else:
                     p = basic[leaving]
-                    value[p] = u_B[leaving] if step[leaving] > 0 else l_B[leaving]
+                    value[p] = u_B[leaving] if step[t] > 0 else l_B[leaving]
                     self._moves(up, down, p)
                     up[q] = down[q] = 0.0
                     x_B[leaving], l_B[leaving], u_B[leaving] = value[q], lower[q], upper[q]
