@@ -26,10 +26,10 @@ artificials, and the basis is held as a sparse LU with the product-form
 updates since kept as one block (Bisschop & Meeraus, Math. Prog. 13,
 1977), so a basis solve is the LU's solve plus a fixed handful of array
 operations.  The LU is computed afresh every 32 updates, and the basics
-are then solved again from the nonbasic values; of 16 to 64 updates, 32
-to 64 gave the best solve time on the T=24 benchmark LPs, and 16 was 8 %
-slower.  The block's dense products fix the summation order, and so the
-pivot path.  The pivot loop keeps the basics' values, bounds and costs
+are then solved again from the nonbasic values.  Of 16 to 64 updates,
+32 to 64 gave the best solve time on the T=24 benchmark LPs, 16 was about
+10 % slower, and at instance 1 48 and 64 were no faster than 32.  The
+block's dense products fix the summation order, and so the pivot path.  The pivot loop keeps the basics' values, bounds and costs
 in basis order, and the moves each column allows in two arrays changed
 only where columns enter and leave.  Every nonbasic value is set exactly
 to one of its bounds, or to 0 for a free column, so a column's bound

@@ -698,7 +698,7 @@ def test_solve_leaves_the_instance_alone():
 def test_refactorizations_counted():
     result = solve_reference(build_model(hybrid_fixture(), Approach.TWO_BB_2F))
     assert result.is_optimal
-    # one factorization at the start, then one per full eta file; a bound
+    # one factorization at the start, then one per full eta block; a bound
     # flip pushes no eta
     assert 1 <= result.refactorizations <= 1 + result.iterations // solver._REFACTOR_EVERY
 
