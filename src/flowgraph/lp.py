@@ -131,10 +131,6 @@ _CHECK_TERMS = 1 << 14
 #: the table that row ``family`` codes index
 FAMILIES = tuple(RowFamily)
 
-#: the keywords of a store, as :meth:`LpInstance.from_store` takes them
-_STORE_KEYS = ("indptr", "indices", "data", "row_lo", "row_hi", "family", "row_blocks",
-               "lower", "upper", "integral", "col_blocks", "cost")
-
 
 def by_column(indptr: np.ndarray, indices: np.ndarray, n: int):
     """The entries of CSR rows ``indptr``/``indices`` over ``n`` columns, in
@@ -243,12 +239,11 @@ class LpInstance:
         ``col_blocks`` as ``(role, key, timesteps)``, in order (a ``None``
         timestep adds no suffix).  A missing or unknown keyword raises
         InvariantViolation naming it."""
-        for key in _STORE_KEYS:
-            if key not in store:
-                raise InvariantViolation(f"{name}: store has no {key!r}")
-        for key in store:
-            if key not in _STORE_KEYS:
-                raise InvariantViolation(f"{name}: unknown store key {key!r}")
+        expected = cls().store().keys()  # the keys an empty instance holds
+        missing, unknown = expected - store.keys(), store.keys() - expected
+        if missing or unknown:
+            raise InvariantViolation(f"{name}: store has no {min(missing)!r}" if missing
+                                     else f"{name}: unknown store key {min(unknown)!r}")
         instance = cls.__new__(cls)
         instance._fill(name, **store)
         return instance
