@@ -37,7 +37,7 @@ from flowgraph import (
 from flowgraph import highs_adapter, solver
 from flowgraph.errors import InvariantViolation, ParseError
 from flowgraph.highs_adapter import scipy_extension
-from conftest import csr
+from conftest import against_highs, csr
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
@@ -579,14 +579,7 @@ def test_fresh_lu_solves_the_basics_again(monkeypatch):
 def test_tri_area_t168_matches_highs(approach, tmp_path):
     # the longest horizon tier-1 solves, against HiGHS on the written MPS
     lp = build_model(scale_horizon(tri_area_case(CaseSpec()), 168), approach)
-    result = solve_reference(lp)
-    assert result.is_optimal
-    assert check_primal(lp, result.primal) == []
-    path = str(tmp_path / "t168.mps")
-    write_mps(lp, path)
-    _, highs = highs_adapter.solve(path)
-    assert highs.status == "optimal"
-    assert abs(result.objective - highs.fun) <= 1e-9 * abs(highs.fun)
+    assert against_highs(lp, str(tmp_path / "t168.mps"))[2] == []
 
 
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
