@@ -298,20 +298,22 @@ class LpInstance:
     def check(self) -> None:
         """Reject a malformed instance, naming the first offending row or column.
 
-        No row bound, column bound or cost may be NaN, and no lower bound
-        ``inf`` or upper bound ``-inf``, which no value meets.  Each term needs a
-        column index in range, a finite non-zero coefficient and a column no
-        earlier term of its row uses.  Terms are checked in blocks of whole
-        rows, ``_CHECK_TERMS`` terms at most unless one row has more, so the
-        extra memory does not grow with the instance.  A passed check is
-        remembered, since the store is read-only, so a second call is free.
+        No row bound, column bound or cost may be NaN, no lower bound ``inf``
+        or upper bound ``-inf``, which no value meets, and no cost infinite.
+        Each term needs a column index in range, a finite non-zero
+        coefficient and a column no earlier term of its row uses.  Terms are
+        checked in blocks of whole rows, ``_CHECK_TERMS`` terms at most unless
+        one row has more, so the extra memory does not grow with the
+        instance.  A passed check is remembered, since the store is
+        read-only, so a second call is free.
         """
         if "check" in self._views:
             return
-        # each key with the infinity it may not hold (NaN: none)
+        # each key with an infinity it may not hold, besides NaN
         for kind, keys, names in (
                 ("row", (("row_lo", INF), ("row_hi", -INF)), self.row_names),
-                ("column", (("lower", INF), ("upper", -INF), ("cost", math.nan)), self.col_names)):
+                ("column", (("lower", INF), ("upper", -INF), ("cost", INF), ("cost", -INF)),
+                 self.col_names)):
             for key, wrong in keys:
                 values = getattr(self, key)
                 bad = np.flatnonzero(np.isnan(values) | (values == wrong))

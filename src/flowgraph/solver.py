@@ -21,31 +21,33 @@ Bounds that cross by more than the feasibility tolerance make the LP
 infeasible before any pivot.  On tri-area T=24 3BB-4F it leaves 672 of
 1872 rows and 828 of 1428 columns.  A postsolve replays the eliminations
 in reverse, so the primal is in the LP's own columns.  The remaining rows
-become equalities through slack variables, infeasible starts get per-row
-artificials, and the basis is held as a sparse LU with the product-form
-updates since kept as one block (Bisschop & Meeraus, Math. Prog. 13,
-1977), so a basis solve is the LU's solve plus a fixed handful of array
-operations.  The LU is computed afresh every 32 updates, and the basics
-are then solved again from the nonbasic values.  Of 16 to 64 updates,
-32 to 64 gave the best solve time on the T=24 benchmark LPs, 16 was about
-10 % slower, and at instance 1 48 and 64 were no faster than 32.  The
-block's dense products fix the summation order, and so the pivot path.  The pivot loop keeps the basics' values, bounds and costs
-in basis order, and the moves each column allows in two arrays changed
-only where columns enter and leave.  Every nonbasic value is set exactly
-to one of its bounds, or to 0 for a free column, so a column's bound
-status is read from its value with exact comparisons, however narrow its
-bounds.  Pricing enters the eligible column with the
-largest ``|d_j| / sqrt(1 + |a_j|^2)``, the first one on a tie.  These are
-steepest-edge weights taken once at the slack basis (Goldfarb & Reid
-1977; Forrest & Goldfarb 1992) and never updated, so a pivot costs what
-a Dantzig pivot costs; dividing by the column norm stops a column's
-scale from deciding its rank, and the benchmark LPs at T=24 take about
-17 % fewer pivots than under Dantzig's largest ``|d_j|``.  After a stall
-window without progress, Bland's rule takes over until the objective
-improves again, which guarantees termination on the highly degenerate
-storage chains these models produce.  Weighted pricing resumes with the
-first improving pivot: Bland's rule kept to the end took tri-area T=168
-3BB-4F from about 6300 pivots to 57000.
+become equalities through slack variables, which start as the basis inside
+their bounds or not, and a composite phase 1 minimises the sum of the
+basics' bound violations (Maros 2003, ch. 9).  The basis is held as a
+sparse LU with the product-form updates since kept as one block (Bisschop
+& Meeraus, Math. Prog. 13, 1977), so a basis solve is the LU's solve plus
+a fixed handful of array operations.  The LU is computed afresh every 32
+updates, and the basics are then solved again from the nonbasic values.
+Of 16 to 64 updates, 32 to 64 gave the best solve time on the T=24
+benchmark LPs, 16 was about 10 % slower, and at instance 1 48 and 64 were
+no faster than 32.  The block's dense products fix the summation order,
+and so the pivot path.  The pivot loop keeps the basics' values, bounds
+and costs in basis order, and the moves each column allows in two arrays
+changed only where columns enter and leave.  Every nonbasic value is set
+exactly to one of its bounds, or to 0 for a free column, so a column's
+bound status is read from its value with exact comparisons, however narrow
+its bounds.  Pricing enters the eligible column with the largest
+``|d_j| / sqrt(1 + |a_j|^2)``, the first one on a tie.  These are
+steepest-edge weights taken once at the slack basis (Goldfarb & Reid 1977;
+Forrest & Goldfarb 1992) and never updated, so a pivot costs what a
+Dantzig pivot costs; dividing by the column norm stops a column's scale
+from deciding its rank, and the benchmark LPs at T=24 take about 17 %
+fewer pivots than under Dantzig's largest ``|d_j|``.  After a stall window
+without progress, Bland's rule takes over until the objective improves
+again, which guarantees termination on the highly degenerate storage
+chains these models produce.  Weighted pricing resumes with the first
+improving pivot: Bland's rule kept to the end took tri-area T=168 3BB-4F
+from about 6300 pivots to 57000.
 
 The command line and the bench harness name a solver by a label,
 ``reference`` or ``external:<spec.json>``, and :func:`solver_for` is the
@@ -416,41 +418,29 @@ class _Simplex:
         lower = np.concatenate([lp.lower, rhs - lp.row_hi])
         upper = np.concatenate([lp.upper, rhs - lp.row_lo])
 
-        # nonbasic columns start exactly at a finite bound, free ones at 0
+        # nonbasic columns start exactly at a finite bound, free ones at 0;
+        # the slack basis starts at rhs - A x_N, inside its bounds or not
         value = np.where(lower > -INF, lower, np.where(upper < INF, upper, 0.0))
-        # start from the slack basis; rows whose slack value violates its
-        # bounds get an artificial column instead
         Ax = np.zeros(m)
         self.sparsetools.csc_matvec(m, n, col_ptr, row_of, coef, value[:n], Ax)
-        s = rhs - Ax
-        lo, up = lower[n:], upper[n:]
-        art_rows = np.flatnonzero((s < lo - 1e-12) | (s > up + 1e-12))
-        self.n_art = n_art = len(art_rows)
-        value[n:] = s
-        value[n + art_rows] = np.clip(s[art_rows], lo[art_rows], up[art_rows])
-        residual = s[art_rows] - value[n + art_rows]
-        # [A I art]: each slack and artificial column holds one entry
-        self.A = _Csc(
-            np.concatenate([col_ptr, col_ptr[-1] + np.arange(1, m + n_art + 1, dtype=np.intc)]),
-            np.concatenate([row_of, np.arange(m, dtype=np.intc), art_rows.astype(np.intc)]),
-            np.concatenate([coef, np.ones(m), np.where(residual > 0, 1.0, -1.0)]),
-        )
+        value[n:] = rhs - Ax
+        # [A I]: each slack column holds one entry
+        self.A = _Csc(np.concatenate([col_ptr, col_ptr[-1] + np.arange(1, m + 1, dtype=np.intc)]),
+                      np.concatenate([row_of, np.arange(m, dtype=np.intc)]),
+                      np.concatenate([coef, np.ones(m)]))
         # steepest-edge reference weights: at the slack basis the edge that
         # column j opens has squared norm 1 + |a_j|^2; pricing divides |d_j|
         # by its root, so a column's scale no longer decides its rank.  The
         # sums are scipy's sum(axis=0) of a CSC matrix: one reduceat over
         # the columns that hold entries
-        norm2 = np.zeros(n + m + n_art)
+        norm2 = np.zeros(n + m)
         filled = np.flatnonzero(np.diff(self.A.indptr))
         norm2[filled] = np.add.reduceat(self.A.data ** 2, self.A.indptr[filled])
         self.weight = 1.0 / np.sqrt(1.0 + norm2)
-        self.lower = np.concatenate([lower, np.zeros(n_art)])
-        self.upper = np.concatenate([upper, np.full(n_art, INF)])
-        self.cost = np.concatenate([lp.cost, np.zeros(m + n_art)])
-        self.value = np.concatenate([value, np.abs(residual)])
+        self.lower, self.upper, self.value = lower, upper, value
+        self.cost = np.concatenate([lp.cost, np.zeros(m)])
         self.rhs = rhs
         self.basic = np.arange(n, n + m)
-        self.basic[art_rows] = n + m + np.arange(n_art)
         self.basis: Optional[_Basis] = None
         self.iterations = 0
         self.phase1_iterations = 0
@@ -459,18 +449,14 @@ class _Simplex:
 
     def solve(self) -> tuple[str, np.ndarray, int]:
         self.basis = _Basis(self.A, self.basic)
-        if self.n_art:
-            phase1 = np.zeros(len(self.cost))
-            phase1[-self.n_art:] = 1.0
-            status = self._iterate(phase1, phase=1)
-            self.phase1_iterations = self.iterations
-            if status != "optimal":
-                return status, self.value, self.iterations
-            if phase1 @ self.value > _FEAS_TOL:
-                return "infeasible", self.value, self.iterations
-            # forbid artificials from re-entering
-            self.upper[-self.n_art:] = 0.0
-        status = self._iterate(self.cost, phase=2)
+        # phase 1 prices no column's own cost, only the basics' violations
+        status = self._iterate(np.zeros(len(self.cost)), phase=1)
+        self.phase1_iterations = self.iterations
+        excess = np.maximum(self.value - self.upper, self.lower - self.value)
+        if status == "optimal" and excess[excess > 0].sum() > _FEAS_TOL:
+            status = "infeasible"
+        if status == "optimal":
+            status = self._iterate(self.cost, phase=2)
         return status, self.value, self.iterations
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
@@ -481,6 +467,16 @@ class _Simplex:
         value, lower, upper, weight = self.value, self.lower, self.upper, self.weight
         # the basics' values, bounds and costs, in basis order
         x_B, l_B, u_B, c_B = value[basic], lower[basic], upper[basic], cost[basic]
+        if phase == 1:
+            # a basic above its upper bound costs +1 and one below its lower
+            # bound -1; it moves away freely, but blocks at the bound it
+            # violates and leaves the basis there
+            above, below = x_B > u_B + 1e-12, x_B < l_B - 1e-12
+            if not (above.any() or below.any()):
+                return "optimal"
+            c_B = np.where(above, 1.0, np.where(below, -1.0, 0.0))
+            l_B, u_B = np.where(above, u_B, l_B), np.where(below, l_B, u_B)
+            l_B[below], u_B[above] = -INF, INF
         # the moves each nonbasic column allows, -1 up and 1 down (0 for
         # none), so d * move is how far the objective falls per unit moved
         up, down = np.where(value < upper, -1.0, 0.0), np.where(value > lower, 1.0, 0.0)
@@ -661,9 +657,9 @@ def _row_sums(instance: LpInstance, x: np.ndarray) -> np.ndarray:
     return lhs
 
 
-def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) -> list[str]:
+def check_primal(instance: LpInstance, primal: np.ndarray) -> list[str]:
     """Names of variable bounds (as ``bound:<name>``), then rows, violated by
-    ``primal`` beyond ``tol``, each in index order.
+    ``primal`` beyond the feasibility tolerance 1e-7, each in index order.
 
     ``primal`` holds one value per column, in column order, as
     :attr:`SolveResult.primal` does.  Rows are evaluated as ``A @ x`` by
@@ -678,10 +674,10 @@ def check_primal(instance: LpInstance, primal: np.ndarray, tol: float = 1e-7) ->
         raise InvariantViolation(
             f"primal of shape {x.shape} for an LP of {len(instance.lower)} columns")
     lhs = _row_sums(instance, x)
-    bad_cols = np.flatnonzero(
-        ~np.isfinite(x) | (x < instance.lower - tol) | (x > instance.upper + tol))
-    bad_rows = np.flatnonzero(
-        ~np.isfinite(lhs) | (lhs < instance.row_lo - tol) | (lhs > instance.row_hi + tol))
+    bad_cols = np.flatnonzero(~np.isfinite(x) | (x < instance.lower - _FEAS_TOL)
+                              | (x > instance.upper + _FEAS_TOL))
+    bad_rows = np.flatnonzero(~np.isfinite(lhs) | (lhs < instance.row_lo - _FEAS_TOL)
+                              | (lhs > instance.row_hi + _FEAS_TOL))
     cols = instance.col_names() if bad_cols.size else []
     rows = instance.row_names() if bad_rows.size else []
     return [f"bound:{cols[j]}" for j in bad_cols] + [rows[i] for i in bad_rows]

@@ -181,10 +181,13 @@ class TestCheck:
         ("row_hi", -math.inf, "row r: row_hi is -inf"),
         ("lower", math.inf, "column f_c1_d_t1: lower is inf"),
         ("upper", -math.inf, "column f_c1_d_t1: upper is -inf"),
+        ("cost", math.inf, "column f_c1_d_t1: cost is inf"),
+        ("cost", -math.inf, "column f_c1_d_t1: cost is -inf"),
     ])
     def test_infinity_on_the_wrong_side_is_refused(self, key, value, message, tmp_path):
-        # inf <= x + y <= inf read optimal at 0.0 with a violated row, and a
-        # column with both bounds at inf optimal with a NaN objective
+        # inf <= x + y <= inf read optimal at 0.0 with a violated row, a
+        # column with both bounds at inf optimal with a NaN objective, and a
+        # cost of inf optimal at inf, where HiGHS read a finite optimum
         variables = [VariableRef(VarRole.FLOW, (f"c{j}", "d"), 1, upper=1.0) for j in range(2)]
         rows = [ConstraintRow(RowFamily.FLOW_BOUND, 0.0, 2.0, [(0, 1.0), (1, 1.0)], "r")]
         store = LpInstance("wrong", variables, rows, [(0, 1.0)]).store()

@@ -287,6 +287,46 @@ def flows(*bounds) -> list:
             for j, (lo, hi) in enumerate(bounds)]
 
 
+class TestPhase1:
+    """Phase 1 starts from the slack basis, whether each slack is in its
+    bounds or not, and minimises the sum of the basics' violations."""
+
+    def test_slacks_above_and_below_their_bounds(self):
+        # x + y >= 3 and z - y <= 1, x and y in [0, 4], z in [2, 5]: at the
+        # start x = y = 0 and z = 2, so the slack 3 - x - y = 3 is above its
+        # upper bound 0 and the slack 1 - z + y = -1 below its lower bound 0
+        lp = LpInstance(
+            variables=flows((0.0, 4.0), (0.0, 4.0), (2.0, 5.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 3.0, np.inf, [(0, 1.0), (1, 1.0)], "r"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 1.0, [(1, -1.0), (2, 1.0)], "s")],
+            objective=[(0, 1.0), (1, 2.0), (2, 1.0)],
+        )
+        worker = solver._Simplex(solver.presolve(lp).lp, max_iter=100)
+        assert worker.value[3:].tolist() == [3.0, -1.0]
+        assert worker.upper[3] == 0.0 and worker.lower[4] == 0.0
+        result = solve_reference(lp)
+        assert result.is_optimal and result.phase1_iterations > 0
+        theirs = scipy_solve(lp)
+        assert theirs.status == 0 and result.objective == pytest.approx(theirs.fun, rel=1e-9)
+        assert check_primal(lp, result.primal) == []
+
+    def test_infeasible_after_phase1_pivots(self):
+        # x + y >= 3 and x - y <= 0.5 with x, y in [0, 1]: x enters at the
+        # first pivot, the second slack blocking at x = 0.5, and the sum of
+        # violations then stops at 1
+        lp = LpInstance(
+            variables=flows((0.0, 1.0), (0.0, 1.0)),
+            rows=[ConstraintRow(RowFamily.FLOW_BOUND, 3.0, np.inf, [(0, 1.0), (1, 1.0)], "r"),
+                  ConstraintRow(RowFamily.FLOW_BOUND, -np.inf, 0.5, [(0, 1.0), (1, -1.0)], "s")],
+            objective=[(0, 1.0)],
+        )
+        assert solver.presolve(lp).status is None
+        result = solve_reference(lp)
+        assert result.status == "infeasible" and result.primal is None
+        assert result.phase1_iterations == result.iterations > 0
+        assert scipy_solve(lp).status == 2
+
+
 class TestPresolve:
     def test_chain_is_substituted_away(self):
         # x = 2y and y = z + 1 with x in [0, 10], y free and z in [0, 3]:
@@ -606,23 +646,22 @@ def test_basis_columns_match_fancy_indexing(case, approach):
 @pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
 @pytest.mark.parametrize("case", ["hybrid", "tri-area-t24"])
 def test_solver_matrix_is_scipy_assembly(case, approach):
-    # the simplex assembles [A I art], its start values and its weights from
-    # the presolved LP's CSR arrays; built through scipy.sparse as they once
+    # the simplex assembles [A I], its start values and its weights from the
+    # presolved LP's CSR arrays; built through scipy.sparse as they once
     # were, they must come out the same bit for bit, or the pivots move
     lp = solver.presolve(build_model(PIVOTS[case][0](), approach)).lp
     worker = solver._Simplex(lp, max_iter=0)
     A = csr(lp).tocsc()
     m, n = A.shape
-    assert worker.m == m and worker.n_art > 0
+    assert worker.m == m and len(worker.A.indptr) == n + m + 1
+    assert worker.basic.tolist() == list(range(n, n + m))
+    # every slack starts basic at rhs - A x_N, some of them outside their
+    # bounds, which leaves phase 1 work to do
     rhs = np.where(np.isfinite(lp.row_hi), lp.row_hi, lp.row_lo)
     s = rhs - A @ worker.value[:n]
-    art_rows = np.flatnonzero(worker.basic >= n + m)
-    slack_rows = np.setdiff1d(np.arange(m), art_rows)
-    assert worker.value[n + slack_rows].tobytes() == s[slack_rows].tobytes()
-    clipped = np.clip(s[art_rows], worker.lower[n + art_rows], worker.upper[n + art_rows])
-    art = sp.csc_matrix((np.where(s[art_rows] > clipped, 1.0, -1.0),
-                         (art_rows, np.arange(worker.n_art))), shape=(m, worker.n_art))
-    expected = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
+    assert worker.value[n:].tobytes() == s.tobytes()
+    assert ((s < worker.lower[n:]) | (s > worker.upper[n:])).any()
+    expected = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
     for name, dtype in (("indptr", np.intc), ("indices", np.intc), ("data", np.float64)):
         got = getattr(worker.A, name)
         assert got.dtype == dtype and np.array_equal(got, getattr(expected, name))
