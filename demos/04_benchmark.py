@@ -11,6 +11,7 @@ Run:  python3 demos/04_benchmark.py
 """
 
 from flowgraph import Approach, BenchConfig, run_benchmark
+from flowgraph.bench import REFERENCE
 
 config = BenchConfig(
     approaches=(Approach.TWO_BB_2F, Approach.ONE_BB_1F),
@@ -26,7 +27,7 @@ for s in report.samples:
           f"{s.build_time_s:>10.4f}{s.solve_time_s:>10.4f}")
 
 for approach, label, build, solve in report.speedups:
-    print(f"\n{approach} vs {config.reference.value} on {label}: "
+    print(f"\n{approach} vs {REFERENCE.value} on {label}: "
           f"median build speedup x{build:.2f}, median solve speedup x{solve:.2f}")
 for approach, label, t in report.ttests:
     print(f"solve-time t-test ({approach} on {label}): t={t.t_statistic:.3f}, "

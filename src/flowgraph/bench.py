@@ -11,7 +11,6 @@ a brute-force oracle that shares no code with scipy.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import random
@@ -22,14 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cases import CaseSpec, hybrid_fixture, scale_horizon, tri_area_case
+from .cases import resolve_case
 from .errors import (
     DegenerateVariance,
     EmptySample,
     InvariantViolation,
     IoFailure,
     ObjectiveMismatch,
-    ParseError,
     SolverFailure,
 )
 from .formulation import Approach, build_model
@@ -40,17 +38,8 @@ from .solver import solver_for
 #: builds timed back to back for one build sample
 _BUILDS_PER_SAMPLE = 5
 
-#: each field of a BenchConfig JSON file: its type and, for a list, its items' type
-_JSON_FIELDS = {
-    "approaches": (list, str), "instances": (list, int), "horizons": (list, int),
-    "n_seeds": (int, None), "alpha": ((int, float), None), "reference": (str, None),
-    "case": (str, None), "solver": (str, None),
-}
-
-
-def _is(value, kind) -> bool:
-    # JSON true and false are no numbers
-    return isinstance(value, kind) and not isinstance(value, bool)
+#: the approach every other one is timed against
+REFERENCE = Approach.TWO_BB_2F
 
 
 @dataclass(frozen=True)
@@ -59,50 +48,29 @@ class BenchConfig:
 
     approaches: tuple[Approach, ...]
     instances: tuple[int, ...] = (1,)
-    horizons: Optional[tuple[int, ...]] = None  # overrides instances at desk scale
+    horizons: Optional[tuple[int, ...]] = None  # scale the one instance to each
     n_seeds: int = 30
-    reference: Approach = Approach.TWO_BB_2F
     solver: str = "reference"  # a label, as solver_for takes it
-    alpha: float = 0.05
     case: str = "tri-area"
 
     def __post_init__(self):
-        if self.reference not in self.approaches:
-            raise InvariantViolation("reference approach must be benchmarked too")
+        if REFERENCE not in self.approaches:
+            raise InvariantViolation(f"the reference {REFERENCE.value} must be benchmarked too")
         if self.n_seeds < 2:
             raise InvariantViolation("need at least two seeds")
-        if not 0 < self.alpha < 1:
-            raise InvariantViolation("alpha must lie in (0, 1)")
         if self.case not in ("tri-area", "hybrid"):
             raise InvariantViolation(f"unknown case {self.case!r}; use tri-area or hybrid")
+        if self.horizons is not None and len(self.instances) != 1:
+            raise InvariantViolation("horizons scale one instance; "
+                                     f"got instances {list(self.instances)}")
         solver_for(self.solver)  # a bad label or spec fails here, not mid-run
 
-    @classmethod
-    def from_json(cls, path: str) -> "BenchConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or "approaches" not in raw:
-            raise ParseError(f"{path}: expected an object with an 'approaches' field")
-        for key, (kind, item) in _JSON_FIELDS.items():
-            value = raw.get(key)
-            if key in raw and not (
-                    _is(value, kind) and (item is None or all(_is(v, item) for v in value))):
-                raise ParseError(f"{path}: bad {key} {value!r}")
-        return cls(
-            approaches=tuple(Approach.from_label(a) for a in raw["approaches"]),
-            instances=tuple(raw.get("instances", (1,))),
-            horizons=tuple(raw["horizons"]) if "horizons" in raw else None,
-            n_seeds=raw.get("n_seeds", 30),
-            reference=Approach.from_label(raw.get("reference", "2BB-2F")),
-            solver=raw.get("solver", "reference"),
-            alpha=raw.get("alpha", 0.05),
-            case=raw.get("case", "tri-area"),
-        )
-
-    def labels(self) -> tuple[tuple[str, object], ...]:
+    def labels(self) -> tuple[tuple[str, int, Optional[int]], ...]:
+        """``(label, instance, horizon)`` per system timed; a ``None``
+        horizon keeps the instance's own."""
         if self.horizons is not None:
-            return tuple((f"T{t}", t) for t in self.horizons)
-        return tuple((f"i{i}", i) for i in self.instances)
+            return tuple((f"T{t}", self.instances[0], t) for t in self.horizons)
+        return tuple((f"i{i}", i, None) for i in self.instances)
 
 
 @dataclass(frozen=True)
@@ -208,15 +176,6 @@ def _shuffled(instance: LpInstance, seed: int) -> LpInstance:
     return LpInstance.from_store(f"{instance.name}:s{seed}", **store)
 
 
-def _system_for(config: BenchConfig, label_value) -> object:
-    if config.case == "hybrid":
-        base = hybrid_fixture()
-        return scale_horizon(base, label_value) if config.horizons else base
-    if config.horizons is not None:
-        return scale_horizon(tri_area_case(CaseSpec(instance=1)), label_value)
-    return tri_area_case(CaseSpec(instance=label_value))
-
-
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Time builds and solves per (approach, instance, seed).
 
@@ -233,8 +192,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     solve = solver_for(config.solver)
     shuffle = config.solver == "reference"
     objectives: dict[tuple[str, int], float] = {}
-    for label, label_value in config.labels():
-        system = _system_for(config, label_value)
+    for label, instance_id, horizon in config.labels():
+        system = resolve_case(config.case, instance_id, horizon)
         for approach in config.approaches:
             build_model(system, approach)  # warm-up, discarded
         for seed in range(config.n_seeds):
@@ -279,11 +238,11 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             if s.approach is approach and s.instance == label
         ]
 
-    for label, _ in config.labels():
-        ref_build = times(config.reference, label, "build_time_s")
-        ref_solve = times(config.reference, label, "solve_time_s")
+    for label, _, _ in config.labels():
+        ref_build = times(REFERENCE, label, "build_time_s")
+        ref_solve = times(REFERENCE, label, "solve_time_s")
         for approach in config.approaches:
-            if approach is config.reference:
+            if approach is REFERENCE:
                 continue
             build = times(approach, label, "build_time_s")
             solve = times(approach, label, "solve_time_s")
@@ -296,7 +255,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 )
             )
             report.ttests.append(
-                (approach.value, label, two_sample_t_test(ref_solve, solve, config.alpha))
+                (approach.value, label, two_sample_t_test(ref_solve, solve))
             )
     return report
 

@@ -4,13 +4,17 @@ The tri-area generator reconstructs the published structure of the case
 study (three interconnected electric areas plus gas, heat and hydrogen
 chains) with synthetic profiles from a fixed-seed linear congruential
 recurrence, so every build is reproducible without external data.
+:func:`resolve_case` turns a case label, as the CLI and the bench take
+it, into a system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
+from .csvio import load_case
 from .errors import InvariantViolation
 from .model import Asset, AssetKind, EnergySystem, FlowArc, HubAnnotation
 
@@ -266,3 +270,19 @@ def scale_horizon(system: EnergySystem, T: int) -> EnergySystem:
         if changes:
             out.assets[asset_id] = replace(asset, **changes)
     return out
+
+
+def resolve_case(case: str, instance: int = 1, T: Optional[int] = None,
+                 seed: int = 13) -> EnergySystem:
+    """The system a case label names: ``hybrid``, ``tri-area`` (tri-area
+    ``instance`` from case ``seed``) or ``csv:<dir>`` (a CSV bundle),
+    scaled to horizon ``T`` when one is given."""
+    if case == "hybrid":
+        system = hybrid_fixture()
+    elif case == "tri-area":
+        system = tri_area_case(CaseSpec(seed=seed, instance=instance))
+    elif case.startswith("csv:"):
+        system = load_case(case[len("csv:"):])
+    else:
+        raise InvariantViolation(f"unknown case {case!r}; use hybrid, tri-area or csv:<dir>")
+    return system if T is None else scale_horizon(system, T)

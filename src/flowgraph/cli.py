@@ -10,25 +10,23 @@ phase-1 and degenerate pivots, refactorizations and ``bland_from``.
 
 ``--solver`` takes a solver label as :func:`flowgraph.solver.solver_for`
 does: ``reference`` (the bundled simplex, the default) or
-``external:<spec.json>`` (a subprocess described by a JSON spec).  When
-``--solver`` is omitted, a spec path in the ``FLOWGRAPH_SOLVER``
-environment variable stands for ``external:<that path>``.
+``external:<spec.json>`` (a subprocess described by a JSON spec).
+``bench`` takes its whole configuration as flags: ``--instance`` and
+``--T`` take one value or more, and ``--T`` scales the one instance.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from .bench import BenchConfig, run_benchmark, write_report
-from .cases import CaseSpec, hybrid_fixture, scale_horizon, tri_area_case
-from .csvio import export_case, load_case
+from .bench import REFERENCE, BenchConfig, run_benchmark, write_report
+from .cases import resolve_case
+from .csvio import export_case
 from .errors import FlowgraphError
 from .formulation import ALL_APPROACHES, Approach, build_model
 from .lp import SolveResult, size_report, write_mps, write_solution
-from .model import EnergySystem
 from .solver import SOLVER_LABELS, check_primal, solver_for
 
 
@@ -43,25 +41,8 @@ def _case_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
-    spec = os.environ.get("FLOWGRAPH_SOLVER")
-    parser.add_argument("--solver", default=f"external:{spec}" if spec else "reference",
-                        help=f"{' | '.join(SOLVER_LABELS)} "
-                             "(default: external:$FLOWGRAPH_SOLVER if set, else reference)")
-
-
-def _resolve_case(args: argparse.Namespace) -> EnergySystem:
-    if args.case == "hybrid":
-        system = hybrid_fixture()
-    elif args.case == "tri-area":
-        system = tri_area_case(CaseSpec(seed=getattr(args, "seed", 13),
-                                        instance=args.instance))
-    elif args.case.startswith("csv:"):
-        system = load_case(args.case[len("csv:"):])
-    else:
-        raise FlowgraphError(f"unknown case {args.case!r}; use hybrid, tri-area or csv:<dir>")
-    if args.T is not None:
-        system = scale_horizon(system, args.T)
-    return system
+    parser.add_argument("--solver", default="reference",
+                        help=f"{' | '.join(SOLVER_LABELS)} (default: reference)")
 
 
 def _parse_approaches(raw: str) -> tuple[Approach, ...]:
@@ -90,7 +71,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    system = _resolve_case(args)
+    system = resolve_case(args.case, args.instance, args.T, args.seed)
     approach = Approach.from_label(args.approach)
     instance = build_model(system, approach, dc_opf=args.dc_opf,
                            unit_commitment=args.uc)
@@ -106,7 +87,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    system = _resolve_case(args)
+    system = resolve_case(args.case, args.instance, args.T, args.seed)
     approach = Approach.from_label(args.approach)
     instance = build_model(system, approach, dc_opf=args.dc_opf,
                            unit_commitment=args.uc)
@@ -128,7 +109,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    system = _resolve_case(args)
+    system = resolve_case(args.case, args.instance, args.T, args.seed)
     approaches = _parse_approaches(args.approaches)
     sizes = {}
     for approach in approaches:
@@ -171,18 +152,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.config:
-        config = BenchConfig.from_json(args.config)
-    else:
-        config = BenchConfig(
-            approaches=_parse_approaches(args.approaches),
-            horizons=(args.T,) if args.T is not None else None,
-            instances=(args.instance,),
-            n_seeds=args.n_seeds,
-        )
+    config = BenchConfig(
+        approaches=_parse_approaches(args.approaches),
+        instances=tuple(args.instance),
+        horizons=tuple(args.T) if args.T is not None else None,
+        n_seeds=args.n_seeds,
+        solver=args.solver,
+        case=args.case,
+    )
     report = run_benchmark(config)
     for approach, label, build, solve in report.speedups:
-        print(f"{approach} vs {config.reference.value} on {label}: "
+        print(f"{approach} vs {REFERENCE.value} on {label}: "
               f"build x{build:.3f}, solve x{solve:.3f}")
     for approach, label, tt in report.ttests:
         print(f"t-test {approach} on {label}: t={tt.t_statistic:.3f} "
@@ -194,14 +174,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_case(args: argparse.Namespace) -> int:
-    system = _resolve_case(args)
+    system = resolve_case(args.case, args.instance, args.T, args.seed)
     for path in export_case(system, _out_dir(args)):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    system = _resolve_case(args)
+    system = resolve_case(args.case, args.instance, args.T, args.seed)
     diagnostics = system.validate()
     for diag in diagnostics:
         print(f"{diag.severity}: {diag.entity}: {diag.message}",
@@ -250,11 +230,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bench", help="timing harness: medians, speedups, t-tests")
-    p.add_argument("--config", default=None, help="BenchConfig JSON file")
+    p.add_argument("--case", default="tri-area", choices=("tri-area", "hybrid"))
     p.add_argument("--approaches", default="1BB-1F,2BB-2F")
-    p.add_argument("--instance", type=int, default=1, choices=range(1, 7), metavar="1..6")
-    p.add_argument("--T", type=int, default=None)
+    p.add_argument("--instance", type=int, nargs="+", default=[1], choices=range(1, 7),
+                   metavar="1..6", help="tri-area instances (default: 1)")
+    p.add_argument("--T", type=int, nargs="+", default=None,
+                   help="horizons to scale the one instance to")
     p.add_argument("--n-seeds", type=int, default=10)
+    _solver_flags(p)
     p.add_argument("--out", default="bench-out")
     p.set_defaults(func=_cmd_bench)
 

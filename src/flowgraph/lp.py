@@ -76,9 +76,6 @@ class VariableRef:
         head = "_".join((_ROLE_PREFIX[self.role], *self.key))
         return head if self.timestep is None else f"{head}_t{self.timestep}"
 
-    def sort_key(self):
-        return (self.role.value, self.key, self.timestep if self.timestep is not None else 0)
-
 
 class RowFamily(enum.Enum):
     CONSUMER_BALANCE = "consumer_balance"

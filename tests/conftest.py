@@ -2,15 +2,26 @@
 
 The acceptance tests record one ``[criterion N] PASS/FAIL`` line each;
 printing during the run would be swallowed by output capture, so the
-lines are replayed in the terminal summary instead.  :func:`csr` is the
-scipy oracle of an LP's rows; :func:`against_highs` is the gate the
+lines are replayed in the terminal summary instead.  :func:`store_lp`
+builds a small LP through the store, as new tests should; :func:`csr` is
+the scipy oracle of an LP's rows; :func:`against_highs` is the gate the
 reference simplex must pass against HiGHS, which CI also runs at
 instance 1.
 """
 
+import numpy as np
 import scipy.sparse as sp
 
-from flowgraph import check_primal, highs_adapter, solve_reference, write_mps
+from flowgraph import (
+    LpInstance,
+    RowFamily,
+    VarRole,
+    check_primal,
+    highs_adapter,
+    solve_reference,
+    write_mps,
+)
+from flowgraph.lp import FAMILIES
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -20,6 +31,27 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_VERDICTS):
             terminalreporter.write_line(line)
+
+
+def store_lp(name, bounds, rows, cost=()):
+    """An LpInstance built by ``LpInstance.from_store``.  Column ``j`` has
+    bounds ``bounds[j]`` as ``(lower, upper)``, costs ``cost[j]`` (0 past
+    the end of ``cost``) and is named ``f_x_t{j}``.  Each row is ``(name,
+    lo, hi, {column: coefficient})``, a FLOW_BOUND row."""
+    n, terms = len(bounds), [row[3] for row in rows]
+    return LpInstance.from_store(
+        name, indptr=np.cumsum([0, *map(len, terms)]),
+        indices=np.array([j for row in terms for j in row], np.int64),
+        data=np.array([coef for row in terms for coef in row.values()], float),
+        row_lo=np.array([row[1] for row in rows], float),
+        row_hi=np.array([row[2] for row in rows], float),
+        family=np.full(len(rows), FAMILIES.index(RowFamily.FLOW_BOUND), np.int8),
+        row_blocks=[([row[0] for row in rows], (None,))],
+        lower=np.array([lo for lo, _ in bounds], float),
+        upper=np.array([hi for _, hi in bounds], float),
+        integral=np.zeros(n, bool), cost=np.array([*cost, *[0.0] * (n - len(cost))], float),
+        col_blocks=[(VarRole.FLOW, ("x",), tuple(range(n)))],
+    )
 
 
 def csr(lp) -> sp.csr_matrix:

@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, exit codes, and output shape."""
 
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -146,16 +147,6 @@ class TestBuildSolve:
         code, _, err = run(capsys, "solve", "--case", "hybrid", "--T", "2")
         assert code == 1 and err == "solve failed: numerical_failure\n"
 
-    def test_env_var_selects_default_solver(self, capsys, tmp_path, monkeypatch):
-        spec = tmp_path / "ext.json"
-        spec.write_text(json.dumps({
-            "executable": "python3",
-            "args": ["-m", "flowgraph.highs_adapter", "{mps}", "{out}"],
-        }))
-        monkeypatch.setenv("FLOWGRAPH_SOLVER", str(spec))
-        code, out, _ = run(capsys, "solve", "--case", "hybrid", "--T", "2")
-        assert code == 0 and "primal feasible" in out
-
 
 class TestCaseBundles:
     def test_export_then_validate(self, capsys, tmp_path):
@@ -209,10 +200,20 @@ class TestBench:
             assert (tmp_path / name).exists()
         assert "1BB-1F vs 2BB-2F" in out
 
-    @pytest.mark.parametrize("config", ['{"n_seeds": 3}',
-                                        '{"approaches": ["2BB-2F"], "n_seeds": "3"}'])
-    def test_bad_config_is_an_error_line(self, capsys, tmp_path, config):
-        path = tmp_path / "bench.json"
-        path.write_text(config)
-        code, _, err = run(capsys, "bench", "--config", str(path), "--out", str(tmp_path))
+    def test_bench_times_the_instance_solve_solves(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "solve", "--instance", "3", "--T", "24")
+        assert code == 0 and out.startswith("tri-area-i3 [1BB-1F] objective ")
+        objective = float(out.split()[3])
+        code, _, _ = run(capsys, "bench", "--instance", "3", "--T", "24",
+                         "--n-seeds", "2", "--out", str(tmp_path))
+        with open(tmp_path / "samples.csv", newline="") as fh:
+            objectives = [float(row["objective"]) for row in csv.DictReader(fh)]
+        assert code == 0 and objectives == pytest.approx([objective] * 4, rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [("--solver", "external:{missing}"),
+                                      ("--approaches", "1BB-1F"), ("--n-seeds", "1")],
+                             ids=["missing-spec", "no-reference", "one-seed"])
+    def test_bad_bench_is_an_error_line(self, capsys, tmp_path, argv):
+        argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+        code, _, err = run(capsys, "bench", "--T", "6", *argv, "--out", str(tmp_path))
         assert code == 1 and err.startswith("error:") and "Traceback" not in err

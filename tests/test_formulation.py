@@ -115,7 +115,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.value)
     def test_variable_order_is_sorted(self, approach):
         instance = build_model(hybrid_fixture(), approach)
-        keys = [v.sort_key() for v in instance.variables]
+        keys = [(v.role.value, v.key, v.timestep or 0) for v in instance.variables]
         assert keys == sorted(keys)
 
     def test_rebuild_is_identical(self):

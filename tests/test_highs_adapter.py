@@ -31,11 +31,7 @@ from flowgraph import (
     ALL_APPROACHES,
     Approach,
     CaseSpec,
-    ConstraintRow,
     LpInstance,
-    RowFamily,
-    VariableRef,
-    VarRole,
     build_model,
     read_solution,
     scale_horizon,
@@ -52,6 +48,7 @@ from flowgraph.highs_adapter import (
     status_label,
 )
 from flowgraph.solver import ExternalSolverSpec, solve_external
+from conftest import store_lp
 
 HIGHS = ExternalSolverSpec(sys.executable, ("-m", "flowgraph.highs_adapter", "{mps}", "{out}"))
 
@@ -59,17 +56,12 @@ HIGHS = ExternalSolverSpec(sys.executable, ("-m", "flowgraph.highs_adapter", "{m
 def three_sense_lp() -> LpInstance:
     """The optimum (-1, 0, 2) sits on the low side of the range row, on the
     ``>=`` row and on the ``=`` row, so each sense's bounds decide it."""
-    variables = [
-        VariableRef(VarRole.FLOW, ("a", "b"), 1, lower=-5.0, upper=10.0),
-        VariableRef(VarRole.FLOW, ("b", "c"), 1, lower=-5.0, upper=5.0),
-        VariableRef(VarRole.FLOW, ("c", "d"), 1),
-    ]
-    rows = [
-        ConstraintRow(RowFamily.FLOW_BOUND, -1.0, 4.0, [(0, 1.0), (1, -1.0)], "rng"),
-        ConstraintRow(RowFamily.FLOW_BOUND, 3.0, math.inf, [(0, 1.0), (2, 2.0)], "ge"),
-        ConstraintRow(RowFamily.CONSUMER_BALANCE, 2.0, 2.0, [(1, 1.0), (2, 1.0)], "eq"),
-    ]
-    return LpInstance("senses", variables, rows, [(0, 2.0), (1, -1.0), (2, 2.0)])
+    return store_lp(
+        "senses", [(-5.0, 10.0), (-5.0, 5.0), (0.0, math.inf)],
+        [("rng", -1.0, 4.0, {0: 1.0, 1: -1.0}), ("ge", 3.0, math.inf, {0: 1.0, 2: 2.0}),
+         ("eq", 2.0, 2.0, {1: 1.0, 2: 1.0})],
+        [2.0, -1.0, 2.0],
+    )
 
 
 def test_row_senses_agree_with_reference_simplex():
@@ -102,8 +94,8 @@ def test_nonzero_exit_keeps_the_end_of_stderr():
 def test_no_columns(rhs, status):
     rows = []
     if rhs is not None:  # a row without terms: 0 >= rhs
-        rows = [ConstraintRow(RowFamily.FLOW_BOUND, rhs, math.inf, [], "r0")]
-    lp = LpInstance(rows=rows)
+        rows = [("r0", rhs, math.inf, {})]
+    lp = store_lp("lp", [], rows)
     theirs = solve_external(lp, HIGHS)
     assert theirs.status == solve_reference(lp).status == status
     if status == "optimal":
@@ -112,15 +104,8 @@ def test_no_columns(rhs, status):
 
 def test_crossing_singleton_rows_are_infeasible():
     # 2x >= 6 and -x >= -2 ask for x >= 3 and x <= 2
-    lp = LpInstance(
-        "crossing",
-        [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=10.0)],
-        [
-            ConstraintRow(RowFamily.FLOW_BOUND, 6.0, math.inf, [(0, 2.0)], "lo"),
-            ConstraintRow(RowFamily.FLOW_BOUND, -2.0, math.inf, [(0, -1.0)], "hi"),
-        ],
-        [(0, 1.0)],
-    )
+    lp = store_lp("crossing", [(0.0, 10.0)],
+                  [("lo", 6.0, math.inf, {0: 2.0}), ("hi", -2.0, math.inf, {0: -1.0})], [1.0])
     assert solve_reference(lp).status == "infeasible"
     assert solve_external(lp, HIGHS).status == "infeasible"
 
@@ -128,13 +113,8 @@ def test_crossing_singleton_rows_are_infeasible():
 def test_crossing_implied_bounds_are_infeasible():
     # x + y = 10 with x, y in [0, 3]: the doubleton row hands x's bounds to
     # y as [7, 10], which cross y's own [0, 3]
-    lp = LpInstance(
-        "implied",
-        [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=3.0),
-         VariableRef(VarRole.FLOW, ("b", "a"), 1, upper=3.0)],
-        [ConstraintRow(RowFamily.FLOW_BOUND, 10.0, 10.0, [(0, 1.0), (1, 1.0)], "sum")],
-        [(0, 1.0)],
-    )
+    lp = store_lp("implied", [(0.0, 3.0), (0.0, 3.0)],
+                  [("sum", 10.0, 10.0, {0: 1.0, 1: 1.0})], [1.0])
     result = solve_reference(lp)
     assert result.status == "infeasible" and result.iterations == 0
     assert solve_external(lp, HIGHS).status == "infeasible"
@@ -147,14 +127,9 @@ def test_rows_mps_cannot_carry_are_refused(lo, hi, fault):
     # x + y >= 1 with x, y in [0, 5] is feasible; HiGHS read the free row
     # x - y, written as L with RHS inf, as row_lo = NaN and the LP as
     # infeasible, and a crossing range by its size
-    lp = LpInstance(
-        "refused",
-        [VariableRef(VarRole.FLOW, ("a", "b"), 1, upper=5.0),
-         VariableRef(VarRole.FLOW, ("b", "a"), 1, upper=5.0)],
-        [ConstraintRow(RowFamily.FLOW_BOUND, 1.0, math.inf, [(0, 1.0), (1, 1.0)], "sum"),
-         ConstraintRow(RowFamily.FLOW_BOUND, lo, hi, [(0, 1.0), (1, -1.0)], "r0")],
-        [(0, 1.0), (1, 2.0)],
-    )
+    lp = store_lp("refused", [(0.0, 5.0), (0.0, 5.0)],
+                  [("sum", 1.0, math.inf, {0: 1.0, 1: 1.0}), ("r0", lo, hi, {0: 1.0, 1: -1.0})],
+                  [1.0, 2.0])
     with pytest.raises(InvariantViolation, match=f"^row r0: {fault}"):
         solve_external(lp, HIGHS)
 
