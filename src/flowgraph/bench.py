@@ -60,6 +60,9 @@ class BenchConfig:
             raise InvariantViolation("need at least two seeds")
         if self.case not in ("tri-area", "hybrid"):
             raise InvariantViolation(f"unknown case {self.case!r}; use tri-area or hybrid")
+        if self.case == "hybrid" and tuple(self.instances) != (1,):
+            raise InvariantViolation("the hybrid case is one fixture, not an instance; "
+                                     f"got instances {list(self.instances)}")
         if self.horizons is not None and len(self.instances) != 1:
             raise InvariantViolation("horizons scale one instance; "
                                      f"got instances {list(self.instances)}")

@@ -16,24 +16,25 @@ rules on arrays to a fixpoint: a single-term row becomes a bound on its
 column, a fixed column moves into its rows' bounds, an empty row is
 checked and dropped, and an equality row with two terms eliminates one of
 its columns into the other (Andersen & Andersen, "Presolving in linear
-programming", Math. Prog. 71, 1995).
-Bounds that cross by more than the feasibility tolerance make the LP
-infeasible before any pivot.  On tri-area T=24 3BB-4F it leaves 672 of
-1872 rows and 828 of 1428 columns.  A postsolve replays the eliminations
-in reverse, so the primal is in the LP's own columns.  The remaining rows
-become equalities through slack variables, which start as the basis inside
-their bounds or not, and a composite phase 1 minimises the sum of the
-basics' bound violations (Maros 2003, ch. 9).  The basis is held as a
-sparse LU with the product-form updates since kept as one block (Bisschop
-& Meeraus, Math. Prog. 13, 1977), so a basis solve is the LU's solve plus
-a fixed handful of array operations.  The LU is computed afresh every 32
-updates, and the basics are then solved again from the nonbasic values.
-Of 16 to 64 updates, 32 to 64 gave the best solve time on the T=24
-benchmark LPs, 16 was about 10 % slower, and at instance 1 48 and 64 were
-no faster than 32.  The block's dense products fix the summation order,
-and so the pivot path.  The pivot loop keeps the basics' values, bounds
-and costs in basis order, and the moves each column allows in two arrays
-changed only where columns enter and leave.  Every nonbasic value is set
+programming", Math. Prog. 71, 1995).  Bounds that cross by more than the
+feasibility tolerance make the LP infeasible before any pivot.  What is
+left is an :class:`LpInstance` whose rows and columns keep their names,
+families and integrality marks, so ``size_report``, ``write_mps`` and
+:func:`check_primal` read it as they read any LP.  On tri-area T=24
+3BB-4F it leaves 672 of 1872 rows and 828 of 1428 columns.  A postsolve
+replays the eliminations in reverse, so the primal is in the LP's own
+columns.  The remaining rows become equalities through slack variables,
+which start as the basis inside their bounds or not, and a composite
+phase 1 minimises the sum of the basics' bound violations (Maros 2003,
+ch. 9).  The basis is held as a sparse LU with the product-form updates
+since kept as one block (Bisschop & Meeraus, Math. Prog. 13, 1977), so a
+basis solve is the LU's solve plus a fixed handful of array operations.
+The LU is computed afresh every ``_REFACTOR_EVERY`` (32) updates, and the
+basics are then solved again from the nonbasic values.  The block's
+dense products fix the summation order, and so the pivot path.  The
+pivot loop keeps the basics' values, bounds and costs in basis order,
+and the moves each column allows in two arrays changed only where
+columns enter and leave.  Every nonbasic value is set
 exactly to one of its bounds, or to 0 for a free column, so a column's
 bound status is read from its value with exact comparisons, however narrow
 its bounds.  Pricing enters the eligible column with the largest
@@ -69,7 +70,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure, SolverLaunchFailure
-from .lp import INF, LpInstance, SolveResult, by_column, read_solution, write_mps
+from .lp import INF, LpInstance, SolveResult, _Names, by_column, read_solution, write_mps
 
 #: the labels :func:`solver_for` takes
 SOLVER_LABELS = ("reference", "external:<spec.json>")
@@ -79,6 +80,9 @@ _PIVOT_TOL = 1e-9
 # the iteration limit is 50 * (2 * rows + cols + 1), counting the rows and
 # columns the presolve drops
 _PIVOTS_PER_SIZE = 50
+# of 16 to 64 updates between LUs, 32 to 64 gave the best solve time on the
+# T=24 benchmark LPs, 16 was about 10 % slower, and at instance 1 48 and 64
+# were no faster than 32
 _REFACTOR_EVERY = 32
 _STALL_WINDOW = 1000
 # a doubleton equation never eliminates a column whose coefficient is below
@@ -188,39 +192,29 @@ class _Basis:
         return self.lu.solve(y, trans="T")
 
 
-class _Lp(NamedTuple):
-    """An LP in the store's layout: CSR rows, row and column bounds, cost."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    cost: np.ndarray
-
-
 @dataclass
 class Presolved:
-    """What :func:`presolve` leaves of an LP, and the way back.
+    """What :func:`presolve` leaves of an LP of ``m`` rows and ``n`` columns.
 
-    ``lp`` holds the rows and columns that remain, each in its original
-    order; ``kept`` names the original column of each remaining one.
-    ``status`` is ``"infeasible"`` when the presolve proved it, else
-    ``None``.  ``steps`` records the eliminations in the order they were
-    made, for :meth:`postsolve`: ``(cols, values)`` for columns fixed at
-    ``values``, ``(j, k, r, a, b)`` for columns ``j`` eliminated through
-    the rows ``a x_j + b x_k = r``.
+    ``lp`` is an :class:`LpInstance` of the rows and columns that remain, in
+    their order, with their names, families and integrality marks; ``rows``
+    and ``kept`` hold the original row and column of each.  ``status`` is
+    ``"infeasible"`` when the presolve proved it, else ``None``.  ``steps``
+    records the eliminations in order, for :meth:`postsolve`: ``(cols,
+    values)`` for columns fixed at ``values``, ``(j, k, r, a, b)`` for
+    columns ``j`` eliminated through the rows ``a x_j + b x_k = r``.
     """
 
-    lp: _Lp
+    lp: LpInstance
+    rows: np.ndarray
     kept: np.ndarray
+    m: int
     n: int
     status: Optional[str]
-    rows_removed: int
-    cols_removed: int
     steps: list
+
+    rows_removed = property(lambda self: self.m - len(self.rows))
+    cols_removed = property(lambda self: self.n - len(self.kept))
 
     def postsolve(self, x: np.ndarray) -> np.ndarray:
         """The values of all ``n`` columns, given those of ``lp``'s: the
@@ -394,18 +388,28 @@ def presolve(instance: LpInstance) -> Presolved:
         if not changed:
             break
 
+    # only the rows left hold terms
     rows, kept = np.flatnonzero(row_alive), np.flatnonzero(col_alive)
-    new_row = np.cumsum(row_alive) - 1
-    new_col = np.cumsum(col_alive) - 1
-    indptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(np.bincount(new_row[row], minlength=len(rows)), out=indptr[1:])
-    lp = _Lp(indptr, new_col[col], val, row_lo[rows], row_hi[rows],
-             lower[kept], upper[kept], cost[kept])
-    return Presolved(lp, kept, n, status, m - len(rows), n - len(kept), steps)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=m)[rows])])
+    # the kept columns of each parent block, with the timesteps they keep
+    blocks = instance.col_blocks
+    starts = np.cumsum([0] + [len(steps) for _, _, steps in blocks])
+    owner = np.searchsorted(starts, kept, "right") - 1
+    first = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+    at, parents = (kept - starts[owner]).tolist(), map(blocks.__getitem__, owner[first].tolist())
+    col_blocks = [(role, key, steps if b - a == len(steps) else tuple(steps[t] for t in at[a:b]))
+                  for (role, key, steps), a, b in zip(parents, first, [*first[1:], len(kept)])]
+    lp = LpInstance.from_store(
+        instance.name, indptr=indptr, indices=(np.cumsum(col_alive) - 1)[col], data=val,
+        row_lo=row_lo[rows], row_hi=row_hi[rows], family=instance.family[rows],
+        row_blocks=[(_Names(instance.row_blocks).take(rows).tolist(), (None,))],
+        lower=lower[kept], upper=upper[kept], integral=instance.integral[kept],
+        col_blocks=col_blocks, cost=cost[kept])
+    return Presolved(lp, rows, kept, m, n, status, steps)
 
 
 class _Simplex:
-    def __init__(self, lp: _Lp, max_iter: int):
+    def __init__(self, lp: LpInstance, max_iter: int):
         self.sparsetools = _extension(_SPARSETOOLS)
         self.m = m = len(lp.row_lo)
         self.n_structural = n = len(lp.lower)
@@ -628,8 +632,7 @@ def solve_reference(instance: LpInstance) -> SolveResult:
     result = SolveResult(status=reduced.status or "optimal",
                          rows_removed=reduced.rows_removed, cols_removed=reduced.cols_removed)
     if reduced.status is None:
-        rows, n = len(instance.row_lo), len(instance.lower)
-        worker = _Simplex(reduced.lp, _PIVOTS_PER_SIZE * (2 * rows + n + 1))
+        worker = _Simplex(reduced.lp, _PIVOTS_PER_SIZE * (2 * reduced.m + reduced.n + 1))
         try:
             result.status, value, result.iterations = worker.solve()
         except _SingularBasis:

@@ -5,9 +5,11 @@ printing during the run would be swallowed by output capture, so the
 lines are replayed in the terminal summary instead.  :func:`store_lp`
 builds a small LP through the store, as new tests should; :func:`csr` is
 the scipy oracle of an LP's rows; :func:`against_highs` is the gate the
-reference simplex must pass against HiGHS, which CI also runs at
-instance 1.
+reference simplex must pass against HiGHS, and :func:`presolve_against_highs`
+the one its presolve must pass, both of which CI also runs at instance 1.
 """
+
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +21,7 @@ from flowgraph import (
     check_primal,
     highs_adapter,
     solve_reference,
+    solver,
     write_mps,
 )
 from flowgraph.lp import FAMILIES
@@ -74,3 +77,30 @@ def against_highs(lp, path: str):
     if abs(result.objective - highs.fun) > 1e-9 * abs(highs.fun):
         failures.append(f"objective {result.objective}, HiGHS {highs.fun}")
     return result, highs, failures
+
+
+def presolve_against_highs(lp, directory: str):
+    """Presolve ``lp``, solve what is left with HiGHS, written as MPS into
+    ``directory``, and postsolve HiGHS's primal; no simplex of the repo's
+    runs.  Returns ``(reduced, gap, failures)``: ``gap`` is the difference
+    between the postsolved primal's objective and HiGHS's objective on
+    ``lp`` itself, over the larger of 1 and that objective's size, and
+    ``failures`` is empty when the presolve proves nothing, HiGHS finds
+    both LPs optimal, ``check_primal`` flags nothing on ``lp`` and ``gap``
+    is at most 1e-9; else it says what failed."""
+    reduced = solver.presolve(lp)
+    if reduced.status is not None:
+        return reduced, None, [f"presolve: {reduced.status}"]
+    paths = [os.path.join(directory, f"{kind}.mps") for kind in ("presolved", "original")]
+    write_mps(reduced.lp, paths[0])
+    write_mps(lp, paths[1])
+    (_, ours), (_, theirs) = map(highs_adapter.solve, paths)
+    if not ours.status == theirs.status == "optimal":
+        return reduced, None, [f"HiGHS: {ours.status} on the presolved LP, "
+                               f"{theirs.status} on the LP"]
+    primal = reduced.postsolve(ours.x)
+    failures = check_primal(lp, primal)
+    gap = abs(float(lp.cost @ primal) - theirs.fun) / max(1.0, abs(theirs.fun))
+    if gap > 1e-9:
+        failures.append(f"objective {float(lp.cost @ primal)}, HiGHS {theirs.fun}")
+    return reduced, gap, failures

@@ -210,6 +210,13 @@ class TestBench:
             objectives = [float(row["objective"]) for row in csv.DictReader(fh)]
         assert code == 0 and objectives == pytest.approx([objective] * 4, rel=1e-9)
 
+    def test_hybrid_with_instances_is_an_error_line(self, capsys, tmp_path):
+        # hybrid is one fixture: two instance labels would time it twice
+        code, out, err = run(capsys, "bench", "--case", "hybrid", "--instance", "1", "2",
+                             "--n-seeds", "2", "--out", str(tmp_path))
+        assert code == 1 and err.startswith("error:") and "hybrid" in err
+        assert not out and not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [("--solver", "external:{missing}"),
                                       ("--approaches", "1BB-1F"), ("--n-seeds", "1")],
                              ids=["missing-spec", "no-reference", "one-seed"])

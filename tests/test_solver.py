@@ -29,6 +29,7 @@ from flowgraph import (
     mps_string,
     read_solution,
     scale_horizon,
+    size_report,
     solve_reference,
     tri_area_case,
     write_mps,
@@ -37,7 +38,7 @@ from flowgraph import (
 from flowgraph import highs_adapter, solver
 from flowgraph.errors import InvariantViolation, ParseError
 from flowgraph.highs_adapter import scipy_extension
-from conftest import against_highs, csr
+from conftest import against_highs, csr, presolve_against_highs
 
 
 def random_lp(rng: np.random.Generator, n: int, m: int, narrow: int = 0,
@@ -140,18 +141,24 @@ def scipy_solve(lp: LpInstance):
                    bounds=bounds, method="highs")
 
 
+def seeded_lp(seed: int, narrow: int, singletons: int, doubletons: int) -> LpInstance:
+    """The random LP of one :data:`RANDOM_LPS` draw: 3-8 columns, 2-6 rows."""
+    rng = np.random.default_rng(seed)
+    return random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)), narrow=narrow,
+                     singletons=singletons, doubletons=doubletons)
+
+
+#: ``(seed, narrow, singletons, doubletons)`` of the four random LP flavours
+RANDOM_LPS = ([pytest.param(s, 0, 0, 0, id=str(s)) for s in range(30)]
+              + [pytest.param(s, 3, 0, 0, id=f"narrow-{s}") for s in range(30)]
+              + [pytest.param(s, 0, 8, 0, id=f"singletons-{s}") for s in range(30)]
+              + [pytest.param(s, 0, 0, 5, id=f"doubletons-{s}") for s in range(30)])
+
+
 class TestAgainstScipy:
-    @pytest.mark.parametrize(
-        "seed, narrow, singletons, doubletons",
-        [pytest.param(s, 0, 0, 0, id=str(s)) for s in range(30)]
-        + [pytest.param(s, 3, 0, 0, id=f"narrow-{s}") for s in range(30)]
-        + [pytest.param(s, 0, 8, 0, id=f"singletons-{s}") for s in range(30)]
-        + [pytest.param(s, 0, 0, 5, id=f"doubletons-{s}") for s in range(30)],
-    )
+    @pytest.mark.parametrize("seed, narrow, singletons, doubletons", RANDOM_LPS)
     def test_random_lps_match_highs(self, seed, narrow, singletons, doubletons):
-        rng = np.random.default_rng(seed)
-        lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)), narrow=narrow,
-                       singletons=singletons, doubletons=doubletons)
+        lp = seeded_lp(seed, narrow, singletons, doubletons)
         ours = solve_reference(lp)
         theirs = scipy_solve(lp)
         assert theirs.status == 0, "generator must produce feasible LPs"
@@ -925,3 +932,66 @@ def test_pivot_path_pinned(case, approach):
     result = solve_reference(build_model(make(), approach))
     assert result.is_optimal
     assert result.iterations == pins[approach.value]
+
+
+def presolved_cases():
+    """The LPs whose presolve is checked on its own, the eight ``PIVOTS``
+    LPs and every ``RANDOM_LPS`` draw, each as a param that builds it."""
+    pinned = [pytest.param(lambda case=case, a=a: build_model(PIVOTS[case][0](), a),
+                           id=f"{case}-{a.value}") for case in sorted(PIVOTS) for a in Approach]
+    drawn = [pytest.param(lambda draw=p.values: seeded_lp(*draw), id=f"random-{p.id}")
+             for p in RANDOM_LPS]
+    return pinned + drawn
+
+
+class TestPresolvedLp:
+    """What the presolve leaves is an LpInstance that every store reader
+    takes: it passes the store check, and its rows and columns keep the
+    names and row families they had."""
+
+    @pytest.mark.parametrize("make", presolved_cases())
+    def test_records_follow_the_kept_rows_and_columns(self, make):
+        lp = make()
+        reduced = solver.presolve(lp)
+        assert isinstance(reduced.lp, LpInstance)
+        reduced.lp.check()
+        rows, kept = reduced.rows, reduced.kept
+        assert np.all(np.diff(rows) > 0) and np.all(np.diff(kept) > 0)
+        assert reduced.rows_removed == len(lp.row_lo) - len(rows)
+        assert reduced.cols_removed == len(lp.lower) - len(kept)
+        assert reduced.lp.col_names() == np.array(lp.col_names(), object)[kept].tolist()
+        assert reduced.lp.row_names() == np.array(lp.row_names(), object)[rows].tolist()
+        assert reduced.lp.family.tolist() == lp.family[rows].tolist()
+        assert reduced.lp.integral.tolist() == lp.integral[kept].tolist()
+
+    @pytest.mark.parametrize("make", presolved_cases())
+    def test_postsolved_highs_primal_is_feasible(self, make, tmp_path):
+        # HiGHS solves the presolved LP from its MPS file; no simplex of
+        # the repo's runs, so this checks the presolve and postsolve alone
+        assert presolve_against_highs(make(), str(tmp_path))[2] == []
+
+    def test_blocks_keep_each_parents_timesteps(self):
+        # a tri-area build names its columns in one block per (role, key);
+        # the presolved LP keeps one block per parent that keeps a column,
+        # with the timesteps it keeps, in order
+        lp = build_model(PIVOTS["tri-area-t24"][0](), Approach.TWO_BB_2F)
+        reduced = solver.presolve(lp)
+        parents = {(role, key): steps for role, key, steps in lp.col_blocks}
+        assert len(reduced.lp.col_blocks) < len(lp.col_blocks)
+        assert len({(role, key) for role, key, _ in reduced.lp.col_blocks}) == len(
+            reduced.lp.col_blocks)
+        for role, key, steps in reduced.lp.col_blocks:
+            assert set(steps) <= set(parents[role, key]) and list(steps) == sorted(steps)
+        assert [(v.role, v.key, v.timestep) for v in reduced.lp.variables] == [
+            (v.role, v.key, v.timestep) for v in np.array(lp.variables, object)[reduced.kept]]
+
+    def test_store_readers_take_the_presolved_lp(self):
+        # size_report and write_mps read the presolved LP as any other
+        lp = build_model(hybrid_fixture(), Approach.ONE_BB_1F)
+        reduced = solver.presolve(lp).lp
+        size = size_report(reduced)
+        assert size.n_vars == len(reduced.lower) < len(lp.lower)
+        assert size.n_constraints < size_report(lp).n_constraints
+        text = mps_string(reduced)
+        assert text.startswith(f"NAME {lp.name}\n")
+        assert all(f" {name}\n" in text for name in reduced.row_names())
