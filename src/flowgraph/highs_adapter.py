@@ -5,12 +5,12 @@ Runs as a subprocess (``python -m flowgraph.highs_adapter model.mps out.sol
 unrelated engine (scipy's HiGHS).  The MPS parser here is written from the
 format description and shares no code with the writer in :mod:`.lp`, so
 the write/parse round trip exercises two genuinely different routes.  It
-reads the file once, straight into the arrays HiGHS takes (:class:`MpsModel`),
-so memory grows with the nonzeros, not with rows times columns.  HiGHS is
-scipy's bundled extension, driven directly (:func:`highs_core`), so a child
-never imports ``scipy.optimize`` or ``scipy.sparse``.  The one loader of
-such extensions, :func:`scipy_extension`, also serves the reference
-simplex.
+reads the file once, straight into the typed arrays and lists of
+:class:`MpsModel`, which HiGHS's sequence setters take, so memory grows
+with the nonzeros, not with rows times columns.  HiGHS is scipy's bundled
+extension, driven directly (:func:`highs_core`), so a child never imports
+``scipy.optimize``, ``scipy.sparse`` or numpy.  The one loader of such
+extensions, :func:`scipy_extension`, also serves the reference simplex.
 
 The parser raises ``ParseError`` naming ``file:line``, rather than solve
 another LP, at a name it cannot resolve (a row missing from ROWS, a column
@@ -22,22 +22,20 @@ read.  The child then prints ``error: <message>`` to stderr and exits 1.
 Run as a script, the child loads the extension and then calls
 :func:`gc.freeze`, which moves everything imported so far into a generation
 the collector never scans.  Otherwise the collections the interpreter runs
-at exit walk numpy's import graph: on the T=96 tri-area 3BB-4F file that
-teardown took 0.030 s of a 0.318 s child, and 0.007 s of 0.292 s with the
-imports frozen (medians of 30 runs).  :func:`solve` and :func:`main` do
-not freeze, because tests and the benchmark's probes call them in process
-and must not change the host's collector.  ``os._exit`` would skip
-teardown too, but also ``atexit`` handlers and finalizers.
+at exit walk the objects of every module imported so far: on the T=96
+tri-area 3BB-4F file that teardown took 0.010 s of a 0.192 s child, and
+0.003 s of 0.181 s with the imports frozen (medians of 20 runs).
+:func:`solve` and :func:`main` do not freeze, because tests and the
+benchmark's probes call them in process and must not change the host's
+collector.  ``os._exit`` would skip teardown too, but also ``atexit``
+handlers and finalizers.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError
 
@@ -46,19 +44,21 @@ class MpsModel(NamedTuple):
     """A parsed MPS file as HiGHS takes it: minimize ``cost @ x`` subject to
     ``row_lo <= A x <= row_hi`` and ``col_lo <= x <= col_hi``, ``A`` in CSC
     form with each column's rows in increasing order, rows and columns in
-    file order; ``integer`` marks the columns between INTORG and INTEND."""
+    file order; ``integer`` marks the columns between INTORG and INTEND.
+    The numbers are ``array('d')`` (``array('i')`` for ``indptr`` and
+    ``indices``), the row bounds and ``integer`` lists."""
 
     row_names: list
     col_names: list
-    cost: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    col_lo: np.ndarray
-    col_hi: np.ndarray
-    integer: np.ndarray
+    cost: Sequence[float]
+    indptr: Sequence[int]
+    indices: Sequence[int]
+    data: Sequence[float]
+    row_lo: list
+    row_hi: list
+    col_lo: Sequence[float]
+    col_hi: Sequence[float]
+    integer: list
 
 
 def parse_free_mps(path: str) -> MpsModel:
@@ -66,11 +66,12 @@ def parse_free_mps(path: str) -> MpsModel:
     ParseError for a name it cannot resolve (see the module docstring)."""
     from array import array  # a shared library, loaded only by a process that parses
 
+    inf = float("inf")
     row_at, col_at = {}, {}  # name -> index, in the order the file names them
-    senses, rhs, ranges = [], {}, {}
-    cost, lower, upper, integer, starts = [], [], [], [], []
+    senses, rhs, ranges, integer = [], {}, {}, []
+    cost, lower, upper, starts = array("d"), array("d"), array("d"), array("i")
     rows, coefs = array("i"), array("d")
-    section, objective, col, in_integer = None, None, None, False
+    section, objective, col, in_integer, disordered = None, None, None, False, False
 
     def fail(message):
         return ParseError(f"{path}:{number}: {message}")
@@ -108,10 +109,10 @@ def parse_free_mps(path: str) -> MpsModel:
                         col_at[col] = len(cost)
                         cost.append(0.0)
                         lower.append(0.0)
-                        upper.append(np.inf)
+                        upper.append(inf)
                         integer.append(in_integer)
                         starts.append(len(rows))
-                        seen = set()
+                        seen, last = set(), -1
                     for row, value in zip(fields[1::2], fields[2::2], strict=True):
                         if row in seen:
                             raise fail(f"column {col} names row {row} twice")
@@ -119,8 +120,12 @@ def parse_free_mps(path: str) -> MpsModel:
                         if row == objective:
                             cost[-1] = float(value)
                             continue
-                        rows.append(row_at[row])
+                        i = row_at[row]
                         coefs.append(float(value))
+                        rows.append(i)
+                        if i < last:
+                            disordered = True
+                        last = i
                 elif section in ("RHS", "RANGES"):
                     given = rhs if section == "RHS" else ranges
                     for row, value in zip(fields[1::2], fields[2::2], strict=True):
@@ -131,8 +136,8 @@ def parse_free_mps(path: str) -> MpsModel:
                     j, val = col_at[fields[2]], float(fields[3]) if len(fields) > 3 else 0.0
                     lo, hi = lower[j], upper[j]
                     lower[j], upper[j] = {"UP": (lo, val), "LO": (val, hi), "FX": (val, val),
-                                          "FR": (-np.inf, np.inf), "MI": (-np.inf, hi),
-                                          "PL": (lo, np.inf)}[fields[0].upper()]
+                                          "FR": (-inf, inf), "MI": (-inf, hi),
+                                          "PL": (lo, inf)}[fields[0].upper()]
             except KeyError as exc:  # a row or column the file never declared, or a bound kind
                 raise fail(f"unknown name {exc.args[0]} in {section}") from None
             except (IndexError, ValueError):
@@ -140,30 +145,38 @@ def parse_free_mps(path: str) -> MpsModel:
 
     # L: rhs - |R| <= a.x <= rhs;  G: rhs <= a.x <= rhs + |R|;  E: a.x = rhs, or with
     # a range R, a.x between rhs and rhs + R (MPS: [rhs, rhs + R] if R > 0, else [rhs + R, rhs])
-    sense, b, r = np.array(senses, "U1"), np.zeros(len(senses)), np.full(len(senses), np.nan)
-    b[list(rhs)], r[list(ranges)] = list(rhs.values()), list(ranges.values())
-    width = np.where(np.isnan(r), np.inf, np.abs(r))
-    row_lo = np.where(sense == "L", b - width, np.where((sense == "E") & (r < 0), b + r, b))
-    row_hi = np.where(sense == "G", b + width, np.where((sense == "E") & (r >= 0), b + r, b))
-    indptr = np.array([*starts, len(rows)], dtype=np.int32)
-    indices, data = np.asarray(rows, dtype=np.int32), np.asarray(coefs)
-    # a file may list a column's rows in any order; HiGHS gets them in
-    # increasing order, as scipy's CSC conversion gave them to milp
-    order = np.lexsort((indices, np.repeat(np.arange(len(cost), dtype=np.int32), np.diff(indptr))))
-    return MpsModel(
-        list(row_at), list(col_at), np.array(cost), indptr, indices[order], data[order],
-        row_lo, row_hi, np.array(lower), np.array(upper), np.array(integer, dtype=bool),
-    )
+    row_lo, row_hi = [], []
+    for i, sense in enumerate(senses):
+        b, r = rhs.get(i, 0.0), ranges.get(i, float("nan"))
+        width = abs(r) if r == r else inf  # a NaN range counts as none
+        if sense == "L":
+            lo, hi = b - width, b
+        elif sense == "G":
+            lo, hi = b, b + width
+        else:
+            lo, hi = b + r if r < 0 else b, b + r if r >= 0 else b
+        row_lo.append(lo)
+        row_hi.append(hi)
+    starts.append(len(rows))
+    if disordered:
+        # a file may list a column's rows in any order; HiGHS gets them in
+        # increasing order, as scipy's CSC conversion gave them to milp
+        for s, e in zip(starts, starts[1:]):
+            entries = sorted(zip(rows[s:e], coefs[s:e]))  # a column names a row once
+            rows[s:e] = array("i", (i for i, _ in entries))
+            coefs[s:e] = array("d", (v for _, v in entries))
+    return MpsModel(list(row_at), list(col_at), cost, starts, rows, coefs,
+                    row_lo, row_hi, lower, upper, integer)
 
 
-@dataclass(frozen=True)
-class HighsResult:
+class HighsResult(NamedTuple):
     """HiGHS's answer: the solution-file status, with the objective ``fun``
-    and the primal ``x`` when the status is ``optimal``."""
+    and the primal ``x`` (one value per column) when the status is
+    ``optimal``."""
 
     status: str
     fun: Optional[float] = None
-    x: Optional[np.ndarray] = None
+    x: Optional[Sequence[float]] = None
 
 
 def scipy_extension(name: str):
@@ -223,42 +236,55 @@ def status_label(model_status) -> str:
     return _STATUS.get(model_status.name, "numerical_failure")
 
 
+def _pass_lp(h, highs, a: MpsModel) -> bool:
+    """Give ``a`` to ``highs`` as an LP with every column continuous; False
+    when HiGHS rejects a column's bounds or the model."""
+    error = h.HighsStatus.kError
+    # HighsLp's col_cost_ setter takes only numpy arrays, so the columns and
+    # their costs go in through calls that take Python floats
+    if not all(highs.addVar(lo, hi) != error for lo, hi in zip(a.col_lo, a.col_hi)):
+        return False
+    for j, c in enumerate(a.cost):
+        if c:
+            highs.changeColCost(j, c)
+    lp = highs.getLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(a.row_lo)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.row_lower_, lp.row_upper_ = a.row_lo, a.row_hi
+    lp.integrality_ = [h.HighsVarType.kContinuous] * len(a.cost)
+    return highs.passModel(lp) != error
+
+
 def solve(path: str) -> tuple[MpsModel, HighsResult]:
     """Parse the MPS file at ``path`` and solve it with HiGHS.
 
-    The rows go to HiGHS as one sparse matrix with per-row bounds, through
-    the calls :func:`scipy.optimize.milp` makes, with every column
-    continuous: marked integer columns are relaxed.  A file with no columns
-    is not passed to HiGHS: it is optimal with objective 0 when every row
-    admits 0, else infeasible.  Returns the parsed file and HiGHS's answer.
+    The columns go to HiGHS one by one, with their bounds and nonzero
+    costs, then the rows as one sparse matrix with per-row bounds, with
+    every column continuous: marked integer columns are relaxed.  A file
+    with no columns is not passed to HiGHS: it is optimal with objective 0
+    when every row admits 0, else infeasible.  Returns the parsed file and
+    HiGHS's answer.
     """
     a = parse_free_mps(path)
     if not a.col_names:
         # HiGHS calls such a model empty, not infeasible; every row reads 0
-        feasible = bool(np.all((a.row_lo <= 0.0) & (a.row_hi >= 0.0)))
-        return a, HighsResult("optimal" if feasible else "infeasible", 0.0, a.cost)
+        feasible = all(lo <= 0.0 <= hi for lo, hi in zip(a.row_lo, a.row_hi))
+        return a, HighsResult("optimal" if feasible else "infeasible", 0.0, [])
     h = highs_core()
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(a.cost)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(a.row_lo)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = a.cost, a.col_lo, a.col_hi
-    lp.row_lower_, lp.row_upper_ = a.row_lo, a.row_hi
-    lp.integrality_ = [h.HighsVarType.kContinuous] * len(a.cost)
     highs = h._Highs()
     options = h.HighsOptions()
     options.log_to_console = False
     highs.passOptions(options)
-    if highs.passModel(lp) == h.HighsStatus.kError:
-        status = status_label(h.HighsModelStatus.kModelError)
-    else:
+    if _pass_lp(h, highs, a):
         highs.run()
         status = status_label(highs.getModelStatus())
+    else:
+        status = status_label(h.HighsModelStatus.kModelError)
     if status != "optimal":
         return a, HighsResult(status)
-    x = np.array(highs.getSolution().col_value)
-    return a, HighsResult(status, highs.getInfo().objective_function_value, x)
+    return a, HighsResult(status, highs.getInfo().objective_function_value,
+                          highs.getSolution().col_value)
 
 
 def main(argv: list[str]) -> int:

@@ -7,11 +7,13 @@ solution status scipy.optimize.milp gave it, a range on an equality row
 widens it on the side the range's sign names, and the child process,
 which freezes its imports, writes the same file as an in-process call,
 which freezes nothing.  The adapter drives scipy's HiGHS extension
-without importing scipy.optimize: its answers are milp's bit for bit,
-and the extension it loads is the one scipy.optimize uses.  A file the
-parser cannot resolve is a ParseError naming the file and line, which the
-child reports on stderr with exit code 1, and a solver that exits nonzero
-is a NonzeroExit that keeps the end of its stderr."""
+without importing scipy.optimize, and the child never loads numpy: its
+answers are milp's bit for bit, and the extension it loads is the one
+scipy.optimize uses.  A column may list its rows in any order, and a
+column bound HiGHS rejects makes the LP infeasible.  A file the parser
+cannot resolve is a ParseError naming the file and line, which the child
+reports on stderr with exit code 1, and a solver that exits nonzero is a
+NonzeroExit that keeps the end of its stderr."""
 
 import json
 import math
@@ -22,6 +24,7 @@ import sys
 import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
@@ -265,7 +268,7 @@ def test_same_answer_as_milp(case, tmp_path):
     _, ours = highs_solve(str(mps))
     assert theirs.status == 0 and ours.status == "optimal"
     assert ours.fun.hex() == theirs.fun.hex()
-    assert ours.x.dtype == theirs.x.dtype and ours.x.tobytes() == theirs.x.tobytes()
+    assert np.asarray(ours.x, float).tobytes() == theirs.x.tobytes()
 
 
 @pytest.mark.parametrize("adapter_first", [True, False], ids=["adapter-first", "scipy-first"])
@@ -308,7 +311,8 @@ def test_one_extension_beside_scipy_optimize(adapter_first, tmp_path):
 
 def test_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
     """The child, run as ``python -m flowgraph.highs_adapter`` runs it,
-    loads scipy's HiGHS extension and no scipy subpackage."""
+    loads scipy's HiGHS extension and no scipy subpackage, and never loads
+    numpy."""
     mps, out = tmp_path / "model.mps", tmp_path / "model.sol"
     write_mps(three_sense_lp(), str(mps))
     code = textwrap.dedent(f"""
@@ -317,7 +321,8 @@ def test_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
         try:
             runpy.run_module("flowgraph.highs_adapter", run_name="__main__", alter_sys=True)
         except SystemExit as stop:
-            print(json.dumps([stop.code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+            print(json.dumps([stop.code, loaded]))
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -327,6 +332,7 @@ def test_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
     assert out.read_text().startswith("status optimal\n")
     assert "scipy.optimize._highspy._core" in loaded
     assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
+    assert "numpy" not in loaded
 
 
 #: a file the parser reads; each case below changes one line of it
@@ -382,12 +388,61 @@ def bad_mps(tmp_path, case: str) -> str:
     return str(path)
 
 
+#: min x + 2y s.t. a: x + 4y >= 2, b: 3x + y >= 3, c: 2x <= 9, x, y >= 0;
+#: the optimum (10/11, 3/11) sits on rows a and b.  {x} and {y} are the
+#: two columns' COLUMNS lines
+ROWS_IN_ANY_ORDER = """NAME order
+ROWS
+ N OBJ
+ G a
+ G b
+ L c
+COLUMNS
+{x}
+{y}
+RHS
+    RHS a 2.0 b 3.0
+    RHS c 9.0
+ENDATA
+"""
+
+
+def test_rows_listed_out_of_order(tmp_path):
+    """A column may list its rows in any order: each coefficient stays on
+    its own row, the rows come out increasing, and the LP is the one the
+    file with sorted rows gives."""
+    shuffled, ordered = tmp_path / "shuffled.mps", tmp_path / "ordered.mps"
+    shuffled.write_text(ROWS_IN_ANY_ORDER.format(
+        x="    x OBJ 1.0 c 2.0\n    x a 1.0 b 3.0", y="    y b 1.0 a 4.0\n    y OBJ 2.0"))
+    ordered.write_text(ROWS_IN_ANY_ORDER.format(
+        x="    x OBJ 1.0 a 1.0\n    x b 3.0 c 2.0", y="    y OBJ 2.0 a 4.0\n    y b 1.0"))
+    model = parse_free_mps(str(shuffled))
+    assert list(model.indptr) == [0, 3, 5]
+    assert list(model.indices) == [0, 1, 2, 0, 1]
+    assert list(model.data) == [1.0, 3.0, 2.0, 4.0, 1.0]
+    assert model == parse_free_mps(str(ordered))
+    (_, ours), (_, theirs) = highs_solve(str(shuffled)), highs_solve(str(ordered))
+    assert ours.status == theirs.status == "optimal"
+    assert ours.fun == theirs.fun == pytest.approx(16 / 11)
+    assert ours.x == theirs.x == pytest.approx([10 / 11, 3 / 11])
+
+
 def test_good_mps_solves(tmp_path):
     path = tmp_path / "good.mps"
     path.write_text(GOOD_MPS)
     model, result = highs_solve(str(path))
     assert model.row_names == ["r"] and model.col_names == ["x", "y"]
     assert result.status == "optimal" and result.fun == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("bound", [" LO BND x inf", " UP BND x -inf", " UP BND x nan"])
+def test_bounds_highs_rejects_are_infeasible(bound, tmp_path):
+    """HiGHS rejects a column with a lower bound of +inf, or an upper bound
+    of -inf or NaN; the adapter reads that as a model error: infeasible."""
+    path = tmp_path / "rejected.mps"
+    path.write_text(GOOD_MPS.replace(" UP BND x 4.0\n", bound + "\n"))
+    _, result = highs_solve(str(path))
+    assert result.status == "infeasible" and result.x is None
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MPS))
