@@ -32,7 +32,7 @@ from .errors import (
 )
 from .formulation import Approach, build_model
 from .lp import LpInstance
-from .solver import solver_for
+from .solver import check_primal, solver_for
 
 
 #: builds timed back to back for one build sample
@@ -187,9 +187,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     build of 1-2 ms is not timed alone; the last one is solved.  Seeds are the
     outer loop, and every approach is built and solved for each seed, so a
     slow spell on a shared machine falls on all approaches alike rather than
-    on one side of a speedup.  Objectives across approaches must agree per
-    (instance, seed) to 1e-6 relative or the run aborts — the harness never
-    reports a speedup for a wrong answer.
+    on one side of a speedup.  Every answer must pass :func:`check_primal`
+    on the LP it solved, or the run ends with SolverFailure, and objectives
+    across approaches must agree per (instance, seed) to 1e-6 relative or
+    the run aborts — the harness never reports a speedup for a wrong answer.
     """
     report = BenchReport(config=config)
     solve = solver_for(config.solver)
@@ -207,14 +208,20 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                     instance = build_model(system, approach)
                 build_time = (time.perf_counter() - t0) / _BUILDS_PER_SAMPLE
                 t0 = time.perf_counter()
-                # the shuffled copy is a temporary: kept alive through the next
-                # build, it doubled that build's time at hybrid T=1000
-                result = solve(_shuffled(instance, seed) if shuffle else instance, seed)
+                solved = _shuffled(instance, seed) if shuffle else instance
+                result = solve(solved, seed)
                 solve_time = time.perf_counter() - t0
                 if not result.is_optimal:
                     raise SolverFailure(
                         f"{approach.value} on {label}, seed {seed}: {result.status}"
                     )
+                violated = check_primal(solved, result.primal)
+                # the shuffled copy is a temporary: kept alive through the next
+                # build, it doubled that build's time at hybrid T=1000
+                del solved
+                if violated:
+                    raise SolverFailure(f"{approach.value} on {label}, seed {seed}: "
+                                        f"primal violates {', '.join(violated[:5])}")
                 key = (label, seed)
                 baseline = objectives.setdefault(key, result.objective)
                 scale = max(1.0, abs(baseline))

@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on a domain error (infeasible model, objective
 mismatch, invalid bundle), 2 on a usage error.  Human-readable tables go to
 standard output; machine outputs (MPS, solution files, CSV reports) go to
-files under ``--out``.  Under the reference solver, ``solve`` and
+files under ``--out``.  ``solve`` and ``compare --solve`` run
+:func:`flowgraph.solver.check_primal` on every answer, and a violated bound
+or row ends them with exit 1.  Under the reference solver, ``solve`` and
 ``compare --solve`` also print the :class:`SolveResult` counters as
 ``field=value`` pairs: the rows and columns the presolve removed, pivots,
 phase-1 and degenerate pivots, refactorizations and ``bland_from``.
@@ -138,6 +140,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         result = solve(sizes[approach][0], args.seed)
         if not result.is_optimal:
             print(f"{approach.value}: solve failed ({result.status})", file=sys.stderr)
+            return 1
+        violated = check_primal(sizes[approach][0], result.primal)
+        if violated:
+            print(f"{approach.value}: PRIMAL VIOLATIONS: {', '.join(violated[:5])}",
+                  file=sys.stderr)
             return 1
         objectives[approach] = result.objective
         counters = f"  {_counters(result)}" if args.solver == "reference" else ""

@@ -13,9 +13,10 @@ blocks of T timesteps per ``(role, key)``, so a column index is
 described once at t=1: balance templates come from the ``_BALANCE`` table,
 every other one from :meth:`_Builder.limit_templates`.
 :meth:`_Builder.instantiate` records each group of templates; the build then
-sizes the store's row arrays from the templates and writes each group's rows
-over T in place, so the rows are never held twice.  No name is built here:
-the store keeps each block's name prefix.
+sizes the store's row arrays from the templates and writes each group's T
+rows alike, in place, so the rows are never held twice.  A row holds exactly
+its nonzero terms, so a zero minimum, capacity or availability leaves its
+term out.  No name is built here: the store keeps each block's name prefix.
 """
 
 from __future__ import annotations
@@ -315,8 +316,8 @@ class _Template(NamedTuple):
     with the row to column ``j + t - 1``; a term with a coefficient per
     timestep (an INVEST column, scaled by availability) stays on column
     ``j`` with coefficient ``coef[t - 1]``.  ``lag_at`` is the position of a
-    term on timestep t-1 (a storage level's previous value), which the row
-    at t=1 leaves out.
+    term on timestep t-1 (a storage level's previous value), whose
+    coefficient is 0 at t=1: a row holds only its nonzero terms.
     """
 
     family: RowFamily
@@ -332,9 +333,9 @@ class _Builder:
     contiguous block of T columns (one for INVEST): column ``first + t - 1``.
 
     Rows are recorded as ``groups`` of templates.  :meth:`build` counts
-    their rows and terms (a group has T rows per template and T terms per
-    template term, less one per lagged term), allocates the store's row
-    arrays at their final size and fills them group by group.
+    their rows and terms (a group has T rows per template and at most T
+    terms per template term, one per nonzero coefficient), allocates the
+    store's row arrays for them and fills them group by group.
     """
 
     def __init__(self, system: EnergySystem, dc_opf: bool, unit_commitment: bool):
@@ -409,43 +410,39 @@ class _Builder:
         """Write the rows of one group into the store's arrays from row ``r``
         and term ``k`` on; return where the next group starts.
 
-        The rows at t=1 hold every term but the lagged ones.  Row-major, the
-        terms of the rows at t = 2..T are a (T - 1, terms) array: all
-        templates' terms side by side, a moving term's column one further
-        on each row.
+        Row-major, the terms of the group's T rows are a (T, terms) array:
+        all templates' terms side by side, a moving term's column one
+        further on each row, a lagged term's coefficient 0 at t=1.  Then
+        the terms of coefficient 0 are dropped in place.
         """
-        T, R, store = self.T, len(templates), self.store
         terms = [term for tpl in templates for term in tpl.terms]
-        lengths = np.array([len(tpl.terms) for tpl in templates], np.int64)
-        lagged = [p for p, tpl in enumerate(templates) if tpl.lag_at is not None]
-        keep = np.ones(len(terms), bool)  # the row at t=1 has no previous level
-        starts = np.cumsum(lengths) - lengths
-        keep[[starts[p] + templates[p].lag_at for p in lagged]] = False
-        at_first = lengths.copy()
-        at_first[lagged] -= 1
-        L, first = len(terms), int(at_first.sum())
+        T, R, L, store = self.T, len(templates), len(terms), self.store
         js = np.array([j for j, _ in terms], np.int64)
         coefs = [coef for _, coef in terms]
         per_step = [q for q, coef in enumerate(coefs) if np.ndim(coef)]
 
-        store["indices"][k:k + first] = js[keep]
-        store["data"][k:k + first] = np.array([np.ravel(c)[0] for c in coefs], float)[keep]
-        cols = store["indices"][k + first:k + first + (T - 1) * L].reshape(T - 1, L)
+        cols = store["indices"][k:k + T * L].reshape(T, L)
         cols[:] = js
-        cols += np.arange(1, T)[:, None]
+        cols += np.arange(T)[:, None]
         cols[:, per_step] = js[per_step]
-        _spread(store["data"][k + first:k + first + (T - 1) * L].reshape(T - 1, L), coefs, 1)
-
+        data = store["data"][k:k + T * L].reshape(T, L)
+        _spread(data, coefs)
+        data[0, [q == tpl.lag_at for tpl in templates for q in range(len(tpl.terms))]] = 0.0
         ends = store["indptr"][r + 1:r + 1 + T * R].reshape(T, R)
-        ends[0] = k + np.cumsum(at_first)
-        ends[1:] = np.cumsum(lengths)
-        ends[1:] += (k + first + L * np.arange(T - 1))[:, None]
+        ends[:] = np.cumsum([len(tpl.terms) for tpl in templates])
+        ends += (k + L * np.arange(T))[:, None]
+        if not data.all():  # every row had a term, so no row ends at k
+            keep = data.ravel() != 0
+            kept = np.cumsum(keep)
+            ends[:] = k + kept[ends - (k + 1)]
+            for key in ("indices", "data"):
+                store[key][k:ends[-1, -1]] = store[key][k:k + T * L][keep]
         store["family"][r:r + T * R].reshape(T, R)[:] = [
             FAMILIES.index(tpl.family) for tpl in templates]
         for key, side in (("row_lo", "lo"), ("row_hi", "hi")):
             _spread(store[key][r:r + T * R].reshape(T, R),
-                    [getattr(tpl, side) for tpl in templates], 0)
-        return r + T * R, k + first + (T - 1) * L
+                    [getattr(tpl, side) for tpl in templates])
+        return r + T * R, int(store["indptr"][r + T * R])
 
     def emit_balances(self) -> None:
         for kind, bal in _BALANCE.items():
@@ -558,8 +555,7 @@ class _Builder:
         self.emit_balances()
         self.instantiate(self.limit_templates())
         m = self.T * sum(map(len, self.groups))
-        nnz = sum(self.T * len(tpl.terms) - (tpl.lag_at is not None)
-                  for templates in self.groups for tpl in templates)
+        nnz = self.T * sum(len(tpl.terms) for templates in self.groups for tpl in templates)
         self.store.update(
             indptr=np.zeros(m + 1, np.int64), indices=np.empty(nnz, np.int64),
             data=np.empty(nnz), family=np.empty(m, np.int8),
@@ -568,18 +564,19 @@ class _Builder:
         r = k = 0
         for templates in self.groups:
             r, k = self._fill(templates, r, k)
+        self.store.update(indices=self.store["indices"][:k], data=self.store["data"][:k])
         lp = LpInstance.from_store(self.system.name, **self.store)
         lp.check()
         return lp
 
 
-def _spread(out: np.ndarray, values: list, start: int) -> None:
+def _spread(out: np.ndarray, values: list) -> None:
     """Set column p of ``out`` to ``values[p]``: one value on every row, or
-    a value per timestep, taken from timestep ``start`` on."""
+    a value per timestep."""
     out[:] = [value if np.ndim(value) == 0 else 0.0 for value in values]
     for p, value in enumerate(values):
         if np.ndim(value):
-            out[:, p] = value[start:start + len(out)]
+            out[:, p] = value
 
 
 def build_model(

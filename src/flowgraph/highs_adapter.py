@@ -2,13 +2,15 @@
 
 Runs as a subprocess (``python -m flowgraph.highs_adapter model.mps out.sol
 [seed]``) so the reference simplex can be cross-checked against an
-unrelated engine (scipy's HiGHS).  The MPS parser here is written from the
-format description and shares no code with the writer in :mod:`.lp`, so
-the write/parse round trip exercises two genuinely different routes.  It
-reads the file once, straight into the typed arrays and lists of
-:class:`MpsModel`, which HiGHS's sequence setters take, so memory grows
-with the nonzeros, not with rows times columns.  HiGHS is scipy's bundled
-extension, driven directly (:func:`highs_core`), so a child never imports
+unrelated engine (scipy's HiGHS).  The seed is accepted, as a solver spec
+may pass one, and never read: HiGHS takes the same path at every seed.
+The MPS parser here is written from the format description and shares no
+code with the writer in :mod:`.lp`, so the write/parse round trip
+exercises two genuinely different routes.  It reads the file once,
+straight into the typed arrays and lists of :class:`MpsModel`, which
+HiGHS's sequence setters take, so memory grows with the nonzeros, not
+with rows times columns.  HiGHS is scipy's bundled extension, driven
+directly (:func:`highs_core`), so a child never imports
 ``scipy.optimize``, ``scipy.sparse`` or numpy.  The one loader of such
 extensions, :func:`scipy_extension`, also serves the reference simplex.
 
@@ -289,7 +291,7 @@ def solve(path: str) -> tuple[MpsModel, HighsResult]:
 
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
-        print("usage: highs_adapter <model.mps> <out.sol> [seed]", file=sys.stderr)
+        print("usage: highs_adapter <model.mps> <out.sol> [seed (not read)]", file=sys.stderr)
         return 2
     mps_path, out_path = argv[0], argv[1]
     try:

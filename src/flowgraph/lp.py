@@ -572,10 +572,17 @@ def _number(path: str, line: int, text: str) -> float:
         raise ParseError(f"{path}:{line}: malformed number {text!r}") from None
 
 
+def primal_objective(instance: LpInstance, primal: np.ndarray) -> float:
+    """``instance.cost @ primal``, summed term by term in column order."""
+    return float(sum((instance.cost * primal).tolist()))
+
+
 def read_solution(path: str, instance: LpInstance) -> SolveResult:
     """Parse the plain-text solution format (status / obj / name-value lines)
     of a solve of ``instance`` into a column-ordered ``primal``: a column the
-    file does not list is 0, a name no column has raises UnknownVariableName."""
+    file does not list is 0, a name no column has raises UnknownVariableName.
+    The ``obj`` line is optional; an optimal file without one gets its
+    primal's :func:`primal_objective`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -607,6 +614,8 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
             primal[index[name]] = value
         primal.flags.writeable = False
         result.primal = primal
+        if result.objective is None:
+            result.objective = primal_objective(instance, primal)
     return result
 
 

@@ -70,7 +70,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure, SolverLaunchFailure
-from .lp import INF, LpInstance, SolveResult, _Names, by_column, read_solution, write_mps
+from .lp import (INF, LpInstance, SolveResult, _Names, by_column, primal_objective,
+                 read_solution, write_mps)
 
 #: the labels :func:`solver_for` takes
 SOLVER_LABELS = ("reference", "external:<spec.json>")
@@ -646,8 +647,7 @@ def solve_reference(instance: LpInstance) -> SolveResult:
             result.primal.flags.writeable = False
     result.wall_time_s = time.perf_counter() - start
     if result.primal is not None:
-        # summed term by term in column order
-        result.objective = float(sum((instance.cost * result.primal).tolist()))
+        result.objective = primal_objective(instance, result.primal)
     return result
 
 
@@ -763,7 +763,10 @@ def solver_for(label: str) -> Callable[[LpInstance, int], SolveResult]:
 
     ``reference`` is :func:`solve_reference`, which needs no seed;
     ``external:<spec.json>`` is :func:`solve_external` with the spec that
-    file holds, read once, here.  Any other label raises ParseError.
+    file holds, read once, here, which hands the seed to the solver as
+    ``{seed}``.  ``flowgraph solve`` and ``compare --solve`` pass the case
+    seed; :mod:`flowgraph.highs_adapter` accepts a seed and never reads it.
+    Any other label raises ParseError.
     """
     if label == "reference":
         return lambda instance, seed: solve_reference(instance)

@@ -7,9 +7,14 @@ builds a small LP through the store, as new tests should; :func:`csr` is
 the scipy oracle of an LP's rows; :func:`against_highs` is the gate the
 reference simplex must pass against HiGHS, and :func:`presolve_against_highs`
 the one its presolve must pass, both of which CI also runs at instance 1.
+:func:`doctored_spec` writes an external solver whose solution file leaves
+lines out.
 """
 
+import json
 import os
+import sys
+import textwrap
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +60,28 @@ def store_lp(name, bounds, rows, cost=()):
         integral=np.zeros(n, bool), cost=np.array([*cost, *[0.0] * (n - len(cost))], float),
         col_blocks=[(VarRole.FLOW, ("x",), tuple(range(n)))],
     )
+
+
+def doctored_spec(directory, keep: str) -> str:
+    """The path of a solver spec, written into ``directory``, whose script
+    solves with the HiGHS adapter and then keeps only the lines of the
+    solution file on which the expression ``keep`` over ``line`` is true."""
+    script = os.path.join(directory, "doctored.py")
+    with open(script, "w", encoding="utf-8") as fh:
+        fh.write(textwrap.dedent(f"""\
+            import sys
+            from flowgraph.highs_adapter import main
+            code = main(sys.argv[1:])
+            with open(sys.argv[2]) as fh:
+                lines = [line for line in fh if {keep}]
+            with open(sys.argv[2], "w") as fh:
+                fh.writelines(lines)
+            sys.exit(code)
+            """))
+    spec = os.path.join(directory, "doctored.json")
+    with open(spec, "w", encoding="utf-8") as fh:
+        json.dump({"executable": sys.executable, "args": [script, "{mps}", "{out}"]}, fh)
+    return spec
 
 
 def csr(lp) -> sp.csr_matrix:

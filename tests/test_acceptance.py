@@ -184,10 +184,11 @@ def test_criterion_7_directional_speedup():
     """Bench harness: 1BB-1F at least as fast as 2BB-2F, fidelity guarded.
 
     The criterion pins the solver (bundled reference simplex), n_seeds=10,
-    T=1000 and a 10-minute budget but not the case.  The tri-area case at
-    T=1000 takes several minutes per reference-simplex solve, so the
-    budget forces the hybrid case here; tri-area build-time ordering is
-    still checked directly (building is cheap).
+    T=1000 and a 10-minute budget but not the case.  One tri-area T=1000
+    2BB-2F reference-simplex solve took 59 s (22 181 pivots, 2-core
+    machine), so its 20 solves (two approaches, ten seeds) would overrun
+    the budget and it forces the hybrid case here; tri-area build-time
+    ordering is still checked directly (building is cheap).
     """
     start = time.perf_counter()
     config = BenchConfig(
@@ -213,8 +214,8 @@ def test_criterion_7_directional_speedup():
           and elapsed < 600.0)
     verdict(7, "1BB-1F builds and solves at least as fast", ok,
             f"build x{build_speedup:.2f}, solve x{solve_speedup:.2f}, "
-            f"tri-area build {tri_builds[Approach.ONE_BB_1F]:.2f}s vs "
-            f"{tri_builds[Approach.TWO_BB_2F]:.2f}s, {elapsed:.0f}s")
+            f"tri-area build {1e3 * tri_builds[Approach.ONE_BB_1F]:.1f} ms vs "
+            f"{1e3 * tri_builds[Approach.TWO_BB_2F]:.1f} ms, {elapsed:.0f}s")
 
 
 def _dc_ring():

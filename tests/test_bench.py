@@ -31,7 +31,15 @@ from flowgraph import (
     two_sample_t_test,
     write_report,
 )
-from flowgraph.errors import DegenerateVariance, EmptySample, InvariantViolation, ParseError
+from flowgraph.errors import (
+    DegenerateVariance,
+    EmptySample,
+    InvariantViolation,
+    ParseError,
+    SolverFailure,
+)
+
+from conftest import doctored_spec
 
 
 def brute_force_t_test(a, b):
@@ -260,6 +268,15 @@ class TestHarness:
         assert expected == pytest.approx(48.5)
         for s in report.samples:
             assert s.objective == pytest.approx(expected, rel=1e-6)
+
+    def test_infeasible_primal_is_a_solver_failure(self, tmp_path):
+        # the right objective over an all-zero primal, which meets no demand
+        spec = doctored_spec(tmp_path, 'line.startswith(("status ", "obj "))')
+        config = BenchConfig(approaches=(Approach.TWO_BB_2F, Approach.ONE_BB_1F),
+                             horizons=(12,), n_seeds=2, case="hybrid",
+                             solver=f"external:{spec}")
+        with pytest.raises(SolverFailure, match="2BB-2F on T12, seed 0: primal violates bal_ed_t1"):
+            run_benchmark(config)
 
     def test_sample_bookkeeping(self):
         report = self._small_report()

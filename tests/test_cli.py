@@ -12,6 +12,8 @@ from flowgraph import Approach, build_model, hybrid_fixture, solve_reference, so
 from flowgraph.cli import main
 from flowgraph.highs_adapter import scipy_extension
 
+from conftest import doctored_spec
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -114,6 +116,30 @@ class TestBuildSolve:
         code, out, _ = run(capsys, "solve", "--case", "hybrid", "--T", "6",
                            "--approach", "2BB-1F", "--solver", f"external:{spec}")
         assert code == 0 and "primal feasible" in out
+
+    def test_solution_file_without_objective(self, capsys, tmp_path):
+        # the objective comes from the primal; at T=12 the hybrid optimum is 48.5
+        spec = doctored_spec(tmp_path, 'not line.startswith("obj ")')
+        code, out, _ = run(capsys, "solve", "--case", "hybrid", "--T", "12",
+                           "--solver", f"external:{spec}")
+        assert code == 0 and float(out.split()[3]) == pytest.approx(48.5, rel=1e-9)
+        code, _, err = run(capsys, "bench", "--case", "hybrid", "--T", "12", "--n-seeds", "2",
+                           "--solver", f"external:{spec}", "--out", str(tmp_path / "bench"))
+        assert code == 0 and not err
+        with open(tmp_path / "bench" / "samples.csv", newline="") as fh:
+            objectives = [float(row["objective"]) for row in csv.DictReader(fh)]
+        assert objectives == pytest.approx([48.5] * 4, rel=1e-9)
+
+    def test_infeasible_primal_fails_solve_and_compare(self, capsys, tmp_path):
+        # the right objective over an all-zero primal, which meets no demand
+        spec = doctored_spec(tmp_path, 'line.startswith(("status ", "obj "))')
+        code, out, _ = run(capsys, "solve", "--case", "hybrid", "--T", "12",
+                           "--solver", f"external:{spec}")
+        assert code == 1 and "PRIMAL VIOLATIONS: " in out
+        code, out, err = run(capsys, "compare", "--case", "hybrid", "--T", "12", "--approaches",
+                             "2BB-2F,1BB-1F", "--solve", "--solver", f"external:{spec}")
+        assert code == 1 and err.startswith("2BB-2F: PRIMAL VIOLATIONS: bal_ed_t1")
+        assert "objective equality" not in out
 
     @pytest.mark.parametrize("spec", [
         None, "{not json", '{"args": ["{mps}", "{out}"]}', '{"executable": 3}',

@@ -3,6 +3,7 @@ extension rows, and the invariant that every valid system lowers cleanly."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from flowgraph import (
 from flowgraph.errors import MissingAngleAsset, UnsupportedCombination
 from flowgraph.formulation import _Builder
 from flowgraph.lp import FAMILIES, RowFamily, VarRole
+from conftest import against_highs
 from test_lp_mps import hybrid_uc_case
 from test_mps_digest import dc_uc_hub_case
 
@@ -274,18 +276,18 @@ class TestExtensions:
 
 def reference_rows(builder) -> dict:
     """The CSR row store of the builder's template groups, one term at a
-    time: per group, per timestep, per template, per term, with the lagged
-    term left out at t=1."""
+    time: per group, per timestep, per template, per term, keeping exactly
+    the terms of nonzero coefficient, a lagged term's being 0 at t=1."""
     indptr, indices, data, family, row_lo, row_hi = [0], [], [], [], [], []
     at = lambda value, t: value[t - 1] if np.ndim(value) else value  # noqa: E731
     for templates in builder.groups:
         for t in range(1, builder.T + 1):
             for tpl in templates:
                 for q, (j, coef) in enumerate(tpl.terms):
-                    if t == 1 and q == tpl.lag_at:
-                        continue
-                    indices.append(j if np.ndim(coef) else j + t - 1)
-                    data.append(at(coef, t))
+                    value = 0.0 if t == 1 and q == tpl.lag_at else at(coef, t)
+                    if value != 0:
+                        indices.append(j if np.ndim(coef) else j + t - 1)
+                        data.append(value)
                 indptr.append(len(indices))
                 family.append(FAMILIES.index(tpl.family))
                 row_lo.append(at(tpl.lo, t))
@@ -297,9 +299,50 @@ def reference_rows(builder) -> dict:
     }
 
 
+def behind_hub(producer: Asset) -> EnergySystem:
+    """``producer`` and a dearer backup serving one demand, all members of
+    hub h, over T=4."""
+    sy = EnergySystem(horizon_t=4, name=producer.id)
+    sy.add_asset(producer)
+    sy.add_asset(Asset(id="b", kind=AssetKind.PRODUCER, capacity_mw=20.0))
+    sy.add_asset(Asset(id="d", kind=AssetKind.CONSUMER, demand_profile=(6.0, 3.0, 8.0, 5.0)))
+    sy.add_flow(FlowArc(producer.id, "d", op_cost=1.0))
+    sy.add_flow(FlowArc("b", "d", op_cost=9.0))
+    sy.add_hub(HubAnnotation(id="h", member_ports=((producer.id, "in"), ("b", "in"),
+                                                   ("d", "out"))))
+    return sy
+
+
+def zero_term_cases():
+    """``(id, system, options)`` of valid systems whose templates hold a
+    zero coefficient: a unit-commitment minimum of 0 (on ``units_on`` in
+    ucm), a minimum equal to the capacity (in uca) and an investable
+    producer with an hour of no availability (on ``invest`` in cap)."""
+    uc = {"unit_commitment": True}
+    gen = dict(id="g", kind=AssetKind.PRODUCER, capacity_mw=10.0, uc_enabled=True)
+    yield "uc-min-0", behind_hub(Asset(**gen)), uc
+    yield "uc-min-at-capacity", behind_hub(Asset(**gen, min_capacity_mw=10.0)), uc
+    yield "invest-dark-hour", behind_hub(Asset(
+        id="pv", kind=AssetKind.PRODUCER, capacity_mw=4.0, initial_units=0, investable=True,
+        invest_limit=3, invest_cost=2.0, availability_profile=(0.0, 0.5, 1.0, 0.25))), {}
+
+
+@pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.value)
+@pytest.mark.parametrize("system,options", [case[1:] for case in zero_term_cases()],
+                         ids=[case[0] for case in zero_term_cases()])
+def test_zero_coefficients_leave_their_terms_out(system, options, approach, tmp_path):
+    lp = build_model(system, approach, **options)
+    assert np.all(lp.data != 0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*integrality marks relaxed", UserWarning)
+        assert against_highs(lp, str(tmp_path / "lp.mps"))[2] == []
+
+
 def fill_cases():
     """``(id, system, approach, options)`` of every case the fill must match."""
     for approach in ALL_APPROACHES:
+        for name, system, options in zero_term_cases():
+            yield f"{name}-{approach.value}", system, approach, options
         yield f"hybrid-{approach.value}", hybrid_fixture(), approach, {}
         for T in (1, 2, 24):
             system = scale_horizon(tri_area_case(CaseSpec()), T)

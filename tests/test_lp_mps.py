@@ -601,6 +601,12 @@ class TestSolutionFiles:
         assert np.array_equal(back.primal, result.primal)
         assert not back.primal.flags.writeable and not result.primal.flags.writeable
 
+    def test_missing_objective_comes_from_the_primal(self, tmp_path):
+        # 1.5 * 0.5 + 7.0 * 0.25, summed in column order
+        path = tmp_path / "no-obj.sol"
+        path.write_text("status optimal\nf_a_b_t1 0.5\ni_a 0.25\n")
+        assert read_solution(str(path), toy_instance()).objective == 2.5
+
     def test_unlisted_column_reads_as_zero(self, tmp_path):
         path = tmp_path / "short.sol"
         path.write_text("status optimal\nobj 1.5\ni_a 2.0\n")
