@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError
 
@@ -46,9 +46,8 @@ class MpsModel(NamedTuple):
     """A parsed MPS file as HiGHS takes it: minimize ``cost @ x`` subject to
     ``row_lo <= A x <= row_hi`` and ``col_lo <= x <= col_hi``, ``A`` in CSC
     form with each column's rows in increasing order, rows and columns in
-    file order; ``integer`` marks the columns between INTORG and INTEND.
-    The numbers are ``array('d')`` (``array('i')`` for ``indptr`` and
-    ``indices``), the row bounds and ``integer`` lists."""
+    file order.  Numbers are ``array('d')`` (``array('i')`` for ``indptr``
+    and ``indices``), the row bounds lists."""
 
     row_names: list
     col_names: list
@@ -60,9 +59,12 @@ class MpsModel(NamedTuple):
     row_hi: list
     col_lo: Sequence[float]
     col_hi: Sequence[float]
-    integer: list
 
 
+# The adapter parses MPS itself because HiGHS would not stop where this
+# parser does: HiGHS 1.12's readModel answered kOk or kWarning on 14 of the
+# tests' 17 malformed files (all but an unknown row type, an unpaired field
+# and a marker without its kind), so it would solve some other LP there.
 def parse_free_mps(path: str) -> MpsModel:
     """Read the free-format MPS file at ``path`` in one pass; raise
     ParseError for a name it cannot resolve (see the module docstring)."""
@@ -70,10 +72,10 @@ def parse_free_mps(path: str) -> MpsModel:
 
     inf = float("inf")
     row_at, col_at = {}, {}  # name -> index, in the order the file names them
-    senses, rhs, ranges, integer = [], {}, {}, []
+    senses, rhs, ranges = [], {}, {}
     cost, lower, upper, starts = array("d"), array("d"), array("d"), array("i")
     rows, coefs = array("i"), array("d")
-    section, objective, col, in_integer, disordered = None, None, None, False, False
+    section, objective, col, disordered = None, None, None, False
 
     def fail(message):
         return ParseError(f"{path}:{number}: {message}")
@@ -101,8 +103,9 @@ def parse_free_mps(path: str) -> MpsModel:
                     else:
                         raise fail(f"unknown row type {fields[0]}")
                 elif section == "COLUMNS":
-                    if fields[1] == "'MARKER'":
-                        in_integer = fields[2] == "'INTORG'"
+                    if fields[1] == "'MARKER'":  # INTORG or INTEND: every column is continuous
+                        if len(fields) < 3:
+                            raise IndexError  # a marker without its kind cannot be read
                         continue
                     if fields[0] != col:
                         col = fields[0]
@@ -112,7 +115,6 @@ def parse_free_mps(path: str) -> MpsModel:
                         cost.append(0.0)
                         lower.append(0.0)
                         upper.append(inf)
-                        integer.append(in_integer)
                         starts.append(len(rows))
                         seen, last = set(), -1
                     for row, value in zip(fields[1::2], fields[2::2], strict=True):
@@ -168,7 +170,7 @@ def parse_free_mps(path: str) -> MpsModel:
             rows[s:e] = array("i", (i for i, _ in entries))
             coefs[s:e] = array("d", (v for _, v in entries))
     return MpsModel(list(row_at), list(col_at), cost, starts, rows, coefs,
-                    row_lo, row_hi, lower, upper, integer)
+                    row_lo, row_hi, lower, upper)
 
 
 class HighsResult(NamedTuple):
@@ -242,8 +244,12 @@ def _pass_lp(h, highs, a: MpsModel) -> bool:
     """Give ``a`` to ``highs`` as an LP with every column continuous; False
     when HiGHS rejects a column's bounds or the model."""
     error = h.HighsStatus.kError
-    # HighsLp's col_cost_ setter takes only numpy arrays, so the columns and
-    # their costs go in through calls that take Python floats
+    # the columns and their costs go in through calls that take Python
+    # floats: HighsLp's col_cost_ setter and addVars accept lists and
+    # array('d') but import numpy to convert them.  Nor can a HighsLp carry
+    # the columns without their costs: given num_col_ and column bounds
+    # only, passModel answered kError and a changeColCost after it died
+    # with SIGSEGV (exit 139)
     if not all(highs.addVar(lo, hi) != error for lo, hi in zip(a.col_lo, a.col_hi)):
         return False
     for j, c in enumerate(a.cost):
@@ -254,7 +260,6 @@ def _pass_lp(h, highs, a: MpsModel) -> bool:
     lp.a_matrix_.format_ = h.MatrixFormat.kColwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
     lp.row_lower_, lp.row_upper_ = a.row_lo, a.row_hi
-    lp.integrality_ = [h.HighsVarType.kContinuous] * len(a.cost)
     return highs.passModel(lp) != error
 
 
@@ -272,39 +277,42 @@ def solve(path: str) -> tuple[MpsModel, HighsResult]:
     if not a.col_names:
         # HiGHS calls such a model empty, not infeasible; every row reads 0
         feasible = all(lo <= 0.0 <= hi for lo, hi in zip(a.row_lo, a.row_hi))
-        return a, HighsResult("optimal" if feasible else "infeasible", 0.0, [])
+        return a, HighsResult("optimal", 0.0, []) if feasible else HighsResult("infeasible")
     h = highs_core()
     highs = h._Highs()
-    options = h.HighsOptions()
-    options.log_to_console = False
-    highs.passOptions(options)
+    highs.setOptionValue("log_to_console", False)
+    status = status_label(h.HighsModelStatus.kModelError)  # unless HiGHS takes the LP
     if _pass_lp(h, highs, a):
         highs.run()
         status = status_label(highs.getModelStatus())
-    else:
-        status = status_label(h.HighsModelStatus.kModelError)
     if status != "optimal":
         return a, HighsResult(status)
     return a, HighsResult(status, highs.getInfo().objective_function_value,
                           highs.getSolution().col_value)
 
 
+def write_solution_file(path: str, status: str, objective: Optional[float] = None,
+                        columns: Iterable[tuple[str, float]] = ()) -> None:
+    """The solution-file format's one writer, for the child and :func:`.lp.write_solution`:
+    ``status <status>``, ``obj <objective>`` unless it is None and ``<name> <value>``
+    per pair in ``columns``, to ``path``, numbers by ``repr``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"status {status}\n")
+        if objective is not None:
+            fh.write(f"obj {float(objective)!r}\n")
+        fh.writelines(f"{name} {float(value)!r}\n" for name, value in columns)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print("usage: highs_adapter <model.mps> <out.sol> [seed (not read)]", file=sys.stderr)
         return 2
-    mps_path, out_path = argv[0], argv[1]
     try:
-        model, result = solve(mps_path)
+        model, result = solve(argv[0])
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"status {result.status}\n")
-        if result.status == "optimal":
-            fh.write(f"obj {float(result.fun)!r}\n")
-            for col, val in zip(model.col_names, result.x):
-                fh.write(f"{col} {float(val)!r}\n")
+    write_solution_file(argv[1], result.status, result.fun, zip(model.col_names, result.x or ()))
     return 0
 
 

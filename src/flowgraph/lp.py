@@ -37,6 +37,7 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvariantViolation, ParseError, UnknownVariableName
+from .highs_adapter import write_solution_file
 
 INF = math.inf
 
@@ -580,9 +581,9 @@ def primal_objective(instance: LpInstance, primal: np.ndarray) -> float:
 def read_solution(path: str, instance: LpInstance) -> SolveResult:
     """Parse the plain-text solution format (status / obj / name-value lines)
     of a solve of ``instance`` into a column-ordered ``primal``: a column the
-    file does not list is 0, a name no column has raises UnknownVariableName.
-    The ``obj`` line is optional; an optimal file without one gets its
-    primal's :func:`primal_objective`."""
+    file does not list is 0, a name no column has raises UnknownVariableName
+    and a name listed twice ParseError.  The ``obj`` line is optional; an
+    optimal file without one gets its primal's :func:`primal_objective`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -602,16 +603,19 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
         result.objective = _number(path, n, parts[1])
         rest = rest[1:]
     if status == "optimal":
-        index = instance.var_index()
+        index = instance.var_index()  # a fresh dict: a name read is marked -1
         primal = np.zeros(len(instance.lower))
         for n, ln in rest:
             parts = ln.split()
             if len(parts) != 2:
                 raise ParseError(f"{path}:{n}: malformed value line {ln!r}")
             name, value = parts[0], _number(path, n, parts[1])
-            if name not in index:
+            j = index.get(name)
+            if j is None:
                 raise UnknownVariableName(f"{path}:{n}: unknown variable {name!r}")
-            primal[index[name]] = value
+            if j < 0:
+                raise ParseError(f"{path}:{n}: variable {name!r} listed twice")
+            primal[j], index[name] = value, -1
         primal.flags.writeable = False
         result.primal = primal
         if result.objective is None:
@@ -621,10 +625,6 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
 
 def write_solution(result: SolveResult, path: str, instance: LpInstance) -> None:
     """Write ``result``, a solve of ``instance``, as :func:`read_solution` reads it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"status {result.status}\n")
-        if result.objective is not None:
-            fh.write(f"obj {result.objective!r}\n")
-        if result.primal is not None:
-            for name, value in zip(instance.col_names(), result.primal.tolist(), strict=True):
-                fh.write(f"{name} {value!r}\n")
+    primal = result.primal
+    columns = () if primal is None else zip(instance.col_names(), primal.tolist(), strict=True)
+    write_solution_file(path, result.status, result.objective, columns)

@@ -70,6 +70,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure, SolverLaunchFailure
+from .highs_adapter import scipy_extension
 from .lp import (INF, LpInstance, SolveResult, _Names, by_column, primal_objective,
                  read_solution, write_mps)
 
@@ -97,12 +98,6 @@ _CANCEL_RATIO = 1e-12
 #: (gstrf), loaded without scipy.sparse
 _SPARSETOOLS = "scipy.sparse._sparsetools"
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
-
-
-def _extension(name: str):
-    from .highs_adapter import scipy_extension
-
-    return scipy_extension(name)
 
 
 class _SingularBasis(Exception):
@@ -158,7 +153,7 @@ class _Basis:
         # the T=24 benchmark LPs 1.34x faster; the L and U factors are
         # never read, so no matrix type builds them
         try:
-            self.lu = _extension(_SUPERLU).gstrf(
+            self.lu = scipy_extension(_SUPERLU).gstrf(
                 len(self.basic), len(B.data), B.data, B.indices, B.indptr,
                 csc_construct_func=None, ilu=False,
                 options=dict(DiagPivotThresh=None, ColPerm="COLAMD", PanelSize=None, Relax=1))
@@ -411,7 +406,7 @@ def presolve(instance: LpInstance) -> Presolved:
 
 class _Simplex:
     def __init__(self, lp: LpInstance, max_iter: int):
-        self.sparsetools = _extension(_SPARSETOOLS)
+        self.sparsetools = scipy_extension(_SPARSETOOLS)
         self.m = m = len(lp.row_lo)
         self.n_structural = n = len(lp.lower)
         self.max_iter = max_iter
@@ -625,8 +620,8 @@ def solve_reference(instance: LpInstance) -> SolveResult:
         )
     # scipy's kernels load on first use; loading them here keeps that off
     # the solve's clock
-    _extension(_SPARSETOOLS)
-    _extension(_SUPERLU)
+    scipy_extension(_SPARSETOOLS)
+    scipy_extension(_SUPERLU)
 
     start = time.perf_counter()
     reduced = presolve(instance)
@@ -655,8 +650,8 @@ def _row_sums(instance: LpInstance, x: np.ndarray) -> np.ndarray:
     """``A @ x`` over the store's CSR arrays, by scipy's ``csr_matvec``, the
     kernel a scipy CSR matrix over those arrays calls for ``@ x``."""
     lhs = np.zeros(len(instance.row_lo))
-    _extension(_SPARSETOOLS).csr_matvec(len(lhs), len(x), instance.indptr, instance.indices,
-                                        instance.data, x, lhs)
+    scipy_extension(_SPARSETOOLS).csr_matvec(len(lhs), len(x), instance.indptr,
+                                             instance.indices, instance.data, x, lhs)
     return lhs
 
 

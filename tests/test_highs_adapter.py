@@ -41,6 +41,7 @@ from flowgraph import (
     solve_reference,
     tri_area_case,
     write_mps,
+    write_solution,
 )
 from flowgraph.errors import InvariantViolation, NonzeroExit, ParseError, SolverFailure
 from flowgraph.highs_adapter import (
@@ -234,9 +235,11 @@ def test_in_process_main_freezes_nothing(tmp_path):
 @pytest.mark.parametrize("approach", ALL_APPROACHES, ids=lambda a: a.value)
 def test_child_writes_what_main_writes(approach, tmp_path):
     """The child process, whose imports are frozen, and an in-process call
-    write byte-identical solution files for the T=96 tri-area LPs."""
+    write byte-identical solution files for the T=96 tri-area LPs, and so
+    does write_solution given what read_solution reads from the child's."""
     mps = tmp_path / "model.mps"
-    write_mps(build_model(scale_horizon(tri_area_case(CaseSpec(seed=13)), 96), approach), str(mps))
+    lp = build_model(scale_horizon(tri_area_case(CaseSpec(seed=13)), 96), approach)
+    write_mps(lp, str(mps))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-m", "flowgraph.highs_adapter", str(mps),
                     str(tmp_path / "child.sol"), "13"], env=env, check=True)
@@ -244,6 +247,8 @@ def test_child_writes_what_main_writes(approach, tmp_path):
     child = (tmp_path / "child.sol").read_bytes()
     assert child.startswith(b"status optimal\n")
     assert child == (tmp_path / "main.sol").read_bytes()
+    write_solution(read_solution(str(tmp_path / "child.sol"), lp), str(tmp_path / "lp.sol"), lp)
+    assert child == (tmp_path / "lp.sol").read_bytes()
 
 
 @pytest.mark.parametrize("case", [
@@ -376,6 +381,8 @@ BAD_MPS = {
                         "unknown section OBJSENSE"),
     "one-line-section": ("RANGES\n    RNG r 1.0", "OBJSENSE MAX", 11, "unknown section OBJSENSE"),
     "unpaired-field": ("    x r 1.0", "    x r", 7, "cannot read 'x r'"),
+    "marker-without-kind": ("    y r 1.0", "    M 'MARKER'\n    y r 1.0", 8,
+                            "cannot read \"M 'MARKER'\""),
     "bad-number": ("    RHS r 2.0", "    RHS r two", 10, "cannot read 'RHS r two'"),
 }
 

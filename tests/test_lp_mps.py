@@ -531,15 +531,14 @@ ROUND_TRIP_CASES = {
 class TestMpsRoundTrip:
     @pytest.mark.parametrize("case", ROUND_TRIP_CASES)
     def test_parsed_model_equals_store(self, case, tmp_path):
-        """Names, integrality and every array HiGHS takes come back exactly:
-        the matrix column by column, each column's rows in increasing order."""
+        """Names and every array HiGHS takes come back exactly: the matrix
+        column by column, each column's rows in increasing order."""
         instance = ROUND_TRIP_CASES[case]()
         path = tmp_path / "model.mps"
         write_mps(instance, str(path))
         model = parse_free_mps(str(path))
         assert model.row_names == instance.row_names()
         assert model.col_names == instance.col_names()
-        assert np.array_equal(model.integer, instance.integral)
         by_col = csr(instance).tocsc()
         for field, expected in [("indptr", by_col.indptr), ("indices", by_col.indices),
                                 ("data", by_col.data), ("cost", instance.cost),
@@ -606,6 +605,12 @@ class TestSolutionFiles:
         path = tmp_path / "no-obj.sol"
         path.write_text("status optimal\nf_a_b_t1 0.5\ni_a 0.25\n")
         assert read_solution(str(path), toy_instance()).objective == 2.5
+
+    def test_repeated_name_names_file_and_line(self, tmp_path):
+        path = tmp_path / "twice.sol"
+        path.write_text("status optimal\nobj 1.5\ni_a 5.0\n\ni_a 7.0\n")
+        with pytest.raises(ParseError, match=r"twice\.sol:5: variable 'i_a' listed twice"):
+            read_solution(str(path), toy_instance())
 
     def test_unlisted_column_reads_as_zero(self, tmp_path):
         path = tmp_path / "short.sol"

@@ -39,7 +39,8 @@ def test_every_public_name_resolves():
         print(json.dumps([missing, sorted(m for m in sys.modules if m.startswith("flowgraph."))]))
     """)
     assert missing == []
-    assert {m.split(".")[1] for m in modules} == EXPORTING
+    # lp writes solution files and solver loads scipy's kernels through the adapter
+    assert {m.split(".")[1] for m in modules} == EXPORTING | {"highs_adapter"}
 
 
 def test_names_come_from_their_submodules():
