@@ -164,7 +164,7 @@ def _shuffled(instance: LpInstance, seed: int) -> LpInstance:
     store = instance.store()
     order = list(range(len(instance.lower)))
     random.Random(seed).shuffle(order)
-    position = np.empty(len(order), np.int64)
+    position = np.empty(len(order), np.intc)
     position[order] = np.arange(len(order))
     cols = position[instance.indices]
     row = np.repeat(np.arange(len(instance.row_lo)), np.diff(instance.indptr))

@@ -433,7 +433,7 @@ class _Builder:
         ends += (k + L * np.arange(T))[:, None]
         if not data.all():  # every row had a term, so no row ends at k
             keep = data.ravel() != 0
-            kept = np.cumsum(keep)
+            kept = np.cumsum(keep, dtype=np.intc)
             ends[:] = k + kept[ends - (k + 1)]
             for key in ("indices", "data"):
                 store[key][k:ends[-1, -1]] = store[key][k:k + T * L][keep]
@@ -556,8 +556,11 @@ class _Builder:
         self.instantiate(self.limit_templates())
         m = self.T * sum(map(len, self.groups))
         nnz = self.T * sum(len(tpl.terms) for templates in self.groups for tpl in templates)
+        if max(nnz, len(self.store["lower"])) > np.iinfo(np.intc).max:
+            raise InvariantViolation(f"{self.system.name}: {nnz} terms are beyond the range "
+                                     "of intc, the store's index type")
         self.store.update(
-            indptr=np.zeros(m + 1, np.int64), indices=np.empty(nnz, np.int64),
+            indptr=np.zeros(m + 1, np.intc), indices=np.empty(nnz, np.intc),
             data=np.empty(nnz), family=np.empty(m, np.int8),
             row_lo=np.empty(m), row_hi=np.empty(m),
         )

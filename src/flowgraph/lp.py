@@ -4,8 +4,9 @@ An :class:`LpInstance` is one columnar store that every consumer reads (size
 report, MPS writer, checks, both solvers): minimize ``cost @ x`` subject to
 ``row_lo <= A @ x <= row_hi`` and ``lower <= x <= upper``.
 
-- rows: CSR ``indptr``/``indices``/``data`` (float) in emission order, and
-  per row the bounds ``row_lo`` and ``row_hi`` (``-inf``/``inf`` for none)
+- rows: CSR ``indptr``/``indices`` (at ``intc``, the 4-byte index type
+  SuperLU, scipy's sparse kernels and the HiGHS child take) and ``data``
+  (float) in emission order, and per row the bounds ``row_lo`` and ``row_hi`` (``-inf``/``inf`` for none)
   and a ``family`` code (into :data:`FAMILIES`);
 - columns: ``lower``, ``upper``, ``integral`` and the objective ``cost``;
 - names, made on demand from per-block prefixes: ``"_".join((role prefix,
@@ -129,17 +130,21 @@ _CHECK_TERMS = 1 << 14
 #: the table that row ``family`` codes index
 FAMILIES = tuple(RowFamily)
 
+#: the range of the store's index type
+_INTC = np.iinfo(np.intc)
+
 
 def by_column(indptr: np.ndarray, indices: np.ndarray, n: int):
     """The entries of CSR rows ``indptr``/``indices`` over ``n`` columns, in
     column order: ``(colptr, by_col, row_of)``.  Column ``j`` holds entries
     ``colptr[j]`` to ``colptr[j + 1]``; entry ``k`` is row-ordered entry
-    ``by_col[k]``, in row ``row_of[k]``.  ``colptr`` and ``row_of`` are at
-    ``intc``, as SuperLU takes them.  The sort is stable, so each column's
-    rows increase, as scipy's ``tocsc`` gives them."""
+    ``by_col[k]``, in row ``row_of[k]``.  All three are at ``intc``, the
+    store's index type, as SuperLU takes them: 4 + 4 bytes per nonzero.  The
+    sort is stable, so each column's rows increase, as scipy's ``tocsc``
+    gives them."""
     colptr = np.zeros(n + 1, np.intc)
     np.cumsum(np.bincount(indices, minlength=n), out=colptr[1:])
-    by_col = np.argsort(indices, kind="stable")
+    by_col = np.argsort(indices, kind="stable").astype(np.intc)
     row_of = np.repeat(np.arange(len(indptr) - 1, dtype=np.intc), np.diff(indptr))[by_col]
     return colptr, by_col, row_of
 
@@ -251,6 +256,15 @@ class LpInstance:
         return dict(self._store)
 
     def _fill(self, name: str, **store) -> None:
+        # intc is the store's one index type, whatever a constructor was given
+        for key in ("indptr", "indices"):
+            value = np.asarray(store[key])
+            if value.dtype != np.intc:
+                beyond = (value < _INTC.min) | (value > _INTC.max)
+                if beyond.any():
+                    raise InvariantViolation(
+                        f"{name}: {key} holds {value[beyond][0]}, beyond the range of intc")
+                store[key] = value.astype(np.intc)
         for value in store.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -322,7 +336,7 @@ class LpInstance:
         m, n, indptr = len(self.row_lo), len(self.lower), self.indptr
         start = 0
         while start < m:
-            stop = int(np.searchsorted(indptr, indptr[start] + _CHECK_TERMS, "right")) - 1
+            stop = int(np.searchsorted(indptr, int(indptr[start]) + _CHECK_TERMS, "right")) - 1
             stop = min(max(stop, start + 1), m)
             lo, hi = indptr[start], indptr[stop]
             cols, coefs = self.indices[lo:hi], self.data[lo:hi]
@@ -451,8 +465,9 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     suffixes; a row's head and suffix go into its line as two pieces,
     never joined into a name first.  Beyond one block, the heads and one string per distinct
     coefficient, the writer holds integer and boolean arrays, the largest
-    a permutation that takes the row-ordered entries to column order; it
-    and the row of each entry are released once COLUMNS is written.
+    a permutation that takes the row-ordered entries to column order and
+    the row of each entry, at ``intc``, 4 bytes per nonzero each; both are
+    released once COLUMNS is written.
     """
     instance.check()
     row_lo, row_hi = instance.row_lo, instance.row_hi
@@ -495,7 +510,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     # a block starts at the column that holds line k * _BLOCK of the section
     # (a column has its entries and its OBJ line), and wherever integrality
     # changes, so it has at most _BLOCK lines beyond those of one column
-    ends = np.cumsum(counts + has_obj)
+    ends = np.cumsum(counts + has_obj, dtype=np.intc)
     firsts = np.searchsorted(ends, np.arange(0, ends[-1] if n else 0, _BLOCK), "right")
     col_edges = sorted({*firsts.tolist(), *turns, n})
     coef_text: dict = {}
@@ -514,7 +529,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
         return markers.get(lo, "") + _joined(cname, head, suffix, _text(value, coef_text))
 
     _section(out, "COLUMNS\n", col_edges, columns)
-    # RHS, RANGES and BOUNDS need neither the 12 bytes per nonzero nor the
+    # RHS, RANGES and BOUNDS need neither the 8 bytes per nonzero nor the
     # coefficient strings
     del by_col, row_of, coef_text
     out.write(markers.get(n, ""))

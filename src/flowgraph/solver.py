@@ -386,7 +386,8 @@ def presolve(instance: LpInstance) -> Presolved:
 
     # only the rows left hold terms
     rows, kept = np.flatnonzero(row_alive), np.flatnonzero(col_alive)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=m)[rows])])
+    indptr = np.zeros(len(rows) + 1, np.intc)
+    np.cumsum(np.bincount(row, minlength=m)[rows], out=indptr[1:])
     # the kept columns of each parent block, with the timesteps they keep
     blocks = instance.col_blocks
     starts = np.cumsum([0] + [len(steps) for _, _, steps in blocks])
@@ -396,7 +397,7 @@ def presolve(instance: LpInstance) -> Presolved:
     col_blocks = [(role, key, steps if b - a == len(steps) else tuple(steps[t] for t in at[a:b]))
                   for (role, key, steps), a, b in zip(parents, first, [*first[1:], len(kept)])]
     lp = LpInstance.from_store(
-        instance.name, indptr=indptr, indices=(np.cumsum(col_alive) - 1)[col], data=val,
+        instance.name, indptr=indptr, indices=(np.cumsum(col_alive, dtype=np.intc) - 1)[col], data=val,
         row_lo=row_lo[rows], row_hi=row_hi[rows], family=instance.family[rows],
         row_blocks=[(_Names(instance.row_blocks).take(rows).tolist(), (None,))],
         lower=lower[kept], upper=upper[kept], integral=instance.integral[kept],

@@ -293,7 +293,7 @@ def reference_rows(builder) -> dict:
                 row_lo.append(at(tpl.lo, t))
                 row_hi.append(at(tpl.hi, t))
     return {
-        "indptr": np.array(indptr, np.int64), "indices": np.array(indices, np.int64),
+        "indptr": np.array(indptr, np.intc), "indices": np.array(indices, np.intc),
         "data": np.array(data, float), "family": np.array(family, np.int8),
         "row_lo": np.array(row_lo, float), "row_hi": np.array(row_hi, float),
     }

@@ -35,9 +35,10 @@ from flowgraph import (
     write_mps,
     write_solution,
 )
-from flowgraph import lp as lp_module
+from flowgraph import bench, lp as lp_module
 from flowgraph.errors import InvariantViolation, ParseError, UnknownVariableName
 from flowgraph.highs_adapter import parse_free_mps
+from flowgraph.solver import presolve
 from conftest import csr
 from test_mps_digest import dc_uc_case, dc_uc_hub_case
 
@@ -209,6 +210,10 @@ class TestCheck:
     @pytest.mark.parametrize("change, message", [
         (lambda store: store.pop("integral"), "toy: store has no 'integral'"),
         (lambda store: store.update(costs=store["cost"]), "toy: unknown store key 'costs'"),
+        (lambda store: store.update(indices=[2**31, *store["indices"][1:].tolist()]),
+         "toy: indices holds 2147483648, beyond the range of intc"),
+        (lambda store: store.update(indptr=np.array([-2**31 - 1, *store["indptr"][1:]])),
+         "toy: indptr holds -2147483649, beyond the range of intc"),
     ])
     def test_store_keys_named(self, change, message):
         # a store without integral failed later, inside solve_reference
@@ -262,12 +267,21 @@ class TestCheck:
 
 
 def test_store_holds_what_solvers_read():
+    """Every construction path gives the store's index arrays at intc."""
     built = build_model(hybrid_fixture(), Approach.TWO_BB_2F)
-    for lp in (built, toy_instance(), LpInstance.from_store("copy", **built.store())):
+    store, index = built.store(), ("indptr", "indices")
+    given = {"int64": {key: store[key].astype(np.int64) for key in index},
+             "lists": {key: store[key].tolist() for key in index}}
+    copies = [LpInstance.from_store(built.name, **{**store, **arrays}) for arrays in given.values()]
+    for lp in (built, toy_instance(), *copies, presolve(built).lp, bench._shuffled(built, 3)):
         assert set(lp.store()) == {"indptr", "indices", "data", "row_lo", "row_hi", "family",
                                    "lower", "upper", "integral", "cost", "row_blocks",
                                    "col_blocks"}
         assert lp.data.dtype == float and lp.cost.shape == lp.lower.shape
+        for key in index:
+            assert getattr(lp, key).dtype == lp.store()[key].dtype == np.intc, key
+    for lp in copies:
+        assert mps_string(lp) == mps_string(built)
 
 
 def one_row_lp(lo: float, hi: float) -> LpInstance:
@@ -492,7 +506,7 @@ def test_size_report_holds_a_few_bytes_per_row():
 
 
 def test_write_releases_column_order_after_columns():
-    """RHS, RANGES and BOUNDS need no column-order permutation (8 bytes per
+    """RHS, RANGES and BOUNDS need no column-order permutation (4 bytes per
     nonzero) nor row of each entry (4 bytes per nonzero)."""
     samples = []
 
@@ -512,7 +526,7 @@ def test_write_releases_column_order_after_columns():
         tracemalloc.stop()
     columns = max(live for section, live in samples if section == "COLUMNS\n")
     rhs = next(live for section, live in samples if section == "RHS\n")
-    assert columns - rhs >= 12 * len(lp.data)
+    assert columns - rhs >= 8 * len(lp.data)
 
 
 #: the instances whose MPS files must parse back to their store exactly
