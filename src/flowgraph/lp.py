@@ -597,8 +597,9 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
     """Parse the plain-text solution format (status / obj / name-value lines)
     of a solve of ``instance`` into a column-ordered ``primal``: a column the
     file does not list is 0, a name no column has raises UnknownVariableName
-    and a name listed twice ParseError.  The ``obj`` line is optional; an
-    optimal file without one gets its primal's :func:`primal_objective`."""
+    and a name listed twice ParseError.  The ``obj`` line, the line after
+    ``status`` whose first field is exactly ``obj``, is optional; an optimal
+    file without one gets its primal's :func:`primal_objective`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -611,7 +612,7 @@ def read_solution(path: str, instance: LpInstance) -> SolveResult:
         raise ParseError(f"{path}: unknown status {status!r}")
     result = SolveResult(status=status)
     rest = lines[1:]
-    if rest and rest[0][1].startswith("obj"):
+    if rest and rest[0][1].split()[0] == "obj":
         n, parts = rest[0][0], rest[0][1].split()
         if len(parts) != 2:
             raise ParseError(f"{path}:{n}: malformed objective line")

@@ -579,10 +579,13 @@ class TestSolutionFiles:
         assert back.objective == 42.5
         assert np.array_equal(back.primal, result.primal)
 
-    def test_unknown_variable_rejected_with_instance(self, tmp_path):
+    @pytest.mark.parametrize("lines, name", [("obj 0.0\nghost 1.0", "ghost"),
+                                             ("objective_typo 9.0\ni_a 2.0", "objective_typo")])
+    def test_unknown_variable_rejected_with_instance(self, tmp_path, lines, name):
+        # only a first field of exactly obj makes the objective line
         path = tmp_path / "out.sol"
-        path.write_text("status optimal\nobj 0.0\nghost 1.0\n")
-        with pytest.raises(UnknownVariableName):
+        path.write_text(f"status optimal\n{lines}\n")
+        with pytest.raises(UnknownVariableName, match=f"unknown variable '{name}'"):
             read_solution(str(path), toy_instance())
 
     def test_malformed_header_rejected(self, tmp_path):
