@@ -336,7 +336,9 @@ class LpInstance:
         m, n, indptr = len(self.row_lo), len(self.lower), self.indptr
         start = 0
         while start < m:
-            stop = int(np.searchsorted(indptr, int(indptr[start]) + _CHECK_TERMS, "right")) - 1
+            # the bound in indptr's own type, so searchsorted does not cast indptr
+            bound = np.intc(min(int(indptr[start]) + _CHECK_TERMS, int(indptr[-1])))
+            stop = int(np.searchsorted(indptr, bound, "right")) - 1
             stop = min(max(stop, start + 1), m)
             lo, hi = indptr[start], indptr[stop]
             cols, coefs = self.indices[lo:hi], self.data[lo:hi]
@@ -511,7 +513,7 @@ def write_mps(instance: LpInstance, destination: Union[str, IO[str]]) -> None:
     # (a column has its entries and its OBJ line), and wherever integrality
     # changes, so it has at most _BLOCK lines beyond those of one column
     ends = np.cumsum(counts + has_obj, dtype=np.intc)
-    firsts = np.searchsorted(ends, np.arange(0, ends[-1] if n else 0, _BLOCK), "right")
+    firsts = np.searchsorted(ends, np.arange(0, ends[-1] if n else 0, _BLOCK, np.intc), "right")
     col_edges = sorted({*firsts.tolist(), *turns, n})
     coef_text: dict = {}
 

@@ -505,6 +505,23 @@ def test_size_report_holds_a_few_bytes_per_row():
     assert peak < SIZE_REPORT_PEAK_PER_ROW * len(lp.row_lo)
 
 
+#: tracemalloc peak of LpInstance.check at i2 3BB-4F: measured 0.82 MB for
+#: one block of terms, 2.94 MB when each block's search cast indptr to int64
+CHECK_PEAK_BYTES = 1.5e6
+
+
+def test_check_holds_one_block_of_terms():
+    lp = build_model(tri_area_case(CaseSpec(instance=2)), Approach.THREE_BB_4F)
+    unchecked = LpInstance.from_store(lp.name, **lp.store())
+    tracemalloc.start()
+    try:
+        unchecked.check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHECK_PEAK_BYTES
+
+
 def test_write_releases_column_order_after_columns():
     """RHS, RANGES and BOUNDS need no column-order permutation (4 bytes per
     nonzero) nor row of each entry (4 bytes per nonzero)."""
