@@ -557,8 +557,9 @@ class _Builder:
         m = self.T * sum(map(len, self.groups))
         nnz = self.T * sum(len(tpl.terms) for templates in self.groups for tpl in templates)
         if max(nnz, len(self.store["lower"])) > np.iinfo(np.intc).max:
-            raise InvariantViolation(f"{self.system.name}: {nnz} terms are beyond the range "
-                                     "of intc, the store's index type")
+            raise InvariantViolation(f"{self.system.name}: {nnz} terms over "
+                                     f"{len(self.store['lower'])} columns are beyond the "
+                                     "range of intc, the store's index type")
         self.store.update(
             indptr=np.zeros(m + 1, np.intc), indices=np.empty(nnz, np.intc),
             data=np.empty(nnz), family=np.empty(m, np.int8),

@@ -6,8 +6,9 @@ report, MPS writer, checks, both solvers): minimize ``cost @ x`` subject to
 
 - rows: CSR ``indptr``/``indices`` (at ``intc``, the 4-byte index type
   SuperLU, scipy's sparse kernels and the HiGHS child take) and ``data``
-  (float) in emission order, and per row the bounds ``row_lo`` and ``row_hi`` (``-inf``/``inf`` for none)
-  and a ``family`` code (into :data:`FAMILIES`);
+  (float) in emission order, and per row the bounds ``row_lo`` and
+  ``row_hi`` (``-inf``/``inf`` for none) and a ``family`` code (into
+  :data:`FAMILIES`);
 - columns: ``lower``, ``upper``, ``integral`` and the objective ``cost``;
 - names, made on demand from per-block prefixes: ``"_".join((role prefix,
   *key))`` plus ``_t{t}`` for a column, a template prefix plus ``_t{t}``
@@ -129,9 +130,6 @@ _CHECK_TERMS = 1 << 14
 
 #: the table that row ``family`` codes index
 FAMILIES = tuple(RowFamily)
-
-#: the range of the store's index type
-_INTC = np.iinfo(np.intc)
 
 
 def by_column(indptr: np.ndarray, indices: np.ndarray, n: int):
@@ -257,10 +255,11 @@ class LpInstance:
 
     def _fill(self, name: str, **store) -> None:
         # intc is the store's one index type, whatever a constructor was given
+        limits = np.iinfo(np.intc)
         for key in ("indptr", "indices"):
             value = np.asarray(store[key])
             if value.dtype != np.intc:
-                beyond = (value < _INTC.min) | (value > _INTC.max)
+                beyond = (value < limits.min) | (value > limits.max)
                 if beyond.any():
                     raise InvariantViolation(
                         f"{name}: {key} holds {value[beyond][0]}, beyond the range of intc")

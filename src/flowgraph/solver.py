@@ -396,8 +396,9 @@ def presolve(instance: LpInstance) -> Presolved:
     at, parents = (kept - starts[owner]).tolist(), map(blocks.__getitem__, owner[first].tolist())
     col_blocks = [(role, key, steps if b - a == len(steps) else tuple(steps[t] for t in at[a:b]))
                   for (role, key, steps), a, b in zip(parents, first, [*first[1:], len(kept)])]
+    position = np.cumsum(col_alive, dtype=np.intc) - 1
     lp = LpInstance.from_store(
-        instance.name, indptr=indptr, indices=(np.cumsum(col_alive, dtype=np.intc) - 1)[col], data=val,
+        instance.name, indptr=indptr, indices=position[col], data=val,
         row_lo=row_lo[rows], row_hi=row_hi[rows], family=instance.family[rows],
         row_blocks=[(_Names(instance.row_blocks).take(rows).tolist(), (None,))],
         lower=lower[kept], upper=upper[kept], integral=instance.integral[kept],

@@ -272,7 +272,8 @@ def test_store_holds_what_solvers_read():
     store, index = built.store(), ("indptr", "indices")
     given = {"int64": {key: store[key].astype(np.int64) for key in index},
              "lists": {key: store[key].tolist() for key in index}}
-    copies = [LpInstance.from_store(built.name, **{**store, **arrays}) for arrays in given.values()]
+    copies = [LpInstance.from_store(built.name, **{**store, **arrays})
+              for arrays in given.values()]
     for lp in (built, toy_instance(), *copies, presolve(built).lp, bench._shuffled(built, 3)):
         assert set(lp.store()) == {"indptr", "indices", "data", "row_lo", "row_hi", "family",
                                    "lower", "upper", "integral", "cost", "row_blocks",
