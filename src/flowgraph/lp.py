@@ -259,6 +259,8 @@ class LpInstance:
         for key in ("indptr", "indices"):
             value = np.asarray(store[key])
             if value.dtype != np.intc:
+                if value.size and value.dtype.kind not in "iu":
+                    raise InvariantViolation(f"{name}: {key} holds {value.dtype}, not integers")
                 beyond = (value < limits.min) | (value > limits.max)
                 if beyond.any():
                     raise InvariantViolation(

@@ -214,6 +214,8 @@ class TestCheck:
          "toy: indices holds 2147483648, beyond the range of intc"),
         (lambda store: store.update(indptr=np.array([-2**31 - 1, *store["indptr"][1:]])),
          "toy: indptr holds -2147483649, beyond the range of intc"),
+        (lambda store: store.update(indices=store["indices"] + 0.5),
+         "toy: indices holds float64, not integers"),
     ])
     def test_store_keys_named(self, change, message):
         # a store without integral failed later, inside solve_reference
